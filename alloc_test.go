@@ -2,49 +2,79 @@ package fcdpm
 
 // Allocation-budget pins for the hot paths. These are hard gates, not
 // benchmarks: the zero-allocation steady state of the simulation core is
-// an API guarantee (SimRunner + RecordFuelOnly), and testing.AllocsPerRun
-// catches any accidental per-run allocation the day it is introduced.
+// an API guarantee (a reused BatchRunner at RecordFuelOnly), and
+// testing.AllocsPerRun catches any accidental per-run allocation the day
+// it is introduced.
 
 import (
+	"context"
 	"testing"
 
 	"fcdpm/internal/fault"
 )
 
-// newThroughputRunner builds the benchmark configuration: FC-DPM over the
+// throughputConfig is the benchmark configuration: FC-DPM over the
 // camcorder trace at the fuel-only record level.
-func newThroughputRunner(t testing.TB) *SimRunner {
+func throughputConfig(t testing.TB) SimConfig {
 	sys := PaperSystem()
 	dev := Camcorder()
 	trace, err := CamcorderTrace(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewSimRunner(SimConfig{
+	return SimConfig{
 		Sys: sys, Dev: dev, Store: MustSuperCap(6, 1),
 		Trace: trace, Policy: NewFCDPM(sys, dev),
 		Record: RecordFuelOnly,
-	})
+	}
+}
+
+// newOneLane builds the reusable one-lane BatchRunner for cfg.
+func newOneLane(t testing.TB, cfg SimConfig) *BatchRunner {
+	b, err := NewBatchRunner([]SimLane{{Cfg: cfg}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return r
+	return b
+}
+
+// runLane runs a one-lane batch and returns its lane's result.
+func runLane(t testing.TB, b *BatchRunner) *Result {
+	out, err := b.Run()
+	if err == nil {
+		err = out[0].Err
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out[0].Res
 }
 
 func TestSimRunSteadyStateZeroAllocs(t *testing.T) {
-	r := newThroughputRunner(t)
+	b := newOneLane(t, throughputConfig(t))
 	// Warm-up run: lazily grown buffers (idle-length history, event log
 	// capacity) settle on the first pass.
-	if _, err := r.Run(); err != nil {
-		t.Fatal(err)
+	runLane(t, b)
+	allocs := testing.AllocsPerRun(20, func() { runLane(t, b) })
+	if allocs != 0 {
+		t.Fatalf("one-lane BatchRunner.Run allocates %v times per steady-state run at RecordFuelOnly, want 0", allocs)
 	}
+}
+
+// TestSimRunOneShotAllocs bounds the one-shot path every serving surface
+// takes per request: sim.RunContext builds a fresh one-lane batch, so
+// its whole setup counts.
+func TestSimRunOneShotAllocs(t *testing.T) {
+	const budget = 16
+	cfg := throughputConfig(t)
+	ctx := context.Background()
 	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := r.Run(); err != nil {
+		if _, err := RunContext(ctx, cfg); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if allocs != 0 {
-		t.Fatalf("SimRunner.Run allocates %v times per steady-state run at RecordFuelOnly, want 0", allocs)
+	if allocs > budget {
+		t.Fatalf("one-shot RunContext allocates %v times per run, want <= %d", allocs, budget)
 	}
 }
 
@@ -60,25 +90,17 @@ func TestSimRunMetricsZeroAllocs(t *testing.T) {
 	}
 	reg := NewMetricsRegistry()
 	m := NewSimMetrics(reg)
-	r, err := NewSimRunner(SimConfig{
+	b := newOneLane(t, SimConfig{
 		Sys: sys, Dev: dev, Store: MustSuperCap(6, 1),
 		Trace: trace, Policy: NewFCDPM(sys, dev),
 		Record:  RecordFuelOnly,
 		Metrics: m,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Run(); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := r.Run(); err != nil {
-			t.Fatal(err)
-		}
-	})
+	b.Metrics = NewBatchMetrics(reg)
+	runLane(t, b)
+	allocs := testing.AllocsPerRun(20, func() { runLane(t, b) })
 	if allocs != 0 {
-		t.Fatalf("instrumented SimRunner.Run allocates %v times per steady-state run, want 0", allocs)
+		t.Fatalf("instrumented one-lane BatchRunner.Run allocates %v times per steady-state run, want 0", allocs)
 	}
 	if got := m.Runs.Value(); got < 21 {
 		t.Fatalf("metrics recorded %v runs, want >= 21", got)
@@ -89,19 +111,14 @@ func TestSimRunMetricsZeroAllocs(t *testing.T) {
 }
 
 func TestSimRunnerResultsStayIdentical(t *testing.T) {
-	// The arena reuse must not leak state between runs: every repeat is
-	// the same simulation, so its totals must match the first bit for bit.
-	r := newThroughputRunner(t)
-	first, err := r.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The arena reuse must not leak state between runs: every repeat of
+	// a one-lane BatchRunner is the same simulation, so its totals must
+	// match the first bit for bit.
+	b := newOneLane(t, throughputConfig(t))
+	first := runLane(t, b)
 	fuel, deficit, final := first.Fuel, first.Deficit, first.FinalCharge
 	for i := 0; i < 3; i++ {
-		res, err := r.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := runLane(t, b)
 		if res.Fuel != fuel || res.Deficit != deficit || res.FinalCharge != final {
 			t.Fatalf("run %d diverged: fuel %v/%v deficit %v/%v final %v/%v",
 				i, res.Fuel, fuel, res.Deficit, deficit, res.FinalCharge, final)
@@ -188,31 +205,22 @@ func TestSimFaultedRunZeroAllocs(t *testing.T) {
 		{Kind: fault.CapacityFade, Start: 200, Dur: 100},
 		{Kind: fault.SensorNoise, Start: 400, Dur: 150},
 	}}
-	r, err := NewSimRunner(SimConfig{
+	b := newOneLane(t, SimConfig{
 		Sys: sys, Dev: dev, Store: MustSuperCap(6, 1),
 		Trace: trace, Policy: NewFCDPM(sys, dev),
 		Record: RecordFuelOnly,
 		Faults: sched, FaultSeed: 11,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	first, err := r.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	first := runLane(t, b)
 	fuel, lost := first.Fuel, first.LostCharge
 	allocs := testing.AllocsPerRun(20, func() {
-		res, err := r.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := runLane(t, b)
 		if res.Fuel != fuel || res.LostCharge != lost {
 			t.Fatalf("faulted rerun diverged: fuel %v/%v lost %v/%v",
 				res.Fuel, fuel, res.LostCharge, lost)
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("faulted SimRunner.Run allocates %v times per steady-state run, want 0", allocs)
+		t.Fatalf("faulted one-lane BatchRunner.Run allocates %v times per steady-state run, want 0", allocs)
 	}
 }

@@ -375,31 +375,17 @@ func BenchmarkOptimizeSlot(b *testing.B) {
 
 // BenchmarkSimulateSlotThroughput measures raw simulation throughput in
 // slots/op over the camcorder trace, on the steady-state fast path: a
-// reused SimRunner at the fuel-only record level (zero allocations per
-// run once warm).
+// reused one-lane BatchRunner at the fuel-only record level (zero
+// allocations per run once warm).
 func BenchmarkSimulateSlotThroughput(b *testing.B) {
-	sys := PaperSystem()
-	dev := Camcorder()
-	trace, err := CamcorderTrace(1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	r, err := NewSimRunner(SimConfig{
-		Sys: sys, Dev: dev, Store: MustSuperCap(6, 1),
-		Trace: trace, Policy: NewFCDPM(sys, dev),
-		Record: RecordFuelOnly,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
+	cfg := throughputConfig(b)
+	r := newOneLane(b, cfg)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := r.Run(); err != nil {
-			b.Fatal(err)
-		}
+		runLane(b, r)
 	}
-	b.ReportMetric(float64(trace.Len()), "slots/op")
+	b.ReportMetric(float64(cfg.Trace.Len()), "slots/op")
 }
 
 // batchVariantLanes builds K scenario-variant lanes over the Experiment 1
@@ -482,29 +468,21 @@ func BenchmarkBatchSlotThroughput(b *testing.B) {
 
 // BenchmarkBatchSequentialBaseline is the before picture for
 // BenchmarkBatchSlotThroughput/K=64: the same 64 variant lanes executed
-// one scalar SimRunner at a time. The acceptance bar is the batched
+// one one-lane BatchRunner at a time. The acceptance bar is the batched
 // ns/op landing at least 3× below this number.
 func BenchmarkBatchSequentialBaseline(b *testing.B) {
 	lanes := batchVariantLanes(b, 64)
 	slots := lanes[0].Cfg.Trace.Len() * len(lanes)
-	runners := make([]*SimRunner, len(lanes))
+	runners := make([]*BatchRunner, len(lanes))
 	for i, ln := range lanes {
-		r, err := NewSimRunner(ln.Cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := r.Run(); err != nil {
-			b.Fatal(err)
-		}
-		runners[i] = r
+		runners[i] = newOneLane(b, ln.Cfg)
+		runLane(b, runners[i])
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, r := range runners {
-			if _, err := r.Run(); err != nil {
-				b.Fatal(err)
-			}
+			runLane(b, r)
 		}
 	}
 	b.ReportMetric(float64(slots), "slots/op")

@@ -290,7 +290,6 @@ func cmdSweep(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
 	what := fs.String("what", "capacity", "sweep: capacity, beta, or rho")
 	seed := fs.Uint64("seed", 1, "trace seed")
-	batchN := fs.Int("batch", 1, "lane width for batched execution: >1 runs the sweep's policy rows in lockstep through the batched simulation core, N lanes per trace walk")
 	remote := fs.String("remote", "", "dispatcher URL; submit scenario-file operands as a distributed sweep instead of the local ablation")
 	name := fs.String("name", "", "sweep name (with -remote)")
 	rows := fs.String("rows", "", "write result rows (NDJSON) to this file, or - for stdout (with -remote)")
@@ -311,28 +310,13 @@ func cmdSweep(ctx context.Context, args []string) error {
 	var xName string
 	switch *what {
 	case "capacity":
-		xs := []float64{1, 2, 3, 6, 12, 24, 60}
-		if *batchN > 1 {
-			pts, err = exp.CapacitySweepBatched(ctx, *seed, xs, *batchN)
-		} else {
-			pts, err = exp.CapacitySweepContext(ctx, *seed, xs)
-		}
+		pts, err = exp.CapacitySweepContext(ctx, *seed, []float64{1, 2, 3, 6, 12, 24, 60})
 		xName = "Cmax (A-s)"
 	case "beta":
-		xs := []float64{0, 0.05, 0.10, 0.13, 0.20, 0.30}
-		if *batchN > 1 {
-			pts, err = exp.BetaSweepBatched(ctx, *seed, xs, *batchN)
-		} else {
-			pts, err = exp.BetaSweepContext(ctx, *seed, xs)
-		}
+		pts, err = exp.BetaSweepContext(ctx, *seed, []float64{0, 0.05, 0.10, 0.13, 0.20, 0.30})
 		xName = "beta"
 	case "rho":
-		xs := []float64{0, 0.25, 0.5, 0.75, 1}
-		if *batchN > 1 {
-			pts, err = exp.RhoSweepBatched(ctx, *seed, xs, *batchN)
-		} else {
-			pts, err = exp.RhoSweepContext(ctx, *seed, xs)
-		}
+		pts, err = exp.RhoSweepContext(ctx, *seed, []float64{0, 0.25, 0.5, 0.75, 1})
 		xName = "rho"
 	default:
 		return fmt.Errorf("unknown sweep %q", *what)
@@ -774,14 +758,12 @@ func cmdAdvise(args []string) error {
 // the batch table needs; it is also what lands in the checkpoint
 // journal, so resumed rows render identically to fresh ones.
 type batchRow struct {
-	Name    string  `json:"name"`
 	Policy  string  `json:"policy"`
 	Fuel    float64 `json:"fuel"`
 	AvgRate float64 `json:"avgRate"`
 	Deficit float64 `json:"deficit"`
-	// Row is the rendered runreport body, populated only under -rows.
-	// It rides in the journal too, so resumed rows stay byte-identical.
-	Row json.RawMessage `json:"row,omitempty"`
+	// Row is the rendered runreport body -rows writes.
+	Row json.RawMessage `json:"row"`
 }
 
 func cmdBatch(ctx context.Context, args []string) error {
@@ -789,7 +771,6 @@ func cmdBatch(ctx context.Context, args []string) error {
 	pf := addPoolFlags(fs, "scenario").addJournal(fs, "scenario")
 	mf := addMetricsFlag(fs)
 	rows := fs.String("rows", "", "write result rows (NDJSON, one runreport body per scenario in operand order) to this file, or - for stdout; byte-identical to the same sweep run remotely")
-	batchN := fs.Int("batch", 1, "lane width for batched execution: scenarios sharing a trace run in lockstep through the batched simulation core, up to N lanes per trace walk (1 = scalar path)")
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
@@ -808,18 +789,17 @@ func cmdBatch(ctx context.Context, args []string) error {
 	}
 	pf.overlay(fs, spec)
 	engine := version.Engine()
-	if *batchN > 1 {
-		popts := pf.options()
-		popts.Metrics = mf.pool
-		return runBatchGrouped(ctx, scens, paths, *batchN, *rows, engine, mf, popts)
-	}
+	names := make([]string, len(scens))
 	tasks := make([]runner.Task[batchRow], 0, len(paths))
-	for i := range scens {
-		scen := scens[i]
-		path := paths[i]
+	for i, scen := range scens {
 		name := scen.Name
 		if name == "" {
-			name = path
+			name = paths[i]
+		}
+		names[i] = name
+		key, err := scen.CacheKey(engine)
+		if err != nil {
+			return fmt.Errorf("scenario %s: %w", name, err)
 		}
 		// The row name follows the dispatcher's convention (scenario name,
 		// else cell index) so `fcdpm batch -rows` of a spec set is
@@ -828,35 +808,24 @@ func cmdBatch(ctx context.Context, args []string) error {
 		if rowName == "" {
 			rowName = fmt.Sprintf("cell-%04d", i)
 		}
-		var key string
-		if *rows != "" {
-			if key, err = scen.CacheKey(engine); err != nil {
-				return fmt.Errorf("scenario %s: %w", name, err)
-			}
-		}
+		cells := []runreport.Cell{{Spec: scen, Name: rowName, Key: key}}
 		tasks = append(tasks, runner.Task[batchRow]{
-			ID:       runner.RunID("batch", "scenario="+path),
-			Scenario: path,
+			// Keyed by what the row renders from, so a journal entry
+			// resumes only the row it recorded, whatever the operand
+			// order or file path.
+			ID:       runner.RunID("batch", "key="+key, "row="+rowName),
+			Scenario: paths[i],
 			Run: func(ctx context.Context) (batchRow, error) {
-				cfg, err := scen.Build()
-				if err != nil {
-					return batchRow{}, fmt.Errorf("scenario %s: %w", name, err)
+				row := runreport.Execute(ctx, engine, cells, mf.sim, mf.batch)[0]
+				if row.Err != nil {
+					return batchRow{}, fmt.Errorf("scenario %s: %w", name, row.Err)
 				}
-				cfg.Metrics = mf.sim
-				res, err := sim.RunContext(ctx, cfg)
-				if err != nil {
-					return batchRow{}, fmt.Errorf("scenario %s: %w", name, err)
-				}
-				row := batchRow{
-					Name: name, Policy: res.Policy, Fuel: res.Fuel,
+				res := row.Res
+				return batchRow{
+					Policy: res.Policy, Fuel: res.Fuel,
 					AvgRate: res.AvgFuelRate(), Deficit: res.Deficit,
-				}
-				if *rows != "" {
-					if row.Row, err = runreport.Render(rowName, key, engine, res); err != nil {
-						return batchRow{}, fmt.Errorf("scenario %s: %w", name, err)
-					}
-				}
-				return row, nil
+					Row: row.Body,
+				}, nil
 			},
 		})
 	}
@@ -867,7 +836,7 @@ func cmdBatch(ctx context.Context, args []string) error {
 		return runErr
 	}
 	tab := report.NewTable("batch results", "Scenario", "Policy", "Fuel (A-s)", "Avg Ifc (A)", "Deficit (A-s)", "Status")
-	for _, o := range rep.Outcomes {
+	for i, o := range rep.Outcomes {
 		switch o.Status {
 		case runner.StatusDone, runner.StatusResumed:
 			status := "done"
@@ -875,7 +844,7 @@ func cmdBatch(ctx context.Context, args []string) error {
 				status = "resumed"
 			}
 			r := o.Result
-			tab.AddRow(r.Name, r.Policy, fmt.Sprintf("%.1f", r.Fuel),
+			tab.AddRow(names[i], r.Policy, fmt.Sprintf("%.1f", r.Fuel),
 				fmt.Sprintf("%.4f", r.AvgRate), fmt.Sprintf("%.3f", r.Deficit), status)
 		case runner.StatusFailed:
 			tab.AddRow(o.Scenario, "ERROR: "+o.Err.Error(), "", "", "", "failed")
@@ -916,7 +885,7 @@ func writeBatchRows(path string, outcomes []runner.Outcome[batchRow]) error {
 	var buf bytes.Buffer
 	for _, o := range outcomes {
 		if len(o.Result.Row) == 0 {
-			return fmt.Errorf("batch: %s resolved without a rendered row (resumed from a journal written without -rows?); delete the journal and re-run", o.Scenario)
+			return fmt.Errorf("batch: %s resolved without a rendered row; delete the journal and re-run", o.Scenario)
 		}
 		buf.Write(o.Result.Row)
 		buf.WriteByte('\n')
@@ -926,186 +895,6 @@ func writeBatchRows(path string, outcomes []runner.Outcome[batchRow]) error {
 		return err
 	}
 	return cache.AtomicWriteFile(path, buf.Bytes())
-}
-
-// laneRows is one batched chunk's outcome: the operand indices it served
-// and their rows, in lane order. It round-trips through the journal so
-// resumed chunks replay their rows.
-type laneRows struct {
-	Idx  []int      `json:"idx"`
-	Rows []batchRow `json:"rows"`
-}
-
-// runBatchGrouped is the -batch N execution path of cmdBatch: scenarios
-// whose normalized trace specs agree share one trace walk, in chunks of
-// at most width lanes per sim.BatchRunner call. Each chunk is one pool
-// task, so -workers/-timeout/-retries/-journal apply per chunk. Rows,
-// their names, and their cache keys are identical to the scalar path —
-// `fcdpm batch -rows` output is byte-identical at any lane width.
-func runBatchGrouped(ctx context.Context, scens []*config.Scenario, paths []string,
-	width int, rows, engine string, mf *metricsFlag, popts runner.Options) error {
-	// Partition operand indices by normalized trace spec, preserving
-	// first-seen order, then chunk each partition to the lane width.
-	byTrace := make(map[string][]int)
-	var traceOrder []string
-	for i, scen := range scens {
-		n, err := scen.Normalized()
-		if err != nil {
-			return fmt.Errorf("scenario %s: %w", paths[i], err)
-		}
-		tj, err := json.Marshal(n.Trace)
-		if err != nil {
-			return fmt.Errorf("scenario %s: %w", paths[i], err)
-		}
-		k := string(tj)
-		if _, ok := byTrace[k]; !ok {
-			traceOrder = append(traceOrder, k)
-		}
-		byTrace[k] = append(byTrace[k], i)
-	}
-	var chunks [][]int
-	for _, k := range traceOrder {
-		idxs := byTrace[k]
-		for s := 0; s < len(idxs); s += width {
-			chunks = append(chunks, idxs[s:min(s+width, len(idxs))])
-		}
-	}
-
-	name := func(i int) string {
-		if scens[i].Name != "" {
-			return scens[i].Name
-		}
-		return paths[i]
-	}
-	tasks := make([]runner.Task[laneRows], len(chunks))
-	for ci, chunk := range chunks {
-		chunk := chunk
-		tasks[ci] = runner.Task[laneRows]{
-			ID:       runner.RunID("batch", fmt.Sprintf("chunk=%d", ci)),
-			Scenario: paths[chunk[0]],
-			Run: func(ctx context.Context) (laneRows, error) {
-				lanes := make([]sim.Lane, len(chunk))
-				keys := make([]string, len(chunk))
-				for li, i := range chunk {
-					cfg, err := scens[i].Build()
-					if err != nil {
-						return laneRows{}, fmt.Errorf("scenario %s: %w", name(i), err)
-					}
-					cfg.Metrics = mf.sim
-					key, err := scens[i].CacheKey(engine)
-					if err != nil {
-						return laneRows{}, fmt.Errorf("scenario %s: %w", name(i), err)
-					}
-					keys[li] = key
-					// The cache key is the canonical content address, so
-					// identical cells collapse to one executing lane.
-					lanes[li] = sim.Lane{Cfg: cfg, Key: key}
-				}
-				b, err := sim.NewBatchRunner(lanes)
-				if err != nil {
-					return laneRows{}, err
-				}
-				b.Metrics = mf.batch
-				out, err := b.RunContext(ctx)
-				if err != nil {
-					return laneRows{}, err
-				}
-				lr := laneRows{Idx: chunk}
-				for li, res := range out {
-					i := chunk[li]
-					if res.Err != nil {
-						return laneRows{}, fmt.Errorf("scenario %s: %w", name(i), res.Err)
-					}
-					row := batchRow{
-						Name: name(i), Policy: res.Res.Policy, Fuel: res.Res.Fuel,
-						AvgRate: res.Res.AvgFuelRate(), Deficit: res.Res.Deficit,
-					}
-					if rows != "" {
-						rowName := scens[i].Name
-						if rowName == "" {
-							rowName = fmt.Sprintf("cell-%04d", i)
-						}
-						if row.Row, err = runreport.Render(rowName, keys[li], engine, res.Res); err != nil {
-							return laneRows{}, fmt.Errorf("scenario %s: %w", name(i), err)
-						}
-					}
-					lr.Rows = append(lr.Rows, row)
-				}
-				return lr, nil
-			},
-		}
-	}
-
-	rep, runErr := runner.Run(ctx, popts, tasks)
-	if rep == nil {
-		return runErr
-	}
-	// Scatter chunk outcomes back to operand order.
-	rowOf := make([]*batchRow, len(scens))
-	statusOf := make([]string, len(scens))
-	errOf := make([]error, len(scens))
-	for ci, o := range rep.Outcomes {
-		switch o.Status {
-		case runner.StatusDone, runner.StatusResumed:
-			status := "done"
-			if o.Status == runner.StatusResumed {
-				status = "resumed"
-			}
-			for k, i := range o.Result.Idx {
-				rowOf[i] = &o.Result.Rows[k]
-				statusOf[i] = status
-			}
-		default:
-			for _, i := range chunks[ci] {
-				statusOf[i] = string(o.Status)
-				errOf[i] = o.Err
-			}
-		}
-	}
-	tab := report.NewTable("batch results", "Scenario", "Policy", "Fuel (A-s)", "Avg Ifc (A)", "Deficit (A-s)", "Status")
-	for i := range scens {
-		switch {
-		case rowOf[i] != nil:
-			r := rowOf[i]
-			tab.AddRow(r.Name, r.Policy, fmt.Sprintf("%.1f", r.Fuel),
-				fmt.Sprintf("%.4f", r.AvgRate), fmt.Sprintf("%.3f", r.Deficit), statusOf[i])
-		case errOf[i] != nil:
-			tab.AddRow(paths[i], "ERROR: "+errOf[i].Error(), "", "", "", "failed")
-		default:
-			tab.AddRow(paths[i], "", "", "", "", statusOf[i])
-		}
-	}
-	tabOut := io.Writer(os.Stdout)
-	if rows == "-" {
-		tabOut = os.Stderr
-	}
-	fmt.Fprint(tabOut, tab)
-	if rep.Resumed > 0 || rep.Interrupted > 0 {
-		fmt.Fprintf(tabOut, "\n%d of %d chunks resumed from journal, %d interrupted\n",
-			rep.Resumed, len(rep.Outcomes), rep.Interrupted)
-	}
-	if runErr != nil {
-		return runErr
-	}
-	if err := rep.FirstError(); err != nil {
-		return err
-	}
-	if rows != "" {
-		var buf bytes.Buffer
-		for i := range scens {
-			if rowOf[i] == nil || len(rowOf[i].Row) == 0 {
-				return fmt.Errorf("batch: %s resolved without a rendered row (resumed from a journal written without -rows?); delete the journal and re-run", paths[i])
-			}
-			buf.Write(rowOf[i].Row)
-			buf.WriteByte('\n')
-		}
-		if rows == "-" {
-			_, err := os.Stdout.Write(buf.Bytes())
-			return err
-		}
-		return cache.AtomicWriteFile(rows, buf.Bytes())
-	}
-	return nil
 }
 
 func cmdRobust(ctx context.Context, args []string) error {
@@ -1159,10 +948,10 @@ func cmdCharge(args []string) error {
 	}
 	res, err := sim.Run(sim.Config{
 		Sys: sys, Dev: dev,
-		Store:         storage.MustSuperCap(6, 1),
-		Trace:         tr,
-		Policy:        pol,
-		RecordProfile: true,
+		Store:  storage.MustSuperCap(6, 1),
+		Trace:  tr,
+		Policy: pol,
+		Record: sim.RecordFull,
 	})
 	if err != nil {
 		return err

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"os"
@@ -188,6 +189,56 @@ func TestBatchAndRobust(t *testing.T) {
 	}
 	if err := run(context.Background(), []string{"robust", "-trials", "4"}); err != nil {
 		t.Fatalf("robust: %v", err)
+	}
+}
+
+// TestBatchJournalResumeFollowsOperands: resuming a journaled batch
+// after reordering unnamed operands, or after editing one in place,
+// writes the rows a fresh run writes — a journal entry resumes only the
+// row it recorded.
+func TestBatchJournalResumeFollowsOperands(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name, policy string) string {
+		path := filepath.Join(dir, name)
+		spec := fmt.Sprintf(`{"trace":{"kind":"synthetic","duration":120},"policy":{"kind":%q}}`, policy)
+		if err := os.WriteFile(path, []byte(spec), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	a, b := write("a.json", "asap"), write("b.json", "fcdpm")
+	old := os.Stdout
+	devNull, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	os.Stdout = devNull
+	defer func() {
+		os.Stdout = old
+		devNull.Close()
+	}()
+	n := 0
+	batchRows := func(args ...string) []byte {
+		t.Helper()
+		n++
+		out := filepath.Join(dir, fmt.Sprintf("rows-%d.ndjson", n))
+		if err := run(context.Background(), append([]string{"batch", "-rows", out}, args...)); err != nil {
+			t.Fatalf("batch %v: %v", args, err)
+		}
+		rows, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rows
+	}
+	journal := filepath.Join(dir, "journal.jsonl")
+	batchRows("-journal", journal, a, b)
+	if got, want := batchRows("-journal", journal, b, a), batchRows(b, a); !bytes.Equal(got, want) {
+		t.Fatalf("resumed rows after reordering differ from a fresh run:\n%s\nwant\n%s", got, want)
+	}
+	write("a.json", "conv")
+	if got, want := batchRows("-journal", journal, b, a), batchRows(b, a); !bytes.Equal(got, want) {
+		t.Fatalf("resumed rows after an in-place edit differ from a fresh run:\n%s\nwant\n%s", got, want)
 	}
 }
 

@@ -23,7 +23,6 @@ func cmdMultiStack(ctx context.Context, args []string) error {
 	degrade := fs.String("degrade", "0,0.3", "comma-separated per-stack degradation cycle in [0, 1); \"0\" for an all-healthy rack")
 	seed := fs.Uint64("seed", 0, "racksurge trace seed (0 = generator default)")
 	duration := fs.Float64("duration", 0, "trace duration in seconds (0 = generator default)")
-	batch := fs.Int("batch", 16, "batched-runner lane width (results identical at any width)")
 	asJSON := fs.Bool("json", false, "emit rows as JSON")
 	assert := fs.Bool("assert", false, "exit non-zero unless water-filling uses strictly less fuel than equal-split in every cell")
 	if err := parseFlags(fs, args); err != nil {
@@ -50,7 +49,6 @@ func cmdMultiStack(ctx context.Context, args []string) error {
 		DegradedMix: mix,
 		Seed:        *seed,
 		Duration:    *duration,
-		Batch:       *batch,
 	})
 	if err != nil {
 		return err

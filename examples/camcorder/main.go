@@ -58,10 +58,10 @@ func writeProfile(path string, seed uint64) error {
 	}
 	res, err := fcdpm.Run(fcdpm.SimConfig{
 		Sys: sys, Dev: dev,
-		Store:         fcdpm.MustSuperCap(6, 1),
-		Trace:         trace,
-		Policy:        fcdpm.NewFCDPM(sys, dev),
-		RecordProfile: true,
+		Store:  fcdpm.MustSuperCap(6, 1),
+		Trace:  trace,
+		Policy: fcdpm.NewFCDPM(sys, dev),
+		Record: fcdpm.RecordFull,
 	})
 	if err != nil {
 		return err

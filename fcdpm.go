@@ -135,33 +135,28 @@ type (
 	DPMMode = sim.DPMMode
 	// ProfilePoint is one step of a recorded current profile (Fig 7).
 	ProfilePoint = sim.ProfilePoint
-	// SimRunner is a reusable simulation arena: allocate once with
-	// NewSimRunner, call Run repeatedly with zero steady-state
-	// allocations (sweeps, benchmarks, services).
-	//
-	// CAUTION: the *Result returned by SimRunner.Run / RunContext
-	// aliases the runner's internal buffers. It is valid only until the
-	// next Run call, which rewinds and overwrites those buffers in
-	// place. Copy any fields (including slices such as Profile, Charges,
-	// and SlotLog) that must outlive the next run. Results from the
-	// one-shot Run / RunContext package functions do not alias anything
-	// and are safe to retain.
-	SimRunner = sim.Runner
 	// RecordLevel selects how much per-run detail a simulation records.
 	RecordLevel = sim.RecordLevel
 	// SimLane is one scenario variant of a batched run: a SimConfig plus
 	// an optional grouping key asserting "same simulation as any lane
 	// with an equal key".
 	SimLane = sim.Lane
-	// LaneResult is one lane's outcome from a BatchRunner run. Res
-	// aliases the batch runner's internal buffers (same caution as
-	// SimRunner results).
+	// LaneResult is one lane's outcome from a BatchRunner run.
+	//
+	// CAUTION: Res aliases the batch runner's internal buffers. It is
+	// valid only until the next Run call, which rewinds and overwrites
+	// those buffers in place. Copy any fields (including slices such as
+	// Profile, Charges, and SlotLog) that must outlive the next run.
+	// Results from the one-shot Run / RunContext package functions do
+	// not alias anything and are safe to retain.
 	LaneResult = sim.LaneResult
-	// BatchRunner executes K scenario variants in lockstep over one
-	// trace walk, collapsing identical-dynamics lanes to a single
-	// simulation while guaranteeing every lane's Result is bit-identical
-	// to a sequential run. Allocate once with NewBatchRunner; Run is
-	// allocation-free at steady state on fault-free lanes.
+	// BatchRunner is the simulation engine: it executes K scenario
+	// variants in lockstep over one trace walk, collapsing
+	// identical-dynamics lanes to a single simulation while guaranteeing
+	// every lane's Result is bit-identical to a one-lane run (Run is a
+	// one-lane batch). Allocate once with NewBatchRunner; repeated Run
+	// calls are allocation-free at steady state (sweeps, benchmarks,
+	// services).
 	BatchRunner = sim.BatchRunner
 	// BatchKeyer is the optional grouping identity a policy, predictor,
 	// or storage element can expose to let BatchRunner group lanes.
@@ -170,11 +165,9 @@ type (
 
 // Recording levels for SimConfig.Record.
 const (
-	// RecordAuto derives the level from the legacy RecordProfile /
-	// RecordSlots booleans.
-	RecordAuto = sim.RecordAuto
-	// RecordFuelOnly records scalar totals only — the zero-allocation
-	// fast path for sweeps that never read Profile/Charges/SlotLog.
+	// RecordFuelOnly (the zero value) records scalar totals only — the
+	// zero-allocation fast path for runs that never read
+	// Profile/Charges/SlotLog.
 	RecordFuelOnly = sim.RecordFuelOnly
 	// RecordFull records the Fig 7 profiles and the per-slot audit log.
 	RecordFull = sim.RecordFull
@@ -381,16 +374,10 @@ func RunContext(ctx context.Context, cfg SimConfig) (*Result, error) {
 	return sim.RunContext(ctx, cfg)
 }
 
-// NewSimRunner validates cfg and allocates a reusable simulation arena.
-// Repeated Run calls reuse every buffer, so steady-state runs are
-// allocation-free at RecordFuelOnly. The returned *Result aliases the
-// runner's internal buffers and is INVALID after the next Run call —
-// copy anything that must survive (see the SimRunner type note).
-func NewSimRunner(cfg SimConfig) (*SimRunner, error) { return sim.NewRunner(cfg) }
-
 // NewBatchRunner validates the lanes (which must share one trace), groups
-// identical-dynamics lanes, and allocates a reusable batched arena. See
-// the BatchRunner type note for the aliasing caution.
+// identical-dynamics lanes, and allocates a reusable arena; one lane is
+// the reusable form of Run. See the LaneResult type note for the
+// aliasing caution.
 func NewBatchRunner(lanes []SimLane) (*BatchRunner, error) { return sim.NewBatchRunner(lanes) }
 
 // Fault-injection types (the robustness subsystem).
@@ -546,7 +533,7 @@ func PaperThermal() Thermal { return fuelcell.PaperThermal() }
 // break-even time ≈ 16 s).
 func HDD() *Device { return device.HDD() }
 
-// SlotRecord is one entry of the per-slot audit log (SimConfig.RecordSlots).
+// SlotRecord is one entry of the per-slot audit log (recorded at RecordFull).
 type SlotRecord = sim.SlotRecord
 
 // SizingAdvice is the hybrid design advisor's output (the §2.2 argument as

@@ -15,7 +15,6 @@ import (
 	"fcdpm/internal/config"
 	"fcdpm/internal/dispatch"
 	"fcdpm/internal/runreport"
-	"fcdpm/internal/sim"
 	"fcdpm/internal/version"
 )
 
@@ -73,7 +72,7 @@ func trialSpec(seed uint64, i int) json.RawMessage {
 }
 
 // oracleRow computes the exact bytes the fabric must produce for spec —
-// the same load/build/run/render pipeline `fcdpm batch` uses locally.
+// the same runreport.Execute pipeline `fcdpm batch` uses locally.
 func oracleRow(spec json.RawMessage) ([]byte, error) {
 	scen, err := config.LoadValidated(bytes.NewReader(spec))
 	if err != nil {
@@ -83,15 +82,9 @@ func oracleRow(spec json.RawMessage) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg, err := scen.Build()
-	if err != nil {
-		return nil, err
-	}
-	res, err := sim.RunContext(context.Background(), cfg)
-	if err != nil {
-		return nil, err
-	}
-	return runreport.Render(scen.Name, key, version.Engine(), res)
+	row := runreport.Execute(context.Background(), version.Engine(),
+		[]runreport.Cell{{Spec: scen, Name: scen.Name, Key: key}}, nil, nil)[0]
+	return row.Body, row.Err
 }
 
 // dispatcherProc is one in-process dispatcher instance: the Dispatcher,
@@ -288,11 +281,15 @@ func RunTrial(ctx context.Context, opts TrialOptions) TrialResult {
 	}()
 
 	// End the fault phase a seeded while after the restart, then let the
-	// fabric heal.
+	// fabric heal. The trial ends the phase early, and waits for it, if
+	// the sweep resolves first.
 	faultsFor := 1300*time.Millisecond + time.Duration(plan.fraction("trial", "faults", 0)*float64(700*time.Millisecond))
+	faultCtx, endFaults := context.WithCancel(ctx)
+	faultsDone := make(chan struct{})
 	go func() {
+		defer close(faultsDone)
 		select {
-		case <-ctx.Done():
+		case <-faultCtx.Done():
 		case <-time.After(faultsFor):
 		}
 		plan.Stop()
@@ -327,7 +324,8 @@ func RunTrial(ctx context.Context, opts TrialOptions) TrialResult {
 	if submitErr != nil {
 		res.Violations = append(res.Violations, "sweep: "+submitErr.Error())
 	}
-	plan.Stop() // in case the sweep resolved before the fault window closed
+	endFaults()
+	<-faultsDone
 
 	// Convergence and invariant checks.
 	res.Violations = append(res.Violations, Check(ctx, checkEnv{

@@ -8,8 +8,8 @@
 package config
 
 import (
-	"errors"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -52,8 +52,6 @@ type Scenario struct {
 	Predict PredictorSpec `json:"predict"`
 	// SlewRate limits FC output changes, A/s (0 = ideal).
 	SlewRate float64 `json:"slewRate"`
-	// RecordProfile enables profile capture.
-	RecordProfile bool `json:"recordProfile"`
 	// Faults injects a fault schedule into the run (see FaultsSpec).
 	Faults FaultsSpec `json:"faults"`
 	// Fallbacks names the graceful-degradation chain the supervisor walks
@@ -341,7 +339,9 @@ func (s *Scenario) Validate() error {
 }
 
 // Build assembles a runnable simulation configuration, applying paper
-// defaults for every unset field.
+// defaults for every unset field. A spec defect that only construction
+// can detect (an unknown kind selector, a constructor refusing its
+// parameters) is a *ValidationError naming the field, like Validate's.
 func (s *Scenario) Build() (sim.Config, error) {
 	var cfg sim.Config
 	if err := s.Validate(); err != nil {
@@ -382,12 +382,11 @@ func (s *Scenario) Build() (sim.Config, error) {
 	cfg = sim.Config{
 		Sys: sys, Dev: dev, Store: store, Trace: trace, Policy: pol,
 		DPM: mode, Timeout: s.DPM.Timeout,
-		SlewRate:      s.SlewRate,
-		RecordProfile: s.RecordProfile,
-		Faults:        faults,
-		FaultSeed:     s.Faults.Seed,
-		Fallbacks:     fallbacks,
-		Supervisor:    sim.SupervisorConfig{DeficitLimit: s.DeficitLimit},
+		SlewRate:   s.SlewRate,
+		Faults:     faults,
+		FaultSeed:  s.Faults.Seed,
+		Fallbacks:  fallbacks,
+		Supervisor: sim.SupervisorConfig{DeficitLimit: s.DeficitLimit},
 	}
 	sigma := defaultF(s.Predict.Sigma, 0.5)
 	idleInit := defaultF(s.Predict.IdleInitial, dev.BreakEven())
@@ -477,8 +476,11 @@ func (s *Scenario) buildSystem() (*fuelcell.System, error) {
 		}
 	}
 	sys, err := fuelcell.NewSystem(vf, zeta, lo, hi, eff)
-	if err != nil || s.System.Stacks < 2 {
-		return sys, err
+	if err != nil {
+		return nil, &ValidationError{Field: "system", Detail: err.Error()}
+	}
+	if s.System.Stacks < 2 {
+		return sys, nil
 	}
 	// K-stack rack: the spec's electrical fields describe one stack; the
 	// aggregate System (pre-solved under the allocation policy) plugs into
@@ -502,7 +504,7 @@ func (s *Scenario) buildDevice() (*device.Model, error) {
 	case "synthetic":
 		dev = device.Synthetic()
 	default:
-		return nil, fmt.Errorf("config: unknown device kind %q", s.Device.Kind)
+		return nil, unknownSelector("device.kind", s.Device.Kind)
 	}
 	if s.Device.TbeOverride > 0 {
 		dev.TbeOverride = s.Device.TbeOverride
@@ -513,22 +515,29 @@ func (s *Scenario) buildDevice() (*device.Model, error) {
 func (s *Scenario) buildStorage() (storage.Storage, error) {
 	cmax := defaultF(s.Storage.CapacityAs, 6)
 	q0 := defaultF(s.Storage.InitialAs, 1)
+	var st storage.Storage
+	var err error
 	switch strings.ToLower(s.Storage.Kind) {
 	case "", "supercap":
-		// The constructor's typed ConfigError (e.g. non-positive capacity)
-		// flows through as the validation failure.
-		sc, err := storage.NewSuperCap(cmax, q0)
-		if err != nil {
-			return nil, &ValidationError{Field: "storage.capacity_as", Detail: err.Error()}
-		}
-		return sc, nil
+		st, err = storage.NewSuperCap(cmax, q0)
 	case "liion":
-		return storage.NewLiIon(cmax,
+		st, err = storage.NewLiIon(cmax,
 			defaultF(s.Storage.WellFraction, 0.6),
 			defaultF(s.Storage.RateConstant, 0.05), q0)
 	default:
-		return nil, fmt.Errorf("config: unknown storage kind %q", s.Storage.Kind)
+		return nil, unknownSelector("storage.kind", s.Storage.Kind)
 	}
+	if err != nil {
+		// The constructors' errors name the parameter they refused.
+		return nil, &ValidationError{Field: "storage", Detail: err.Error()}
+	}
+	return st, nil
+}
+
+// unknownSelector is the validation failure of a selector no builder
+// recognizes.
+func unknownSelector(field, v string) error {
+	return &ValidationError{Field: field, Detail: fmt.Sprintf("unknown %q", v)}
 }
 
 func (s *Scenario) buildTrace() (*workload.Trace, error) {
@@ -598,7 +607,7 @@ func (s *Scenario) buildTrace() (*workload.Trace, error) {
 		return proc.Trace(task, s.Trace.Level)
 	case "file":
 		if s.Trace.File == "" {
-			return nil, fmt.Errorf("config: trace kind \"file\" needs a file path")
+			return nil, &ValidationError{Field: "trace.file", Detail: `trace kind "file" needs a file path`}
 		}
 		f, err := os.Open(s.Trace.File)
 		if err != nil {
@@ -610,15 +619,17 @@ func (s *Scenario) buildTrace() (*workload.Trace, error) {
 		}
 		return workload.ReadCSV(f)
 	default:
-		return nil, fmt.Errorf("config: unknown trace kind %q", s.Trace.Kind)
+		return nil, unknownSelector("trace.kind", s.Trace.Kind)
 	}
 }
 
 func (s *Scenario) buildPolicy(sys *fuelcell.System, dev *device.Model) (sim.Policy, error) {
-	return buildPolicyFrom(s.Policy, sys, dev)
+	return buildPolicyFrom(s.Policy, "policy.kind", sys, dev)
 }
 
-func buildPolicyFrom(spec PolicySpec, sys *fuelcell.System, dev *device.Model) (sim.Policy, error) {
+// buildPolicyFrom constructs the policy spec selects; kindField names
+// the spec field the kind came from.
+func buildPolicyFrom(spec PolicySpec, kindField string, sys *fuelcell.System, dev *device.Model) (sim.Policy, error) {
 	switch strings.ToLower(spec.Kind) {
 	case "", "fcdpm":
 		return policy.NewFCDPM(sys, dev), nil
@@ -643,7 +654,7 @@ func buildPolicyFrom(spec PolicySpec, sys *fuelcell.System, dev *device.Model) (
 		}
 		return q, nil
 	default:
-		return nil, fmt.Errorf("config: unknown policy kind %q", spec.Kind)
+		return nil, unknownSelector(kindField, spec.Kind)
 	}
 }
 
@@ -652,9 +663,9 @@ func buildPolicyFrom(spec PolicySpec, sys *fuelcell.System, dev *device.Model) (
 func (s *Scenario) buildFallbacks(sys *fuelcell.System, dev *device.Model) ([]sim.Policy, error) {
 	var out []sim.Policy
 	for i, name := range s.Fallbacks {
-		p, err := buildPolicyFrom(PolicySpec{Kind: name}, sys, dev)
+		p, err := buildPolicyFrom(PolicySpec{Kind: name}, fmt.Sprintf("fallbacks[%d]", i), sys, dev)
 		if err != nil {
-			return nil, fmt.Errorf("config: fallbacks[%d]: %w", i, err)
+			return nil, err
 		}
 		out = append(out, p)
 	}
@@ -672,7 +683,7 @@ func (s *Scenario) buildFaults(trace *workload.Trace) (*fault.Schedule, error) {
 	for i, e := range spec.Events {
 		k, err := fault.ParseKind(e.Kind)
 		if err != nil {
-			return nil, fmt.Errorf("config: faults.events[%d]: %w", i, err)
+			return nil, &ValidationError{Field: fmt.Sprintf("faults.events[%d].kind", i), Detail: err.Error()}
 		}
 		sched.Events = append(sched.Events, fault.Event{
 			Kind: k, Start: e.Start, Dur: e.Duration, Magnitude: e.Magnitude,
@@ -683,7 +694,7 @@ func (s *Scenario) buildFaults(trace *workload.Trace) (*fault.Schedule, error) {
 		for _, name := range spec.Kinds {
 			k, err := fault.ParseKind(name)
 			if err != nil {
-				return nil, fmt.Errorf("config: faults.kinds: %w", err)
+				return nil, &ValidationError{Field: "faults.kinds", Detail: err.Error()}
 			}
 			kinds = append(kinds, k)
 		}
@@ -694,12 +705,12 @@ func (s *Scenario) buildFaults(trace *workload.Trace) (*fault.Schedule, error) {
 			Kinds:   kinds,
 		})
 		if err != nil {
-			return nil, fmt.Errorf("config: faults: %w", err)
+			return nil, &ValidationError{Field: "faults", Detail: err.Error()}
 		}
 		sched.Events = append(sched.Events, gen.Events...)
 	}
 	if err := sched.Validate(); err != nil {
-		return nil, fmt.Errorf("config: faults: %w", err)
+		return nil, &ValidationError{Field: "faults", Detail: err.Error()}
 	}
 	return sched, nil
 }
@@ -717,6 +728,6 @@ func (s *Scenario) buildDPM() (sim.DPMMode, error) {
 	case "timeout":
 		return sim.DPMTimeout, nil
 	default:
-		return 0, fmt.Errorf("config: unknown DPM mode %q", s.DPM.Mode)
+		return 0, unknownSelector("dpm.mode", s.DPM.Mode)
 	}
 }

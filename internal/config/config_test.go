@@ -480,3 +480,43 @@ func TestMultiStackValidation(t *testing.T) {
 		}
 	}
 }
+
+// TestBuildOnlySpecErrorsAreValidationErrors: spec defects only
+// construction can detect — a selector no builder knows, a constructor
+// refusing its parameters — surface from Build as *ValidationError
+// naming the field, so every consumer classifies them as the client's
+// fault.
+func TestBuildOnlySpecErrorsAreValidationErrors(t *testing.T) {
+	const trace = `"trace":{"kind":"synthetic","duration":60}`
+	for _, tc := range []struct{ spec, field string }{
+		{`{"storage":{"kind":"flywheel"},` + trace + `}`, "storage.kind"},
+		{`{"trace":{"kind":"bogus"}}`, "trace.kind"},
+		{`{"trace":{"kind":"file"}}`, "trace.file"},
+		{`{"policy":{"kind":"bogus"},` + trace + `}`, "policy.kind"},
+		{`{"fallbacks":["asap","bogus"],` + trace + `}`, "fallbacks[1]"},
+		{`{"device":{"kind":"bogus"},` + trace + `}`, "device.kind"},
+		{`{"dpm":{"mode":"bogus"},` + trace + `}`, "dpm.mode"},
+		{`{"storage":{"kind":"liion","wellFraction":1.5},` + trace + `}`, "storage"},
+		{`{"storage":{"kind":"liion","rateConstant":-1},` + trace + `}`, "storage"},
+		{`{"system":{"minOutput":2,"maxOutput":1},` + trace + `}`, "system"},
+	} {
+		s, err := LoadValidated(strings.NewReader(tc.spec))
+		if err != nil {
+			t.Fatalf("%s: load: %v", tc.spec, err)
+		}
+		_, err = s.Build()
+		var ve *ValidationError
+		if !errors.As(err, &ve) || ve.Field != tc.field {
+			t.Errorf("%s: Build error %v, want *ValidationError on %q", tc.spec, err, tc.field)
+		}
+	}
+}
+
+// TestRecordProfileFieldRejected: the removed recordProfile field is an
+// unknown field, so a spec that still carries it fails to load.
+func TestRecordProfileFieldRejected(t *testing.T) {
+	_, err := Load(strings.NewReader(`{"recordProfile":true}`))
+	if err == nil || !strings.Contains(err.Error(), `unknown field "recordProfile"`) {
+		t.Fatalf("Load error %v, want an unknown-field rejection", err)
+	}
+}

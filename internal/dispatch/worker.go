@@ -20,7 +20,6 @@ import (
 	"fcdpm/internal/obs"
 	"fcdpm/internal/runner"
 	"fcdpm/internal/runreport"
-	"fcdpm/internal/sim"
 	"fcdpm/internal/version"
 	"fcdpm/internal/vfs"
 )
@@ -338,23 +337,15 @@ func (w *Worker) start(sh Shard) {
 	}
 }
 
-// execute builds and runs one shard's simulation, rendering the stable
-// report body that every serving surface agrees on.
+// execute runs one shard's spec through runreport.Execute, rendering
+// the stable report body that every serving surface agrees on.
 func (w *Worker) execute(ctx context.Context, sh Shard) ([]byte, error) {
 	spec, err := config.LoadValidated(bytes.NewReader(sh.Spec))
 	if err != nil {
 		return nil, fmt.Errorf("shard %s: %w", sh.RunID, err)
 	}
-	cfg, err := spec.Build()
-	if err != nil {
-		return nil, fmt.Errorf("shard %s: %w", sh.RunID, err)
-	}
-	cfg.Metrics = w.metrics.sim
-	res, err := sim.RunContext(ctx, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return runreport.Render(sh.Name, sh.Key, w.engine, res)
+	row := runreport.Execute(ctx, w.engine, []runreport.Cell{{Spec: spec, Name: sh.Name, Key: sh.Key}}, w.metrics.sim, nil)[0]
+	return row.Body, row.Err
 }
 
 // deliver pushes one outcome with at-least-once semantics: bounded

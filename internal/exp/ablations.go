@@ -43,15 +43,6 @@ func CapacitySweepContext(ctx context.Context, seed uint64, capacities []float64
 	})
 }
 
-// CapacitySweepBatched is the capacity sweep on the batched simulation
-// core: all points' policy rows run in lockstep over one trace walk, in
-// chunks of at most laneWidth lanes.
-func CapacitySweepBatched(ctx context.Context, seed uint64, capacities []float64, laneWidth int) ([]SweepPoint, error) {
-	return sweepBatched(ctx, capacities, laneWidth, func(cmax float64) (*Scenario, error) {
-		return capacityScenario(seed, cmax)
-	})
-}
-
 // capacityScenario builds one capacity-sweep point: Experiment 1 with the
 // supercap resized to cmax. Start (and target) at the reserve operating
 // point so FC-DPM has idle-charging headroom at every capacity; see
@@ -75,65 +66,6 @@ func capacityScenario(seed uint64, cmax float64) (*Scenario, error) {
 // own scenario, so nothing is shared.
 func sweepParallel(ctx context.Context, xs []float64, f func(ctx context.Context, x float64) (SweepPoint, error)) ([]SweepPoint, error) {
 	return fanOut(ctx, "ablation", xs, f)
-}
-
-// sweepBatched evaluates the sweep on the batched simulation core: every
-// point's policy rows become lanes of one trace walk, executed in
-// sim.BatchRunner chunks of at most laneWidth lanes. All points of an
-// ablation share the generated trace (same seed, same generator), so the
-// per-slot decode is shared wherever the lanes' predictors agree and the
-// fuel-map memo is shared across each chunk. scen must build an
-// independent scenario per point — the lanes run interleaved, not
-// serially.
-func sweepBatched(ctx context.Context, xs []float64, laneWidth int, scen func(x float64) (*Scenario, error)) ([]SweepPoint, error) {
-	if laneWidth < 1 {
-		laneWidth = 1
-	}
-	type laneRef struct{ point, row int }
-	var lanes []sim.Lane
-	var refs []laneRef
-	scs := make([]*Scenario, len(xs))
-	results := make([][]*sim.Result, len(xs))
-	for i, x := range xs {
-		sc, err := scen(x)
-		if err != nil {
-			return nil, err
-		}
-		pols := sc.Policies()
-		scs[i] = sc
-		results[i] = make([]*sim.Result, len(pols))
-		for j, p := range pols {
-			lanes = append(lanes, sim.Lane{Cfg: sc.simConfig(p)})
-			refs = append(refs, laneRef{point: i, row: j})
-		}
-	}
-	for start := 0; start < len(lanes); start += laneWidth {
-		end := min(start+laneWidth, len(lanes))
-		b, err := sim.NewBatchRunner(lanes[start:end])
-		if err != nil {
-			return nil, fmt.Errorf("exp: batched sweep: %w", err)
-		}
-		out, err := b.RunContext(ctx)
-		if err != nil {
-			return nil, fmt.Errorf("exp: batched sweep: %w", err)
-		}
-		for k, lr := range out {
-			r := refs[start+k]
-			if lr.Err != nil {
-				return nil, fmt.Errorf("exp: %s: %w", scs[r.point].Name, lr.Err)
-			}
-			// Each chunk's runner is executed exactly once, so the
-			// aliased results stay valid after it is abandoned.
-			results[r.point][r.row] = lr.Res
-		}
-	}
-	pts := make([]SweepPoint, len(xs))
-	for i := range xs {
-		cmp := buildComparison(scs[i].Name, results[i])
-		pts[i] = SweepPoint{X: xs[i], SavingVsASAP: cmp.SavingVsASAP,
-			FCNormalized: cmp.Row("FC-DPM").Normalized}
-	}
-	return pts, nil
 }
 
 // fanOut evaluates f at each input concurrently on the run engine (bounded
@@ -193,14 +125,6 @@ func BetaSweepContext(ctx context.Context, seed uint64, betas []float64) ([]Swee
 	})
 }
 
-// BetaSweepBatched is the efficiency-slope sweep on the batched
-// simulation core (see CapacitySweepBatched).
-func BetaSweepBatched(ctx context.Context, seed uint64, betas []float64, laneWidth int) ([]SweepPoint, error) {
-	return sweepBatched(ctx, betas, laneWidth, func(beta float64) (*Scenario, error) {
-		return betaScenario(seed, beta)
-	})
-}
-
 // betaScenario builds one beta-sweep point: Experiment 1 with the
 // efficiency slope replaced (α fixed at the paper's 0.45).
 func betaScenario(seed uint64, beta float64) (*Scenario, error) {
@@ -237,14 +161,6 @@ func RhoSweepContext(ctx context.Context, seed uint64, rhos []float64) ([]SweepP
 		}
 		return SweepPoint{X: rho, SavingVsASAP: cmp.SavingVsASAP,
 			FCNormalized: cmp.Row("FC-DPM").Normalized}, nil
-	})
-}
-
-// RhoSweepBatched is the prediction-factor sweep on the batched
-// simulation core (see CapacitySweepBatched).
-func RhoSweepBatched(ctx context.Context, seed uint64, rhos []float64, laneWidth int) ([]SweepPoint, error) {
-	return sweepBatched(ctx, rhos, laneWidth, func(rho float64) (*Scenario, error) {
-		return rhoScenario(seed, rho)
 	})
 }
 

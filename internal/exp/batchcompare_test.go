@@ -85,29 +85,3 @@ func TestCompareSerialFallbackNonCloneable(t *testing.T) {
 		t.Fatalf("want 3 rows, got %d", len(cmp.Rows))
 	}
 }
-
-// TestBatchedSweepMatchesParallel pins the batched sweep engine to the
-// fan-out engine bit for bit, at lane widths that split chunks mid-point
-// and that swallow the whole sweep.
-func TestBatchedSweepMatchesParallel(t *testing.T) {
-	ctx := context.Background()
-	caps := []float64{2, 6, 24}
-	want, err := CapacitySweepContext(ctx, 1, caps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, width := range []int{1, 4, 64} {
-		got, err := CapacitySweepBatched(ctx, 1, caps, width)
-		if err != nil {
-			t.Fatalf("width %d: %v", width, err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("width %d: %d points, want %d", width, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("width %d point %d: %+v, want %+v", width, i, got[i], want[i])
-			}
-		}
-	}
-}

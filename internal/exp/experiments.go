@@ -65,7 +65,9 @@ type Scenario struct {
 	DPM                               sim.DPMMode
 	// TimeoutAdapter supplies per-slot timeouts under sim.DPMTimeout.
 	TimeoutAdapter sim.TimeoutAdapter
-	RecordProfile  bool
+	// Record is the per-run history level; the zero value, fuel-only,
+	// is all a comparison table reads.
+	Record sim.RecordLevel
 }
 
 // Policies returns fresh instances of the paper's three policies for the
@@ -100,12 +102,7 @@ func (sc *Scenario) simConfig(p sim.Policy) sim.Config {
 		Policy:         p,
 		DPM:            sc.DPM,
 		TimeoutAdapter: sc.TimeoutAdapter,
-		RecordProfile:  sc.RecordProfile,
-	}
-	if !sc.RecordProfile {
-		// Scalar totals are all a comparison table reads; skipping the
-		// Fig 7 profile keeps sweep runs on the zero-allocation path.
-		cfg.Record = sim.RecordFuelOnly
+		Record:         sc.Record,
 	}
 	if sc.IdlePred != nil {
 		cfg.IdlePredictor = sc.IdlePred()

@@ -483,7 +483,7 @@ func ThermalStressAblation(seed uint64) ([]ThermalRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	sc.RecordProfile = true
+	sc.Record = sim.RecordFull
 	cmp, err := sc.Compare(sc.Policies())
 	if err != nil {
 		return nil, err

@@ -125,7 +125,7 @@ func Fig7(seed uint64, window float64) (*Fig7Series, error) {
 	if err != nil {
 		return nil, err
 	}
-	sc.RecordProfile = true
+	sc.Record = sim.RecordFull
 	cmp, err := sc.Compare(sc.Policies())
 	if err != nil {
 		return nil, err

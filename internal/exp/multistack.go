@@ -28,10 +28,6 @@ type MultiStackConfig struct {
 	// Seed and Duration override the racksurge generator defaults.
 	Seed     uint64
 	Duration float64
-	// Batch bounds the batched-runner lane width (default 16). Results
-	// are identical at every width; the knob only trades memory for
-	// trace-walk sharing.
-	Batch int
 }
 
 func (c MultiStackConfig) withDefaults() MultiStackConfig {
@@ -43,9 +39,6 @@ func (c MultiStackConfig) withDefaults() MultiStackConfig {
 	}
 	if c.DegradedMix == nil {
 		c.DegradedMix = []float64{0, 0.3}
-	}
-	if c.Batch < 1 {
-		c.Batch = 16
 	}
 	return c
 }
@@ -82,7 +75,7 @@ func MultiStackStudyContext(ctx context.Context, cfg MultiStackConfig) ([]MultiS
 	cfg = cfg.withDefaults()
 	allocs := multistack.Allocators()
 	var rows []MultiStackRow
-	// Lanes are grouped per intensity: a batch walks one trace.
+	// One batch per intensity: a batch walks one trace.
 	for _, intensity := range cfg.Intensities {
 		wcfg := workload.DefaultRackSurgeConfig()
 		if cfg.Seed != 0 {
@@ -119,29 +112,24 @@ func MultiStackStudyContext(ctx context.Context, cfg MultiStackConfig) ([]MultiS
 				}})
 			}
 		}
-		results := make([]*sim.Result, len(lanes))
-		for start := 0; start < len(lanes); start += cfg.Batch {
-			end := min(start+cfg.Batch, len(lanes))
-			b, err := sim.NewBatchRunner(lanes[start:end])
-			if err != nil {
-				return nil, fmt.Errorf("exp: multistack: %w", err)
-			}
-			out, err := b.RunContext(ctx)
-			if err != nil {
-				return nil, fmt.Errorf("exp: multistack: %w", err)
-			}
-			for j, lr := range out {
-				if lr.Err != nil {
-					return nil, fmt.Errorf("exp: multistack lane %d: %w", start+j, lr.Err)
-				}
-				results[start+j] = lr.Res
+		b, err := sim.NewBatchRunner(lanes)
+		if err != nil {
+			return nil, fmt.Errorf("exp: multistack: %w", err)
+		}
+		out, err := b.RunContext(ctx)
+		if err != nil {
+			return nil, fmt.Errorf("exp: multistack: %w", err)
+		}
+		for j, lr := range out {
+			if lr.Err != nil {
+				return nil, fmt.Errorf("exp: multistack lane %d: %w", j, lr.Err)
 			}
 		}
 		for ki, k := range cfg.Ks {
 			base := ki * len(allocs)
-			equalFuel := results[base].Fuel
+			equalFuel := out[base].Res.Fuel
 			for ai, alloc := range allocs {
-				res := results[base+ai]
+				res := out[base+ai].Res
 				rows = append(rows, MultiStackRow{
 					Alloc:       alloc.Name(),
 					K:           k,

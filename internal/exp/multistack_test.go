@@ -3,18 +3,25 @@ package exp
 import (
 	"fmt"
 	"testing"
+
+	"fcdpm/internal/device"
+	"fcdpm/internal/fuelcell"
+	"fcdpm/internal/multistack"
+	"fcdpm/internal/policy"
+	"fcdpm/internal/sim"
+	"fcdpm/internal/storage"
+	"fcdpm/internal/workload"
 )
 
-// TestMultiStackStudyWaterFillDominates is the PR's acceptance check:
+// TestMultiStackStudyWaterFillDominates is the study's acceptance check:
 // on heterogeneous (degraded-mix) racks, water-filling uses strictly
-// less fuel than equal-split in every (K, intensity) cell, and the row
-// set is byte-stable across batch widths.
+// less fuel than equal-split in every (K, intensity) cell, and every
+// batched row is bit-identical to a one-lane run of its rack.
 func TestMultiStackStudyWaterFillDominates(t *testing.T) {
 	cfg := MultiStackConfig{
 		Ks:          []int{2, 4},
 		Intensities: []float64{1.5, 2.5},
 		Duration:    400,
-		Batch:       1,
 	}
 	rows, err := MultiStackStudy(cfg)
 	if err != nil {
@@ -40,15 +47,34 @@ func TestMultiStackStudyWaterFillDominates(t *testing.T) {
 		}
 	}
 
-	// Same study at a different lane width must be bit-identical.
-	cfg.Batch = 64
-	wide, err := MultiStackStudy(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range rows {
-		if rows[i] != wide[i] {
-			t.Fatalf("row %d differs across batch widths:\n  batch 1:  %+v\n  batch 64: %+v", i, rows[i], wide[i])
+	// Each row must equal its rack simulated alone.
+	for _, r := range rows {
+		alloc, err := multistack.ParseAllocator(r.Alloc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rack, err := multistack.Uniform(fuelcell.PaperSystem(), r.K, alloc, []float64{0, 0.3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wcfg := workload.DefaultRackSurgeConfig()
+		wcfg.Duration, wcfg.Intensity = cfg.Duration, r.Intensity
+		trace, err := workload.RackSurge(wcfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys := rack.System()
+		res, err := sim.Run(sim.Config{
+			Sys: sys, Dev: device.Synthetic(), Trace: trace,
+			Store:  storage.MustSuperCap(6*float64(r.K), float64(r.K)),
+			Policy: policy.NewASAP(sys),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Fuel != r.Fuel || res.Deficit != r.Deficit || res.Bled != r.Bled {
+			t.Fatalf("%s K=%d x%g: batched row %+v differs from the one-lane run (fuel %v deficit %v bled %v)",
+				r.Alloc, r.K, r.Intensity, r, res.Fuel, res.Deficit, res.Bled)
 		}
 	}
 }

@@ -80,11 +80,10 @@ func Suite(short bool) ([]Benchmark, error) {
 	if err != nil {
 		return nil, fmt.Errorf("perf: %w", err)
 	}
-	r, err := sim.NewRunner(sim.Config{
+	r, err := sim.NewBatchRunner([]sim.Lane{{Cfg: sim.Config{
 		Sys: sys, Dev: dev, Store: storage.MustSuperCap(6, 1),
 		Trace: trace, Policy: policy.NewFCDPM(sys, dev),
-		Record: sim.RecordFuelOnly,
-	})
+	}}})
 	if err != nil {
 		return nil, fmt.Errorf("perf: %w", err)
 	}
@@ -95,9 +94,7 @@ func Suite(short bool) ([]Benchmark, error) {
 			Fn: func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if _, err := r.Run(); err != nil {
-						b.Fatal(err)
-					}
+					runBatch(b, r)
 				}
 			},
 		},
@@ -113,15 +110,7 @@ func Suite(short bool) ([]Benchmark, error) {
 			Fn: func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					out, err := br.Run()
-					if err != nil {
-						b.Fatal(err)
-					}
-					for _, lr := range out {
-						if lr.Err != nil {
-							b.Fatal(lr.Err)
-						}
-					}
+					runBatch(b, br)
 				}
 			},
 		})
@@ -139,11 +128,10 @@ func Suite(short bool) ([]Benchmark, error) {
 		return nil, fmt.Errorf("perf: %w", err)
 	}
 	rsys := rack.System()
-	mr, err := sim.NewRunner(sim.Config{
+	mr, err := sim.NewBatchRunner([]sim.Lane{{Cfg: sim.Config{
 		Sys: rsys, Dev: device.Synthetic(), Store: storage.MustSuperCap(24, 4),
 		Trace: rsTrace, Policy: policy.NewASAP(rsys),
-		Record: sim.RecordFuelOnly,
-	})
+	}}})
 	if err != nil {
 		return nil, fmt.Errorf("perf: %w", err)
 	}
@@ -154,9 +142,7 @@ func Suite(short bool) ([]Benchmark, error) {
 			Fn: func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if _, err := mr.Run(); err != nil {
-						b.Fatal(err)
-					}
+					runBatch(b, mr)
 				}
 			},
 		},
@@ -252,4 +238,18 @@ func Run(repeat int, short bool) (*Artifact, error) {
 		art.Metrics = append(art.Metrics, best)
 	}
 	return art, nil
+}
+
+// runBatch is one benchmark iteration over a BatchRunner: the walk and
+// every lane must succeed.
+func runBatch(b *testing.B, br *sim.BatchRunner) {
+	out, err := br.Run()
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, lr := range out {
+		if lr.Err != nil {
+			b.Fatal(lr.Err)
+		}
+	}
 }

@@ -1,13 +1,17 @@
-// Package runreport renders one completed simulation as the stable JSON
-// body every serving surface agrees on. The simulation server, the sweep
-// dispatcher's workers, and `fcdpm batch -rows` all render through this
-// one function, which is what makes "byte-identical" a meaningful
-// guarantee: a result computed on a remote worker, served from the
-// content-addressed cache, or produced by a local batch of the same spec
-// is the same bytes.
+// Package runreport executes scenario specs and renders each completed
+// simulation as the stable JSON body every serving surface agrees on.
+// The simulation server, the sweep dispatcher's workers, `fcdpm batch`,
+// and the chaos oracle all run specs through Execute and render through
+// Render, which is what makes "byte-identical" a meaningful guarantee: a
+// result computed on a remote worker, served from the content-addressed
+// cache, or produced by a local batch of the same spec is the same bytes.
 package runreport
 
 import (
+	"context"
+
+	"fcdpm/internal/config"
+	"fcdpm/internal/obs"
 	"fcdpm/internal/report"
 	"fcdpm/internal/sim"
 )
@@ -55,4 +59,72 @@ func Render(name, key, engine string, res *sim.Result) ([]byte, error) {
 		rr.Events = append(rr.Events, ev.String())
 	}
 	return report.StableJSON(rr)
+}
+
+// Cell is one spec to execute: the validated scenario, the name its
+// report renders under, and its cache key — the content address that
+// also collapses identical cells onto one executing lane.
+type Cell struct {
+	Spec *config.Scenario
+	Name string
+	Key  string
+}
+
+// Row is one cell's outcome: the rendered report body and the result
+// behind it, or the error that stopped the cell.
+type Row struct {
+	Body []byte
+	Res  *sim.Result
+	Err  error
+}
+
+// Execute builds every cell, runs the cells as lanes of one
+// sim.BatchRunner walk (keyed by their cache keys), and renders each
+// result. The cells must share one trace; a single cell always does. A
+// Build, simulation, or render failure fails only its own row, and every
+// Res stays valid after Execute returns. simMetrics and batchMetrics may
+// be nil.
+func Execute(ctx context.Context, engine string, cells []Cell, simMetrics *obs.SimMetrics, batchMetrics *obs.BatchMetrics) []Row {
+	rows := make([]Row, len(cells))
+	lanes := make([]sim.Lane, 0, len(cells))
+	idx := make([]int, 0, len(cells))
+	for i, c := range cells {
+		cfg, err := c.Spec.Build()
+		if err != nil {
+			rows[i].Err = err
+			continue
+		}
+		cfg.Metrics = simMetrics
+		lanes = append(lanes, sim.Lane{Cfg: cfg, Key: c.Key})
+		idx = append(idx, i)
+	}
+	for li, lr := range runLanes(ctx, lanes, batchMetrics) {
+		i := idx[li]
+		if lr.Err != nil {
+			rows[i].Err = lr.Err
+			continue
+		}
+		rows[i].Res = lr.Res
+		rows[i].Body, rows[i].Err = Render(cells[i].Name, cells[i].Key, engine, lr.Res)
+	}
+	return rows
+}
+
+// runLanes walks the lanes as one batch. When the engine refuses the
+// batch — a lane whose configuration fails validation — each lane runs
+// alone instead, so the refusal fails only the lanes it concerns.
+func runLanes(ctx context.Context, lanes []sim.Lane, m *obs.BatchMetrics) []sim.LaneResult {
+	if len(lanes) == 0 {
+		return nil
+	}
+	if b, err := sim.NewBatchRunner(lanes); err == nil {
+		b.Metrics = m
+		out, _ := b.RunContext(ctx)
+		return out
+	}
+	out := make([]sim.LaneResult, len(lanes))
+	for i := range lanes {
+		out[i].Res, out[i].Err = sim.RunContext(ctx, lanes[i].Cfg)
+	}
+	return out
 }

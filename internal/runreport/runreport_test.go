@@ -1,0 +1,58 @@
+package runreport
+
+import (
+	"bytes"
+	"context"
+	"strings"
+	"testing"
+
+	"fcdpm/internal/config"
+)
+
+func cell(t *testing.T, name, spec string) Cell {
+	t.Helper()
+	s, err := config.LoadValidated(strings.NewReader(spec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, err := s.CacheKey("test")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return Cell{Spec: s, Name: name, Key: key}
+}
+
+// TestExecuteIsolatesRows: a batch of same-trace cells renders each row
+// exactly as a one-cell Execute does, a cell failing its Build fails only
+// its own row, and cells the engine cannot batch (distinct traces) still
+// run, one lane each.
+func TestExecuteIsolatesRows(t *testing.T) {
+	const trace = `"trace":{"kind":"synthetic","seed":3,"duration":300}`
+	cells := []Cell{
+		cell(t, "fc", `{`+trace+`,"policy":{"kind":"fcdpm"}}`),
+		cell(t, "bad", `{`+trace+`,"policy":{"kind":"bogus"}}`),
+		cell(t, "asap", `{`+trace+`,"policy":{"kind":"asap"}}`),
+		cell(t, "fc", `{`+trace+`,"policy":{"kind":"fcdpm"}}`),
+	}
+	ctx := context.Background()
+	rows := Execute(ctx, "test", cells, nil, nil)
+	if rows[1].Err == nil || !strings.Contains(rows[1].Err.Error(), "policy.kind") {
+		t.Fatalf("bad cell: err %v, want a policy.kind failure", rows[1].Err)
+	}
+	for _, i := range []int{0, 2, 3} {
+		solo := Execute(ctx, "test", cells[i:i+1], nil, nil)[0]
+		if rows[i].Err != nil || solo.Err != nil || rows[i].Res == nil {
+			t.Fatalf("cell %d: batched err %v, solo err %v", i, rows[i].Err, solo.Err)
+		}
+		if !bytes.Equal(rows[i].Body, solo.Body) {
+			t.Fatalf("cell %d: batched row differs from its one-cell run:\n%s\n%s", i, rows[i].Body, solo.Body)
+		}
+	}
+
+	mixed := []Cell{cells[0], cell(t, "other", `{"trace":{"kind":"synthetic","seed":4,"duration":300}}`)}
+	for i, row := range Execute(ctx, "test", mixed, nil, nil) {
+		if row.Err != nil || len(row.Body) == 0 {
+			t.Fatalf("mixed-trace cell %d: %v", i, row.Err)
+		}
+	}
+}

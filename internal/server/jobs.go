@@ -12,7 +12,6 @@ import (
 	"fcdpm/internal/report"
 	"fcdpm/internal/runner"
 	"fcdpm/internal/runreport"
-	"fcdpm/internal/sim"
 	"fcdpm/internal/workload"
 )
 
@@ -34,9 +33,9 @@ const (
 	jobShed   jobStatus = "shed"
 )
 
-// The run-report body is rendered by internal/runreport — the one
-// function the server, the dispatcher's workers, and `fcdpm batch -rows`
-// share, so a result is byte-identical wherever it was computed.
+// Specs execute and render through runreport.Execute — the one seam the
+// server, the dispatcher's workers, and `fcdpm batch` share, so a result
+// is byte-identical wherever it was computed.
 
 // cellState is one sweep scenario's progress, embedded in the sweep
 // report once every cell resolves.
@@ -224,130 +223,73 @@ func (r *registry) counts() (active, retained int) {
 	return active, retained
 }
 
-// taskRef routes a runner.TaskEvent back to its job (and sweep cell).
+// taskRef routes a runner.TaskEvent back to its job and the sweep cells
+// its task covers (none for a single run).
 type taskRef struct {
-	job  *job
-	cell int // cell index for sweep tasks; -1 for single runs
-	// batch, when non-nil, marks a batched sweep chunk: one pool task
-	// covering several same-trace cells through sim.BatchRunner.
-	batch *batchRef
+	job   *job
+	cells []int
+	// outcomes holds each covered cell's resolution. The task body is its
+	// only writer and the resolve hook reads it only after the pool
+	// publishes the task's resolution, so no lock is needed.
+	outcomes []laneOutcome
 }
 
-// laneOutcome is one batched cell's resolution, recorded by the task
-// body and read by the resolve hook.
+// laneOutcome is one sweep cell's resolution, recorded by the task body
+// and read by the resolve hook.
 type laneOutcome struct {
 	status runner.Status
 	errMsg string
 }
 
-// batchRef carries a batched chunk's cell indices and per-lane outcomes
-// from the task body to onTaskEvent. The outcomes slice is written only
-// by the (single) task goroutine and read only after the pool publishes
-// the task's resolution, so no lock is needed.
-type batchRef struct {
-	cells    []int
-	outcomes []laneOutcome
-}
-
-// runTask builds the pool task body for one scenario: build the sim
-// config, run it under the task context, render the stable report,
-// populate the cache, and replay the audit log into the job's stream.
-func (s *Server) runTask(j *job, ref taskRef, spec *config.Scenario, key, name string) func(context.Context) (struct{}, error) {
+// task builds the pool task body for one single run or one sweep chunk
+// of same-trace cells: runreport.Execute runs them as lanes of one
+// BatchRunner walk (identical cells collapse onto one executing lane),
+// then each rendered body populates the cache and each lane's audit log
+// replays into the job's stream. A task covering one run or cell hands
+// its error to the pool, so retries and breakers apply; a wider chunk
+// resolves each cell with its own outcome and fails as a whole only when
+// its context ends.
+func (s *Server) task(ref taskRef, cells []runreport.Cell) func(context.Context) (struct{}, error) {
+	j := ref.job
 	return func(ctx context.Context) (struct{}, error) {
-		cfg, err := spec.Build()
-		if err != nil {
-			return struct{}{}, err
-		}
-		// The simulator records slots, fuel, memo stats, and wall time
-		// into the shared registry itself.
-		cfg.Metrics = s.metrics.sim
-		res, err := sim.RunContext(ctx, cfg)
-		if err != nil {
-			return struct{}{}, err
-		}
-		body, err := runreport.Render(name, key, s.engine, res)
-		if err != nil {
-			return struct{}{}, err
-		}
-		s.cache.Put(key, body)
-		for _, ev := range res.Events {
-			j.events.append(Event{
-				Kind: "sim", Job: j.id, Cell: cellName(j, ref.cell),
-				T: ev.T, Detail: string(ev.Kind) + ": " + ev.Detail,
-			})
-		}
-		if ref.cell < 0 {
-			// Cell bytes live in the cache (the sweep report embeds only
-			// per-cell status and content address); single runs serve the
-			// body directly.
-			j.setReport(body)
-		}
-		return struct{}{}, nil
-	}
-}
-
-// batchTask builds the pool task body for one batched sweep chunk: all
-// cells share one trace, so they execute as lanes of a single
-// sim.BatchRunner walk — shared decode, shared fuel-map memo, amortized
-// planning — with each lane keyed by its cell's cache key so identical
-// cells collapse onto one executing lane. Per cell the body mirrors the
-// scalar runTask exactly (render, cache.Put, sim-event replay), and a
-// lane failure resolves only its own cell: the rest of the chunk still
-// lands. Results are byte-identical to the scalar path by the
-// BatchRunner oracle guarantee.
-func (s *Server) batchTask(j *job, ref taskRef, specs []*config.Scenario, keys []string) func(context.Context) (struct{}, error) {
-	br := ref.batch
-	return func(ctx context.Context) (struct{}, error) {
-		lanes := make([]sim.Lane, len(br.cells))
-		for li, ci := range br.cells {
-			cfg, err := specs[ci].Build()
-			if err != nil {
-				return struct{}{}, err
-			}
-			cfg.Metrics = s.metrics.sim
-			lanes[li] = sim.Lane{Cfg: cfg, Key: keys[ci]}
-		}
-		b, err := sim.NewBatchRunner(lanes)
-		if err != nil {
-			return struct{}{}, err
-		}
-		b.Metrics = s.metrics.batch
-		out, err := b.RunContext(ctx)
-		if err != nil {
-			// Batch-level failure (cancellation): the pool's resolution
-			// status covers every cell.
-			return struct{}{}, err
-		}
-		for li, lr := range out {
-			ci := br.cells[li]
-			name := cellName(j, ci)
-			if lr.Err != nil {
-				br.outcomes[li] = laneOutcome{status: runner.StatusFailed, errMsg: lr.Err.Error()}
+		rows := runreport.Execute(ctx, s.engine, cells, s.metrics.sim, s.metrics.batch)
+		var firstErr error
+		for i, row := range rows {
+			if row.Err != nil {
+				ref.outcomes[i] = laneOutcome{status: runner.StatusFailed, errMsg: row.Err.Error()}
+				if firstErr == nil {
+					firstErr = row.Err
+				}
 				continue
 			}
-			body, rerr := runreport.Render(name, keys[ci], s.engine, lr.Res)
-			if rerr != nil {
-				br.outcomes[li] = laneOutcome{status: runner.StatusFailed, errMsg: rerr.Error()}
-				continue
+			s.cache.Put(cells[i].Key, row.Body)
+			cell := ""
+			if ref.cells != nil {
+				cell = cells[i].Name
 			}
-			s.cache.Put(keys[ci], body)
-			for _, ev := range lr.Res.Events {
+			for _, ev := range row.Res.Events {
 				j.events.append(Event{
-					Kind: "sim", Job: j.id, Cell: name,
+					Kind: "sim", Job: j.id, Cell: cell,
 					T: ev.T, Detail: string(ev.Kind) + ": " + ev.Detail,
 				})
 			}
-			br.outcomes[li] = laneOutcome{status: runner.StatusDone}
+			ref.outcomes[i] = laneOutcome{status: runner.StatusDone}
+		}
+		if ref.cells == nil {
+			// Cell bytes live in the cache (the sweep report embeds only
+			// per-cell status and content address); single runs serve the
+			// body directly.
+			j.setReport(rows[0].Body)
+		}
+		if len(cells) == 1 || ctx.Err() != nil {
+			return struct{}{}, firstErr
 		}
 		return struct{}{}, nil
 	}
 }
 
-// cellName returns the cell's display name, or "" for single runs.
+// cellName returns the cell's display name.
 func cellName(j *job, cell int) string {
-	if cell < 0 {
-		return ""
-	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if cell < len(j.cells) {
@@ -368,8 +310,12 @@ func (s *Server) onTaskEvent(e runner.TaskEvent) {
 	j := ref.job
 	switch e.Phase {
 	case runner.PhaseStart:
+		cell := ""
+		if len(ref.cells) == 1 {
+			cell = cellName(j, ref.cells[0])
+		}
 		j.events.append(Event{
-			Kind: "attempt", Job: j.id, Cell: cellName(j, ref.cell),
+			Kind: "attempt", Job: j.id, Cell: cell,
 			Attempt: e.Attempt,
 		})
 	case runner.PhaseResolve:
@@ -379,12 +325,8 @@ func (s *Server) onTaskEvent(e runner.TaskEvent) {
 		if e.Err != nil {
 			errMsg = e.Err.Error()
 		}
-		if ref.batch != nil {
-			s.batchResolved(j, ref, e.Status, errMsg)
-			return
-		}
-		if ref.cell >= 0 {
-			s.cellResolved(j, ref.cell, e.Status, errMsg)
+		if ref.cells != nil {
+			s.chunkResolved(ref, e.Status, errMsg)
 			return
 		}
 		switch e.Status {
@@ -431,34 +373,23 @@ func clientFault(err error) bool {
 	return errors.As(err, &cve) || errors.As(err, &wve) || errors.As(err, &pce)
 }
 
-// batchResolved fans one batched chunk's resolution out to its cells:
-// a completed task resolves each cell with its own lane outcome, while
-// a shed / interrupted / failed task resolves every covered cell with
-// the task's status — the same taxonomy the cells would have seen as
-// individual scalar tasks.
-func (s *Server) batchResolved(j *job, ref taskRef, status runner.Status, errMsg string) {
-	br := ref.batch
-	for li, ci := range br.cells {
+// chunkResolved fans one sweep chunk's resolution out to its cells: a
+// completed task resolves each cell with its own lane outcome, while a
+// shed / interrupted / failed task resolves every covered cell with the
+// task's status.
+func (s *Server) chunkResolved(ref taskRef, status runner.Status, errMsg string) {
+	for li, ci := range ref.cells {
 		if status == runner.StatusDone {
-			o := br.outcomes[li]
-			if o.status == "" {
-				o = laneOutcome{status: runner.StatusFailed, errMsg: "lane outcome missing"}
-			}
-			s.cellDone(j, ci, o.status, false, o.errMsg)
+			o := ref.outcomes[li]
+			s.cellDone(ref.job, ci, o.status, false, o.errMsg)
 			continue
 		}
-		s.cellDone(j, ci, status, false, errMsg)
+		s.cellDone(ref.job, ci, status, false, errMsg)
 	}
 }
 
-// cellResolved records one sweep cell's resolution and, when it is the
-// last, finalizes the sweep job.
-func (s *Server) cellResolved(j *job, cell int, status runner.Status, errMsg string) {
-	s.cellDone(j, cell, status, false, errMsg)
-}
-
 // cellDone is the single place a sweep cell resolves — from the pool
-// (via cellResolved) or synchronously on a cache hit (cached == true).
+// (via chunkResolved) or synchronously on a cache hit (cached == true).
 func (s *Server) cellDone(j *job, cell int, status runner.Status, cached bool, errMsg string) {
 	j.mu.Lock()
 	if cell >= len(j.cells) || j.finished {

@@ -24,6 +24,7 @@ import (
 	"fcdpm/internal/config"
 	"fcdpm/internal/httpx"
 	"fcdpm/internal/runner"
+	"fcdpm/internal/runreport"
 	"fcdpm/internal/version"
 )
 
@@ -273,7 +274,7 @@ func (s *Server) handleRunPost(w http.ResponseWriter, r *http.Request) {
 	} else {
 		s.metrics.runsSubmitted.Inc()
 		j.events.append(Event{Kind: "accepted", Job: j.id, Detail: "key " + key})
-		s.submitRun(j, taskRef{job: j, cell: -1}, spec, key, name)
+		s.submit(j, nil, []runreport.Cell{{Spec: spec, Name: name, Key: key}})
 	}
 	if isAsync(r) {
 		// Mirror the sync path's X-Fcdpm-Cache taxonomy so async clients
@@ -299,46 +300,52 @@ func (s *Server) handleRunPost(w http.ResponseWriter, r *http.Request) {
 	s.writeOutcome(w, j, coalesced)
 }
 
-// submitRun registers the task→job route and hands the pool the work.
-// Shed/interrupted submissions resolve through onTaskEvent; only a
-// closed pool refuses without an event, handled here.
-func (s *Server) submitRun(j *job, ref taskRef, spec *config.Scenario, key, name string) {
+// submit registers the task→job route and hands the pool one task
+// executing cells: a single run (sweepCells nil) or the sweep cells
+// sweepCells indexes. Shed/interrupted submissions resolve through
+// onTaskEvent; only a closed pool refuses without an event, handled
+// here.
+func (s *Server) submit(j *job, sweepCells []int, cells []runreport.Cell) {
+	ref := taskRef{job: j, cells: sweepCells, outcomes: make([]laneOutcome, len(cells))}
 	id := j.id
-	if ref.cell >= 0 {
-		id = fmt.Sprintf("%s/%04d", j.id, ref.cell)
+	if sweepCells != nil {
+		id = fmt.Sprintf("%s/%04d", j.id, sweepCells[0])
 	}
 	s.taskJobs.Store(id, ref)
 	s.metrics.inflight.Add(1)
 	err := s.pool.Submit(runner.Task[struct{}]{
 		ID:       id,
-		Scenario: key,
-		Run:      s.runTask(j, ref, spec, key, name),
+		Scenario: cells[0].Key,
+		Run:      s.task(ref, cells),
 	})
-	if errors.Is(err, runner.ErrClosed) {
-		s.taskJobs.Delete(id)
-		s.metrics.inflight.Add(-1)
-		if ref.cell >= 0 {
-			s.cellDone(j, ref.cell, runner.StatusInterrupted, false, "draining")
-			return
-		}
-		s.metrics.runsFailed.Inc()
-		j.setRetryAfter(drainRetryAfter)
-		j.finish(jobFailed, nil, "draining", 503, false)
-		s.reg.complete(j)
+	if !errors.Is(err, runner.ErrClosed) {
+		return
 	}
+	s.taskJobs.Delete(id)
+	s.metrics.inflight.Add(-1)
+	if sweepCells != nil {
+		for _, ci := range sweepCells {
+			s.cellDone(j, ci, runner.StatusInterrupted, false, "draining")
+		}
+		return
+	}
+	s.metrics.runsFailed.Inc()
+	j.setRetryAfter(drainRetryAfter)
+	j.finish(jobFailed, nil, "draining", 503, false)
+	s.reg.complete(j)
 }
 
-// maxBatchLanes caps how many sweep cells one batched pool task holds:
-// wider same-trace groups split so a single task never monopolizes a
-// worker, and lane widths stay inside the obs.LaneBuckets range.
+// maxBatchLanes caps how many sweep cells one pool task holds: wider
+// same-trace groups split so a single task never monopolizes a worker,
+// and lane widths stay inside the obs.LaneBuckets range.
 const maxBatchLanes = 64
 
-// batchChunks partitions cache-miss sweep cells into batch chunks:
-// cells whose normalized trace specs agree share one BatchRunner walk
+// batchChunks partitions cache-miss sweep cells into pool tasks: cells
+// whose normalized trace specs agree share one BatchRunner walk
 // (value-identical traces batch regardless of spelling), chunked to
-// maxBatchLanes. A cell whose spec fails to normalize falls back to a
-// scalar chunk of its own. First-seen order is preserved both across
-// and within groups, so cell resolution order stays deterministic.
+// maxBatchLanes. A cell whose spec fails to normalize gets a chunk of
+// its own. First-seen order is preserved both across and within groups,
+// so cell resolution order stays deterministic.
 func batchChunks(specs []*config.Scenario, misses []int) [][]int {
 	byTrace := make(map[string][]int)
 	var order []string
@@ -362,31 +369,6 @@ func batchChunks(specs []*config.Scenario, misses []int) [][]int {
 		}
 	}
 	return chunks
-}
-
-// submitBatch hands the pool one batched sweep chunk. The task is
-// routed like any cell task; on a closed pool every covered cell
-// resolves interrupted, mirroring submitRun's drain path.
-func (s *Server) submitBatch(j *job, cells []int, specs []*config.Scenario, keys []string) {
-	ref := taskRef{job: j, cell: -1, batch: &batchRef{
-		cells:    cells,
-		outcomes: make([]laneOutcome, len(cells)),
-	}}
-	id := fmt.Sprintf("%s/batch-%04d", j.id, cells[0])
-	s.taskJobs.Store(id, ref)
-	s.metrics.inflight.Add(1)
-	err := s.pool.Submit(runner.Task[struct{}]{
-		ID:       id,
-		Scenario: keys[cells[0]],
-		Run:      s.batchTask(j, ref, specs, keys),
-	})
-	if errors.Is(err, runner.ErrClosed) {
-		s.taskJobs.Delete(id)
-		s.metrics.inflight.Add(-1)
-		for _, ci := range cells {
-			s.cellDone(j, ci, runner.StatusInterrupted, false, "draining")
-		}
-	}
 }
 
 // writeOutcome renders a resolved run job.
@@ -484,16 +466,15 @@ func (s *Server) handleSweepPost(w http.ResponseWriter, r *http.Request) {
 		s.metrics.runsSubmitted.Inc()
 		misses = append(misses, i)
 	}
-	// Cache-miss cells that share a workload trace batch into one
-	// BatchRunner pool task each (coalesced siblings collapse via their
-	// lane keys); a cell with a trace of its own keeps the scalar path.
+	// Cache-miss cells that share a workload trace batch into one pool
+	// task each (identical siblings collapse via their lane keys); a cell
+	// with a trace of its own is a one-lane task.
 	for _, chunk := range batchChunks(specs, misses) {
-		if len(chunk) == 1 {
-			i := chunk[0]
-			s.submitRun(j, taskRef{job: j, cell: i}, specs[i], keys[i], j.cells[i].Name)
-			continue
+		cells := make([]runreport.Cell, len(chunk))
+		for li, i := range chunk {
+			cells[li] = runreport.Cell{Spec: specs[i], Name: j.cells[i].Name, Key: keys[i]}
 		}
-		s.submitBatch(j, chunk, specs, keys)
+		s.submit(j, chunk, cells)
 	}
 	writeJSON(w, 202, map[string]any{
 		"id": j.id, "cells": len(keys), "status": string(jobQueued),

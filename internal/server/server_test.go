@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -266,24 +267,45 @@ func TestSweepWithCachedCells(t *testing.T) {
 		t.Fatalf("sweep accept: %d %+v", resp.StatusCode, acc)
 	}
 
+	sr := waitSweep(t, ts, acc.ID)
+	if len(sr.Cells) != 2 || sr.Done != 2 || sr.Cached != 1 {
+		t.Fatalf("sweep report %+v, want 2 done / 1 cached", sr)
+	}
+	if sr.Cells[0].Name != "quick" || !sr.Cells[0].Cached {
+		t.Fatalf("primed cell not served from cache: %+v", sr.Cells[0])
+	}
+	if sr.Cells[1].Cached {
+		t.Fatalf("cold cell claims cached: %+v", sr.Cells[1])
+	}
+}
+
+// waitSweep polls a sweep until it resolves and returns its report.
+func waitSweep(t *testing.T, ts *httptest.Server, id string) sweepReport {
+	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	for {
-		var sr sweepReport
-		resp := getJSON(t, ts, "/v1/sweeps/"+acc.ID, &sr)
-		if resp.StatusCode == 200 && len(sr.Cells) == 2 {
-			if sr.Done != 2 || sr.Cached != 1 {
-				t.Fatalf("sweep report %+v, want 2 done / 1 cached", sr)
+		resp, err := http.Get(ts.URL + "/v1/sweeps/" + id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A pending sweep serves a status document, not the report.
+		var pending struct {
+			Status string `json:"status"`
+		}
+		if json.Unmarshal(body, &pending) != nil || pending.Status != string(jobQueued) {
+			var sr sweepReport
+			if err := json.Unmarshal(body, &sr); err != nil {
+				t.Fatalf("decode sweep %s: %v: %s", id, err, body)
 			}
-			if sr.Cells[0].Name != "quick" || !sr.Cells[0].Cached {
-				t.Fatalf("primed cell not served from cache: %+v", sr.Cells[0])
-			}
-			if sr.Cells[1].Cached {
-				t.Fatalf("cold cell claims cached: %+v", sr.Cells[1])
-			}
-			return
+			return sr
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("sweep never finished: %+v", sr)
+			t.Fatalf("sweep %s never finished: %s", id, body)
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
@@ -630,20 +652,8 @@ func TestSweepBatchesSameTraceCells(t *testing.T) {
 		t.Fatalf("sweep accept: %d", resp.StatusCode)
 	}
 
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		var sr sweepReport
-		resp := getJSON(t, ts, "/v1/sweeps/"+acc.ID, &sr)
-		if resp.StatusCode == 200 && len(sr.Cells) == 4 {
-			if sr.Done != 4 || sr.Failed != 0 {
-				t.Fatalf("sweep report %+v, want 4 done", sr)
-			}
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("sweep never finished: %+v", sr)
-		}
-		time.Sleep(20 * time.Millisecond)
+	if sr := waitSweep(t, ts, acc.ID); len(sr.Cells) != 4 || sr.Done != 4 || sr.Failed != 0 {
+		t.Fatalf("sweep report %+v, want 4 done", sr)
 	}
 
 	// Byte-identity oracle: a fresh server runs each cell through the
@@ -672,6 +682,60 @@ func TestSweepBatchesSameTraceCells(t *testing.T) {
 	}
 	if st.Batch.PlanGroupHits == 0 {
 		t.Fatalf("duplicate cell produced no plan-group hits: %+v", st.Batch)
+	}
+}
+
+// TestRunBuildOnlySpecErrorsAre400: spec defects only Build can detect
+// (unknown selectors, constructor refusals) resolve 400 from inside the
+// pool, not 500, and a spec still carrying the removed recordProfile
+// field is refused at admission as an unknown field.
+func TestRunBuildOnlySpecErrorsAre400(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	const trace = `"trace":{"kind":"synthetic","duration":60}`
+	for _, tc := range []struct{ spec, want string }{
+		{`{"storage":{"kind":"flywheel"},` + trace + `}`, "storage.kind"},
+		{`{"trace":{"kind":"bogus"}}`, "trace.kind"},
+		{`{"policy":{"kind":"bogus"},` + trace + `}`, "policy.kind"},
+		{`{"device":{"kind":"bogus"},` + trace + `}`, "device.kind"},
+		{`{"dpm":{"mode":"bogus"},` + trace + `}`, "dpm.mode"},
+		{`{"storage":{"kind":"liion","wellFraction":1.5},` + trace + `}`, "config: storage:"},
+		{`{"storage":{"kind":"liion","rateConstant":-1},` + trace + `}`, "config: storage:"},
+		{`{"system":{"minOutput":2,"maxOutput":1},` + trace + `}`, "config: system:"},
+		{`{"recordProfile":true,` + trace + `}`, `unknown field \"recordProfile\"`},
+	} {
+		resp, b := postRun(t, ts, tc.spec)
+		if resp.StatusCode != 400 || !strings.Contains(string(b), tc.want) {
+			t.Errorf("POST %s: %d %s, want 400 naming %s", tc.spec, resp.StatusCode, b, tc.want)
+		}
+	}
+}
+
+// TestSweepCellFailureIsolated: a cell failing inside a batched chunk
+// fails only its own row; its same-trace siblings still land.
+func TestSweepCellFailureIsolated(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	trace := `{"kind":"synthetic","seed":7,"duration":120}`
+	sweep := fmt.Sprintf(`{"scenarios":[{"name":"ok","trace":%s},
+		{"name":"bad","trace":%s,"policy":{"kind":"bogus"}},
+		{"name":"ok2","trace":%s,"policy":{"kind":"asap"}}]}`, trace, trace, trace)
+	resp, err := http.Post(ts.URL+"/v1/sweeps", "application/json", strings.NewReader(sweep))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var acc struct {
+		ID string `json:"id"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&acc)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != 202 {
+		t.Fatalf("sweep accept: %d %v", resp.StatusCode, err)
+	}
+	sr := waitSweep(t, ts, acc.ID)
+	if sr.Done != 2 || sr.Failed != 1 {
+		t.Fatalf("sweep report %+v, want 2 done / 1 failed", sr)
+	}
+	if c := sr.Cells[1]; c.Status != "failed" || !strings.Contains(c.Err, "policy.kind") {
+		t.Fatalf("bad cell %+v, want failed naming policy.kind", c)
 	}
 }
 

@@ -47,28 +47,29 @@ type Lane struct {
 }
 
 // LaneResult is one lane's outcome. Res aliases the BatchRunner's
-// internal buffers and is valid until the next Run call, mirroring the
-// scalar Runner contract; it is nil when Err is set.
+// internal buffers and is valid until the next Run call; it is nil when
+// Err is set.
 type LaneResult struct {
 	Res *Result
 	Err error
 }
 
 // batchLane is the per-lane bookkeeping: which run group executes it and
-// how much of the group's recording it keeps.
+// how much of the group's recording it keeps. res is the lane's own
+// projection buffer, nil when the lane is its group's only member and
+// reads the leader's result directly.
 type batchLane struct {
-	res        *Result
-	group      int
-	recProfile bool
-	recSlots   bool
-	metrics    *obs.SimMetrics
+	res     *Result
+	group   int
+	recFull bool
+	metrics *obs.SimMetrics
 }
 
 // batchGroup is one executing simulation: the leader state plus every
 // lane it stands in for. Groups are formed at construction from the
 // lanes' dynamics fingerprints and never split mid-run — a lane that can
 // diverge from its siblings (a timeout adapter, an unkeyed component)
-// gets a group of its own up front and follows the plain scalar path.
+// gets a group of its own up front.
 type batchGroup struct {
 	st      *state
 	members []int // lane indices, in submission order
@@ -93,12 +94,13 @@ type batchDecode struct {
 // share the per-slot decode (predictions, sleep decision, segment
 // expansion). Lanes that can diverge — per-lane timeout adapters, fault
 // schedules with distinct identities, components without a BatchKey —
-// are their own group from the start and execute on the existing scalar
-// path, so batching never changes a single bit of any lane's Result
-// relative to a sequential Runner run of the same configuration.
+// are their own group from the start, so batching never changes a single
+// bit of any lane's Result relative to a one-lane run (sim.Run) of the
+// same configuration.
 //
-// Like Runner, a BatchRunner is reusable and not safe for concurrent
-// use; steady-state Run calls on fault-free lanes allocate nothing.
+// BatchRunner is the only simulation engine: sim.Run is a one-lane
+// batch. A BatchRunner is reusable and not safe for concurrent use;
+// steady-state Run calls allocate nothing.
 type BatchRunner struct {
 	// Metrics, when non-nil, receives one RecordBatch per completed run:
 	// the lane width and how many slot executions follower lanes
@@ -127,6 +129,9 @@ func NewBatchRunner(lanes []Lane) (*BatchRunner, error) {
 		if err := lanes[i].Cfg.validate(); err != nil {
 			return nil, fmt.Errorf("sim: batch lane %d: %w", i, err)
 		}
+	}
+	if len(lanes) == 1 {
+		return newSingleLane(lanes[0].Cfg), nil
 	}
 	trace := lanes[0].Cfg.Trace
 	for i := 1; i < len(lanes); i++ {
@@ -169,18 +174,16 @@ func NewBatchRunner(lanes []Lane) (*BatchRunner, error) {
 		g := &b.groups[gi]
 		g.members = append(g.members, i)
 
-		recProfile, recSlots := resolveRecord(cfg)
-		b.lanes[i] = batchLane{
-			res:        &Result{FuelByKind: make(map[SegmentKind]float64, numSegmentKinds)},
-			group:      gi,
-			recProfile: recProfile,
-			recSlots:   recSlots,
-			metrics:    cfg.Metrics,
-		}
+		recFull := cfg.Record == RecordFull
+		b.lanes[i] = batchLane{group: gi, recFull: recFull, metrics: cfg.Metrics}
 		// The leader records the union of its members' levels; each
 		// member's projection keeps only what its own level asked for.
-		g.st.recProfile = g.st.recProfile || recProfile
-		g.st.recSlots = g.st.recSlots || recSlots
+		g.st.recFull = g.st.recFull || recFull
+	}
+	for i := range b.lanes {
+		if len(b.groups[b.lanes[i].group].members) > 1 {
+			b.lanes[i].res = &Result{FuelByKind: make(map[SegmentKind]float64, numSegmentKinds)}
+		}
 	}
 
 	// Lanes of different groups run interleaved in lockstep, so a
@@ -242,6 +245,38 @@ func NewBatchRunner(lanes []Lane) (*BatchRunner, error) {
 		b.decodes[di].groups = append(b.decodes[di].groups, gi)
 	}
 	return b, nil
+}
+
+// newSingleLane builds the one-lane batch sim.Run executes, without the
+// grouping machinery a lone lane cannot use: no fingerprint, shared-object
+// check, decode key, or memo map, and the lane reads its group leader's
+// result directly. Every piece of bookkeeping lives in one allocation.
+// cfg must already be valid.
+func newSingleLane(cfg Config) *BatchRunner {
+	one := &struct {
+		b       BatchRunner
+		st      state
+		lanes   [1]batchLane
+		groups  [1]batchGroup
+		decodes [1]batchDecode
+		results [1]LaneResult
+		memos   [1]*fuelcell.Memo
+		zero    [1]int // the group's member list and the decode's group list
+	}{}
+	one.st.init(cfg)
+	one.lanes[0] = batchLane{recFull: one.st.recFull, metrics: cfg.Metrics}
+	one.groups[0] = batchGroup{st: &one.st, members: one.zero[:]}
+	one.decodes[0].groups = one.zero[:]
+	one.memos[0] = one.st.memo
+	one.b = BatchRunner{
+		lanes:   one.lanes[:],
+		groups:  one.groups[:],
+		decodes: one.decodes[:],
+		trace:   cfg.Trace,
+		results: one.results[:],
+		memos:   one.memos[:],
+	}
+	return &one.b
 }
 
 // Lanes returns the batch width.
@@ -332,7 +367,11 @@ func (b *BatchRunner) RunContext(ctx context.Context) ([]LaneResult, error) {
 			b.results[i] = LaneResult{Err: g.err}
 			continue
 		}
-		projectResult(ln.res, g.st.res, ln.recProfile, ln.recSlots)
+		if ln.res == nil {
+			b.results[i] = LaneResult{Res: g.st.res}
+			continue
+		}
+		projectResult(ln.res, g.st.res, ln.recFull)
 		b.results[i] = LaneResult{Res: ln.res}
 	}
 
@@ -366,24 +405,11 @@ func (b *BatchRunner) memoStats() (hits, misses uint64) {
 	return hits, misses
 }
 
-// resolveRecord mirrors state.init's record-level resolution without
-// building a state.
-func resolveRecord(cfg *Config) (profile, slots bool) {
-	switch cfg.Record {
-	case RecordFuelOnly:
-		return false, false
-	case RecordFull:
-		return true, true
-	default:
-		return cfg.RecordProfile, cfg.RecordSlots
-	}
-}
-
 // projectResult copies a group leader's result into a lane's buffer,
 // keeping only the history the lane's own record level asked for. The
 // copy reuses dst's backing storage, so steady-state batch runs allocate
 // nothing once the buffers have grown to size.
-func projectResult(dst, src *Result, wantProfile, wantSlots bool) {
+func projectResult(dst, src *Result, wantFull bool) {
 	m := dst.FuelByKind
 	clear(m)
 	events := dst.Events[:0]
@@ -397,16 +423,12 @@ func projectResult(dst, src *Result, wantProfile, wantSlots bool) {
 		m[k] = v
 	}
 	dst.Events = append(events, src.Events...)
-	if wantProfile {
+	if wantFull {
 		dst.Profile = append(profile, src.Profile...)
 		dst.Charges = append(charges, src.Charges...)
-	} else {
-		dst.Profile, dst.Charges = profile, charges
-	}
-	if wantSlots {
 		dst.SlotLog = append(slotLog, src.SlotLog...)
 	} else {
-		dst.SlotLog = slotLog
+		dst.Profile, dst.Charges, dst.SlotLog = profile, charges, slotLog
 	}
 }
 
@@ -464,7 +486,7 @@ func keyOf(v any) (string, bool) {
 
 // dynamicsKey fingerprints everything that shapes a lane's dynamics —
 // and deliberately nothing that only shapes its recording (Record,
-// RecordProfile, RecordSlots, Metrics), since recording appends history
+// Metrics), since recording appends history
 // without feeding back into the simulation. Two lanes with equal keys
 // run bit-identical simulations; a lane whose components cannot be
 // keyed reports false and executes ungrouped. Fault schedules are

@@ -19,7 +19,7 @@ import (
 )
 
 // The batch oracle: every lane of a BatchRunner must produce a Result
-// byte-identical to a sequential sim.Runner run of the same Config —
+// byte-identical to a one-lane run (sim.Run) of the same Config —
 // whatever mix of policies, predictors, record levels, DPM modes, and
 // fault schedules the lanes carry. These tests drive that contract
 // directly; the grouping machinery is only allowed to make runs cheaper,
@@ -158,14 +158,8 @@ func randomLane(t *testing.T, rng *rand.Rand, sys *fuelcell.System, dev *device.
 		}
 	}
 
-	switch rng.Intn(3) {
-	case 0:
-		cfg.Record = sim.RecordFuelOnly
-	case 1:
+	if rng.Intn(2) == 0 {
 		cfg.Record = sim.RecordFull
-	default:
-		cfg.RecordProfile = rng.Intn(2) == 0
-		cfg.RecordSlots = rng.Intn(2) == 0
 	}
 
 	if rng.Intn(3) == 0 {

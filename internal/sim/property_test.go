@@ -95,12 +95,12 @@ func TestChargeBoundsProperty(t *testing.T) {
 			})
 		}
 		cfg := Config{
-			Sys:           sys,
-			Dev:           device.Synthetic(),
-			Store:         storage.MustSuperCap(4, rng.Uniform(0, 4)),
-			Trace:         tr,
-			Policy:        &maxPolicy{sys},
-			RecordProfile: true,
+			Sys:    sys,
+			Dev:    device.Synthetic(),
+			Store:  storage.MustSuperCap(4, rng.Uniform(0, 4)),
+			Trace:  tr,
+			Policy: &maxPolicy{sys},
+			Record: RecordFull,
 		}
 		res, err := Run(cfg)
 		if err != nil {

@@ -197,17 +197,11 @@ type Config struct {
 	// ρ = σ = 0.5 seeded from the device break-even time and the first
 	// slot's values.
 	IdlePredictor, ActivePredictor, CurrentPredictor predict.Predictor
-	// RecordProfile enables per-piece current/charge traces in the
-	// result (needed for Fig 7; off for bulk sweeps).
-	RecordProfile bool
-	// RecordSlots enables the per-slot audit log in the result — the
-	// slot-level view of what the policy decided and what it cost.
-	RecordSlots bool
-	// Record selects how much per-run history the simulator keeps,
-	// overriding the two booleans above when not RecordAuto. Fuel-only
-	// runs (experiment comparisons, the server cache path) skip every
-	// Profile/Charges/SlotLog append — the steady-state zero-allocation
-	// path of Runner.
+	// Record selects how much per-run history the simulator keeps. The
+	// zero value, RecordFuelOnly, skips every Profile/Charges/SlotLog
+	// append — the steady-state zero-allocation path; RecordFull keeps
+	// the per-piece profile (Fig 7), the charge trajectory, and the
+	// per-slot audit log.
 	Record RecordLevel
 	// SlewRate limits how fast the FC system output can change, in amps
 	// per second; 0 means ideal (instantaneous) steps. Real fuel-flow
@@ -237,6 +231,43 @@ type Config struct {
 	// time. Recording is a handful of atomic adds after the run — the
 	// zero-allocation hot path is untouched.
 	Metrics *obs.SimMetrics
+}
+
+// RecordLevel selects how much per-run history the simulator keeps.
+type RecordLevel int
+
+// Record levels.
+const (
+	// RecordFuelOnly (the zero value) keeps scalar totals only: no
+	// Profile, Charges, or SlotLog appends. Experiment comparisons and
+	// every serving surface need nothing more, and it is the level at
+	// which steady-state runs allocate nothing.
+	RecordFuelOnly RecordLevel = iota
+	// RecordFull records the per-piece profile, the charge trajectory,
+	// and the per-slot audit log.
+	RecordFull
+)
+
+// String names the record level.
+func (l RecordLevel) String() string {
+	switch l {
+	case RecordFuelOnly:
+		return "fuel-only"
+	case RecordFull:
+		return "full"
+	default:
+		return "RecordLevel(?)"
+	}
+}
+
+// PiecePlanner is the optional allocation-free face of a Policy:
+// SegmentPlanInto appends the segment's pieces to buf and returns the
+// extended slice, letting the simulator reuse one scratch buffer across
+// segments instead of receiving a freshly allocated plan per call. The
+// semantics must match SegmentPlan exactly; the simulator prefers this
+// interface whenever the active policy implements it.
+type PiecePlanner interface {
+	SegmentPlanInto(seg Segment, charge float64, buf []Piece) []Piece
 }
 
 // validate checks the configuration.
@@ -331,10 +362,9 @@ type Result struct {
 	LostCharge float64
 	// FinalCharge is the storage charge at the end of the run.
 	FinalCharge float64
-	// Profile and Charges are recorded when Config.RecordProfile is set.
+	// Profile, Charges, and SlotLog are recorded at RecordFull.
 	Profile []ProfilePoint
 	Charges []ChargePoint
-	// SlotLog is recorded when Config.RecordSlots is set.
 	SlotLog []SlotRecord
 }
 
@@ -350,7 +380,8 @@ type SlotRecord struct {
 }
 
 // Reset clears the result for reuse, keeping the backing storage of its
-// slices and map so a Runner's steady-state runs allocate nothing.
+// slices and map so a reused BatchRunner's steady-state runs allocate
+// nothing.
 func (r *Result) Reset() {
 	m := r.FuelByKind
 	if m != nil {
@@ -403,21 +434,22 @@ func Run(cfg Config) (*Result, error) {
 
 // RunContext executes the simulation under a context: cancellation or
 // deadline expiry stops the run between slots with a CanceledError that
-// records the simulated time reached.
+// records the simulated time reached. It is a one-lane BatchRunner run;
+// the result is the caller's to keep.
 func RunContext(ctx context.Context, cfg Config) (*Result, error) {
-	r, err := NewRunner(cfg)
-	if err != nil {
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	return r.RunContext(ctx)
+	out, _ := newSingleLane(cfg).RunContext(ctx)
+	return out[0].Res, out[0].Err
 }
 
 // numSegmentKinds sizes the per-kind fuel accumulator array.
 const numSegmentKinds = int(SegShutdown) + 1
 
-// state carries one run's mutable simulation state plus the scratch
-// buffers a Runner reuses across runs. One-time setup lives in init,
-// per-run rewinding in reset.
+// state carries one run group's mutable simulation state plus the
+// scratch buffers a BatchRunner reuses across runs. One-time setup lives
+// in init, per-run rewinding in reset.
 type state struct {
 	cfg   Config
 	store storage.Storage
@@ -448,29 +480,26 @@ type state struct {
 	inj  *fault.Injector
 	fade *fault.FadeStore
 
-	// Reuse machinery (see Runner). base is the working storage clone,
-	// snap a pristine snapshot base rewinds to; baseTimeout is the
-	// resolved Timeout before any adapter overwrote it; polName caches
-	// Config.Policy.Name() (a Name() may format). recProfile/recSlots are
-	// the Record level resolved against the legacy booleans. fuelKind
-	// accumulates per-kind fuel in an array so the hot loop never touches
-	// the result map; memo caches the Eq 3/4 evaluations.
+	// Reuse machinery. base is the working storage clone, snap a
+	// pristine snapshot base rewinds to; baseTimeout is the resolved
+	// Timeout before any adapter overwrote it; polName caches
+	// Config.Policy.Name() (a Name() may format). recFull records the
+	// profile, charge trajectory, and slot log. fuelKind accumulates
+	// per-kind fuel in an array so the hot loop never touches the result
+	// map; memo caches the Eq 3/4 evaluations.
 	base        storage.Storage
 	snap        storage.Storage
 	baseTimeout float64
 	polName     string
-	recProfile  bool
-	recSlots    bool
+	recFull     bool
 	memo        *fuelcell.Memo
 	fuelKind    [numSegmentKinds]float64
 	fuelSeen    [numSegmentKinds]bool
 
-	// Fixed-size scratch buffers: policies return at most a handful of
+	// Fixed-size piece scratch: policies return at most a handful of
 	// pieces per segment (2 today; the buffer grows transparently if
-	// exceeded). dec is the per-slot decode scratch; batch lanes that
-	// share their decode inputs read another state's decode instead.
+	// exceeded).
 	pieceBuf [8]Piece
-	dec      slotDecode
 }
 
 // init performs the one-time setup: every allocation a run needs happens
@@ -487,14 +516,7 @@ func (st *state) init(cfg Config) {
 	}
 	st.baseTimeout = st.cfg.Timeout
 	st.chargeTarget = st.base.Charge() // the paper's Cini(1) stability target
-	switch cfg.Record {
-	case RecordFuelOnly:
-		st.recProfile, st.recSlots = false, false
-	case RecordFull:
-		st.recProfile, st.recSlots = true, true
-	default:
-		st.recProfile, st.recSlots = cfg.RecordProfile, cfg.RecordSlots
-	}
+	st.recFull = cfg.Record == RecordFull
 	first := cfg.Trace.Slots[0]
 	st.predIdle = cfg.IdlePredictor
 	if st.predIdle == nil {
@@ -558,19 +580,6 @@ func (st *state) setPolicy(i int) {
 	st.planInto, _ = st.pol.(PiecePlanner)
 }
 
-// run executes the trace and finalizes the result.
-func (st *state) run(ctx context.Context) (*Result, error) {
-	for k, slot := range st.cfg.Trace.Slots {
-		if err := ctx.Err(); err != nil {
-			return nil, &CanceledError{T: st.t, Slot: k, Err: err}
-		}
-		if err := st.runSlot(k, slot); err != nil {
-			return nil, err
-		}
-	}
-	return st.finalize(), nil
-}
-
 // finalize folds the accumulators into the result after the last slot.
 func (st *state) finalize() *Result {
 	st.drainFaults()
@@ -614,9 +623,9 @@ func (s *state) sleepDecision(predIdle, actualIdle float64) bool {
 // outputs, the sleep decision, the planner's idle-load view, and the
 // segment sequences — everything derived from the trace, the device
 // model, the DPM mode, and the predictors, but nothing that depends on
-// the storage level or the source policy. The scalar path decodes into
-// its own scratch; batch lanes whose decode inputs match share one
-// decode per slot and hand it to every lane before advancing.
+// the storage level or the source policy. Run groups whose decode
+// inputs match share one decode per slot, handed to every group before
+// the walk advances.
 type slotDecode struct {
 	// info carries K, Sleeping (the planning decision), the predictions,
 	// and IdleLoad. The storage-dependent fields (Charge, Cmax,
@@ -713,8 +722,8 @@ func (s *state) decodeSlot(k int, slot workload.Slot, d *slotDecode) {
 }
 
 // runDecoded simulates one task slot from its decode. The decode may come
-// from this lane's own decodeSlot call or from a batch sibling with
-// identical decode inputs; either way the lane trains its own predictors
+// from this group's own decodeSlot call or from a sibling group with
+// identical decode inputs; either way the group trains its own predictors
 // on the realized slot, so every lane of a shared-decode group holds
 // identical predictor state and any of them can produce the next slot's
 // decode — which is what makes the sharing byte-exact even when the
@@ -768,7 +777,7 @@ func (s *state) runDecoded(k int, slot workload.Slot, d *slotDecode) error {
 	if s.cfg.DPM == DPMTimeout && s.cfg.TimeoutAdapter != nil {
 		s.cfg.TimeoutAdapter.Observe(obsIdle)
 	}
-	if s.recSlots {
+	if s.recFull {
 		s.res.SlotLog = append(s.res.SlotLog, SlotRecord{
 			K:             k,
 			Idle:          slot.Idle,
@@ -783,13 +792,6 @@ func (s *state) runDecoded(k int, slot workload.Slot, d *slotDecode) error {
 	}
 	s.res.Slots++
 	return nil
-}
-
-// runSlot simulates one task slot: decode, then execute. Batch lanes call
-// the two halves separately so fingerprint-equal lanes share one decode.
-func (s *state) runSlot(k int, slot workload.Slot) error {
-	s.decodeSlot(k, slot, &s.dec)
-	return s.runDecoded(k, slot, &s.dec)
 }
 
 // applySegment integrates one segment under the active policy's piece
@@ -914,7 +916,7 @@ func (s *state) integrateStep(seg Segment, iF, dur float64, st fault.State) {
 			deliver = ceil
 		}
 	}
-	if s.recProfile {
+	if s.recFull {
 		s.res.Profile = append(s.res.Profile, ProfilePoint{T: s.t, Load: load, IF: deliver})
 		s.res.Charges = append(s.res.Charges, ChargePoint{T: s.t, Q: s.store.Charge()})
 	}

@@ -216,7 +216,7 @@ func TestPlanCallbacks(t *testing.T) {
 
 func TestProfileRecording(t *testing.T) {
 	cfg := baseConfig(&followPolicy{fuelcell.PaperSystem()})
-	cfg.RecordProfile = true
+	cfg.Record = RecordFull
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -234,7 +234,7 @@ func TestProfileRecording(t *testing.T) {
 		}
 	}
 	// Off by default.
-	cfg.RecordProfile = false
+	cfg.Record = RecordFuelOnly
 	res, err = Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -345,7 +345,7 @@ func TestSegmentKindStrings(t *testing.T) {
 
 func TestSlotLogRecording(t *testing.T) {
 	cfg := baseConfig(&followPolicy{fuelcell.PaperSystem()})
-	cfg.RecordSlots = true
+	cfg.Record = RecordFull
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -376,12 +376,55 @@ func TestSlotLogRecording(t *testing.T) {
 		t.Fatalf("slot fuel sum %v != total %v", fuelSum, res.Fuel)
 	}
 	// Off by default.
-	cfg.RecordSlots = false
+	cfg.Record = RecordFuelOnly
 	res, err = Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.SlotLog) != 0 {
 		t.Fatal("slot log recorded when disabled")
+	}
+}
+
+// TestOneLaneRunExecutesOneGroup pins the one-lane engine path Run
+// takes: one executing group whose leader's result is the lane's result,
+// with no projected copy. Only lanes that share a group get projection
+// buffers of their own.
+func TestOneLaneRunExecutesOneGroup(t *testing.T) {
+	sys := fuelcell.PaperSystem()
+	b, err := NewBatchRunner([]Lane{{Cfg: baseConfig(&maxPolicy{sys})}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.Groups() != 1 {
+		t.Fatalf("one-lane batch executes %d groups, want 1", b.Groups())
+	}
+	out, err := b.Run()
+	if err != nil || out[0].Err != nil {
+		t.Fatalf("run: %v / %v", err, out[0].Err)
+	}
+	if out[0].Res != b.groups[0].st.res || b.lanes[0].res != nil {
+		t.Fatal("one-lane run copied its result through a projection")
+	}
+
+	b, err = NewBatchRunner([]Lane{
+		{Cfg: baseConfig(&maxPolicy{sys}), Key: "same"},
+		{Cfg: baseConfig(&maxPolicy{sys}), Key: "same"},
+		{Cfg: baseConfig(&maxPolicy{sys})},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out, err = b.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if b.GroupOf(0) != b.GroupOf(1) || b.GroupOf(2) == b.GroupOf(0) {
+		t.Fatalf("groups %d/%d/%d, want lanes 0 and 1 together", b.GroupOf(0), b.GroupOf(1), b.GroupOf(2))
+	}
+	if lead := b.groups[b.GroupOf(0)].st.res; out[0].Res == out[1].Res || out[0].Res == lead {
+		t.Fatal("lanes sharing a group share a result buffer")
+	}
+	if out[2].Res != b.groups[b.GroupOf(2)].st.res {
+		t.Fatal("a lane alone in its group got a projected copy")
 	}
 }

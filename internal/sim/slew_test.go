@@ -106,7 +106,7 @@ func TestSlewRampProfileIsMonotone(t *testing.T) {
 	cfg := baseConfig(&followPolicy{fuelcell.PaperSystem()})
 	cfg.Trace = workload.Periodic(2, 10, 3, 1.2)
 	cfg.SlewRate = 0.3
-	cfg.RecordProfile = true
+	cfg.Record = RecordFull
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
