@@ -227,7 +227,7 @@ func (s *Scenario) Normalized() (*Scenario, error) {
 	if len(n.Fallbacks) > 0 {
 		fallbacks := make([]string, len(n.Fallbacks))
 		for i, name := range n.Fallbacks {
-			fallbacks[i] = strings.ToLower(name)
+			fallbacks[i] = defaultKind(name, "fcdpm")
 		}
 		n.Fallbacks = fallbacks
 	} else {
@@ -267,7 +267,9 @@ func (s *Scenario) CacheKey(engine string) (string, error) {
 	return hex.EncodeToString(h.Sum(nil)), nil
 }
 
-// defaultKind lowercases a selector and substitutes def for empty.
+// defaultKind resolves a kind selector: it trims and lowercases it and
+// substitutes def for empty. Build and Normalized both read selectors
+// through it, so two spellings that key alike build alike.
 func defaultKind(kind, def string) string {
 	k := strings.ToLower(strings.TrimSpace(kind))
 	if k == "" {

@@ -324,6 +324,10 @@ func (s *Scenario) Validate() error {
 	if s.System.Stacks < 0 {
 		return &ValidationError{Field: "system.stacks", Detail: fmt.Sprintf("negative stack count %d", s.System.Stacks)}
 	}
+	if s.System.Stacks > multistack.MaxStacks {
+		return &ValidationError{Field: "system.stacks",
+			Detail: fmt.Sprintf("%d stacks exceed the cap of %d", s.System.Stacks, multistack.MaxStacks)}
+	}
 	if s.System.Stacks >= 2 || s.System.Alloc != "" {
 		if _, err := multistack.ParseAllocator(s.System.Alloc); err != nil {
 			return &ValidationError{Field: "system.alloc", Detail: err.Error()}
@@ -498,8 +502,8 @@ func (s *Scenario) buildSystem() (*fuelcell.System, error) {
 
 func (s *Scenario) buildDevice() (*device.Model, error) {
 	var dev *device.Model
-	switch strings.ToLower(s.Device.Kind) {
-	case "", "camcorder":
+	switch defaultKind(s.Device.Kind, "camcorder") {
+	case "camcorder":
 		dev = device.Camcorder()
 	case "synthetic":
 		dev = device.Synthetic()
@@ -517,8 +521,8 @@ func (s *Scenario) buildStorage() (storage.Storage, error) {
 	q0 := defaultF(s.Storage.InitialAs, 1)
 	var st storage.Storage
 	var err error
-	switch strings.ToLower(s.Storage.Kind) {
-	case "", "supercap":
+	switch defaultKind(s.Storage.Kind, "supercap") {
+	case "supercap":
 		st, err = storage.NewSuperCap(cmax, q0)
 	case "liion":
 		st, err = storage.NewLiIon(cmax,
@@ -541,8 +545,8 @@ func unknownSelector(field, v string) error {
 }
 
 func (s *Scenario) buildTrace() (*workload.Trace, error) {
-	switch strings.ToLower(s.Trace.Kind) {
-	case "", "camcorder":
+	switch defaultKind(s.Trace.Kind, "camcorder") {
+	case "camcorder":
 		cfg := workload.DefaultCamcorderConfig()
 		if s.Trace.Seed != 0 {
 			cfg.Seed = s.Trace.Seed
@@ -630,8 +634,8 @@ func (s *Scenario) buildPolicy(sys *fuelcell.System, dev *device.Model) (sim.Pol
 // buildPolicyFrom constructs the policy spec selects; kindField names
 // the spec field the kind came from.
 func buildPolicyFrom(spec PolicySpec, kindField string, sys *fuelcell.System, dev *device.Model) (sim.Policy, error) {
-	switch strings.ToLower(spec.Kind) {
-	case "", "fcdpm":
+	switch defaultKind(spec.Kind, "fcdpm") {
+	case "fcdpm":
 		return policy.NewFCDPM(sys, dev), nil
 	case "conv":
 		return policy.NewConv(sys), nil
@@ -716,8 +720,8 @@ func (s *Scenario) buildFaults(trace *workload.Trace) (*fault.Schedule, error) {
 }
 
 func (s *Scenario) buildDPM() (sim.DPMMode, error) {
-	switch strings.ToLower(s.DPM.Mode) {
-	case "", "predictive":
+	switch defaultKind(s.DPM.Mode, "predictive") {
+	case "predictive":
 		return sim.DPMPredictive, nil
 	case "never":
 		return sim.DPMNeverSleep, nil

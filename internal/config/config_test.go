@@ -463,6 +463,8 @@ func TestMultiStackSystemBuilds(t *testing.T) {
 func TestMultiStackValidation(t *testing.T) {
 	bad := map[string]string{
 		`{"system": {"stacks": -1}}`:                         "system.stacks",
+		`{"system": {"stacks": 65}}`:                         "system.stacks",
+		`{"system":{"stacks":3000000000,"degrade":[0.1]}}`:   "system.stacks",
 		`{"system": {"stacks": 4, "alloc": "psychic"}}`:      "system.alloc",
 		`{"system": {"alloc": "psychic"}}`:                   "system.alloc",
 		`{"system": {"stacks": 2, "degrade": [0.2, 1.5]}}`:   "system.degrade",

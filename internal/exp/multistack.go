@@ -74,6 +74,18 @@ func MultiStackStudy(cfg MultiStackConfig) ([]MultiStackRow, error) {
 func MultiStackStudyContext(ctx context.Context, cfg MultiStackConfig) ([]MultiStackRow, error) {
 	cfg = cfg.withDefaults()
 	allocs := multistack.Allocators()
+	// Racks are immutable, so one pre-solve per (K, allocator) serves
+	// every intensity.
+	racks := make([]*multistack.Rack, 0, len(cfg.Ks)*len(allocs))
+	for _, k := range cfg.Ks {
+		for _, alloc := range allocs {
+			rack, err := multistack.Uniform(fuelcell.PaperSystem(), k, alloc, cfg.DegradedMix)
+			if err != nil {
+				return nil, fmt.Errorf("exp: multistack K=%d: %w", k, err)
+			}
+			racks = append(racks, rack)
+		}
+	}
 	var rows []MultiStackRow
 	// One batch per intensity: a batch walks one trace.
 	for _, intensity := range cfg.Intensities {
@@ -90,27 +102,22 @@ func MultiStackStudyContext(ctx context.Context, cfg MultiStackConfig) ([]MultiS
 			return nil, err
 		}
 		var lanes []sim.Lane
-		for _, k := range cfg.Ks {
-			for _, alloc := range allocs {
-				rack, err := multistack.Uniform(fuelcell.PaperSystem(), k, alloc, cfg.DegradedMix)
-				if err != nil {
-					return nil, fmt.Errorf("exp: multistack K=%d: %w", k, err)
-				}
-				sys := rack.System()
-				// Storage scales with the rack: the paper's 6 A-s supercap
-				// per stack, started at the per-stack initial charge.
-				store, err := storage.NewSuperCap(6*float64(k), float64(k))
-				if err != nil {
-					return nil, err
-				}
-				lanes = append(lanes, sim.Lane{Cfg: sim.Config{
-					Sys:    sys,
-					Dev:    device.Synthetic(),
-					Store:  store,
-					Trace:  trace,
-					Policy: policy.NewASAP(sys),
-				}})
+		for _, rack := range racks {
+			sys := rack.System()
+			// Storage scales with the rack: the paper's 6 A-s supercap
+			// per stack, started at the per-stack initial charge.
+			k := float64(rack.K())
+			store, err := storage.NewSuperCap(6*k, k)
+			if err != nil {
+				return nil, err
 			}
+			lanes = append(lanes, sim.Lane{Cfg: sim.Config{
+				Sys:    sys,
+				Dev:    device.Synthetic(),
+				Store:  store,
+				Trace:  trace,
+				Policy: policy.NewASAP(sys),
+			}})
 		}
 		b, err := sim.NewBatchRunner(lanes)
 		if err != nil {

@@ -15,7 +15,6 @@ package multistack
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 
 	"fcdpm/internal/fuelcell"
@@ -162,29 +161,94 @@ func marginal(s Stack, x float64) float64 {
 	return (s.FuelRate(hi) - s.FuelRate(lo)) / (hi - lo)
 }
 
-// levelOutput returns the largest x in [0, max_k] with f_k'(x) <= lambda
-// (monotone in lambda because f_k' is non-decreasing).
-func levelOutput(s Stack, lambda float64) float64 {
-	m := s.maxOut()
-	if m <= 0 || marginal(s, 0) > lambda {
-		return 0
-	}
-	if marginal(s, m) <= lambda {
-		return m
-	}
-	lo, hi := 0.0, m
-	for i := 0; i < 48; i++ {
-		mid := 0.5 * (lo + hi)
-		if marginal(s, mid) <= lambda {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return lo
+// levelPath is one inner bisection of a level output: bit i of bits
+// records the comparison marginal(c_i) <= lambda at inner step i, and x
+// is the output the 48 steps arrive at. full is false when an edge
+// decided x without bisecting, so there are no bits to reuse.
+type levelPath struct {
+	bits uint64
+	x    float64
+	full bool
 }
 
-// Allocate implements Allocator.
+// levelClass is one class of equal stacks: the same Sys pointer,
+// Degrade and Offline flag. The level output is a pure function of the
+// stack, so one evaluation per class serves every member.
+type levelClass struct {
+	s   Stack
+	max float64
+	// edge0 and edgeMax are marginal(s, 0) and marginal(s, max), which
+	// do not depend on the water level.
+	edge0, edgeMax float64
+	// lo and hi are the paths at the outer bracket ends, cur the path
+	// at the level evaluated last.
+	lo, hi, cur levelPath
+}
+
+func newLevelClass(s Stack) levelClass {
+	c := levelClass{s: s, max: s.maxOut()}
+	if c.max > 0 {
+		c.edge0, c.edgeMax = marginal(s, 0), marginal(s, c.max)
+	}
+	return c
+}
+
+// level sets c.cur to the level output at lambda: the largest x in
+// [0, max] with f'(x) <= lambda (monotone in lambda because f' is
+// non-decreasing), by a 48-step bisection on the marginal cost. lo <=
+// lambda <= hi are the outer bracket ends whose paths c.lo and c.hi
+// hold. Where the search has so far followed lo's path and lo's
+// comparison at this step held, marginal(c) <= lo <= lambda holds too;
+// where it has followed hi's path and hi's comparison failed,
+// marginal(c) > hi >= lambda. Either way the comparison is known
+// without calling marginal, whether or not marginal is monotone, so the
+// path, and x, are those of a bisection that evaluates every step.
+func (c *levelClass) level(lambda, lo, hi float64) {
+	switch {
+	case c.max <= 0 || c.edge0 > lambda:
+		c.cur = levelPath{}
+		return
+	case c.edgeMax <= lambda:
+		c.cur = levelPath{x: c.max}
+		return
+	case lambda == lo && c.lo.full:
+		c.cur = c.lo
+		return
+	case lambda == hi && c.hi.full:
+		c.cur = c.hi
+		return
+	}
+	onLo, onHi := c.lo.full, c.hi.full
+	a, b := 0.0, c.max
+	var bits uint64
+	for i := 0; i < 48; i++ {
+		mid := 0.5 * (a + b)
+		bit := uint64(1) << i
+		loLE, hiLE := c.lo.bits&bit != 0, c.hi.bits&bit != 0
+		var le bool
+		switch {
+		case onLo && loLE:
+			le = true
+		case onHi && !hiLE:
+			le = false
+		default:
+			le = marginal(c.s, mid) <= lambda
+		}
+		if le {
+			a = mid
+			bits |= bit
+		} else {
+			b = mid
+		}
+		onLo = onLo && loLE == le
+		onHi = onHi && hiLE == le
+	}
+	c.cur = levelPath{bits: bits, x: a, full: true}
+}
+
+// Allocate implements Allocator. The water level is found by a 60-step
+// bisection on the rack total, each total evaluating every class once
+// and summing the per-stack outputs in rack order.
 func (WaterFill) Allocate(stacks []Stack, iF float64, out []float64) {
 	for i := range out {
 		out[i] = 0
@@ -192,35 +256,59 @@ func (WaterFill) Allocate(stacks []Stack, iF float64, out []float64) {
 	if iF <= 0 {
 		return
 	}
+	var classBuf [MaxStacks]levelClass
+	var ofBuf [MaxStacks]int
+	classes, classOf := classBuf[:0], ofBuf[:0]
+	if len(stacks) > MaxStacks {
+		// Only a direct caller can exceed the cap New enforces.
+		classes, classOf = make([]levelClass, 0, len(stacks)), make([]int, 0, len(stacks))
+	}
+	for _, s := range stacks {
+		j := 0
+		for j < len(classes) && classes[j].s != s {
+			j++
+		}
+		if j == len(classes) {
+			classes = append(classes, newLevelClass(s))
+		}
+		classOf = append(classOf, j)
+	}
 	// Bracket the water level: at lambda = 0 nothing runs; at the
 	// largest saturated marginal cost everything runs flat out.
 	hi := 0.0
-	for _, s := range stacks {
-		if m := s.maxOut(); m > 0 {
-			if c := marginal(s, m); c > hi {
-				hi = c
-			}
+	for j := range classes {
+		if c := &classes[j]; c.max > 0 && c.edgeMax > hi {
+			hi = c.edgeMax
 		}
 	}
 	hi += 1
 	lo := 0.0
-	total := func(lambda float64) float64 {
-		var t float64
-		for _, s := range stacks {
-			t += levelOutput(s, lambda)
-		}
-		return t
-	}
 	for i := 0; i < 60; i++ {
 		mid := 0.5 * (lo + hi)
-		if total(mid) < iF {
+		for j := range classes {
+			classes[j].level(mid, lo, hi)
+		}
+		var t float64
+		for _, j := range classOf {
+			t += classes[j].cur.x
+		}
+		if t < iF {
 			lo = mid
+			for j := range classes {
+				classes[j].lo = classes[j].cur
+			}
 		} else {
 			hi = mid
+			for j := range classes {
+				classes[j].hi = classes[j].cur
+			}
 		}
 	}
-	for k, s := range stacks {
-		out[k] = levelOutput(s, hi)
+	for j := range classes {
+		classes[j].level(hi, lo, hi)
+	}
+	for k, j := range classOf {
+		out[k] = classes[j].cur.x
 	}
 	// Close the bisection residual on stacks with headroom so the
 	// allocation sums to the demand exactly (the residual is far below
@@ -266,13 +354,19 @@ func (HealthRotation) Allocate(stacks []Stack, iF float64, out []float64) {
 	for i := range out {
 		out[i] = 0
 	}
-	order := make([]int, len(stacks))
-	for i := range order {
-		order[i] = i
+	// A stable insertion sort by ascending degradation: ties keep rack
+	// order.
+	var buf [MaxStacks]int
+	order := buf[:0]
+	if len(stacks) > MaxStacks {
+		order = make([]int, 0, len(stacks))
 	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return stacks[order[a]].Degrade < stacks[order[b]].Degrade
-	})
+	for k := range stacks {
+		order = append(order, k)
+		for j := k; j > 0 && stacks[order[j]].Degrade < stacks[order[j-1]].Degrade; j-- {
+			order[j], order[j-1] = order[j-1], order[j]
+		}
+	}
 	remaining := iF
 	for _, k := range order {
 		if remaining <= 0 {

@@ -223,6 +223,12 @@ func TestNewValidates(t *testing.T) {
 	if _, err := Uniform(fuelcell.PaperSystem(), 0, EqualSplit{}, nil); err == nil {
 		t.Error("zero-stack Uniform accepted")
 	}
+	if _, err := New(degradedMix(MaxStacks+1), EqualSplit{}); err == nil {
+		t.Errorf("%d-stack rack accepted", MaxStacks+1)
+	}
+	if _, err := Uniform(fuelcell.PaperSystem(), MaxStacks+1, EqualSplit{}, nil); err == nil {
+		t.Errorf("%d-stack Uniform accepted", MaxStacks+1)
+	}
 }
 
 func mustSystem(t *testing.T, vf, zeta, lo, hi float64) *fuelcell.System {

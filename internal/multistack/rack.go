@@ -14,6 +14,12 @@ import (
 // exists to expose.
 const effGrid = 512
 
+// MaxStacks caps the number of stacks in a rack, so one rack spec can
+// neither hold a worker for seconds nor size an allocation by an
+// untrusted count. The allocators keep their per-call state in arrays
+// of this size.
+const MaxStacks = 64
+
 // Rack is K stacks behind one bus, aggregated under an allocation
 // policy into a single immutable fuelcell.System. Build one with New;
 // the zero value is not usable.
@@ -45,12 +51,16 @@ func (e rackEfficiency) Eta(iF float64) float64 {
 // BatchKey implements the batch runner's grouping capability.
 func (e rackEfficiency) BatchKey() string { return e.key }
 
-// New validates the stack set and pre-solves the aggregate. All stacks
-// must share VF and Zeta (they regulate one bus and burn one fuel), at
-// least one stack must be online, and degradations must lie in [0, 1).
+// New validates the stack set and pre-solves the aggregate. A rack has
+// 1 to MaxStacks stacks; all must share VF and Zeta (they regulate one
+// bus and burn one fuel), at least one must be online, and
+// degradations must lie in [0, 1).
 func New(stacks []Stack, alloc Allocator) (*Rack, error) {
 	if len(stacks) == 0 {
 		return nil, fmt.Errorf("multistack: empty rack")
+	}
+	if len(stacks) > MaxStacks {
+		return nil, fmt.Errorf("multistack: %d stacks exceed the cap of %d", len(stacks), MaxStacks)
 	}
 	if alloc == nil {
 		return nil, fmt.Errorf("multistack: nil allocator")
@@ -189,8 +199,8 @@ func (r *Rack) FuelRate(iF float64) float64 {
 // share. degrade values follow the fault.EfficiencyDegrade convention:
 // fractional efficiency loss in [0, 1).
 func Uniform(sys *fuelcell.System, k int, alloc Allocator, degrade []float64) (*Rack, error) {
-	if k < 1 {
-		return nil, fmt.Errorf("multistack: rack size %d < 1", k)
+	if k < 1 || k > MaxStacks {
+		return nil, fmt.Errorf("multistack: rack size %d outside [1, %d]", k, MaxStacks)
 	}
 	stacks := make([]Stack, k)
 	for i := range stacks {

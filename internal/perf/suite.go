@@ -147,6 +147,22 @@ func Suite(short bool) ([]Benchmark, error) {
 			},
 		},
 	)
+	// The rack pre-solve itself: one water-filling Uniform rack per op,
+	// with the same degraded mix — the stage that dominates a rack
+	// request's Build.
+	for _, k := range []int{4, 8} {
+		suite = append(suite, Benchmark{
+			Name: fmt.Sprintf("multistack-presolve-waterfill-k%d", k),
+			Fn: func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := multistack.Uniform(sys, k, multistack.WaterFill{}, []float64{0, 0.3}); err != nil {
+						b.Fatal(err)
+					}
+				}
+			},
+		})
+	}
 	suite = append(suite,
 		Benchmark{
 			Name:  "experiment1",

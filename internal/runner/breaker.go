@@ -53,6 +53,9 @@ type breaker struct {
 	// onChange, when set, observes every state transition. It is called
 	// outside the breaker lock and must be concurrency-safe.
 	onChange func(from, to breakerState)
+	// holders counts the pool's tasks holding the breaker; the pool's
+	// lock guards it.
+	holders int
 }
 
 func newBreaker(threshold int, cooldown time.Duration, clock Clock) *breaker {
@@ -123,6 +126,14 @@ func (b *breaker) notify(from, to breakerState) {
 	if b.onChange != nil && from != to {
 		b.onChange(from, to)
 	}
+}
+
+// pristine reports whether the breaker is in its initial state: closed
+// with no failures counted.
+func (b *breaker) pristine() bool {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.state == breakerClosed && b.failures == 0
 }
 
 // snapshot returns the state for reporting.

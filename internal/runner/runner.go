@@ -385,7 +385,8 @@ func (p *Pool[R]) Drain() (*Report[R], error) {
 	return rep, nil
 }
 
-// breakerFor returns (possibly creating) the scenario's breaker, or nil
+// breakerFor returns (possibly creating) the scenario's breaker and
+// holds it for the calling task until releaseBreaker, or returns nil
 // when breaking is disabled or the task carries no scenario.
 func (p *Pool[R]) breakerFor(scenario string) *breaker {
 	if p.opts.BreakerThreshold < 0 || scenario == "" {
@@ -403,12 +404,31 @@ func (p *Pool[R]) breakerFor(scenario string) *breaker {
 		}
 		p.breakers[scenario] = b
 	}
+	b.holders++
 	return b
 }
 
-// BreakerStates snapshots every scenario breaker's current state, keyed
-// by scenario and named as the breaker's String ("closed", "open",
-// "half-open"). Operational surfaces (/v1/stats, worker status pages)
+// releaseBreaker ends a task's hold on its scenario's breaker. A breaker
+// no task holds that is back in its initial state (closed, no failures)
+// is forgotten: a fresh one behaves identically, and keeping one per
+// scenario ever run would grow a long-lived pool by one breaker per
+// distinct spec it serves.
+func (p *Pool[R]) releaseBreaker(scenario string, b *breaker) {
+	if b == nil {
+		return
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	b.holders--
+	if b.holders == 0 && b.pristine() {
+		delete(p.breakers, scenario)
+	}
+}
+
+// BreakerStates snapshots the current state of every breaker the pool
+// keeps (a scenario whose breaker is back in its initial state has
+// none), keyed by scenario and named as the breaker's String ("closed",
+// "open", "half-open"). Operational surfaces (/v1/stats, worker status pages)
 // report it so an operator sees which scenarios are quarantined right
 // now, not just how often transitions fired.
 func (p *Pool[R]) BreakerStates() map[string]string {
@@ -435,6 +455,7 @@ func (p *Pool[R]) execute(it poolItem[R]) {
 		return
 	}
 	brk := p.breakerFor(t.Scenario)
+	defer p.releaseBreaker(t.Scenario, brk)
 	if brk != nil && !brk.admit() {
 		p.resolve(it.index, t, StatusBreakerOpen, zero,
 			fmt.Errorf("runner: scenario %s: %w", t.Scenario, ErrBreakerOpen), 0)

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -220,6 +221,50 @@ func TestBreakerTripsPerScenario(t *testing.T) {
 		if o.Status == StatusBreakerOpen && !errors.Is(o.Err, ErrBreakerOpen) {
 			t.Errorf("breaker outcome err = %v, want ErrBreakerOpen", o.Err)
 		}
+	}
+}
+
+// TestPoolForgetsPristineBreakers: a long-lived pool keeps a scenario's
+// breaker only while it carries state (failures counted or an open
+// circuit), so a stream of distinct healthy scenarios does not grow it,
+// while failures still accumulate across separate tasks and trip the
+// breaker at its threshold.
+func TestPoolForgetsPristineBreakers(t *testing.T) {
+	p, err := NewPool[int](context.Background(), Options{
+		Workers: 1, BreakerThreshold: 3, Clock: newFakeClock(), StreamOutcomes: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fail := func(context.Context) (int, error) { return 0, errors.New("down") }
+	ok := func(context.Context) (int, error) { return 1, nil }
+	submit := func(id, scenario string, run func(context.Context) (int, error)) {
+		t.Helper()
+		if err := p.Submit(Task[int]{ID: id, Scenario: scenario, Run: run}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 50; i++ {
+		submit(fmt.Sprintf("ok-%d", i), fmt.Sprintf("spec-%d", i), ok)
+	}
+	// "flaky" fails twice and recovers; "bad" fails until it trips.
+	submit("flaky-0", "flaky", fail)
+	submit("flaky-1", "flaky", fail)
+	submit("flaky-2", "flaky", ok)
+	for i := 0; i < 4; i++ {
+		submit(fmt.Sprintf("bad-%d", i), "bad", fail)
+	}
+	submit("counting-0", "counting", fail)
+	rep, err := p.Drain()
+	if err != nil {
+		t.Fatalf("Drain: %v", err)
+	}
+	if rep.Failed != 6 || rep.BreakerSkipped != 1 {
+		t.Fatalf("report = %+v, want 6 failed and 1 skipped", rep)
+	}
+	want := map[string]string{"bad": "open", "counting": "closed"}
+	if got := p.BreakerStates(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("BreakerStates = %v, want %v", got, want)
 	}
 }
 

@@ -56,3 +56,41 @@ func TestExecuteIsolatesRows(t *testing.T) {
 		}
 	}
 }
+
+// TestPaddedSelectorsBuildLikeTrimmed: a kind selector spelled with
+// surrounding blanks or in upper case keys like its trimmed spelling,
+// so it must also build and render like it — otherwise a cached answer
+// and a fresh run of the same key would disagree.
+func TestPaddedSelectorsBuildLikeTrimmed(t *testing.T) {
+	const short = `"duration":300`
+	for _, tc := range []struct{ padded, trimmed string }{
+		{`{"policy":{"kind":" fcdpm"},"trace":{"kind":"synthetic",` + short + `}}`,
+			`{"policy":{"kind":"fcdpm"},"trace":{"kind":"synthetic",` + short + `}}`},
+		{`{"policy":{"kind":"ASAP "},"trace":{"kind":"synthetic",` + short + `}}`,
+			`{"policy":{"kind":"asap"},"trace":{"kind":"synthetic",` + short + `}}`},
+		{`{"trace":{"kind":"camcorder ",` + short + `}}`,
+			`{"trace":{"kind":"camcorder",` + short + `}}`},
+		{`{"storage":{"kind":" liion"},"trace":{"kind":"synthetic",` + short + `}}`,
+			`{"storage":{"kind":"liion"},"trace":{"kind":"synthetic",` + short + `}}`},
+		{`{"device":{"kind":" synthetic"},"trace":{"kind":"synthetic",` + short + `}}`,
+			`{"device":{"kind":"synthetic"},"trace":{"kind":"synthetic",` + short + `}}`},
+		{`{"dpm":{"mode":"never "},"trace":{"kind":"synthetic",` + short + `}}`,
+			`{"dpm":{"mode":"never"},"trace":{"kind":"synthetic",` + short + `}}`},
+		{`{"fallbacks":[" asap","Conv"],"trace":{"kind":"synthetic",` + short + `}}`,
+			`{"fallbacks":["asap","conv"],"trace":{"kind":"synthetic",` + short + `}}`},
+	} {
+		padded, trimmed := cell(t, "c", tc.padded), cell(t, "c", tc.trimmed)
+		if padded.Key != trimmed.Key {
+			t.Errorf("%s keys apart from %s", tc.padded, tc.trimmed)
+		}
+		ctx := context.Background()
+		a := Execute(ctx, "test", []Cell{padded}, nil, nil)[0]
+		b := Execute(ctx, "test", []Cell{trimmed}, nil, nil)[0]
+		if a.Err != nil || b.Err != nil {
+			t.Fatalf("%s: err %v; trimmed err %v", tc.padded, a.Err, b.Err)
+		}
+		if !bytes.Equal(a.Body, b.Body) {
+			t.Errorf("%s renders unlike its trimmed spelling:\n%s\n%s", tc.padded, a.Body, b.Body)
+		}
+	}
+}

@@ -132,6 +132,7 @@ func TestRunInvalidSpec(t *testing.T) {
 		`not json`,
 		`{"unknown":1}`,
 		`{"predict":{"rho":1.5}}`,
+		`{"system":{"stacks":65,"alloc":"waterfill"}}`,
 	} {
 		resp, b := postRun(t, ts, body)
 		if resp.StatusCode != 400 {
