@@ -46,7 +46,7 @@ func cmdBench(args []string) error {
 		line := fmt.Sprintf("  %-16s %12.0f ns/op  %6d B/op  %4d allocs/op",
 			m.Name, m.NsPerOp, m.BytesPerOp, m.AllocsPerOp)
 		if m.SlotsPerSec > 0 {
-			line += fmt.Sprintf("  %10.0f slots/sec", m.SlotsPerSec)
+			line += fmt.Sprintf("  %10.0f slots/sec  %7.0f ns/slot", m.SlotsPerSec, 1e9/m.SlotsPerSec)
 		}
 		fmt.Println(line)
 	}
@@ -61,8 +61,9 @@ func cmdBench(args []string) error {
 	}
 	deltas, regressed, err := perf.Compare(baseline, art, *threshold)
 	if err != nil {
-		// Zero benchmark-name overlap: the gate has nothing to check and
-		// must fail loudly rather than pass vacuously.
+		// A baseline from another host, or zero benchmark-name overlap:
+		// the gate has nothing valid to check and must fail loudly rather
+		// than pass vacuously.
 		return fmt.Errorf("bench: %w (baseline %s)", err, basePath)
 	}
 	fmt.Println("vs", basePath+":")

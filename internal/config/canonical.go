@@ -196,6 +196,7 @@ func (s *Scenario) Normalized() (*Scenario, error) {
 		n.Faults = FaultsSpec{}
 	} else {
 		events := make([]FaultEventSpec, len(n.Faults.Events))
+		noise := false
 		for i, e := range n.Faults.Events {
 			k, err := fault.ParseKind(e.Kind)
 			if err != nil {
@@ -203,6 +204,7 @@ func (s *Scenario) Normalized() (*Scenario, error) {
 			}
 			e.Kind = k.String()
 			events[i] = e
+			noise = noise || k == fault.SensorNoise
 		}
 		n.Faults.Events = events
 		kinds := make([]string, len(n.Faults.Kinds))
@@ -218,9 +220,12 @@ func (s *Scenario) Normalized() (*Scenario, error) {
 		}
 		n.Faults.Kinds = kinds
 		if n.Faults.Random == 0 {
-			// Only explicit events: the generator seed is inert.
-			n.Faults.Seed = 0
+			// Only explicit events: the class filter is inert, and so is
+			// the seed unless a sensor-noise event draws its noise from it.
 			n.Faults.Kinds = nil
+			if !noise {
+				n.Faults.Seed = 0
+			}
 		}
 	}
 

@@ -1,6 +1,7 @@
 package config
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -53,6 +54,22 @@ func TestCacheKeyIgnoresInertFields(t *testing.T) {
 	d := mustKey(t, `{}`)
 	if c != d {
 		t.Fatal("inert fault seed leaked into the cache key")
+	}
+}
+
+// TestCacheKeyFaultSeedWithSensorNoise: the fault seed also drives the
+// sensor-noise stream, so with only explicit events it stays in the key
+// when one of them is sensor noise, and only then.
+func TestCacheKeyFaultSeedWithSensorNoise(t *testing.T) {
+	spec := func(kind string, seed int) string {
+		return fmt.Sprintf(`{"trace":{"kind":"synthetic","duration":300},
+			"faults":{"seed":%d,"events":[{"kind":%q,"start":10,"duration":100}]}}`, seed, kind)
+	}
+	if mustKey(t, spec("sensor-noise", 1)) == mustKey(t, spec("sensor-noise", 2)) {
+		t.Error("the seed of sensor-noise events did not move the cache key")
+	}
+	if mustKey(t, spec("stack-dropout", 1)) != mustKey(t, spec("stack-dropout", 2)) {
+		t.Error("the seed of explicit events without noise leaked into the cache key")
 	}
 }
 

@@ -245,6 +245,10 @@ func LoadFile(path string) (*Scenario, error) {
 	return Load(f)
 }
 
+// maxPredictLevels caps predict.levels, the quantizer size of the
+// "tree" and "markov" predictors (default 8).
+const maxPredictLevels = 256
+
 // Validate checks every user-tunable numeric field before any model is
 // constructed, so malformed scenarios surface as *ValidationError instead
 // of reaching panicking constructors deeper in the stack.
@@ -266,6 +270,13 @@ func (s *Scenario) Validate() error {
 	}
 	if err := checkNonNeg("predict.idleInitial", s.Predict.IdleInitial); err != nil {
 		return err
+	}
+	// The Markov predictor keeps a levels x levels transition table, so
+	// an uncapped count lets one spec exhaust memory in the dry run
+	// below.
+	if s.Predict.Levels > maxPredictLevels {
+		return &ValidationError{Field: "predict.levels",
+			Detail: fmt.Sprintf("%d levels exceed the cap of %d", s.Predict.Levels, maxPredictLevels)}
 	}
 	// The predictor parameters (rho, window, levels, depth, bounds) are
 	// validated by the predict constructors themselves: a dry-run

@@ -399,6 +399,7 @@ func TestPredictorKindsBuild(t *testing.T) {
 		`{"predict": {"kind": "regression", "window": 4}}`,
 		`{"predict": {"kind": "tree", "levels": 4, "depth": 2, "hi": 30}}`,
 		`{"predict": {"kind": "markov", "levels": 4, "hi": 30}}`,
+		`{"predict": {"kind": "markov", "levels": 256, "hi": 30}}`,
 	}
 	for _, js := range good {
 		s, err := Load(strings.NewReader(js))
@@ -413,6 +414,8 @@ func TestPredictorKindsBuild(t *testing.T) {
 		`{"predict": {"kind": "movingavg", "window": -2}}`:  "predict.window",
 		`{"predict": {"kind": "regression", "window": -1}}`: "predict.window",
 		`{"predict": {"kind": "tree", "levels": -3}}`:       "predict.levels",
+		`{"predict": {"kind": "markov", "levels": 60000}}`:  "predict.levels",
+		`{"predict": {"kind": "tree", "levels": 257}}`:      "predict.levels",
 		`{"predict": {"kind": "tree", "depth": -1}}`:        "predict.depth",
 		`{"predict": {"kind": "tree", "lo": 9, "hi": 1}}`:   "predict.hi",
 		`{"predict": {"kind": "markov", "lo": 9, "hi": 1}}`: "predict.hi",

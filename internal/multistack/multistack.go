@@ -246,23 +246,34 @@ func (c *levelClass) level(lambda, lo, hi float64) {
 	c.cur = levelPath{bits: bits, x: a, full: true}
 }
 
-// Allocate implements Allocator. The water level is found by a 60-step
-// bisection on the rack total, each total evaluating every class once
-// and summing the per-stack outputs in rack order.
-func (WaterFill) Allocate(stacks []Stack, iF float64, out []float64) {
-	for i := range out {
-		out[i] = 0
-	}
-	if iF <= 0 {
-		return
-	}
-	var classBuf [MaxStacks]levelClass
-	var ofBuf [MaxStacks]int
-	classes, classOf := classBuf[:0], ofBuf[:0]
-	if len(stacks) > MaxStacks {
-		// Only a direct caller can exceed the cap New enforces.
-		classes, classOf = make([]levelClass, 0, len(stacks)), make([]int, 0, len(stacks))
-	}
+// outerSteps is the number of halvings of the water-level bracket.
+const outerSteps = 60
+
+// waterFill is water-filling over one stack set: its classes of equal
+// stacks and, when it allocates a sequence of demands, the outer steps
+// they took.
+type waterFill struct {
+	classes []levelClass
+	classOf []int
+	// steps[i] is outer step i as the latest demand that computed it
+	// left it, for i < recorded. steps is nil when the fill allocates a
+	// single demand.
+	steps    []waterStep
+	recorded int
+}
+
+// waterStep is one outer bisection step: the bracket [lo, hi] it
+// halved, the rack total t at the bracket's midpoint, and each class's
+// level path there. The midpoint, and so every path and t, are a
+// function of the bracket alone.
+type waterStep struct {
+	lo, hi, t float64
+	paths     []levelPath
+}
+
+// classify appends the class of each stack to classes, and its index
+// there to classOf, in rack order.
+func classify(stacks []Stack, classes []levelClass, classOf []int) ([]levelClass, []int) {
 	for _, s := range stacks {
 		j := 0
 		for j < len(classes) && classes[j].s != s {
@@ -273,24 +284,101 @@ func (WaterFill) Allocate(stacks []Stack, iF float64, out []float64) {
 		}
 		classOf = append(classOf, j)
 	}
+	return classes, classOf
+}
+
+// newGridFill returns a fill that records its outer steps, for
+// allocating many demands over stacks in turn. A demand replays the
+// previous one's steps while its bracket matches: consecutive demands
+// of a rack's grid share their first steps, the widest and costliest
+// of the bisection.
+func newGridFill(stacks []Stack) *waterFill {
+	w := &waterFill{}
+	w.classes, w.classOf = classify(stacks, make([]levelClass, 0, len(stacks)), make([]int, 0, len(stacks)))
+	n := len(w.classes)
+	paths := make([]levelPath, outerSteps*n)
+	w.steps = make([]waterStep, outerSteps)
+	for i := range w.steps {
+		w.steps[i].paths = paths[i*n : (i+1)*n]
+	}
+	return w
+}
+
+// record stores outer step i, which the current demand has just
+// computed, when the fill keeps history. Steps are computed in order
+// and a replayed step was recorded before, so i <= w.recorded.
+func (w *waterFill) record(i int, lo, hi, t float64) {
+	if w.steps == nil {
+		return
+	}
+	s := &w.steps[i]
+	s.lo, s.hi, s.t = lo, hi, t
+	for j := range w.classes {
+		s.paths[j] = w.classes[j].cur
+	}
+	if i == w.recorded {
+		w.recorded++
+	}
+}
+
+// Allocate implements Allocator.
+func (WaterFill) Allocate(stacks []Stack, iF float64, out []float64) {
+	var classBuf [MaxStacks]levelClass
+	var ofBuf [MaxStacks]int
+	classes, classOf := classBuf[:0], ofBuf[:0]
+	if len(stacks) > MaxStacks {
+		// Only a direct caller can exceed the cap New enforces.
+		classes, classOf = make([]levelClass, 0, len(stacks)), make([]int, 0, len(stacks))
+	}
+	var w waterFill
+	w.classes, w.classOf = classify(stacks, classes, classOf)
+	w.allocate(stacks, iF, out)
+}
+
+// allocate water-fills iF over stacks, the stack set w was classified
+// from. The water level is found by a 60-step bisection on the rack
+// total, each total evaluating every class once and summing the
+// per-stack outputs in rack order. A step whose bracket matches the
+// one recorded for it is replayed: its total is compared with iF, and
+// the classes take its recorded paths.
+func (w *waterFill) allocate(stacks []Stack, iF float64, out []float64) {
+	for i := range out {
+		out[i] = 0
+	}
+	if iF <= 0 {
+		return
+	}
+	classes := w.classes
 	// Bracket the water level: at lambda = 0 nothing runs; at the
-	// largest saturated marginal cost everything runs flat out.
+	// largest saturated marginal cost everything runs flat out. The
+	// bracket ends have no paths yet, whatever a previous demand left.
 	hi := 0.0
 	for j := range classes {
-		if c := &classes[j]; c.max > 0 && c.edgeMax > hi {
+		c := &classes[j]
+		c.lo, c.hi = levelPath{}, levelPath{}
+		if c.max > 0 && c.edgeMax > hi {
 			hi = c.edgeMax
 		}
 	}
 	hi += 1
 	lo := 0.0
-	for i := 0; i < 60; i++ {
+	for i := 0; i < outerSteps; i++ {
 		mid := 0.5 * (lo + hi)
-		for j := range classes {
-			classes[j].level(mid, lo, hi)
-		}
 		var t float64
-		for _, j := range classOf {
-			t += classes[j].cur.x
+		if i < w.recorded && w.steps[i].lo == lo && w.steps[i].hi == hi {
+			s := &w.steps[i]
+			t = s.t
+			for j := range classes {
+				classes[j].cur = s.paths[j]
+			}
+		} else {
+			for j := range classes {
+				classes[j].level(mid, lo, hi)
+			}
+			for _, j := range w.classOf {
+				t += classes[j].cur.x
+			}
+			w.record(i, lo, hi, t)
 		}
 		if t < iF {
 			lo = mid
@@ -307,7 +395,7 @@ func (WaterFill) Allocate(stacks []Stack, iF float64, out []float64) {
 	for j := range classes {
 		classes[j].level(hi, lo, hi)
 	}
-	for k, j := range classOf {
+	for k, j := range w.classOf {
 		out[k] = classes[j].cur.x
 	}
 	// Close the bisection residual on stacks with headroom so the

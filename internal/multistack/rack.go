@@ -127,9 +127,16 @@ func (r *Rack) solve(vf, zeta float64) error {
 	xs := make([]float64, 0, effGrid)
 	ys := make([]float64, 0, effGrid)
 	out := make([]float64, len(r.stacks))
+	// The grid is allocated in order, so water-filling can replay the
+	// outer steps each demand shares with the one before.
+	allocate := r.alloc.Allocate
+	if _, ok := r.alloc.(WaterFill); ok {
+		allocate = newGridFill(r.stacks).allocate
+	}
 	for k := 0; k < effGrid; k++ {
 		iF := minOut + (maxOut-minOut)*float64(k)/float64(effGrid-1)
-		fuel := r.fuelRateInto(out, iF)
+		allocate(r.stacks, iF, out)
+		fuel := r.fuelRate(out)
 		if fuel <= 0 {
 			return fmt.Errorf("multistack: degenerate rack fuel rate at iF=%v", iF)
 		}
@@ -148,9 +155,8 @@ func (r *Rack) solve(vf, zeta float64) error {
 	return nil
 }
 
-// fuelRateInto allocates iF into out and returns the summed fuel rate.
-func (r *Rack) fuelRateInto(out []float64, iF float64) float64 {
-	r.alloc.Allocate(r.stacks, iF, out)
+// fuelRate returns the summed fuel rate of the per-stack outputs out.
+func (r *Rack) fuelRate(out []float64) float64 {
 	var fuel float64
 	for k, s := range r.stacks {
 		fuel += s.FuelRate(out[k])
@@ -189,8 +195,7 @@ func (r *Rack) Allocate(iF float64) []float64 {
 // FuelRate returns the rack's exact (non-interpolated) fuel-rate
 // current at total demand iF.
 func (r *Rack) FuelRate(iF float64) float64 {
-	out := make([]float64, len(r.stacks))
-	return r.fuelRateInto(out, iF)
+	return r.fuelRate(r.Allocate(iF))
 }
 
 // Uniform builds a rack of k identical stacks cloned from sys, with

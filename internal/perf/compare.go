@@ -38,12 +38,30 @@ func (d Delta) String() string {
 // gate retroactively. The second result reports whether any benchmark
 // regressed.
 //
+// A baseline from another host is an error naming the field that
+// differs: timings taken under another Go version, architecture or CPU
+// count say nothing about this change, so the baseline must be measured
+// again on this host.
+//
 // Zero overlap is an error, not a pass: a wholesale suite rename (or a
 // stale baseline from another branch) used to make the gate pass
 // vacuously — every current benchmark skipped, nothing compared, CI
 // green. The caller must treat the error as a gate failure and refresh
 // the baseline deliberately.
 func Compare(prev, cur *Artifact, threshold float64) ([]Delta, bool, error) {
+	for _, f := range []struct {
+		name      string
+		prev, cur any
+	}{
+		{"go_version", prev.GoVersion, cur.GoVersion},
+		{"goarch", prev.GOARCH, cur.GOARCH},
+		{"num_cpu", prev.NumCPU, cur.NumCPU},
+	} {
+		if f.prev != f.cur {
+			return nil, false, fmt.Errorf("perf: baseline %s %v differs from this run's %v; measure a baseline on this host",
+				f.name, f.prev, f.cur)
+		}
+	}
 	var out []Delta
 	regressed := false
 	for _, m := range cur.Metrics {

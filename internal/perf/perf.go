@@ -88,8 +88,10 @@ func Write(dir string, a *Artifact) (string, error) {
 }
 
 // Latest loads the newest BENCH_*.json artifact in dir (by the sortable
-// name stamp). A missing directory or an empty one returns (nil, "", nil)
-// — no baseline yet is not an error.
+// name stamp; a name without a stamp, such as a checked-in
+// BENCH_seed.json, is older than every stamped one). A missing directory
+// or an empty one returns (nil, "", nil) — no baseline yet is not an
+// error.
 func Latest(dir string) (*Artifact, string, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -108,7 +110,16 @@ func Latest(dir string) (*Artifact, string, error) {
 	if len(names) == 0 {
 		return nil, "", nil
 	}
-	sort.Strings(names)
+	stamped := func(n string) bool {
+		_, err := time.Parse(stampFmt, strings.TrimSuffix(strings.TrimPrefix(n, filePrefix), fileExt))
+		return err == nil
+	}
+	sort.Slice(names, func(i, j int) bool {
+		if si, sj := stamped(names[i]), stamped(names[j]); si != sj {
+			return sj
+		}
+		return names[i] < names[j]
+	})
 	path := filepath.Join(dir, names[len(names)-1])
 	data, err := os.ReadFile(path)
 	if err != nil {

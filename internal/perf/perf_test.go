@@ -1,6 +1,10 @@
 package perf
 
 import (
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 )
@@ -38,6 +42,31 @@ func TestWriteLatestRoundTrip(t *testing.T) {
 	}
 	if m := got.Metric("m"); m == nil || m.NsPerOp != 50 {
 		t.Fatalf("Metric(m) = %+v, want ns/op 50", m)
+	}
+}
+
+// TestLatestPrefersStampedArtifacts: an artifact named without a stamp,
+// like the checked-in BENCH_seed.json, sorts after every stamp by name
+// but is older than a baseline measured since.
+func TestLatestPrefersStampedArtifacts(t *testing.T) {
+	dir := t.TempDir()
+	data, err := json.Marshal(artifactAt("2026-01-01T00:00:00Z", Metric{Name: "m", NsPerOp: 1}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "BENCH_seed.json"), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	host := artifactAt("2026-01-03T03:04:05Z", Metric{Name: "m", NsPerOp: 2})
+	if _, err := Write(dir, host); err != nil {
+		t.Fatal(err)
+	}
+	got, path, err := Latest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Timestamp != host.Timestamp {
+		t.Fatalf("Latest loaded %s (%s), want the stamped artifact of %s", got.Timestamp, path, host.Timestamp)
 	}
 }
 
@@ -109,6 +138,24 @@ func TestCompareZeroOverlapErrors(t *testing.T) {
 	// same guard.
 	if _, _, err := Compare(artifactAt("2026-01-02T03:04:05Z"), cur, 0.15); err == nil {
 		t.Fatal("Compare(empty baseline) passed vacuously")
+	}
+}
+
+// TestCompareRefusesOtherHosts: a baseline measured under another Go
+// version, architecture or CPU count is an error naming the field.
+func TestCompareRefusesOtherHosts(t *testing.T) {
+	m := Metric{Name: "m", NsPerOp: 100}
+	for field, change := range map[string]func(*Artifact){
+		"go_version": func(a *Artifact) { a.GoVersion = "go1.0" },
+		"goarch":     func(a *Artifact) { a.GOARCH = "vax" },
+		"num_cpu":    func(a *Artifact) { a.NumCPU++ },
+	} {
+		prev := artifactAt("2026-01-02T03:04:05Z", m)
+		change(prev)
+		_, _, err := Compare(prev, artifactAt("2026-01-03T03:04:05Z", m), 0.15)
+		if err == nil || !strings.Contains(err.Error(), field) {
+			t.Errorf("baseline with another %s: got %v, want an error naming it", field, err)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package perf
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
@@ -115,6 +116,40 @@ func Suite(short bool) ([]Benchmark, error) {
 			},
 		})
 	}
+	// Per-policy planning cost: one lane per policy over the same trace,
+	// so ns per slot (1e9 / slots_per_sec) shows what each policy's
+	// planning adds to the walk. The MPC horizon of 3 slots is the middle
+	// of the ones the receding-horizon ablation compares.
+	q3, err3 := quantized(sys, dev, 3)
+	q12, err12 := quantized(sys, dev, 12)
+	mpc, errMPC := policy.NewMPC(sys, dev, 3)
+	if err := errors.Join(err3, err12, errMPC); err != nil {
+		return nil, fmt.Errorf("perf: %w", err)
+	}
+	for _, pl := range []struct {
+		name string
+		p    sim.Policy
+	}{
+		{"plan-fcdpm", policy.NewFCDPM(sys, dev)},
+		{"plan-quantized-n3", q3},
+		{"plan-quantized-n12", q12},
+		{"plan-mpc", mpc},
+	} {
+		br, err := warmRunner(sys, dev, trace, []sim.Policy{pl.p})
+		if err != nil {
+			return nil, fmt.Errorf("perf: %w", err)
+		}
+		suite = append(suite, Benchmark{
+			Name:  pl.name,
+			Slots: trace.Len(),
+			Fn: func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					runBatch(b, br)
+				}
+			},
+		})
+	}
 	// Multi-stack aggregate source: a K=4 degraded-mix water-filling rack
 	// on the racksurge workload. The rack pre-solves its allocation into
 	// a table, so per-slot cost must match a single-stack run — this
@@ -180,30 +215,42 @@ func Suite(short bool) ([]Benchmark, error) {
 	return suite, nil
 }
 
+// quantized is FC-DPM quantized to n uniform output levels.
+func quantized(sys *fuelcell.System, dev *device.Model, n int) (sim.Policy, error) {
+	return policy.NewFCDPMQuantized(sys, dev, fcopt.UniformLevels(sys, n))
+}
+
 // batchRunner builds the k-lane regression batch over the camcorder
 // trace: eight distinct dynamics (Conv, ASAP, FC-DPM, quantized FC-DPM
 // at five level counts) replicated round-robin, warmed up once so the
 // gated repetitions measure the zero-allocation steady state.
 func batchRunner(sys *fuelcell.System, dev *device.Model, trace *workload.Trace, k int) (*sim.BatchRunner, error) {
-	quant := func(n int) (sim.Policy, error) {
-		return policy.NewFCDPMQuantized(sys, dev, fcopt.UniformLevels(sys, n))
-	}
 	variants := []func() (sim.Policy, error){
 		func() (sim.Policy, error) { return policy.NewConv(sys), nil },
 		func() (sim.Policy, error) { return policy.NewASAP(sys), nil },
 		func() (sim.Policy, error) { return policy.NewFCDPM(sys, dev), nil },
-		func() (sim.Policy, error) { return quant(3) },
-		func() (sim.Policy, error) { return quant(4) },
-		func() (sim.Policy, error) { return quant(6) },
-		func() (sim.Policy, error) { return quant(8) },
-		func() (sim.Policy, error) { return quant(12) },
+		func() (sim.Policy, error) { return quantized(sys, dev, 3) },
+		func() (sim.Policy, error) { return quantized(sys, dev, 4) },
+		func() (sim.Policy, error) { return quantized(sys, dev, 6) },
+		func() (sim.Policy, error) { return quantized(sys, dev, 8) },
+		func() (sim.Policy, error) { return quantized(sys, dev, 12) },
 	}
-	lanes := make([]sim.Lane, k)
-	for i := range lanes {
+	policies := make([]sim.Policy, k)
+	for i := range policies {
 		p, err := variants[i%len(variants)]()
 		if err != nil {
 			return nil, err
 		}
+		policies[i] = p
+	}
+	return warmRunner(sys, dev, trace, policies)
+}
+
+// warmRunner builds one fuel-only lane per policy over trace and runs it
+// once, so later runs measure the steady state.
+func warmRunner(sys *fuelcell.System, dev *device.Model, trace *workload.Trace, policies []sim.Policy) (*sim.BatchRunner, error) {
+	lanes := make([]sim.Lane, len(policies))
+	for i, p := range policies {
 		lanes[i] = sim.Lane{Cfg: sim.Config{
 			Sys: sys, Dev: dev, Store: storage.MustSuperCap(6, 1),
 			Trace: trace, Policy: p, Record: sim.RecordFuelOnly,
