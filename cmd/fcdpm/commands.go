@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"time"
 
 	"fcdpm/internal/cache"
@@ -65,58 +64,25 @@ func outWriter(path string) (io.Writer, func() error, error) {
 func cmdCurves(args []string) error {
 	fs := flag.NewFlagSet("curves", flag.ContinueOnError)
 	points := fs.Int("points", 60, "samples per curve")
-	dir := fs.String("out", "", "directory for CSV output (default: tables to stdout)")
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
-	fig2 := exp.Fig2Series(*points)
 	fig3, err := exp.Fig3Series(*points)
 	if err != nil {
 		return err
 	}
-	if *dir == "" {
-		tab := report.NewTable("Fig 2 — stack I-V-P", "Ifc (A)", "Vfc (V)", "P (W)")
-		for _, p := range fig2 {
-			tab.AddRow(fmt.Sprintf("%.3f", p.Ifc), fmt.Sprintf("%.2f", p.Vfc), fmt.Sprintf("%.2f", p.Power))
-		}
-		fmt.Print(tab)
-		tab3 := report.NewTable("\nFig 3 — efficiencies", "IF (A)", "stack", "sys prop", "Eq2", "sys on/off")
-		for _, p := range fig3 {
-			tab3.AddRow(fmt.Sprintf("%.3f", p.IF), report.Percent(p.StackEff),
-				report.Percent(p.SystemProportional), report.Percent(p.LinearModel),
-				report.Percent(p.SystemOnOff))
-		}
-		fmt.Print(tab3)
-		return nil
+	tab := report.NewTable("Fig 2 — stack I-V-P", "Ifc (A)", "Vfc (V)", "P (W)")
+	for _, p := range exp.Fig2Series(*points) {
+		tab.AddRow(fmt.Sprintf("%.3f", p.Ifc), fmt.Sprintf("%.2f", p.Vfc), fmt.Sprintf("%.2f", p.Power))
 	}
-	if err := os.MkdirAll(*dir, 0o755); err != nil {
-		return err
-	}
-	f2, err := os.Create(filepath.Join(*dir, "fig2_stack_ivp.csv"))
-	if err != nil {
-		return err
-	}
-	defer f2.Close()
-	c2 := report.NewCSV(f2, "ifc_a", "vfc_v", "power_w")
-	for _, p := range fig2 {
-		c2.Row(p.Ifc, p.Vfc, p.Power)
-	}
-	if err := c2.Err(); err != nil {
-		return err
-	}
-	f3, err := os.Create(filepath.Join(*dir, "fig3_efficiency.csv"))
-	if err != nil {
-		return err
-	}
-	defer f3.Close()
-	c3 := report.NewCSV(f3, "if_a", "stack_eff", "system_prop_eff", "linear_model", "system_onoff_eff")
+	fmt.Print(tab)
+	tab3 := report.NewTable("\nFig 3 — efficiencies", "IF (A)", "stack", "sys prop", "Eq2", "sys on/off")
 	for _, p := range fig3 {
-		c3.Row(p.IF, p.StackEff, p.SystemProportional, p.LinearModel, p.SystemOnOff)
+		tab3.AddRow(fmt.Sprintf("%.3f", p.IF), report.Percent(p.StackEff),
+			report.Percent(p.SystemProportional), report.Percent(p.LinearModel),
+			report.Percent(p.SystemOnOff))
 	}
-	if err := c3.Err(); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s and %s\n", filepath.Join(*dir, "fig2_stack_ivp.csv"), filepath.Join(*dir, "fig3_efficiency.csv"))
+	fmt.Print(tab3)
 	return nil
 }
 
@@ -233,59 +199,6 @@ func cmdRun(args []string) error {
 	return nil
 }
 
-func cmdExp(ctx context.Context, args []string, which int) error {
-	fs := flag.NewFlagSet(fmt.Sprintf("exp%d", which), flag.ContinueOnError)
-	seed := fs.Uint64("seed", uint64(which), "trace seed")
-	if err := parseFlags(fs, args); err != nil {
-		return err
-	}
-	var cmp *exp.Comparison
-	var err error
-	var paper map[string]string
-	var title string
-	if which == 1 {
-		cmp, err = exp.Experiment1Context(ctx, *seed)
-		paper = map[string]string{"Conv-DPM": "100%", "ASAP-DPM": "40.8%", "FC-DPM": "30.8%"}
-		title = "Table 2 — Experiment 1 (camcorder MPEG trace)"
-	} else {
-		cmp, err = exp.Experiment2Context(ctx, *seed)
-		paper = map[string]string{"Conv-DPM": "100%", "ASAP-DPM": "49.1%", "FC-DPM": "41.5%"}
-		title = "Table 3 — Experiment 2 (synthetic trace)"
-	}
-	if err != nil {
-		return err
-	}
-	tab := report.NewTable(title, "DPM policy", "Fuel (A-s)", "Avg Ifc (A)", "Normalized", "Paper")
-	for _, r := range cmp.Rows {
-		tab.AddRow(r.Name, fmt.Sprintf("%.1f", r.Fuel), fmt.Sprintf("%.4f", r.AvgRate),
-			report.Percent(r.Normalized), paper[r.Name])
-	}
-	fmt.Print(tab)
-	fmt.Printf("FC-DPM saving vs ASAP-DPM: %s; lifetime extension: %.2fx\n",
-		report.Percent(cmp.SavingVsASAP), cmp.LifetimeRatio)
-	return nil
-}
-
-func cmdMotiv(args []string) error {
-	fs := flag.NewFlagSet("motiv", flag.ContinueOnError)
-	if err := parseFlags(fs, args); err != nil {
-		return err
-	}
-	m, err := exp.MotivationalExample()
-	if err != nil {
-		return err
-	}
-	tab := report.NewTable("§3.2 / Fig 4 — motivational example", "Setting", "Fuel (A-s)", "Paper")
-	tab.AddRow("(a) Conv-DPM", fmt.Sprintf("%.2f", m.ConvFuel), "36 (w/ Ifc≈IF)")
-	tab.AddRow("(b) ASAP-DPM", fmt.Sprintf("%.2f", m.ASAPFuel), "16")
-	tab.AddRow("(c) FC-DPM", fmt.Sprintf("%.2f", m.FCDPMFuel), "13.45")
-	fmt.Print(tab)
-	fmt.Printf("optimal IF = %.3f A, Ifc = %.3f A, saving vs ASAP = %s, vs Conv = %s, energy = %.0f J\n",
-		m.OptimalIF, m.OptimalIfc, report.Percent(m.SavingVsASAP),
-		report.Percent(m.SavingVsConv), m.DeliveredEnergy)
-	return nil
-}
-
 func cmdSweep(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
 	what := fs.String("what", "capacity", "sweep: capacity, beta, or rho")
@@ -353,31 +266,6 @@ func cmdOracle(args []string) error {
 	return nil
 }
 
-func cmdHydrogen(args []string) error {
-	fs := flag.NewFlagSet("hydrogen", flag.ContinueOnError)
-	seed := fs.Uint64("seed", 1, "trace seed")
-	grams := fs.Float64("cartridge", 10, "H2 cartridge mass in grams")
-	if err := parseFlags(fs, args); err != nil {
-		return err
-	}
-	cmp, err := exp.Experiment1(*seed)
-	if err != nil {
-		return err
-	}
-	rows, err := exp.Hydrogen(cmp, *grams)
-	if err != nil {
-		return err
-	}
-	tab := report.NewTable(fmt.Sprintf("Hydrogen accounting (%.0f g cartridge, 20-cell stack)", *grams),
-		"Policy", "H2 (g)", "H2 (L STP)", "Cartridge life (h)", "End-to-end η")
-	for _, r := range rows {
-		tab.AddRow(r.Policy, fmt.Sprintf("%.3f", r.Grams), fmt.Sprintf("%.2f", r.LitresSTP),
-			fmt.Sprintf("%.1f", r.LifetimeHours), report.Percent(r.EndToEndEff))
-	}
-	fmt.Print(tab)
-	return nil
-}
-
 func cmdLevels(args []string) error {
 	fs := flag.NewFlagSet("levels", flag.ContinueOnError)
 	seed := fs.Uint64("seed", 1, "trace seed")
@@ -400,97 +288,6 @@ func cmdLevels(args []string) error {
 	}
 	fmt.Print(tab)
 	return nil
-}
-
-func cmdPlot(args []string) error {
-	fs := flag.NewFlagSet("plot", flag.ContinueOnError)
-	what := fs.String("what", "fig7", "chart: fig7, fig2, or fig3")
-	seed := fs.Uint64("seed", 1, "trace seed (fig7)")
-	window := fs.Float64("window", 300, "profile window in seconds (fig7)")
-	width := fs.Int("width", 96, "chart width in characters")
-	if err := parseFlags(fs, args); err != nil {
-		return err
-	}
-	switch *what {
-	case "fig7":
-		fig, err := exp.Fig7(*seed, *window)
-		if err != nil {
-			return err
-		}
-		split := func(pts []sim.ProfilePoint, useIF bool) (xs, ys []float64) {
-			for _, p := range pts {
-				xs = append(xs, p.T)
-				if useIF {
-					ys = append(ys, p.IF)
-				} else {
-					ys = append(ys, p.Load)
-				}
-			}
-			return xs, ys
-		}
-		c := report.NewChart("Fig 7 — load and FC output current profiles", "time (s)", "current (A)")
-		c.Width = *width
-		lx, ly := split(fig.Load, false)
-		if err := c.Step("load", '.', lx, ly); err != nil {
-			return err
-		}
-		ax, ay := split(fig.ASAP, true)
-		if err := c.Step("ASAP IF", 'a', ax, ay); err != nil {
-			return err
-		}
-		fx, fy := split(fig.FCDPM, true)
-		if err := c.Step("FC-DPM IF", 'F', fx, fy); err != nil {
-			return err
-		}
-		return c.Render(os.Stdout)
-	case "fig2":
-		pts := exp.Fig2Series(80)
-		var xs, vs, ps []float64
-		for _, p := range pts {
-			xs = append(xs, p.Ifc)
-			vs = append(vs, p.Vfc)
-			ps = append(ps, p.Power)
-		}
-		c := report.NewChart("Fig 2 — stack I-V-P characteristic", "stack current (A)", "V / W")
-		c.Width = *width
-		if err := c.Line("Vfc (V)", 'v', xs, vs); err != nil {
-			return err
-		}
-		if err := c.Line("P (W)", 'p', xs, ps); err != nil {
-			return err
-		}
-		return c.Render(os.Stdout)
-	case "fig3":
-		pts, err := exp.Fig3Series(80)
-		if err != nil {
-			return err
-		}
-		var xs, a, b, lin, cc []float64
-		for _, p := range pts {
-			xs = append(xs, p.IF)
-			a = append(a, p.StackEff)
-			b = append(b, p.SystemProportional)
-			lin = append(lin, p.LinearModel)
-			cc = append(cc, p.SystemOnOff)
-		}
-		c := report.NewChart("Fig 3 — efficiency vs FC system output current", "IF (A)", "efficiency")
-		c.Width = *width
-		if err := c.Line("stack", 's', xs, a); err != nil {
-			return err
-		}
-		if err := c.Line("system prop-fan", 'b', xs, b); err != nil {
-			return err
-		}
-		if err := c.Line("Eq2 linear", 'l', xs, lin); err != nil {
-			return err
-		}
-		if err := c.Line("system on/off", 'c', xs, cc); err != nil {
-			return err
-		}
-		return c.Render(os.Stdout)
-	default:
-		return fmt.Errorf("unknown chart %q", *what)
-	}
 }
 
 func cmdRunFile(ctx context.Context, args []string) error {

@@ -1,15 +1,21 @@
 // Command fcdpm is the command-line front end of the library: it generates
 // workload traces, dumps the fuel-cell characteristic curves, runs single
-// policy simulations, and reproduces the paper's experiments.
+// policy simulations, and reproduces the paper's experiments. `fcdpm
+// figures` writes the whole reproduction record (every table and figure
+// EXPERIMENTS.md cites) under out/; exp1, exp2, motiv and hydrogen print
+// single artifacts of it through the same renderers.
 //
 // Usage:
 //
-//	fcdpm curves   [-points N] [-out dir]
+//	fcdpm figures  [-out DIR]
+//	fcdpm curves   [-points N]
 //	fcdpm trace    [-kind camcorder|synthetic] [-seed N] [-duration S] [-format csv|json] [-out file]
 //	fcdpm run      [-policy conv|asap|fcdpm|flat] [-kind camcorder|synthetic] [-seed N] [-cmax A-s] [-reserve A-s] [-flat A]
 //	fcdpm exp1     [-seed N]
 //	fcdpm exp2     [-seed N]
 //	fcdpm motiv
+//	fcdpm hydrogen [-seed N] [-cartridge G]
+//	fcdpm plot     [-what fig7|fig2|fig3] [-seed N] [-window S] [-width N]
 //	fcdpm sweep    [-what capacity|beta|rho] [-seed N] | -remote URL [-name NAME] [-rows FILE] <scenario.json>...
 //	fcdpm faults   [-seed N] [-list] [-workers N] [-timeout S] [-retries N] [-journal FILE]
 //	fcdpm batch    [-workers N] [-timeout S] [-retries N] [-journal FILE] <scenario.json>...
@@ -85,6 +91,8 @@ func run(ctx context.Context, args []string) error {
 	}
 	cmd, rest := args[0], args[1:]
 	switch cmd {
+	case "figures":
+		return cmdFigures(ctx, rest)
 	case "curves":
 		return cmdCurves(rest)
 	case "trace":
@@ -154,6 +162,9 @@ func usage() {
 	fmt.Fprintln(os.Stderr, `usage: fcdpm <subcommand> [flags]
 
 subcommands:
+  figures  regenerate every paper table and figure, the ablations and the
+           beyond-paper studies as CSV, text and SVG files under -out
+           (default out/), with a summary.txt
   curves   dump the FC stack I-V-P curve (Fig 2) and efficiency curves (Fig 3)
   trace    generate a workload trace (camcorder MPEG or Exp 2 synthetic)
   run      simulate one policy over a trace and report fuel/lifetime

@@ -56,6 +56,7 @@ func TestRunErrors(t *testing.T) {
 		{"trace", "-format", "bogus"},
 		{"sweep", "-what", "bogus"},
 		{"ablate", "-what", "bogus"},
+		{"figures", "extra"},
 	}
 	for _, args := range bad {
 		if err := run(context.Background(), args); err == nil {
@@ -79,18 +80,6 @@ func TestTraceToFile(t *testing.T) {
 	}
 	if len(strings.Split(strings.TrimSpace(string(data)), "\n")) < 3 {
 		t.Fatal("too few rows")
-	}
-}
-
-func TestCurvesToDir(t *testing.T) {
-	dir := t.TempDir()
-	if err := run(context.Background(), []string{"curves", "-points", "10", "-out", dir}); err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range []string{"fig2_stack_ivp.csv", "fig3_efficiency.csv"} {
-		if _, err := os.Stat(filepath.Join(dir, f)); err != nil {
-			t.Errorf("%s not written: %v", f, err)
-		}
 	}
 }
 

@@ -400,6 +400,10 @@ func TestPredictorKindsBuild(t *testing.T) {
 		`{"predict": {"kind": "tree", "levels": 4, "depth": 2, "hi": 30}}`,
 		`{"predict": {"kind": "markov", "levels": 4, "hi": 30}}`,
 		`{"predict": {"kind": "markov", "levels": 256, "hi": 30}}`,
+		// The deepest tree contexts whose key fits an int.
+		`{"predict": {"kind": "tree", "depth": 20}}`,
+		`{"predict": {"kind": "tree", "levels": 256, "depth": 7}}`,
+		`{"predict": {"kind": "tree", "levels": 2, "depth": 62}}`,
 	}
 	for _, js := range good {
 		s, err := Load(strings.NewReader(js))
@@ -411,15 +415,19 @@ func TestPredictorKindsBuild(t *testing.T) {
 		}
 	}
 	bad := map[string]string{
-		`{"predict": {"kind": "movingavg", "window": -2}}`:  "predict.window",
-		`{"predict": {"kind": "regression", "window": -1}}`: "predict.window",
-		`{"predict": {"kind": "tree", "levels": -3}}`:       "predict.levels",
-		`{"predict": {"kind": "markov", "levels": 60000}}`:  "predict.levels",
-		`{"predict": {"kind": "tree", "levels": 257}}`:      "predict.levels",
-		`{"predict": {"kind": "tree", "depth": -1}}`:        "predict.depth",
-		`{"predict": {"kind": "tree", "lo": 9, "hi": 1}}`:   "predict.hi",
-		`{"predict": {"kind": "markov", "lo": 9, "hi": 1}}`: "predict.hi",
-		`{"predict": {"kind": "psychic"}}`:                  "predict.kind",
+		`{"predict": {"kind": "movingavg", "window": -2}}`:         "predict.window",
+		`{"predict": {"kind": "regression", "window": -1}}`:        "predict.window",
+		`{"predict": {"kind": "tree", "levels": -3}}`:              "predict.levels",
+		`{"predict": {"kind": "markov", "levels": 60000}}`:         "predict.levels",
+		`{"predict": {"kind": "tree", "levels": 257}}`:             "predict.levels",
+		`{"predict": {"kind": "tree", "depth": -1}}`:               "predict.depth",
+		`{"predict": {"kind": "tree", "depth": 21}}`:               "predict.depth",
+		`{"predict": {"kind": "tree", "depth": 55000}}`:            "predict.depth",
+		`{"predict": {"kind": "tree", "levels": 256, "depth": 8}}`: "predict.depth",
+		`{"predict": {"kind": "tree", "levels": 2, "depth": 63}}`:  "predict.depth",
+		`{"predict": {"kind": "tree", "lo": 9, "hi": 1}}`:          "predict.hi",
+		`{"predict": {"kind": "markov", "lo": 9, "hi": 1}}`:        "predict.hi",
+		`{"predict": {"kind": "psychic"}}`:                         "predict.kind",
 	}
 	for js, field := range bad {
 		s, err := Load(strings.NewReader(js))

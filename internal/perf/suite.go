@@ -101,7 +101,11 @@ func Suite(short bool) ([]Benchmark, error) {
 		},
 	)
 	for _, k := range []int{1, 8, 64} {
-		br, err := batchRunner(sys, dev, trace, k)
+		policies, err := variantPolicies(sys, dev, k)
+		if err != nil {
+			return nil, fmt.Errorf("perf: %w", err)
+		}
+		br, err := warmRunner(sys, dev, trace, policies)
 		if err != nil {
 			return nil, fmt.Errorf("perf: %w", err)
 		}
@@ -116,6 +120,30 @@ func Suite(short bool) ([]Benchmark, error) {
 			},
 		})
 	}
+	// The before picture for batch-slot-throughput-k64: the same 64
+	// lanes, each on its own one-lane runner, run one after another.
+	policies, err := variantPolicies(sys, dev, 64)
+	if err != nil {
+		return nil, fmt.Errorf("perf: %w", err)
+	}
+	sequential := make([]*sim.BatchRunner, len(policies))
+	for i, p := range policies {
+		if sequential[i], err = warmRunner(sys, dev, trace, []sim.Policy{p}); err != nil {
+			return nil, fmt.Errorf("perf: %w", err)
+		}
+	}
+	suite = append(suite, Benchmark{
+		Name:  "batch-sequential-k64",
+		Slots: trace.Len() * len(policies),
+		Fn: func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, r := range sequential {
+					runBatch(b, r)
+				}
+			}
+		},
+	})
 	// Per-policy planning cost: one lane per policy over the same trace,
 	// so ns per slot (1e9 / slots_per_sec) shows what each policy's
 	// planning adds to the walk. The MPC horizon of 3 slots is the middle
@@ -220,11 +248,10 @@ func quantized(sys *fuelcell.System, dev *device.Model, n int) (sim.Policy, erro
 	return policy.NewFCDPMQuantized(sys, dev, fcopt.UniformLevels(sys, n))
 }
 
-// batchRunner builds the k-lane regression batch over the camcorder
-// trace: eight distinct dynamics (Conv, ASAP, FC-DPM, quantized FC-DPM
-// at five level counts) replicated round-robin, warmed up once so the
-// gated repetitions measure the zero-allocation steady state.
-func batchRunner(sys *fuelcell.System, dev *device.Model, trace *workload.Trace, k int) (*sim.BatchRunner, error) {
+// variantPolicies builds the policies of the k-lane regression batch:
+// eight distinct dynamics (Conv, ASAP, FC-DPM, quantized FC-DPM at five
+// level counts) replicated round-robin, one instance per lane.
+func variantPolicies(sys *fuelcell.System, dev *device.Model, k int) ([]sim.Policy, error) {
 	variants := []func() (sim.Policy, error){
 		func() (sim.Policy, error) { return policy.NewConv(sys), nil },
 		func() (sim.Policy, error) { return policy.NewASAP(sys), nil },
@@ -243,7 +270,7 @@ func batchRunner(sys *fuelcell.System, dev *device.Model, trace *workload.Trace,
 		}
 		policies[i] = p
 	}
-	return warmRunner(sys, dev, trace, policies)
+	return policies, nil
 }
 
 // warmRunner builds one fuel-only lane per policy over trace and runs it

@@ -283,21 +283,30 @@ func TestTreeReset(t *testing.T) {
 }
 
 func TestTreeConstructorTypedErrors(t *testing.T) {
-	cases := map[string]func() (*Tree, error){
-		"levels": func() (*Tree, error) { return NewTree(1, 1, 0, 10, 5) },
-		"depth":  func() (*Tree, error) { return NewTree(4, 0, 0, 10, 5) },
-		"hi":     func() (*Tree, error) { return NewTree(4, 1, 10, 0, 5) },
+	cases := map[string]struct {
+		param string
+		f     func() (*Tree, error)
+	}{
+		"levels": {"levels", func() (*Tree, error) { return NewTree(1, 1, 0, 10, 5) }},
+		"depth":  {"depth", func() (*Tree, error) { return NewTree(4, 0, 0, 10, 5) }},
+		"hi":     {"hi", func() (*Tree, error) { return NewTree(4, 1, 10, 0, 5) }},
+		// 8^21 contexts leave no room for the key's digit offset in an
+		// int; 20 digits is the deepest context that fits.
+		"depth past the key": {"depth", func() (*Tree, error) { return NewTree(8, 21, 0, 10, 5) }},
 	}
-	for param, f := range cases {
-		tr, err := f()
+	for name, c := range cases {
+		tr, err := c.f()
 		if tr != nil || err == nil {
-			t.Errorf("%s: invalid tree accepted", param)
+			t.Errorf("%s: invalid tree accepted", name)
 			continue
 		}
 		var ce *ConfigError
-		if !errors.As(err, &ce) || ce.Param != param {
-			t.Errorf("%s: error %v is not the expected ConfigError", param, err)
+		if !errors.As(err, &ce) || ce.Param != c.param {
+			t.Errorf("%s: error %v is not the expected ConfigError", name, err)
 		}
+	}
+	if _, err := NewTree(8, 20, 0, 10, 5); err != nil {
+		t.Errorf("depth 20 at 8 levels rejected: %v", err)
 	}
 }
 

@@ -1,6 +1,9 @@
 package predict
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Tree is an adaptive-learning-tree predictor in the spirit of Chung,
 // Benini & De Micheli [3]: recent observations are quantized into a small
@@ -30,7 +33,8 @@ type entry struct {
 }
 
 // NewTree returns an adaptive learning tree predictor. levels must be at
-// least 2, depth positive, and hi > lo; violations are *ConfigError.
+// least 2, depth positive and small enough that every context key fits
+// an int, and hi > lo; violations are *ConfigError.
 func NewTree(levels, depth int, lo, hi, initial float64) (*Tree, error) {
 	if levels < 2 {
 		return nil, &ConfigError{Predictor: "tree", Param: "levels",
@@ -39,6 +43,16 @@ func NewTree(levels, depth int, lo, hi, initial float64) (*Tree, error) {
 	if depth < 1 {
 		return nil, &ConfigError{Predictor: "tree", Param: "depth",
 			Detail: fmt.Sprintf("%d < 1", depth)}
+	}
+	// The largest key has depth digits of value levels (see key). Past
+	// the depth where it overflows, distinct contexts would share a table
+	// entry, and each slot would hash an ever longer context.
+	for k, d := 0, 0; d < depth; d++ {
+		if k > (math.MaxInt-levels)/levels {
+			return nil, &ConfigError{Predictor: "tree", Param: "depth",
+				Detail: fmt.Sprintf("%d > %d, the deepest context whose key fits an int at %d levels", depth, d, levels)}
+		}
+		k = k*levels + levels
 	}
 	if !(hi > lo) {
 		return nil, &ConfigError{Predictor: "tree", Param: "hi",

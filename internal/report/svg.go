@@ -8,9 +8,9 @@ import (
 )
 
 // SVGChart renders step/line series as a standalone SVG document — the
-// publication-quality counterpart of the ASCII Chart, used by fcdpm-bench
-// to emit Fig 2/3/7 as vector figures. Only the stdlib is used: the SVG is
-// assembled as text.
+// publication-quality counterpart of the ASCII Chart, used by `fcdpm
+// figures` to emit Fig 2/3/7 as vector figures. Only the stdlib is used:
+// the SVG is assembled as text.
 type SVGChart struct {
 	Title          string
 	XLabel, YLabel string
