@@ -11,6 +11,9 @@ import (
 	"testing"
 
 	"fcdpm/internal/fault"
+	"fcdpm/internal/fcopt"
+	"fcdpm/internal/obs"
+	"fcdpm/internal/sim"
 )
 
 // throughputConfig is the benchmark configuration: FC-DPM over the
@@ -25,13 +28,13 @@ func throughputConfig(t testing.TB) SimConfig {
 	return SimConfig{
 		Sys: sys, Dev: dev, Store: MustSuperCap(6, 1),
 		Trace: trace, Policy: NewFCDPM(sys, dev),
-		Record: RecordFuelOnly,
+		Record: sim.RecordFuelOnly,
 	}
 }
 
 // newOneLane builds the reusable one-lane BatchRunner for cfg.
-func newOneLane(t testing.TB, cfg SimConfig) *BatchRunner {
-	b, err := NewBatchRunner([]SimLane{{Cfg: cfg}})
+func newOneLane(t testing.TB, cfg SimConfig) *sim.BatchRunner {
+	b, err := sim.NewBatchRunner([]sim.Lane{{Cfg: cfg}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +42,7 @@ func newOneLane(t testing.TB, cfg SimConfig) *BatchRunner {
 }
 
 // runLane runs a one-lane batch and returns its lane's result.
-func runLane(t testing.TB, b *BatchRunner) *Result {
+func runLane(t testing.TB, b *sim.BatchRunner) *Result {
 	out, err := b.Run()
 	if err == nil {
 		err = out[0].Err
@@ -69,7 +72,7 @@ func TestSimRunOneShotAllocs(t *testing.T) {
 	cfg := throughputConfig(t)
 	ctx := context.Background()
 	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := RunContext(ctx, cfg); err != nil {
+		if _, err := sim.RunContext(ctx, cfg); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -88,15 +91,15 @@ func TestSimRunMetricsZeroAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := NewMetricsRegistry()
-	m := NewSimMetrics(reg)
+	reg := obs.NewRegistry()
+	m := obs.NewSimMetrics(reg)
 	b := newOneLane(t, SimConfig{
 		Sys: sys, Dev: dev, Store: MustSuperCap(6, 1),
 		Trace: trace, Policy: NewFCDPM(sys, dev),
-		Record:  RecordFuelOnly,
+		Record:  sim.RecordFuelOnly,
 		Metrics: m,
 	})
-	b.Metrics = NewBatchMetrics(reg)
+	b.Metrics = obs.NewBatchMetrics(reg)
 	runLane(t, b)
 	allocs := testing.AllocsPerRun(20, func() { runLane(t, b) })
 	if allocs != 0 {
@@ -105,7 +108,7 @@ func TestSimRunMetricsZeroAllocs(t *testing.T) {
 	if got := m.Runs.Value(); got < 21 {
 		t.Fatalf("metrics recorded %v runs, want >= 21", got)
 	}
-	if m.Slots.Value() <= 0 || m.RunSeconds.Count() == 0 {
+	if _, timed, _ := m.RunSeconds.Snapshot(); m.Slots.Value() <= 0 || timed == 0 {
 		t.Fatal("instrumented runs recorded no slots or wall time")
 	}
 }
@@ -130,30 +133,30 @@ func TestSimRunnerResultsStayIdentical(t *testing.T) {
 // camcorder trace: three identical-dynamics FC-DPM lanes (one group)
 // plus a Conv lane and an ASAP lane, instrumented with a BatchMetrics
 // bundle.
-func newThroughputBatch(t testing.TB) *BatchRunner {
+func newThroughputBatch(t testing.TB) *sim.BatchRunner {
 	sys := PaperSystem()
 	dev := Camcorder()
 	trace, err := CamcorderTrace(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mk := func(p Policy, rec RecordLevel) SimLane {
-		return SimLane{Cfg: SimConfig{
+	mk := func(p Policy, rec sim.RecordLevel) sim.Lane {
+		return sim.Lane{Cfg: SimConfig{
 			Sys: sys, Dev: dev, Store: MustSuperCap(6, 1),
 			Trace: trace, Policy: p, Record: rec,
 		}}
 	}
-	b, err := NewBatchRunner([]SimLane{
-		mk(NewFCDPM(sys, dev), RecordFuelOnly),
-		mk(NewFCDPM(sys, dev), RecordFuelOnly),
-		mk(NewFCDPM(sys, dev), RecordFuelOnly),
-		mk(NewConv(sys), RecordFuelOnly),
-		mk(NewASAP(sys), RecordFuelOnly),
+	b, err := sim.NewBatchRunner([]sim.Lane{
+		mk(NewFCDPM(sys, dev), sim.RecordFuelOnly),
+		mk(NewFCDPM(sys, dev), sim.RecordFuelOnly),
+		mk(NewFCDPM(sys, dev), sim.RecordFuelOnly),
+		mk(NewConv(sys), sim.RecordFuelOnly),
+		mk(NewASAP(sys), sim.RecordFuelOnly),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b.Metrics = NewBatchMetrics(NewMetricsRegistry())
+	b.Metrics = obs.NewBatchMetrics(obs.NewRegistry())
 	return b
 }
 
@@ -177,7 +180,7 @@ func TestOptimizeSlotZeroAllocs(t *testing.T) {
 	slot := OptSlot{
 		Ti: 14, IldI: 0.2, Ta: 3.03, IldA: 1.22, Cini: 1, Cend: 1,
 		Sleep:    true,
-		Overhead: &OptOverhead{TauWU: 0.5, IWU: 0.4, TauPD: 0.5, IPD: 0.4},
+		Overhead: &fcopt.Overhead{TauWU: 0.5, IWU: 0.4, TauPD: 0.5, IPD: 0.4},
 	}
 	allocs := testing.AllocsPerRun(100, func() {
 		if _, err := OptimizeSlot(sys, 6, slot); err != nil {
@@ -201,14 +204,14 @@ func TestSimFaultedRunZeroAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched := &FaultSchedule{Events: []FaultEvent{
+	sched := &fault.Schedule{Events: []fault.Event{
 		{Kind: fault.CapacityFade, Start: 200, Dur: 100},
 		{Kind: fault.SensorNoise, Start: 400, Dur: 150},
 	}}
 	b := newOneLane(t, SimConfig{
 		Sys: sys, Dev: dev, Store: MustSuperCap(6, 1),
 		Trace: trace, Policy: NewFCDPM(sys, dev),
-		Record: RecordFuelOnly,
+		Record: sim.RecordFuelOnly,
 		Faults: sched, FaultSeed: 11,
 	})
 	first := runLane(t, b)

@@ -10,6 +10,7 @@ package fcdpm
 // commits.
 
 import (
+	"context"
 	"testing"
 
 	"fcdpm/internal/dvs"
@@ -53,7 +54,7 @@ func BenchmarkFig4Motivational(b *testing.B) {
 func BenchmarkTable2Exp1(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := exp.Experiment1(1); err != nil {
+		if _, err := exp.Experiment1(context.Background(), 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -63,7 +64,7 @@ func BenchmarkTable2Exp1(b *testing.B) {
 func BenchmarkTable3Exp2(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := exp.Experiment2(2); err != nil {
+		if _, err := exp.Experiment2(context.Background(), 2); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -86,7 +87,7 @@ func BenchmarkAblationCapacity(b *testing.B) {
 	b.ReportAllocs()
 	caps := []float64{1, 3, 6, 12, 24, 60}
 	for i := 0; i < b.N; i++ {
-		if _, err := exp.CapacitySweep(1, caps); err != nil {
+		if _, err := exp.CapacitySweep(context.Background(), 1, caps); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -97,7 +98,7 @@ func BenchmarkAblationBeta(b *testing.B) {
 	b.ReportAllocs()
 	betas := []float64{0, 0.05, 0.13, 0.20, 0.30}
 	for i := 0; i < b.N; i++ {
-		if _, err := exp.BetaSweep(1, betas); err != nil {
+		if _, err := exp.BetaSweep(context.Background(), 1, betas); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -107,7 +108,7 @@ func BenchmarkAblationBeta(b *testing.B) {
 func BenchmarkAblationPredictors(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := exp.PredictorAblation(1); err != nil {
+		if _, err := exp.PredictorAblation(context.Background(), 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -139,7 +140,7 @@ func BenchmarkAblationStorageModel(b *testing.B) {
 func BenchmarkAblationDPMMode(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := exp.DPMModeAblation(1); err != nil {
+		if _, err := exp.DPMModeAblation(context.Background(), 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -182,7 +183,7 @@ func BenchmarkAblationQuantizedLevels(b *testing.B) {
 	b.ReportAllocs()
 	counts := []int{2, 3, 4, 8, 16}
 	for i := 0; i < b.N; i++ {
-		if _, err := exp.QuantizedSweep(1, counts); err != nil {
+		if _, err := exp.QuantizedSweep(context.Background(), 1, counts); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -213,7 +214,7 @@ func BenchmarkAblationTimeoutDPM(b *testing.B) {
 // BenchmarkHydrogenReport converts Table 2 into physical hydrogen terms.
 func BenchmarkHydrogenReport(b *testing.B) {
 	b.ReportAllocs()
-	cmp, err := exp.Experiment1(1)
+	cmp, err := exp.Experiment1(context.Background(), 1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -229,7 +230,7 @@ func BenchmarkHydrogenReport(b *testing.B) {
 func BenchmarkMultiSeed(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := exp.MultiSeed(1, 5); err != nil {
+		if _, err := exp.MultiSeed(context.Background(), 1, 5); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -241,7 +242,7 @@ func BenchmarkAblationSlewRate(b *testing.B) {
 	b.ReportAllocs()
 	rates := []float64{0, 0.5, 0.1, 0.02}
 	for i := 0; i < b.N; i++ {
-		if _, err := exp.SlewAblation(1, rates); err != nil {
+		if _, err := exp.SlewAblation(context.Background(), 1, rates); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -277,7 +278,7 @@ func BenchmarkAblationAggregation(b *testing.B) {
 	b.ReportAllocs()
 	ks := []int{1, 2, 4, 8}
 	for i := 0; i < b.N; i++ {
-		if _, err := exp.AggregationAblation(1, ks); err != nil {
+		if _, err := exp.AggregationAblation(context.Background(), 1, ks); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -289,7 +290,7 @@ func BenchmarkAblationAggregation(b *testing.B) {
 func BenchmarkExperiment3HeavyTail(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := exp.Experiment3(3); err != nil {
+		if _, err := exp.Experiment3(context.Background(), 3); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -301,7 +302,7 @@ func BenchmarkAblationActuation(b *testing.B) {
 	b.ReportAllocs()
 	eps := []float64{0, 0.02, 0.05, 0.1, 0.2}
 	for i := 0; i < b.N; i++ {
-		if _, err := exp.ActuationAblation(1, eps); err != nil {
+		if _, err := exp.ActuationAblation(context.Background(), 1, eps); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -312,7 +313,7 @@ func BenchmarkAblationActuation(b *testing.B) {
 func BenchmarkAblationCalibration(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := exp.CalibrationUncertainty(1, 0.1); err != nil {
+		if _, err := exp.CalibrationUncertainty(context.Background(), 1, 0.1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -346,7 +347,7 @@ func BenchmarkAblationMPC(b *testing.B) {
 	b.ReportAllocs()
 	horizons := []int{1, 3, 5}
 	for i := 0; i < b.N; i++ {
-		if _, err := exp.MPCAblation(1, horizons); err != nil {
+		if _, err := exp.MPCAblation(context.Background(), 1, horizons); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -371,7 +372,7 @@ func BenchmarkConformance(b *testing.B) {
 func BenchmarkBurstyPredictors(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := exp.BurstyPredictorStudy(4); err != nil {
+		if _, err := exp.BurstyPredictorStudy(context.Background(), 4); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -381,7 +382,7 @@ func BenchmarkBurstyPredictors(b *testing.B) {
 func BenchmarkRobustness(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := exp.RobustnessStudy(1, 10, 0.1); err != nil {
+		if _, err := exp.RobustnessStudy(context.Background(), 1, 10, 0.1); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -21,11 +21,8 @@ func cmdChaos(ctx context.Context, args []string) error {
 	seed := fs.Uint64("seed", 1, "first seed (trials run seed..seed+trials-1)")
 	journal := fs.String("journal", "", "append one JSON line per trial to this file")
 	verbose := fs.Bool("v", false, "forward fabric log lines to stderr")
-	if err := fs.Parse(args); err != nil {
-		return usagef("chaos: %v", err)
-	}
-	if fs.NArg() != 0 {
-		return usagef("chaos: unexpected arguments %q", fs.Args())
+	if err := parseFlags(fs, args); err != nil {
+		return err
 	}
 	res, err := chaos.Run(ctx, chaos.Options{
 		Trials:  *trials,

@@ -27,10 +27,23 @@ import (
 	"fcdpm/internal/workload"
 )
 
-// parseFlags parses args and classifies failures: -h/--help propagates
-// flag.ErrHelp (exit 0), anything else — an unknown flag, a malformed
-// value — is a usage error (exit 2).
+// parseFlags parses the flags of a subcommand that takes no operands;
+// a stray operand is a usage error.
 func parseFlags(fs *flag.FlagSet, args []string) error {
+	if err := parseOperands(fs, args); err != nil {
+		return err
+	}
+	if fs.NArg() != 0 {
+		return usagef("%s: unexpected arguments %q", fs.Name(), fs.Args())
+	}
+	return nil
+}
+
+// parseOperands parses args and leaves the operands in fs.Args(). It
+// classifies failures: -h/--help propagates flag.ErrHelp (exit 0),
+// anything else — an unknown flag, a malformed value — is a usage error
+// (exit 2).
+func parseOperands(fs *flag.FlagSet, args []string) error {
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return err
@@ -106,7 +119,7 @@ func makeTrace(kind string, seed uint64, duration float64) (*workload.Trace, *de
 		tr, err := workload.Synthetic(cfg)
 		return tr, device.Synthetic(), err
 	default:
-		return nil, nil, fmt.Errorf("unknown trace kind %q (want camcorder or synthetic)", kind)
+		return nil, nil, usagef("unknown trace kind %q (want camcorder or synthetic)", kind)
 	}
 }
 
@@ -135,7 +148,7 @@ func cmdTrace(args []string) error {
 	case "json":
 		return tr.WriteJSON(w)
 	default:
-		return fmt.Errorf("unknown format %q", *format)
+		return usagef("unknown format %q (want csv or json)", *format)
 	}
 }
 
@@ -168,7 +181,7 @@ func cmdRun(args []string) error {
 	case "flat":
 		pol = policy.NewFlat(sys, *flatIF)
 	default:
-		return fmt.Errorf("unknown policy %q", *polName)
+		return usagef("unknown policy %q", *polName)
 	}
 	store, err := storage.NewSuperCap(*cmax, *reserve)
 	if err != nil {
@@ -206,7 +219,7 @@ func cmdSweep(ctx context.Context, args []string) error {
 	remote := fs.String("remote", "", "dispatcher URL; submit scenario-file operands as a distributed sweep instead of the local ablation")
 	name := fs.String("name", "", "sweep name (with -remote)")
 	rows := fs.String("rows", "", "write result rows (NDJSON) to this file, or - for stdout (with -remote)")
-	if err := parseFlags(fs, args); err != nil {
+	if err := parseOperands(fs, args); err != nil {
 		return err
 	}
 	if *remote != "" {
@@ -223,16 +236,16 @@ func cmdSweep(ctx context.Context, args []string) error {
 	var xName string
 	switch *what {
 	case "capacity":
-		pts, err = exp.CapacitySweepContext(ctx, *seed, []float64{1, 2, 3, 6, 12, 24, 60})
+		pts, err = exp.CapacitySweep(ctx, *seed, []float64{1, 2, 3, 6, 12, 24, 60})
 		xName = "Cmax (A-s)"
 	case "beta":
-		pts, err = exp.BetaSweepContext(ctx, *seed, []float64{0, 0.05, 0.10, 0.13, 0.20, 0.30})
+		pts, err = exp.BetaSweep(ctx, *seed, []float64{0, 0.05, 0.10, 0.13, 0.20, 0.30})
 		xName = "beta"
 	case "rho":
-		pts, err = exp.RhoSweepContext(ctx, *seed, []float64{0, 0.25, 0.5, 0.75, 1})
+		pts, err = exp.RhoSweep(ctx, *seed, []float64{0, 0.25, 0.5, 0.75, 1})
 		xName = "rho"
 	default:
-		return fmt.Errorf("unknown sweep %q", *what)
+		return usagef("unknown sweep %q (want capacity, beta or rho)", *what)
 	}
 	if err != nil {
 		return err
@@ -266,13 +279,13 @@ func cmdOracle(args []string) error {
 	return nil
 }
 
-func cmdLevels(args []string) error {
+func cmdLevels(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("levels", flag.ContinueOnError)
 	seed := fs.Uint64("seed", 1, "trace seed")
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
-	rows, err := exp.QuantizedSweep(*seed, []int{2, 3, 4, 8, 16})
+	rows, err := exp.QuantizedSweep(ctx, *seed, []int{2, 3, 4, 8, 16})
 	if err != nil {
 		return err
 	}
@@ -292,11 +305,11 @@ func cmdLevels(args []string) error {
 
 func cmdRunFile(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("runfile", flag.ContinueOnError)
-	if err := parseFlags(fs, args); err != nil {
+	if err := parseOperands(fs, args); err != nil {
 		return err
 	}
 	if fs.NArg() != 1 {
-		return fmt.Errorf("usage: fcdpm runfile <scenario.json>")
+		return usagef("usage: fcdpm runfile <scenario.json>")
 	}
 	scen, err := config.LoadFile(fs.Arg(0))
 	if err != nil {
@@ -430,7 +443,7 @@ func cmdAblate(ctx context.Context, args []string) error {
 		}
 		fmt.Print(tab)
 	case "actuation":
-		rows, err := exp.ActuationAblationContext(ctx, *seed, []float64{0, 0.02, 0.05, 0.1, 0.2})
+		rows, err := exp.ActuationAblation(ctx, *seed, []float64{0, 0.02, 0.05, 0.1, 0.2})
 		if err != nil {
 			return err
 		}
@@ -447,7 +460,7 @@ func cmdAblate(ctx context.Context, args []string) error {
 		fmt.Printf("battery-aware shaping: %.4f A avg Ifc vs FC-DPM %.4f A (%s more fuel)\n",
 			ba.AvgFuelRate(), fc.AvgFuelRate(), report.Percent(ba.AvgFuelRate()/fc.AvgFuelRate()-1))
 	case "aggregation":
-		rows, err := exp.AggregationAblationContext(ctx, *seed, []int{1, 2, 4, 8})
+		rows, err := exp.AggregationAblation(ctx, *seed, []int{1, 2, 4, 8})
 		if err != nil {
 			return err
 		}
@@ -457,7 +470,7 @@ func cmdAblate(ctx context.Context, args []string) error {
 		}
 		fmt.Print(tab)
 	case "calibration":
-		rows, err := exp.CalibrationUncertaintyContext(ctx, *seed, 0.1)
+		rows, err := exp.CalibrationUncertainty(ctx, *seed, 0.1)
 		if err != nil {
 			return err
 		}
@@ -468,7 +481,7 @@ func cmdAblate(ctx context.Context, args []string) error {
 		}
 		fmt.Print(tab)
 	case "slew":
-		rows, err := exp.SlewAblationContext(ctx, *seed, []float64{0, 0.5, 0.1, 0.05, 0.02})
+		rows, err := exp.SlewAblation(ctx, *seed, []float64{0, 0.5, 0.1, 0.05, 0.02})
 		if err != nil {
 			return err
 		}
@@ -479,7 +492,7 @@ func cmdAblate(ctx context.Context, args []string) error {
 		}
 		fmt.Print(tab)
 	case "mpc":
-		rows, err := exp.MPCAblationContext(ctx, *seed, []int{1, 2, 3, 5})
+		rows, err := exp.MPCAblation(ctx, *seed, []int{1, 2, 3, 5})
 		if err != nil {
 			return err
 		}
@@ -504,7 +517,7 @@ func cmdAblate(ctx context.Context, args []string) error {
 		fmt.Printf("supercap FC-DPM %s of Conv; KiBaM Li-ion %s\n",
 			report.Percent(super.Row("FC-DPM").Normalized), report.Percent(liion.Row("FC-DPM").Normalized))
 	case "dpm":
-		modes, err := exp.DPMModeAblationContext(ctx, *seed)
+		modes, err := exp.DPMModeAblation(ctx, *seed)
 		if err != nil {
 			return err
 		}
@@ -515,7 +528,7 @@ func cmdAblate(ctx context.Context, args []string) error {
 		}
 		fmt.Print(tab)
 	default:
-		return fmt.Errorf("unknown ablation %q", *what)
+		return usagef("unknown ablation %q", *what)
 	}
 	return nil
 }
@@ -568,7 +581,7 @@ func cmdBatch(ctx context.Context, args []string) error {
 	pf := addPoolFlags(fs, "scenario").addJournal(fs, "scenario")
 	mf := addMetricsFlag(fs)
 	rows := fs.String("rows", "", "write result rows (NDJSON, one runreport body per scenario in operand order) to this file, or - for stdout; byte-identical to the same sweep run remotely")
-	if err := parseFlags(fs, args); err != nil {
+	if err := parseOperands(fs, args); err != nil {
 		return err
 	}
 	mf.init()
@@ -702,7 +715,7 @@ func cmdRobust(ctx context.Context, args []string) error {
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
-	r, err := exp.RobustnessStudyContext(ctx, *seed, *trials, *pct)
+	r, err := exp.RobustnessStudy(ctx, *seed, *trials, *pct)
 	if err != nil {
 		return err
 	}
@@ -741,7 +754,7 @@ func cmdCharge(args []string) error {
 	case "fcdpm":
 		pol = policy.NewFCDPM(sys, dev)
 	default:
-		return fmt.Errorf("unknown policy %q", *polName)
+		return usagef("unknown policy %q", *polName)
 	}
 	res, err := sim.Run(sim.Config{
 		Sys: sys, Dev: dev,
@@ -804,7 +817,7 @@ func cmdFaults(ctx context.Context, args []string) error {
 	sweepOpts := pf.sweepOptions()
 	sweepOpts.Metrics = mf.pool
 	sweepOpts.SimMetrics = mf.sim
-	res, err := exp.FaultSweepOpts(ctx, *seed, sweepOpts)
+	res, err := exp.FaultSweep(ctx, *seed, sweepOpts)
 	if err != nil && (res == nil || !errors.Is(err, runner.ErrInterrupted)) {
 		return err
 	}

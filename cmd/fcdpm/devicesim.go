@@ -31,9 +31,6 @@ func cmdDeviceSim(ctx context.Context, args []string) error {
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
-	if fs.NArg() != 0 {
-		return usagef("devicesim takes no operands")
-	}
 	if *count <= 0 {
 		return usagef("devicesim: -count must be positive, got %d", *count)
 	}

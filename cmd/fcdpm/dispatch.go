@@ -24,9 +24,6 @@ func cmdDispatchd(ctx context.Context, args []string) error {
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
-	if fs.NArg() != 0 {
-		return usagef("dispatchd takes no operands")
-	}
 	logger := log.New(os.Stderr, "", log.LstdFlags)
 	return dispatch.Serve(ctx, dispatch.Options{
 		Addr:       *addr,
@@ -51,9 +48,6 @@ func cmdWorkd(ctx context.Context, args []string) error {
 	addr := fs.String("addr", "", "metrics listen address (empty: no metrics endpoint)")
 	if err := parseFlags(fs, args); err != nil {
 		return err
-	}
-	if fs.NArg() != 0 {
-		return usagef("workd takes no operands")
 	}
 	logger := log.New(os.Stderr, "", log.LstdFlags)
 	return dispatch.RunWorker(ctx, dispatch.WorkerOptions{

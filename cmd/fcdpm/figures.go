@@ -65,21 +65,21 @@ func artifacts(ctx context.Context) []artifact {
 		{"fig7_asap.csv", fig7CSV(1, "Fig 7b: ASAP-DPM FC output", "if_a")},
 		{"fig7_fcdpm.csv", fig7CSV(2, "Fig 7c: FC-DPM FC output", "if_a")},
 		{"ablation_capacity.csv", func(w io.Writer) (string, error) {
-			pts, err := exp.CapacitySweep(1, []float64{1, 2, 3, 6, 12, 24, 60})
+			pts, err := exp.CapacitySweep(ctx, 1, []float64{1, 2, 3, 6, 12, 24, 60})
 			if err != nil {
 				return "", err
 			}
 			return "Ablation: storage capacity", writeSweep(w, "cmax_as", pts)
 		}},
 		{"ablation_beta.csv", func(w io.Writer) (string, error) {
-			pts, err := exp.BetaSweep(1, []float64{0, 0.05, 0.10, 0.13, 0.20, 0.30})
+			pts, err := exp.BetaSweep(ctx, 1, []float64{0, 0.05, 0.10, 0.13, 0.20, 0.30})
 			if err != nil {
 				return "", err
 			}
 			return "Ablation: efficiency slope β", writeSweep(w, "beta", pts)
 		}},
 		{"ablation_predictors.txt", text(func(w io.Writer) error {
-			rows, err := exp.PredictorAblation(1)
+			rows, err := exp.PredictorAblation(ctx, 1)
 			if err != nil {
 				return err
 			}
@@ -100,11 +100,11 @@ func artifacts(ctx context.Context) []artifact {
 			return err
 		})},
 		{"experiment3.txt", text(func(w io.Writer) error {
-			cmp, err := exp.Experiment3(3)
+			cmp, err := exp.Experiment3(ctx, 3)
 			if err != nil {
 				return err
 			}
-			rows, err := exp.Experiment3DPM(3)
+			rows, err := exp.Experiment3DPM(ctx, 3)
 			if err != nil {
 				return err
 			}
@@ -118,7 +118,7 @@ func artifacts(ctx context.Context) []artifact {
 			return tab.Render(w)
 		})},
 		{"ablation_levels.csv", func(w io.Writer) (string, error) {
-			rows, err := exp.QuantizedSweep(1, []int{2, 3, 4, 8, 16})
+			rows, err := exp.QuantizedSweep(ctx, 1, []int{2, 3, 4, 8, 16})
 			if err != nil {
 				return "", err
 			}
@@ -129,7 +129,7 @@ func artifacts(ctx context.Context) []artifact {
 			return "Ablation: discrete FC output levels", c.Err()
 		}},
 		{"ablation_slew.csv", func(w io.Writer) (string, error) {
-			rows, err := exp.SlewAblation(1, []float64{0, 0.5, 0.1, 0.05, 0.02})
+			rows, err := exp.SlewAblation(ctx, 1, []float64{0, 0.5, 0.1, 0.05, 0.02})
 			if err != nil {
 				return "", err
 			}
@@ -140,7 +140,7 @@ func artifacts(ctx context.Context) []artifact {
 			return "Ablation: FC output slew-rate limit", c.Err()
 		}},
 		{"ablation_aggregation.csv", func(w io.Writer) (string, error) {
-			rows, err := exp.AggregationAblation(1, []int{1, 2, 4, 8})
+			rows, err := exp.AggregationAblation(ctx, 1, []int{1, 2, 4, 8})
 			if err != nil {
 				return "", err
 			}
@@ -165,7 +165,7 @@ func artifacts(ctx context.Context) []artifact {
 				ba.AvgFuelRate(), fc.AvgFuelRate(), report.Percent(ba.AvgFuelRate()/fc.AvgFuelRate()-1))
 			return err
 		})},
-		{"hydrogen.txt", text(func(w io.Writer) error { return renderHydrogen(w, 1, 10) })},
+		{"hydrogen.txt", text(func(w io.Writer) error { return renderHydrogen(ctx, w, 1, 10) })},
 		{"ablation_flat_bound.txt", text(func(w io.Writer) error {
 			flat, fc, err := exp.FlatOracle(1)
 			if err != nil {
@@ -176,7 +176,7 @@ func artifacts(ctx context.Context) []artifact {
 			return err
 		})},
 		{"multiseed.txt", text(func(w io.Writer) error {
-			sum, err := exp.MultiSeed(1, 5)
+			sum, err := exp.MultiSeed(ctx, 1, 5)
 			if err != nil {
 				return err
 			}
@@ -194,7 +194,7 @@ func artifacts(ctx context.Context) []artifact {
 			return renderComparison(w, "Experiment 4 — HDD media player on a 5 W-class FC (beyond paper)", cmp, nil)
 		})},
 		{"bursty_predictors.txt", text(func(w io.Writer) error {
-			rows, err := exp.BurstyPredictorStudy(4)
+			rows, err := exp.BurstyPredictorStudy(ctx, 4)
 			if err != nil {
 				return err
 			}
@@ -233,9 +233,6 @@ func cmdFigures(ctx context.Context, args []string) error {
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
-	if fs.NArg() != 0 {
-		return usagef("usage: fcdpm figures [-out DIR]")
-	}
 	if err := os.MkdirAll(*dir, 0o755); err != nil {
 		return err
 	}
@@ -270,9 +267,9 @@ var paperTables = [...]struct {
 	run   func(context.Context, uint64) (*exp.Comparison, error)
 	paper map[string]string
 }{
-	{"Table 2 — Experiment 1 (camcorder MPEG trace)", exp.Experiment1Context,
+	{"Table 2 — Experiment 1 (camcorder MPEG trace)", exp.Experiment1,
 		map[string]string{"Conv-DPM": "100%", "ASAP-DPM": "40.8%", "FC-DPM": "30.8%"}},
-	{"Table 3 — Experiment 2 (synthetic trace)", exp.Experiment2Context,
+	{"Table 3 — Experiment 2 (synthetic trace)", exp.Experiment2,
 		map[string]string{"Conv-DPM": "100%", "ASAP-DPM": "49.1%", "FC-DPM": "41.5%"}},
 }
 
@@ -319,8 +316,8 @@ func renderMotiv(w io.Writer) error {
 
 // renderHydrogen prints Table 2 in physical hydrogen terms for a
 // cartridge of the given mass.
-func renderHydrogen(w io.Writer, seed uint64, grams float64) error {
-	cmp, err := exp.Experiment1(seed)
+func renderHydrogen(ctx context.Context, w io.Writer, seed uint64, grams float64) error {
+	cmp, err := exp.Experiment1(ctx, seed)
 	if err != nil {
 		return err
 	}
@@ -522,14 +519,14 @@ func cmdMotiv(args []string) error {
 	return renderMotiv(os.Stdout)
 }
 
-func cmdHydrogen(args []string) error {
+func cmdHydrogen(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("hydrogen", flag.ContinueOnError)
 	seed := fs.Uint64("seed", 1, "trace seed")
 	grams := fs.Float64("cartridge", 10, "H2 cartridge mass in grams")
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
-	return renderHydrogen(os.Stdout, *seed, *grams)
+	return renderHydrogen(ctx, os.Stdout, *seed, *grams)
 }
 
 func cmdPlot(args []string) error {
@@ -551,7 +548,7 @@ func cmdPlot(args []string) error {
 	case "fig3":
 		c, err = fig3Chart()
 	default:
-		return fmt.Errorf("unknown chart %q", *what)
+		return usagef("unknown chart %q (want fig7, fig2 or fig3)", *what)
 	}
 	if err != nil {
 		return err

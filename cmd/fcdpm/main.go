@@ -110,9 +110,9 @@ func run(ctx context.Context, args []string) error {
 	case "oracle":
 		return cmdOracle(rest)
 	case "hydrogen":
-		return cmdHydrogen(rest)
+		return cmdHydrogen(ctx, rest)
 	case "levels":
-		return cmdLevels(rest)
+		return cmdLevels(ctx, rest)
 	case "plot":
 		return cmdPlot(rest)
 	case "runfile":

@@ -47,21 +47,84 @@ func TestRunDispatch(t *testing.T) {
 	}
 }
 
+// TestRunErrors pins that every command-line mistake exits 2: a missing
+// or unknown subcommand, an unknown selector value, a missing operand,
+// and a stray operand to a subcommand that takes none.
 func TestRunErrors(t *testing.T) {
 	bad := [][]string{
 		{},
 		{"nope"},
 		{"trace", "-kind", "bogus"},
 		{"run", "-policy", "bogus"},
+		{"charge", "-policy", "bogus"},
 		{"trace", "-format", "bogus"},
 		{"sweep", "-what", "bogus"},
 		{"ablate", "-what", "bogus"},
-		{"figures", "extra"},
+		{"stats", "-kind", "bogus"},
+		{"advise", "-kind", "bogus"},
+		{"plot", "-what", "bogus"},
+		{"runfile"},
+		{"runfile", "a.json", "b.json"},
+		{"batch"},
+		{"faults", "-list", "extra"},
 	}
-	for _, args := range bad {
-		if err := run(context.Background(), args); err == nil {
-			t.Errorf("run(%v) succeeded, want error", args)
+	// Every subcommand but runfile and batch takes no operand.
+	for _, sub := range subcommands {
+		if sub != "runfile" && sub != "batch" {
+			bad = append(bad, []string{sub, "extra"})
 		}
+	}
+	// run prints the usage text and exitCode the error on stderr.
+	old := os.Stderr
+	devNull, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	os.Stderr = devNull
+	defer func() {
+		os.Stderr = old
+		devNull.Close()
+	}()
+	for _, args := range bad {
+		name := strings.Join(args, " ")
+		if name == "" {
+			name = "no-subcommand"
+		}
+		t.Run(name, func(t *testing.T) {
+			if code := exitCode(run(context.Background(), args)); code != 2 {
+				t.Errorf("run(%q) exits %d, want 2", args, code)
+			}
+		})
+	}
+}
+
+// subcommands lists every subcommand run dispatches.
+var subcommands = []string{
+	"figures", "curves", "trace", "run", "exp1", "exp2", "motiv", "sweep",
+	"oracle", "hydrogen", "levels", "plot", "runfile", "faults", "stats",
+	"verify", "ablate", "advise", "batch", "serve", "devicesim", "dispatchd",
+	"workd", "bench", "chaos", "version", "robust", "charge", "multistack",
+}
+
+// TestSubcommandHelp pins that -h on every subcommand prints its flags
+// and exits 0 without running anything.
+func TestSubcommandHelp(t *testing.T) {
+	old := os.Stderr
+	devNull, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	os.Stderr = devNull
+	defer func() {
+		os.Stderr = old
+		devNull.Close()
+	}()
+	for _, sub := range subcommands {
+		t.Run(sub, func(t *testing.T) {
+			if code := exitCode(run(context.Background(), []string{sub, "-h"})); code != 0 {
+				t.Errorf("%s -h exits %d, want 0", sub, code)
+			}
+		})
 	}
 }
 

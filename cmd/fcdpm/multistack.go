@@ -28,9 +28,6 @@ func cmdMultiStack(ctx context.Context, args []string) error {
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
-	if fs.NArg() != 0 {
-		return usagef("multistack: unexpected arguments %q", fs.Args())
-	}
 	kList, err := parseIntList(*ks)
 	if err != nil {
 		return usagef("multistack: -k: %v", err)
@@ -43,7 +40,7 @@ func cmdMultiStack(ctx context.Context, args []string) error {
 	if err != nil {
 		return usagef("multistack: -degrade: %v", err)
 	}
-	rows, err := exp.MultiStackStudyContext(ctx, exp.MultiStackConfig{
+	rows, err := exp.MultiStackStudy(ctx, exp.MultiStackConfig{
 		Ks:          kList,
 		Intensities: xList,
 		DegradedMix: mix,

@@ -28,9 +28,6 @@ func cmdServe(ctx context.Context, args []string) error {
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
-	if fs.NArg() != 0 {
-		return usagef("serve takes no operands")
-	}
 	ro := pf.options()
 	logger := log.New(os.Stderr, "", log.LstdFlags)
 	return server.Serve(ctx, server.Options{

@@ -6,6 +6,25 @@ import (
 	"fcdpm"
 )
 
+// Example is the README quick start: FC-DPM over the paper's
+// Experiment 1 camcorder trace on the 6 A-s supercapacitor.
+func Example() {
+	sys := fcdpm.PaperSystem()          // 12 V, ηs = 0.45 − 0.13·IF, range [0.1, 1.2] A
+	dev := fcdpm.Camcorder()            // the paper's Fig 6 DVD camcorder
+	trace, _ := fcdpm.CamcorderTrace(1) // 28-min MPEG encode/write workload
+
+	res, _ := fcdpm.Run(fcdpm.SimConfig{
+		Sys: sys, Dev: dev,
+		Store:  fcdpm.MustSuperCap(6, 1), // 100 mA-min supercap at a 1 A-s reserve
+		Trace:  trace,
+		Policy: fcdpm.NewFCDPM(sys, dev), // or NewConv / NewASAP / NewFlat
+	})
+	fmt.Printf("fuel %.1f A-s, lifetime on 3600 A-s of H2: %.0f s\n",
+		res.Fuel, res.Lifetime(3600))
+	// Output:
+	// fuel 873.2 A-s, lifetime on 3600 A-s of H2: 8207 s
+}
+
 // ExampleOptimizeSlot reproduces the paper's §3.2 motivational example:
 // the fuel-optimal FC output for a 20 s idle at 0.2 A followed by a 10 s
 // active burst at 1.2 A is the demand-weighted average current (Eq 11).

@@ -1,36 +1,38 @@
 package fcdpm
 
 import (
-	"context"
-	"errors"
 	"math"
-	"path/filepath"
+	"os"
+	"strings"
 	"testing"
 )
 
-// TestFacadeQuickstart exercises the doc-comment quick-start path through
-// the public API only.
-func TestFacadeQuickstart(t *testing.T) {
-	sys := PaperSystem()
-	dev := Camcorder()
-	trace, err := CamcorderTrace(1)
+// TestReadmeQuickStartIsExample keeps the README's library snippet equal
+// to Example, whose code go test compiles and whose output it checks:
+// the README shows Example's body one tab shallower under the import
+// line, ending with its output as a comment.
+func TestReadmeQuickStartIsExample(t *testing.T) {
+	readme, err := os.ReadFile("README.md")
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(SimConfig{
-		Sys: sys, Dev: dev,
-		Store:  MustSuperCap(6, 1),
-		Trace:  trace,
-		Policy: NewFCDPM(sys, dev),
-	})
+	src, err := os.ReadFile("example_test.go")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Fuel <= 0 || res.Duration <= 0 {
-		t.Fatalf("degenerate result: %+v", res)
+	_, fn, ok := strings.Cut(string(src), "func Example() {\n")
+	if !ok {
+		t.Fatal("example_test.go has no func Example")
 	}
-	if life := res.Lifetime(3600); life <= 0 || math.IsInf(life, 0) {
-		t.Fatalf("lifetime = %v", life)
+	body, _, _ := strings.Cut(fn, "\n}\n")
+	lines := strings.Split(body, "\n")
+	for i, l := range lines {
+		lines[i] = strings.TrimPrefix(l, "\t")
+	}
+	shown := strings.Replace(strings.Join(lines, "\n"), "// Output:\n", "", 1)
+	snippet := "```go\nimport \"fcdpm\"\n\n" + shown + "\n```"
+	if !strings.Contains(string(readme), snippet) {
+		t.Fatalf("README.md does not show Example; want the block\n%s", snippet)
 	}
 }
 
@@ -70,26 +72,12 @@ func TestFacadeOptimizeSlot(t *testing.T) {
 }
 
 func TestFacadeExperiments(t *testing.T) {
-	c1, err := Experiment1(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c1.Row("FC-DPM") == nil {
-		t.Fatal("missing FC-DPM row")
-	}
 	c2, err := Experiment2(1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if c2.SavingVsASAP <= 0 {
 		t.Fatalf("Exp2 saving = %v", c2.SavingVsASAP)
-	}
-	m, err := MotivationalExample()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(m.FCDPMFuel-13.45) > 0.01 {
-		t.Fatalf("motivational fuel = %v", m.FCDPMFuel)
 	}
 }
 
@@ -124,15 +112,11 @@ func TestFacadeComponents(t *testing.T) {
 	if chain.Eta(0.5) <= chain.Eta(1.2) {
 		t.Error("chain efficiency should decline")
 	}
-	sys, err := NewSystem(12, 37.5, 0.1, 1.2, LinearEfficiency{Alpha: 0.45, Beta: 0.13})
-	if err != nil {
-		t.Fatal(err)
+	if s, err := NewSuperCap(6, 1); err != nil || s.Capacity() != 6 {
+		t.Errorf("NewSuperCap: %v", err)
 	}
-	if math.Abs(sys.StackCurrent(1.2)-1.306) > 0.001 {
-		t.Errorf("Eq 4 at 1.2 A: %v", sys.StackCurrent(1.2))
-	}
-	if b, err := NewLiIon(6, 0.5, 0.01, 1); err != nil || b.Capacity() != 6 {
-		t.Errorf("LiIon: %v", err)
+	if _, err := NewSuperCap(0, 0); err == nil {
+		t.Error("NewSuperCap accepted a zero capacity")
 	}
 	if tr := PeriodicTrace(3, 10, 2, 1); tr.Len() != 3 {
 		t.Error("periodic trace")
@@ -140,72 +124,14 @@ func TestFacadeComponents(t *testing.T) {
 	if SyntheticDevice().BreakEven() != 10 {
 		t.Error("synthetic break-even")
 	}
-	if StateRun.String() != "RUN" || StateSleep.String() != "SLEEP" {
-		t.Error("state names")
-	}
-	if tr, err := SyntheticTrace(1); err != nil || tr.Len() == 0 {
+	if tr, err := GenerateSyntheticTrace(DefaultSyntheticConfig()); err != nil || tr.Len() == 0 {
 		t.Errorf("synthetic trace: %v", err)
-	}
-}
-
-// TestFacadeSweepResume interrupts a fault sweep before it starts and
-// then completes it against the same journal: the partial invocation
-// must surface ErrSweepInterrupted with the pending-cell count, and the
-// completion must not lose any rows.
-func TestFacadeSweepResume(t *testing.T) {
-	journal := filepath.Join(t.TempDir(), "sweep.jsonl")
-	opts := FaultSweepOptions{Journal: journal}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel() // interrupt before any cell runs
-	partial, err := FaultSweepOpts(ctx, 1, opts)
-	if !errors.Is(err, ErrSweepInterrupted) {
-		t.Fatalf("canceled sweep: err = %v, want ErrSweepInterrupted", err)
-	}
-	if partial == nil || partial.Interrupted == 0 {
-		t.Fatalf("partial result = %+v", partial)
-	}
-
-	full, err := FaultSweepOpts(context.Background(), 1, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if full.Interrupted != 0 || len(full.Rows) == 0 {
-		t.Fatalf("resumed sweep incomplete: %d rows, %d interrupted",
-			len(full.Rows), full.Interrupted)
-	}
-	if len(full.ClassRows("nominal")) != 3 {
-		t.Fatalf("nominal class rows = %d, want 3", len(full.ClassRows("nominal")))
-	}
-	base := errors.New("flaky")
-	if !errors.Is(MarkRetryable(base), base) {
-		t.Fatal("MarkRetryable must wrap its argument")
 	}
 }
 
 func TestFacadeExtensions(t *testing.T) {
 	sys := PaperSystem()
 	dev := Camcorder()
-
-	// Quantized policy + level helpers.
-	levels := UniformLevels(sys, 5)
-	if len(levels) != 5 || levels[0] != 0.1 || levels[4] != 1.2 {
-		t.Fatalf("levels = %v", levels)
-	}
-	qset, err := OptimizeSlotQuantized(sys, 200, OptSlot{Ti: 20, IldI: 0.2, Ta: 10, IldA: 1.2}, levels)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if qset.Fuel <= 0 {
-		t.Fatal("quantized setting degenerate")
-	}
-	qp, err := NewFCDPMQuantized(sys, dev, levels)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if qp.Name() != "FC-DPM-q5" {
-		t.Fatalf("quantized policy name = %q", qp.Name())
-	}
 
 	// Offline DP + schedule replay.
 	sched, err := SolveOffline(OfflineProblem{
@@ -223,120 +149,12 @@ func TestFacadeExtensions(t *testing.T) {
 		t.Fatal("schedule policy nameless")
 	}
 
-	// Hydrogen.
-	h := PaperHydrogen()
-	if h.Grams(1000) <= 0 {
-		t.Fatal("hydrogen conversion degenerate")
-	}
-
 	// Stochastic DPM.
 	if tau := OptimalTimeout(dev, []float64{100, 200}); tau != 0 {
 		t.Fatalf("long-idle optimal timeout = %v, want 0", tau)
 	}
-	adapter, err := NewAdaptiveTimeout(dev, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	adapter.Observe(50)
-	if adapter.NextTimeout() < 0 {
-		t.Fatal("negative timeout")
-	}
 
-	// Heavy-tail workload.
-	cfg := DefaultHeavyTailConfig()
-	cfg.Duration = 120
-	ht, err := HeavyTailTrace(cfg)
-	if err != nil || ht.Len() == 0 {
-		t.Fatalf("heavy-tail trace: %v", err)
-	}
-
-	// Aggregation.
-	agg, err := AggregateTrace(PeriodicTrace(4, 10, 2, 1), 2)
-	if err != nil || agg.Len() != 2 {
-		t.Fatalf("aggregate: %v len=%d", err, agg.Len())
-	}
-	d, err := MaxDeferral(PeriodicTrace(4, 10, 2, 1), 2)
-	if err != nil || d != 10 {
-		t.Fatalf("deferral = %v, %v", d, err)
-	}
-
-	// Battery-aware contrast policy runs.
-	res, err := Run(SimConfig{
-		Sys: sys, Dev: dev,
-		Store: MustSuperCap(6, 1), Trace: PeriodicTrace(5, 14, 3, 1.2),
-		Policy: NewBatteryAware(sys),
-	})
-	if err != nil || res.Fuel <= 0 {
-		t.Fatalf("battery-aware run: %v", err)
-	}
-
-	// DVS.
-	proc := XScale600()
-	task := DVSTask{Cycles: 3e8, Period: 4, Jobs: 5}
-	if k := DVSEnergyOptimalLevel(proc, task, 0.2); k < 0 {
-		t.Fatal("no energy-optimal level")
-	}
-	if k := DVSFuelOptimalLevel(sys, proc, task, 0.2); k < 0 {
-		t.Fatal("no fuel-optimal level")
-	}
-
-	// Converters/controllers.
-	if NewPWMConverter(12).Efficiency(1) >= NewPWMPFMConverter(12).Efficiency(1) {
-		t.Fatal("PWM should lose at light load")
-	}
-	_ = ProportionalController()
-	_ = OnOffController()
-	if st, err := NewStack(BCS20W().Params()); err != nil || st.Voltage(0) != 18.2 {
-		t.Fatalf("NewStack: %v", err)
-	}
-	if PaperSuperCap().Capacity() != 6 {
-		t.Fatal("paper supercap")
-	}
-	tr, err := GenerateCamcorderTrace(DefaultCamcorderConfig())
-	if err != nil || tr.Len() == 0 {
-		t.Fatalf("camcorder trace: %v", err)
-	}
-	tr2, err := GenerateSyntheticTrace(DefaultSyntheticConfig())
-	if err != nil || tr2.Len() == 0 {
-		t.Fatalf("synthetic trace: %v", err)
-	}
 	if NewFlat(sys, 0.5).Name() == "" {
 		t.Fatal("flat policy nameless")
-	}
-
-	// Sizing advisor.
-	advTrace, err := CamcorderTrace(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	adv, err := Advise(sys, dev, advTrace)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !adv.RangeOK || adv.RecommendedCmax <= 0 {
-		t.Fatalf("advice = %+v", adv)
-	}
-
-	// Thermal analysis.
-	th := PaperThermal()
-	if th.SteadyTemp(sys, 1.2) <= th.Ambient {
-		t.Fatal("full-load steady temp should exceed ambient")
-	}
-	if HDD().BreakEven() < 5 {
-		t.Fatal("HDD break-even implausible")
-	}
-
-	// Bursty workload + event importer.
-	bcfg := DefaultBurstyConfig()
-	bcfg.Duration = 120
-	if bt, err := BurstyTrace(bcfg); err != nil || bt.Len() == 0 {
-		t.Fatalf("bursty trace: %v", err)
-	}
-	et, err := TraceFromEvents("log", []TraceEvent{
-		{Arrival: 5, Service: 2, Current: 1},
-		{Arrival: 20, Service: 2, Current: 1},
-	}, 5)
-	if err != nil || et.Len() != 2 {
-		t.Fatalf("events trace: %v", err)
 	}
 }

@@ -4,9 +4,9 @@
 // levels executing a periodic task, where the speed choice changes the
 // load profile the hybrid power source must serve.
 //
-// The point the prior work makes — and this package demonstrates on top of
-// the fcdpm simulator — is that the speed minimizing the *embedded
-// system's* energy is not the speed minimizing *fuel*: under a
+// The point the prior work makes — and exp.RunDVSStudy measures by
+// simulating each level's trace — is that the speed minimizing the
+// *embedded system's* energy is not the speed minimizing *fuel*: under a
 // load-following source, the convex fuel map penalizes the high current of
 // fast, bursty execution beyond its energy cost, shifting the fuel-optimal
 // operating point toward lower speeds.
@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"math"
 
-	"fcdpm/internal/fuelcell"
 	"fcdpm/internal/workload"
 )
 
@@ -178,16 +177,6 @@ func (p *Processor) ChargePerPeriod(t Task, k int, idleCurrent float64) float64 
 	return p.Current(k)*exec + idleCurrent*(t.Period-exec)
 }
 
-// FuelPerPeriod returns the stack charge (A-s) one period consumes at
-// level k when the source *follows the load* (ASAP-style) — the convex
-// fuel map applied to each phase separately.
-func FuelPerPeriod(sys *fuelcell.System, p *Processor, t Task, k int, idleCurrent float64) float64 {
-	exec := p.ExecTime(t, k)
-	active := sys.Clamp(p.Current(k))
-	idle := sys.Clamp(idleCurrent)
-	return sys.Fuel(active, exec) + sys.Fuel(idle, t.Period-exec)
-}
-
 // EnergyOptimalLevel returns the feasible level minimizing load charge per
 // period, with ties broken toward the lower index. It returns -1 when no
 // level is feasible.
@@ -198,21 +187,6 @@ func EnergyOptimalLevel(p *Processor, t Task, idleCurrent float64) int {
 			continue
 		}
 		if v := p.ChargePerPeriod(t, k, idleCurrent); v < bestVal {
-			best, bestVal = k, v
-		}
-	}
-	return best
-}
-
-// FuelOptimalLevel returns the feasible level minimizing *fuel* per period
-// under a load-following source. It returns -1 when no level is feasible.
-func FuelOptimalLevel(sys *fuelcell.System, p *Processor, t Task, idleCurrent float64) int {
-	best, bestVal := -1, math.Inf(1)
-	for k := range p.Levels {
-		if !p.Feasible(t, k) {
-			continue
-		}
-		if v := FuelPerPeriod(sys, p, t, k, idleCurrent); v < bestVal {
 			best, bestVal = k, v
 		}
 	}

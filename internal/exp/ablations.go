@@ -23,12 +23,7 @@ type SweepPoint struct {
 // CapacitySweep reruns Experiment 1 across storage capacities (in A-s),
 // quantifying how much buffer FC-DPM's flattening needs. The paper's
 // supercap is 6 A-s.
-func CapacitySweep(seed uint64, capacities []float64) ([]SweepPoint, error) {
-	return CapacitySweepContext(context.Background(), seed, capacities)
-}
-
-// CapacitySweepContext is CapacitySweep under a context.
-func CapacitySweepContext(ctx context.Context, seed uint64, capacities []float64) ([]SweepPoint, error) {
+func CapacitySweep(ctx context.Context, seed uint64, capacities []float64) ([]SweepPoint, error) {
 	return sweepParallel(ctx, capacities, func(ctx context.Context, cmax float64) (SweepPoint, error) {
 		sc, err := capacityScenario(seed, cmax)
 		if err != nil {
@@ -105,12 +100,7 @@ func fanOut[T, R any](ctx context.Context, name string, inputs []T, f func(ctx c
 // BetaSweep reruns Experiment 1 across efficiency slopes β (with α fixed at
 // the paper's 0.45). At β = 0 the fuel map is linear and flattening brings
 // nothing; the paper's measured β = 0.13 is where FC-DPM earns its keep.
-func BetaSweep(seed uint64, betas []float64) ([]SweepPoint, error) {
-	return BetaSweepContext(context.Background(), seed, betas)
-}
-
-// BetaSweepContext is BetaSweep under a context.
-func BetaSweepContext(ctx context.Context, seed uint64, betas []float64) ([]SweepPoint, error) {
+func BetaSweep(ctx context.Context, seed uint64, betas []float64) ([]SweepPoint, error) {
 	return sweepParallel(ctx, betas, func(ctx context.Context, beta float64) (SweepPoint, error) {
 		sc, err := betaScenario(seed, beta)
 		if err != nil {
@@ -144,12 +134,7 @@ func betaScenario(seed uint64, beta float64) (*Scenario, error) {
 }
 
 // RhoSweep reruns Experiment 1 across idle-prediction factors ρ (Eq 14).
-func RhoSweep(seed uint64, rhos []float64) ([]SweepPoint, error) {
-	return RhoSweepContext(context.Background(), seed, rhos)
-}
-
-// RhoSweepContext is RhoSweep under a context.
-func RhoSweepContext(ctx context.Context, seed uint64, rhos []float64) ([]SweepPoint, error) {
+func RhoSweep(ctx context.Context, seed uint64, rhos []float64) ([]SweepPoint, error) {
 	return sweepParallel(ctx, rhos, func(ctx context.Context, rho float64) (SweepPoint, error) {
 		sc, err := rhoScenario(seed, rho)
 		if err != nil {
@@ -187,12 +172,7 @@ type PredictorRow struct {
 
 // PredictorAblation runs Experiment 1's FC-DPM under different idle-period
 // predictors and reports both prediction accuracy and fuel impact.
-func PredictorAblation(seed uint64) ([]PredictorRow, error) {
-	return PredictorAblationContext(context.Background(), seed)
-}
-
-// PredictorAblationContext is PredictorAblation under a context.
-func PredictorAblationContext(ctx context.Context, seed uint64) ([]PredictorRow, error) {
+func PredictorAblation(ctx context.Context, seed uint64) ([]PredictorRow, error) {
 	sc, err := Experiment1Scenario(seed)
 	if err != nil {
 		return nil, err
@@ -235,7 +215,7 @@ func PredictorAblationContext(ctx context.Context, seed uint64) ([]PredictorRow,
 // the structural reason the paper needed the PWM-PFM + variable-fan
 // configuration.
 func ConstantEtaAblation(seed uint64) (linear, constant *Comparison, err error) {
-	if linear, err = Experiment1(seed); err != nil {
+	if linear, err = Experiment1(context.TODO(), seed); err != nil {
 		return nil, nil, err
 	}
 	sysConst, err := fuelcell.NewSystem(12, 37.5, 0.1, 1.2, fuelcell.ConstantEfficiency{Value: 0.37})
@@ -258,7 +238,7 @@ func ConstantEtaAblation(seed uint64) (linear, constant *Comparison, err error) 
 // versus the KiBaM Li-ion model, exposing how battery non-linearities
 // (which the FC-DPM planner does not model) perturb the outcome.
 func StorageModelAblation(seed uint64) (super, liion *Comparison, err error) {
-	if super, err = Experiment1(seed); err != nil {
+	if super, err = Experiment1(context.TODO(), seed); err != nil {
 		return nil, nil, err
 	}
 	batt, err := storage.NewLiIon(6, 0.6, 0.05, ReserveCharge)
@@ -278,12 +258,7 @@ func StorageModelAblation(seed uint64) (super, liion *Comparison, err error) {
 }
 
 // DPMModeAblation reruns Experiment 1 under each device-side sleep policy.
-func DPMModeAblation(seed uint64) (map[string]*Comparison, error) {
-	return DPMModeAblationContext(context.Background(), seed)
-}
-
-// DPMModeAblationContext is DPMModeAblation under a context.
-func DPMModeAblationContext(ctx context.Context, seed uint64) (map[string]*Comparison, error) {
+func DPMModeAblation(ctx context.Context, seed uint64) (map[string]*Comparison, error) {
 	modes := []sim.DPMMode{sim.DPMPredictive, sim.DPMNeverSleep, sim.DPMAlwaysSleep, sim.DPMOracle}
 	cmps, err := fanOut(ctx, "dpm-mode", modes, func(ctx context.Context, mode sim.DPMMode) (*Comparison, error) {
 		sc, err := Experiment1Scenario(seed)

@@ -18,14 +18,14 @@ func TestSweepHonorsCanceledContext(t *testing.T) {
 	cancel()
 
 	start := time.Now()
-	rows, err := BetaSweepContext(ctx, 1, []float64{0, 0.05, 0.13, 0.25})
+	rows, err := BetaSweep(ctx, 1, []float64{0, 0.05, 0.13, 0.25})
 	elapsed := time.Since(start)
 
 	if err == nil {
-		t.Fatalf("BetaSweepContext(canceled) = %d rows, nil error; want cancellation", len(rows))
+		t.Fatalf("BetaSweep(canceled) = %d rows, nil error; want cancellation", len(rows))
 	}
 	if !errors.Is(err, context.Canceled) && !errors.Is(err, runner.ErrInterrupted) {
-		t.Fatalf("BetaSweepContext(canceled) error = %v; want context.Canceled or ErrInterrupted", err)
+		t.Fatalf("BetaSweep(canceled) error = %v; want context.Canceled or ErrInterrupted", err)
 	}
 	// "Promptly" here just means it did not simulate the whole sweep: a full
 	// four-point sweep takes seconds, aborting takes milliseconds.

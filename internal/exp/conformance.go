@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"math"
 	"sync"
 
@@ -82,7 +83,7 @@ func motivationalChecks() ([]Check, error) {
 }
 
 func table2Checks(seed uint64) ([]Check, error) {
-	cmp, err := Experiment1(seed)
+	cmp, err := Experiment1(context.TODO(), seed)
 	if err != nil {
 		return nil, err
 	}
@@ -96,11 +97,11 @@ func table2Checks(seed uint64) ([]Check, error) {
 }
 
 func table3Checks(seed uint64) ([]Check, error) {
-	cmp2, err := Experiment2(seed)
+	cmp2, err := Experiment2(context.TODO(), seed)
 	if err != nil {
 		return nil, err
 	}
-	cmp1, err := Experiment1(seed)
+	cmp1, err := Experiment1(context.TODO(), seed)
 	if err != nil {
 		return nil, err
 	}

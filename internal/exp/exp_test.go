@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -11,7 +12,7 @@ import (
 // at ASAP ≈ 35 %, FC-DPM ≈ 30 %, saving ≈ 16 %, lifetime ≈ ×1.19 — see
 // EXPERIMENTS.md).
 func TestExperiment1Shape(t *testing.T) {
-	cmp, err := Experiment1(1)
+	cmp, err := Experiment1(context.Background(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +59,7 @@ func TestExperiment1Shape(t *testing.T) {
 // 41.5 %, saving 15.5 %) and the paper's cross-experiment observation that
 // the Exp 2 saving is smaller than Exp 1's.
 func TestExperiment2Shape(t *testing.T) {
-	cmp2, err := Experiment2(2)
+	cmp2, err := Experiment2(context.Background(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +70,7 @@ func TestExperiment2Shape(t *testing.T) {
 	if cmp2.SavingVsASAP < 0.05 || cmp2.SavingVsASAP > 0.30 {
 		t.Errorf("saving vs ASAP = %v, outside [0.05, 0.30]", cmp2.SavingVsASAP)
 	}
-	cmp1, err := Experiment1(1)
+	cmp1, err := Experiment1(context.Background(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,14 +85,14 @@ func TestExperiment2Shape(t *testing.T) {
 // TestExperimentsAcrossSeeds checks the ordering is not a seed artifact.
 func TestExperimentsAcrossSeeds(t *testing.T) {
 	for seed := uint64(1); seed <= 5; seed++ {
-		c1, err := Experiment1(seed)
+		c1, err := Experiment1(context.Background(), seed)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if c1.SavingVsASAP <= 0 {
 			t.Errorf("seed %d: Exp1 FC-DPM does not beat ASAP (saving %v)", seed, c1.SavingVsASAP)
 		}
-		c2, err := Experiment2(seed)
+		c2, err := Experiment2(context.Background(), seed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -272,7 +273,7 @@ func TestFig7Profiles(t *testing.T) {
 }
 
 func TestCapacitySweep(t *testing.T) {
-	pts, err := CapacitySweep(1, []float64{0.5, 6, 60})
+	pts, err := CapacitySweep(context.Background(), 1, []float64{0.5, 6, 60})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,13 +285,13 @@ func TestCapacitySweep(t *testing.T) {
 		t.Errorf("saving should grow with capacity: %v vs %v",
 			pts[0].SavingVsASAP, pts[2].SavingVsASAP)
 	}
-	if _, err := CapacitySweep(1, []float64{0}); err == nil {
+	if _, err := CapacitySweep(context.Background(), 1, []float64{0}); err == nil {
 		t.Error("zero capacity accepted")
 	}
 }
 
 func TestBetaSweep(t *testing.T) {
-	pts, err := BetaSweep(1, []float64{0, 0.13})
+	pts, err := BetaSweep(context.Background(), 1, []float64{0, 0.13})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,13 +303,13 @@ func TestBetaSweep(t *testing.T) {
 	if pts[1].SavingVsASAP <= pts[0].SavingVsASAP {
 		t.Errorf("saving should grow with β: %v vs %v", pts[0].SavingVsASAP, pts[1].SavingVsASAP)
 	}
-	if _, err := BetaSweep(1, []float64{-0.1}); err == nil {
+	if _, err := BetaSweep(context.Background(), 1, []float64{-0.1}); err == nil {
 		t.Error("negative beta accepted")
 	}
 }
 
 func TestRhoSweep(t *testing.T) {
-	pts, err := RhoSweep(1, []float64{0, 0.5, 1})
+	pts, err := RhoSweep(context.Background(), 1, []float64{0, 0.5, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,13 +318,13 @@ func TestRhoSweep(t *testing.T) {
 			t.Errorf("ρ=%v: FC-DPM should still beat ASAP (saving %v)", p.X, p.SavingVsASAP)
 		}
 	}
-	if _, err := RhoSweep(1, []float64{2}); err == nil {
+	if _, err := RhoSweep(context.Background(), 1, []float64{2}); err == nil {
 		t.Error("rho out of range accepted")
 	}
 }
 
 func TestPredictorAblation(t *testing.T) {
-	rows, err := PredictorAblation(1)
+	rows, err := PredictorAblation(context.Background(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,7 +388,7 @@ func TestStorageModelAblation(t *testing.T) {
 }
 
 func TestDPMModeAblation(t *testing.T) {
-	modes, err := DPMModeAblation(1)
+	modes, err := DPMModeAblation(context.Background(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,12 +39,7 @@ func Experiment3Scenario(seed uint64) (*Scenario, error) {
 
 // Experiment3 compares the three source policies on the heavy-tail
 // workload.
-func Experiment3(seed uint64) (*Comparison, error) {
-	return Experiment3Context(context.Background(), seed)
-}
-
-// Experiment3Context is Experiment3 under a context.
-func Experiment3Context(ctx context.Context, seed uint64) (*Comparison, error) {
+func Experiment3(ctx context.Context, seed uint64) (*Comparison, error) {
 	sc, err := Experiment3Scenario(seed)
 	if err != nil {
 		return nil, err
@@ -65,12 +60,7 @@ type DPMRow struct {
 // nothing to learn — the exponential average hovers near the sub-Tbe mean
 // and rarely sleeps — while the reactive timeout policy (the classic
 // 2-competitive strategy) catches exactly the tail. The oracle bounds both.
-func Experiment3DPM(seed uint64) ([]DPMRow, error) {
-	return Experiment3DPMContext(context.Background(), seed)
-}
-
-// Experiment3DPMContext is Experiment3DPM under a context.
-func Experiment3DPMContext(ctx context.Context, seed uint64) ([]DPMRow, error) {
+func Experiment3DPM(ctx context.Context, seed uint64) ([]DPMRow, error) {
 	modes := []sim.DPMMode{sim.DPMPredictive, sim.DPMTimeout, sim.DPMOracle, sim.DPMNeverSleep, sim.DPMAlwaysSleep}
 	out, err := fanOut(ctx, "exp3-dpm", modes, func(ctx context.Context, mode sim.DPMMode) (DPMRow, error) {
 		sc, err := Experiment3Scenario(seed)

@@ -1,9 +1,12 @@
 package exp
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 func TestExperiment3Ordering(t *testing.T) {
-	cmp, err := Experiment3(3)
+	cmp, err := Experiment3(context.Background(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -17,7 +20,7 @@ func TestExperiment3Ordering(t *testing.T) {
 	if cmp.SavingVsASAP <= 0 {
 		t.Errorf("saving = %v, want positive", cmp.SavingVsASAP)
 	}
-	cmp1, err := Experiment1(1)
+	cmp1, err := Experiment1(context.Background(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +31,7 @@ func TestExperiment3Ordering(t *testing.T) {
 }
 
 func TestExperiment3DPMModes(t *testing.T) {
-	rows, err := Experiment3DPM(3)
+	rows, err := Experiment3DPM(context.Background(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -263,12 +263,7 @@ func Experiment1Scenario(seed uint64) (*Scenario, error) {
 }
 
 // Experiment1 reproduces Table 2.
-func Experiment1(seed uint64) (*Comparison, error) {
-	return Experiment1Context(context.Background(), seed)
-}
-
-// Experiment1Context is Experiment1 under a context.
-func Experiment1Context(ctx context.Context, seed uint64) (*Comparison, error) {
+func Experiment1(ctx context.Context, seed uint64) (*Comparison, error) {
 	sc, err := Experiment1Scenario(seed)
 	if err != nil {
 		return nil, err
@@ -299,12 +294,7 @@ func Experiment2Scenario(seed uint64) (*Scenario, error) {
 }
 
 // Experiment2 reproduces Table 3.
-func Experiment2(seed uint64) (*Comparison, error) {
-	return Experiment2Context(context.Background(), seed)
-}
-
-// Experiment2Context is Experiment2 under a context.
-func Experiment2Context(ctx context.Context, seed uint64) (*Comparison, error) {
+func Experiment2(ctx context.Context, seed uint64) (*Comparison, error) {
 	sc, err := Experiment2Scenario(seed)
 	if err != nil {
 		return nil, err

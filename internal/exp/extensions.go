@@ -26,12 +26,7 @@ type QuantizedRow struct {
 // QuantizedSweep runs Experiment 1's FC-DPM with discrete output-level
 // grids of increasing resolution (the multi-level configuration of [11])
 // against the continuous policy.
-func QuantizedSweep(seed uint64, levelCounts []int) ([]QuantizedRow, error) {
-	return QuantizedSweepContext(context.Background(), seed, levelCounts)
-}
-
-// QuantizedSweepContext is QuantizedSweep under a context.
-func QuantizedSweepContext(ctx context.Context, seed uint64, levelCounts []int) ([]QuantizedRow, error) {
+func QuantizedSweep(ctx context.Context, seed uint64, levelCounts []int) ([]QuantizedRow, error) {
 	sc, err := Experiment1Scenario(seed)
 	if err != nil {
 		return nil, err
@@ -199,12 +194,7 @@ type SeedSummary struct {
 // reproduction error bars the paper's single trace cannot. Seeds run on
 // the run engine (bounded workers, panic isolation) — each run owns its
 // trace, storage clone, and policy state, so tasks share nothing.
-func MultiSeed(which int, n int) (*SeedSummary, error) {
-	return MultiSeedContext(context.Background(), which, n)
-}
-
-// MultiSeedContext is MultiSeed under a context.
-func MultiSeedContext(ctx context.Context, which int, n int) (*SeedSummary, error) {
+func MultiSeed(ctx context.Context, which int, n int) (*SeedSummary, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("exp: need at least one seed")
 	}
@@ -218,9 +208,9 @@ func MultiSeedContext(ctx context.Context, which int, n int) (*SeedSummary, erro
 			ID: runner.RunID("multiseed", fmt.Sprintf("exp=%d", which), fmt.Sprintf("seed=%d", seed)),
 			Run: func(tctx context.Context) (*Comparison, error) {
 				if which == 1 {
-					return Experiment1Context(tctx, seed)
+					return Experiment1(tctx, seed)
 				}
-				return Experiment2Context(tctx, seed)
+				return Experiment2(tctx, seed)
 			},
 		}
 	}
@@ -260,12 +250,7 @@ type SlewRow struct {
 // ramp (the storage covers tracking error, eventually browning out), while
 // FC-DPM's flat per-slot profile barely moves — a robustness advantage the
 // paper's ideal-source model does not surface.
-func SlewAblation(seed uint64, rates []float64) ([]SlewRow, error) {
-	return SlewAblationContext(context.Background(), seed, rates)
-}
-
-// SlewAblationContext is SlewAblation under a context.
-func SlewAblationContext(ctx context.Context, seed uint64, rates []float64) ([]SlewRow, error) {
+func SlewAblation(ctx context.Context, seed uint64, rates []float64) ([]SlewRow, error) {
 	return fanOut(ctx, "slew", rates, func(ctx context.Context, rate float64) (SlewRow, error) {
 		if rate < 0 {
 			return SlewRow{}, fmt.Errorf("exp: negative slew rate %v", rate)
@@ -338,12 +323,7 @@ type AggregationRow struct {
 // the Experiment 1 trace at increasing factors and reruns FC-DPM: fewer,
 // longer idles amortize the sleep-transition overhead at the price of
 // task-completion latency.
-func AggregationAblation(seed uint64, ks []int) ([]AggregationRow, error) {
-	return AggregationAblationContext(context.Background(), seed, ks)
-}
-
-// AggregationAblationContext is AggregationAblation under a context.
-func AggregationAblationContext(ctx context.Context, seed uint64, ks []int) ([]AggregationRow, error) {
+func AggregationAblation(ctx context.Context, seed uint64, ks []int) ([]AggregationRow, error) {
 	base, err := Experiment1Scenario(seed)
 	if err != nil {
 		return nil, err
@@ -384,12 +364,7 @@ type ActuationRow struct {
 
 // ActuationAblation reruns Experiment 1's FC-DPM with actuation dead bands:
 // how much fuel does it cost to command the fuel-flow actuator less often?
-func ActuationAblation(seed uint64, epsilons []float64) ([]ActuationRow, error) {
-	return ActuationAblationContext(context.Background(), seed, epsilons)
-}
-
-// ActuationAblationContext is ActuationAblation under a context.
-func ActuationAblationContext(ctx context.Context, seed uint64, epsilons []float64) ([]ActuationRow, error) {
+func ActuationAblation(ctx context.Context, seed uint64, epsilons []float64) ([]ActuationRow, error) {
 	return fanOut(ctx, "actuation", epsilons, func(ctx context.Context, eps float64) (ActuationRow, error) {
 		if eps < 0 {
 			return ActuationRow{}, fmt.Errorf("exp: negative dead band %v", eps)
@@ -427,12 +402,7 @@ type CalibrationRow struct {
 // corners of a ±relErr box around (α = 0.45, β = 0.13) plus the centre.
 // The paper reports single measured values; this bounds how much the
 // conclusions depend on them.
-func CalibrationUncertainty(seed uint64, relErr float64) ([]CalibrationRow, error) {
-	return CalibrationUncertaintyContext(context.Background(), seed, relErr)
-}
-
-// CalibrationUncertaintyContext is CalibrationUncertainty under a context.
-func CalibrationUncertaintyContext(ctx context.Context, seed uint64, relErr float64) ([]CalibrationRow, error) {
+func CalibrationUncertainty(ctx context.Context, seed uint64, relErr float64) ([]CalibrationRow, error) {
 	if relErr < 0 || relErr >= 1 {
 		return nil, fmt.Errorf("exp: relative error %v outside [0, 1)", relErr)
 	}
@@ -520,12 +490,7 @@ type MPCRow struct {
 // sits ~0.1 % from the clairvoyant optimum, so the expected (and measured)
 // result is "the horizon buys nothing" — an honest negative result
 // bounding what lookahead can contribute at the paper's storage scale.
-func MPCAblation(seed uint64, horizons []int) ([]MPCRow, error) {
-	return MPCAblationContext(context.Background(), seed, horizons)
-}
-
-// MPCAblationContext is MPCAblation under a context.
-func MPCAblationContext(ctx context.Context, seed uint64, horizons []int) ([]MPCRow, error) {
+func MPCAblation(ctx context.Context, seed uint64, horizons []int) ([]MPCRow, error) {
 	return fanOut(ctx, "mpc", horizons, func(ctx context.Context, h int) (MPCRow, error) {
 		if h < 1 {
 			return MPCRow{}, fmt.Errorf("exp: horizon %d < 1", h)
@@ -567,12 +532,7 @@ type robustnessTrial struct {
 }
 
 // RobustnessStudy runs n perturbed Experiment 1 trials on the run engine.
-func RobustnessStudy(seed uint64, n int, pct float64) (*Robustness, error) {
-	return RobustnessStudyContext(context.Background(), seed, n, pct)
-}
-
-// RobustnessStudyContext is RobustnessStudy under a context.
-func RobustnessStudyContext(ctx context.Context, seed uint64, n int, pct float64) (*Robustness, error) {
+func RobustnessStudy(ctx context.Context, seed uint64, n int, pct float64) (*Robustness, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("exp: need at least one trial")
 	}
@@ -649,12 +609,7 @@ func RobustnessStudyContext(ctx context.Context, seed uint64, n int, pct float64
 // that model history (Markov chain, last-value) beat the paper's
 // exponential average, which smears across regime boundaries — the
 // workload class where predictor choice finally matters end to end.
-func BurstyPredictorStudy(seed uint64) ([]PredictorRow, error) {
-	return BurstyPredictorStudyContext(context.Background(), seed)
-}
-
-// BurstyPredictorStudyContext is BurstyPredictorStudy under a context.
-func BurstyPredictorStudyContext(ctx context.Context, seed uint64) ([]PredictorRow, error) {
+func BurstyPredictorStudy(ctx context.Context, seed uint64) ([]PredictorRow, error) {
 	cfg := workload.DefaultBurstyConfig()
 	cfg.Seed = seed
 	trace, err := workload.Bursty(cfg)

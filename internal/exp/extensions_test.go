@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -8,7 +9,7 @@ import (
 )
 
 func TestQuantizedSweep(t *testing.T) {
-	rows, err := QuantizedSweep(1, []int{2, 4, 16})
+	rows, err := QuantizedSweep(context.Background(), 1, []int{2, 4, 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +29,7 @@ func TestQuantizedSweep(t *testing.T) {
 	if rows[1].FCNormalized > 0.6 {
 		t.Errorf("2-level normalized = %v", rows[1].FCNormalized)
 	}
-	if _, err := QuantizedSweep(1, []int{1}); err == nil {
+	if _, err := QuantizedSweep(context.Background(), 1, []int{1}); err == nil {
 		t.Error("level count 1 accepted")
 	}
 }
@@ -73,7 +74,7 @@ func TestTimeoutAblation(t *testing.T) {
 }
 
 func TestHydrogenReport(t *testing.T) {
-	cmp, err := Experiment1(1)
+	cmp, err := Experiment1(context.Background(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +106,7 @@ func TestHydrogenReport(t *testing.T) {
 }
 
 func TestMultiSeed(t *testing.T) {
-	sum, err := MultiSeed(1, 3)
+	sum, err := MultiSeed(context.Background(), 1, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,10 +124,10 @@ func TestMultiSeed(t *testing.T) {
 	if sum.FCNorm.Mean > 0 && sum.FCNorm.Stddev/sum.FCNorm.Mean > 0.3 {
 		t.Errorf("excessive spread: %v / %v", sum.FCNorm.Stddev, sum.FCNorm.Mean)
 	}
-	if _, err := MultiSeed(3, 2); err == nil {
+	if _, err := MultiSeed(context.Background(), 3, 2); err == nil {
 		t.Error("unknown experiment accepted")
 	}
-	if _, err := MultiSeed(1, 0); err == nil {
+	if _, err := MultiSeed(context.Background(), 1, 0); err == nil {
 		t.Error("zero seeds accepted")
 	}
 	if math.IsNaN(sum.SavingVsASAP.Mean) {
@@ -135,7 +136,7 @@ func TestMultiSeed(t *testing.T) {
 }
 
 func TestSlewAblation(t *testing.T) {
-	rows, err := SlewAblation(1, []float64{0, 0.5, 0.02})
+	rows, err := SlewAblation(context.Background(), 1, []float64{0, 0.5, 0.02})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +163,7 @@ func TestSlewAblation(t *testing.T) {
 			t.Errorf("FC-DPM fuel moved %v at %v A/s", rel, r.RateAps)
 		}
 	}
-	if _, err := SlewAblation(1, []float64{-1}); err == nil {
+	if _, err := SlewAblation(context.Background(), 1, []float64{-1}); err == nil {
 		t.Error("negative rate accepted")
 	}
 }
@@ -185,7 +186,7 @@ func TestBatteryAwareAblation(t *testing.T) {
 }
 
 func TestAggregationAblation(t *testing.T) {
-	rows, err := AggregationAblation(1, []int{1, 2, 4})
+	rows, err := AggregationAblation(context.Background(), 1, []int{1, 2, 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,13 +207,13 @@ func TestAggregationAblation(t *testing.T) {
 	if !(rows[0].MaxDeferral == 0 && rows[1].MaxDeferral < rows[2].MaxDeferral) {
 		t.Errorf("deferral not growing: %+v", rows)
 	}
-	if _, err := AggregationAblation(1, []int{0}); err == nil {
+	if _, err := AggregationAblation(context.Background(), 1, []int{0}); err == nil {
 		t.Error("k=0 accepted")
 	}
 }
 
 func TestActuationAblation(t *testing.T) {
-	rows, err := ActuationAblation(1, []float64{0, 0.05, 0.2})
+	rows, err := ActuationAblation(context.Background(), 1, []float64{0, 0.05, 0.2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,13 +229,13 @@ func TestActuationAblation(t *testing.T) {
 	if rows[2].FCRate > rows[0].FCRate*1.06 {
 		t.Errorf("0.2 A band fuel %v too far above plain %v", rows[2].FCRate, rows[0].FCRate)
 	}
-	if _, err := ActuationAblation(1, []float64{-1}); err == nil {
+	if _, err := ActuationAblation(context.Background(), 1, []float64{-1}); err == nil {
 		t.Error("negative epsilon accepted")
 	}
 }
 
 func TestCalibrationUncertainty(t *testing.T) {
-	rows, err := CalibrationUncertainty(1, 0.1)
+	rows, err := CalibrationUncertainty(context.Background(), 1, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +265,7 @@ func TestCalibrationUncertainty(t *testing.T) {
 	if hiBeta <= loBeta {
 		t.Errorf("high-β saving %v should exceed low-β %v", hiBeta, loBeta)
 	}
-	if _, err := CalibrationUncertainty(1, 1.5); err == nil {
+	if _, err := CalibrationUncertainty(context.Background(), 1, 1.5); err == nil {
 		t.Error("relErr out of range accepted")
 	}
 }
@@ -305,7 +306,7 @@ func TestThermalStressAblation(t *testing.T) {
 }
 
 func TestMPCAblation(t *testing.T) {
-	rows, err := MPCAblation(1, []int{1, 3})
+	rows, err := MPCAblation(context.Background(), 1, []int{1, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +330,7 @@ func TestMPCAblation(t *testing.T) {
 			t.Errorf("horizon %d deficit = %v", r.Horizon, r.Deficit)
 		}
 	}
-	if _, err := MPCAblation(1, []int{0}); err == nil {
+	if _, err := MPCAblation(context.Background(), 1, []int{0}); err == nil {
 		t.Error("zero horizon accepted")
 	}
 }
@@ -428,7 +429,7 @@ func TestAdviseErrors(t *testing.T) {
 }
 
 func TestRobustnessStudy(t *testing.T) {
-	r, err := RobustnessStudy(1, 12, 0.1)
+	r, err := RobustnessStudy(context.Background(), 1, 12, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -442,16 +443,16 @@ func TestRobustnessStudy(t *testing.T) {
 	if r.Saving.Mean < 0.08 || r.Saving.Mean > 0.30 {
 		t.Errorf("mean saving = %v, implausible", r.Saving.Mean)
 	}
-	if _, err := RobustnessStudy(1, 0, 0.1); err == nil {
+	if _, err := RobustnessStudy(context.Background(), 1, 0, 0.1); err == nil {
 		t.Error("zero trials accepted")
 	}
-	if _, err := RobustnessStudy(1, 2, 0.9); err == nil {
+	if _, err := RobustnessStudy(context.Background(), 1, 2, 0.9); err == nil {
 		t.Error("excess perturbation accepted")
 	}
 }
 
 func TestBurstyPredictorStudy(t *testing.T) {
-	rows, err := BurstyPredictorStudy(4)
+	rows, err := BurstyPredictorStudy(context.Background(), 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,17 +47,6 @@ type FaultSweepResult struct {
 	Interrupted int
 }
 
-// ClassRows returns the rows of one fault class in policy order.
-func (r *FaultSweepResult) ClassRows(class string) []FaultRow {
-	var out []FaultRow
-	for _, row := range r.Rows {
-		if row.Class == class {
-			out = append(out, row)
-		}
-	}
-	return out
-}
-
 // canonicalFaults builds one representative schedule per fault class over
 // a trace of the given duration: onset at one third of the trace, lasting
 // a sixth of it, at the class's default severity. The nominal (no-fault)
@@ -98,13 +87,8 @@ type FaultSweepOptions struct {
 }
 
 // FaultSweep runs the paper's three policies over the Experiment 2
-// synthetic workload under each canonical fault class with default
-// orchestration. See FaultSweepOpts for resumable/tuned sweeps.
-func FaultSweep(ctx context.Context, seed uint64) (*FaultSweepResult, error) {
-	return FaultSweepOpts(ctx, seed, FaultSweepOptions{})
-}
-
-// FaultSweepOpts runs the fault sweep on the run-orchestration engine:
+// synthetic workload under each canonical fault class on the
+// run-orchestration engine (the zero opts use the engine defaults):
 // each (class, policy) cell is one task, grouped per fault class for
 // circuit breaking, with the standard degradation chain (FC-DPM -> ASAP
 // -> Conv -> load-shed, truncated for policies already further down).
@@ -113,7 +97,7 @@ func FaultSweep(ctx context.Context, seed uint64) (*FaultSweepResult, error) {
 // along with runner.ErrInterrupted; with a journal configured, re-running
 // the same sweep completes the missing cells without re-simulating the
 // finished ones.
-func FaultSweepOpts(ctx context.Context, seed uint64, opts FaultSweepOptions) (*FaultSweepResult, error) {
+func FaultSweep(ctx context.Context, seed uint64, opts FaultSweepOptions) (*FaultSweepResult, error) {
 	cfg := workload.DefaultSyntheticConfig()
 	cfg.Seed = seed
 	trace, err := workload.Synthetic(cfg)

@@ -66,12 +66,7 @@ type MultiStackRow struct {
 // efficiency: water-filling's pointwise-optimal split strictly
 // dominates equal-split whenever the degradation mix makes the rack
 // heterogeneous.
-func MultiStackStudy(cfg MultiStackConfig) ([]MultiStackRow, error) {
-	return MultiStackStudyContext(context.Background(), cfg)
-}
-
-// MultiStackStudyContext is MultiStackStudy under a context.
-func MultiStackStudyContext(ctx context.Context, cfg MultiStackConfig) ([]MultiStackRow, error) {
+func MultiStackStudy(ctx context.Context, cfg MultiStackConfig) ([]MultiStackRow, error) {
 	cfg = cfg.withDefaults()
 	allocs := multistack.Allocators()
 	// Racks are immutable, so one pre-solve per (K, allocator) serves

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -23,7 +24,7 @@ func TestMultiStackStudyWaterFillDominates(t *testing.T) {
 		Intensities: []float64{1.5, 2.5},
 		Duration:    400,
 	}
-	rows, err := MultiStackStudy(cfg)
+	rows, err := MultiStackStudy(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +85,7 @@ func TestMultiStackStudyWaterFillDominates(t *testing.T) {
 // solver tolerance, and no allocator beats it — health-rotation's
 // greedy concentration pays a convexity penalty instead.
 func TestMultiStackStudyHomogeneousTies(t *testing.T) {
-	rows, err := MultiStackStudy(MultiStackConfig{
+	rows, err := MultiStackStudy(context.Background(), MultiStackConfig{
 		Ks:          []int{2},
 		Intensities: []float64{2},
 		DegradedMix: []float64{0},

@@ -206,9 +206,6 @@ func Nominal() State {
 	return State{DeliveryScale: 1, FuelScale: 1, CapacityScale: 1, SensorSigma: 0, LoadScale: 1}
 }
 
-// IsNominal reports whether the state perturbs nothing.
-func (s State) IsNominal() bool { return s == Nominal() }
-
 // apply folds one event into the state.
 func (s State) apply(e Event) State {
 	m := e.defaultMagnitude()

@@ -31,7 +31,7 @@ func TestStateComposition(t *testing.T) {
 	if got := s.StateAt(30); got.DeliveryScale != 1 {
 		t.Fatalf("derate did not clear at end: %+v", got)
 	}
-	if !s.StateAt(29.999).IsNominal() == false {
+	if s.StateAt(29.999) == Nominal() {
 		// 29.999 still inside derate window
 		t.Fatal("expected non-nominal just before boundary")
 	}
@@ -268,19 +268,19 @@ func TestFadeStoreApplyBoundaries(t *testing.T) {
 func TestFadeStoreSetScaleClamps(t *testing.T) {
 	fs := NewFadeStore(storage.MustSuperCap(10, 5))
 	fs.SetScale(0)
-	if fs.Scale() != 1e-9 {
-		t.Fatalf("scale(0) = %v, want 1e-9", fs.Scale())
+	if fs.scale != 1e-9 {
+		t.Fatalf("scale(0) = %v, want 1e-9", fs.scale)
 	}
 	if c := fs.Capacity(); c != 1e-8 {
 		t.Fatalf("dead capacity = %v, want 1e-8", c)
 	}
 	fs.SetScale(-3)
-	if fs.Scale() != 1e-9 {
-		t.Fatalf("scale(-3) = %v, want 1e-9", fs.Scale())
+	if fs.scale != 1e-9 {
+		t.Fatalf("scale(-3) = %v, want 1e-9", fs.scale)
 	}
 	fs.SetScale(7)
-	if fs.Scale() != 1 {
-		t.Fatalf("scale(7) = %v, want 1", fs.Scale())
+	if fs.scale != 1 {
+		t.Fatalf("scale(7) = %v, want 1", fs.scale)
 	}
 	if fs.Capacity() != 10 {
 		t.Fatalf("recovered capacity = %v", fs.Capacity())
@@ -298,9 +298,9 @@ func TestFadeStoreRestoreFrom(t *testing.T) {
 	if !work.RestoreFrom(snap) {
 		t.Fatal("RestoreFrom(same-shape snapshot) failed")
 	}
-	if work.Scale() != 1 || work.Lost != 0 || work.Charge() != 8 || work.Capacity() != 10 {
+	if work.scale != 1 || work.Lost != 0 || work.Charge() != 8 || work.Capacity() != 10 {
 		t.Fatalf("restored state: scale %v lost %v charge %v cap %v",
-			work.Scale(), work.Lost, work.Charge(), work.Capacity())
+			work.scale, work.Lost, work.Charge(), work.Capacity())
 	}
 	// Restoring from a non-FadeStore or a different inner kind refuses.
 	if work.RestoreFrom(storage.MustSuperCap(10, 8)) {

@@ -47,9 +47,6 @@ func clamp01(s float64) float64 {
 	return s
 }
 
-// Scale returns the current fade factor.
-func (f *FadeStore) Scale() float64 { return f.scale }
-
 // Capacity implements storage.Storage: the faded capacity.
 func (f *FadeStore) Capacity() float64 { return f.inner.Capacity() * f.scale }
 

@@ -46,7 +46,7 @@ func FuzzOptimizeQuantized(f *testing.F) {
 	levels := UniformLevels(sys, 7)
 	f.Fuzz(func(t *testing.T, ti, ildI, ta, ildA, cini, cend, cmax float64) {
 		s := Slot{Ti: ti, IldI: ildI, Ta: ta, IldA: ildA, Cini: cini, Cend: cend}
-		set, err := OptimizeQuantized(sys, cmax, s, levels)
+		set, err := OptimizeQuantizedSorted(sys, cmax, s, levels)
 		if err != nil {
 			return
 		}

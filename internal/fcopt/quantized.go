@@ -3,17 +3,16 @@ package fcopt
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"fcdpm/internal/fuelcell"
 )
 
-// OptimizeQuantized solves the slot problem when the FC system supports
-// only a discrete set of output levels — the multi-level configuration of
-// the authors' companion work [11] ("the case when the FC supports
-// multiple output levels"). Real fuel-flow controllers often quantize the
-// set point; this variant shows how much of the continuous optimum
-// survives coarse quantization (see the ablation bench).
+// OptimizeQuantizedSorted solves the slot problem when the FC system
+// supports only a discrete set of output levels — the multi-level
+// configuration of the authors' companion work [11] ("the case when the
+// FC supports multiple output levels"). Real fuel-flow controllers often
+// quantize the set point; this variant shows how much of the continuous
+// optimum survives coarse quantization (see the ablation bench).
 //
 // The solver enumerates all level pairs (IF,i, IF,a), simulates the slot's
 // charge trajectory (with bleeder clamping at Cmax), rejects pairs that
@@ -21,29 +20,11 @@ import (
 // the feasible pair with minimal fuel. When no pair can reach Cend, the
 // pair ending highest is returned (mirroring how the online policy
 // degrades: the next slot's Cini ≠ Cend correction absorbs the shortfall).
-func OptimizeQuantized(sys *fuelcell.System, cmax float64, s Slot, levels []float64) (Setting, error) {
-	if len(levels) == 0 {
-		return Setting{}, fmt.Errorf("fcopt: no output levels")
-	}
-	lv := make([]float64, 0, len(levels))
-	for _, l := range levels {
-		if !sys.InRange(l) {
-			return Setting{}, fmt.Errorf("fcopt: level %v outside load-following range [%v, %v]",
-				l, sys.MinOutput, sys.MaxOutput)
-		}
-		lv = append(lv, l)
-	}
-	sort.Float64s(lv)
-	return OptimizeQuantizedSorted(sys, cmax, s, lv)
-}
-
-// OptimizeQuantizedSorted is OptimizeQuantized for callers that have
-// already sorted and range-checked the level grid (a policy validates its
-// grid once at construction, then plans every slot): the per-call copy,
-// sort, and range scan are skipped, keeping repeated planning on the
-// zero-allocation path. levels must be ascending and inside the
-// load-following range; a violated contract degrades the answer, it does
-// not corrupt memory.
+//
+// levels must be ascending and inside the load-following range: a policy
+// validates its grid once at construction (policy.NewFCDPMQuantized), then
+// plans every slot on the zero-allocation path. A violated contract
+// degrades the answer, it does not corrupt memory.
 func OptimizeQuantizedSorted(sys *fuelcell.System, cmax float64, s Slot, lv []float64) (Setting, error) {
 	if err := s.Validate(); err != nil {
 		return Setting{}, err

@@ -17,7 +17,7 @@ func TestQuantizedMatchesContinuousWithDenseLevels(t *testing.T) {
 	}
 	// With a dense level grid, the quantized optimum approaches the
 	// continuous one.
-	set, err := OptimizeQuantized(sys, 200, s, UniformLevels(sys, 221))
+	set, err := OptimizeQuantizedSorted(sys, 200, s, UniformLevels(sys, 221))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,11 +29,11 @@ func TestQuantizedMatchesContinuousWithDenseLevels(t *testing.T) {
 func TestQuantizedCoarseWorseThanFine(t *testing.T) {
 	sys := fuelcell.PaperSystem()
 	s := motivSlot()
-	coarse, err := OptimizeQuantized(sys, 200, s, UniformLevels(sys, 2))
+	coarse, err := OptimizeQuantizedSorted(sys, 200, s, UniformLevels(sys, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	fine, err := OptimizeQuantized(sys, 200, s, UniformLevels(sys, 45))
+	fine, err := OptimizeQuantizedSorted(sys, 200, s, UniformLevels(sys, 45))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestQuantizedCoarseWorseThanFine(t *testing.T) {
 func TestQuantizedRespectsCendTarget(t *testing.T) {
 	sys := fuelcell.PaperSystem()
 	s := Slot{Ti: 20, IldI: 0.2, Ta: 10, IldA: 1.2, Cini: 1, Cend: 5}
-	set, err := OptimizeQuantized(sys, 200, s, UniformLevels(sys, 23))
+	set, err := OptimizeQuantizedSorted(sys, 200, s, UniformLevels(sys, 23))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestQuantizedFallbackWhenTargetUnreachable(t *testing.T) {
 	// Heavy sustained load: no level pair can end at Cend=6; the solver
 	// should return the highest-ending pair rather than fail.
 	s := Slot{Ti: 5, IldI: 1.0, Ta: 20, IldA: 1.4, Cini: 3, Cend: 6}
-	set, err := OptimizeQuantized(sys, 6, s, UniformLevels(sys, 12))
+	set, err := OptimizeQuantizedSorted(sys, 6, s, UniformLevels(sys, 12))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,16 +75,13 @@ func TestQuantizedFallbackWhenTargetUnreachable(t *testing.T) {
 func TestQuantizedValidation(t *testing.T) {
 	sys := fuelcell.PaperSystem()
 	s := motivSlot()
-	if _, err := OptimizeQuantized(sys, 200, s, nil); err == nil {
+	if _, err := OptimizeQuantizedSorted(sys, 200, s, nil); err == nil {
 		t.Error("empty level set accepted")
 	}
-	if _, err := OptimizeQuantized(sys, 200, s, []float64{2.0}); err == nil {
-		t.Error("out-of-range level accepted")
-	}
-	if _, err := OptimizeQuantized(sys, 0, s, UniformLevels(sys, 4)); err == nil {
+	if _, err := OptimizeQuantizedSorted(sys, 0, s, UniformLevels(sys, 4)); err == nil {
 		t.Error("zero capacity accepted")
 	}
-	if _, err := OptimizeQuantized(sys, 200, Slot{}, UniformLevels(sys, 4)); err == nil {
+	if _, err := OptimizeQuantizedSorted(sys, 200, Slot{}, UniformLevels(sys, 4)); err == nil {
 		t.Error("empty slot accepted")
 	}
 }
@@ -119,7 +116,7 @@ func TestQuantizedNeverBeatsContinuous(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		quant, err := OptimizeQuantized(sys, 1e6, s, levels)
+		quant, err := OptimizeQuantizedSorted(sys, 1e6, s, levels)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -55,28 +55,6 @@ func NewPWMPFMConverter(vout float64) Converter {
 	return &lossConverter{vout: vout, pfixed: 0.03, kq: 0.012, name: "PWM-PFM"}
 }
 
-// NewIdealConverter returns a lossless converter, useful in tests and for
-// isolating stack effects in ablations.
-func NewIdealConverter(vout float64) Converter {
-	return &lossConverter{vout: vout, name: "ideal"}
-}
-
-// ConverterEfficiencyCurve samples a converter's efficiency at n points up
-// to maxWatts.
-func ConverterEfficiencyCurve(c Converter, maxWatts float64, n int) ([]float64, []float64) {
-	if n < 2 {
-		n = 2
-	}
-	ps := make([]float64, n)
-	es := make([]float64, n)
-	for k := 0; k < n; k++ {
-		p := maxWatts * float64(k+1) / float64(n)
-		ps[k] = p
-		es[k] = c.Efficiency(p)
-	}
-	return ps, es
-}
-
 // Controller models the FC balance-of-plant: cathode air-blow fan, cooling
 // fan, purge-valve solenoid, and microcontroller. Its current draw comes
 // off the DC-DC output before the load sees it: IF = Idc − Ictrl.

@@ -1,9 +1,6 @@
 package fuelcell
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // Physical constants for hydrogen fuel accounting.
 const (
@@ -35,14 +32,6 @@ type Hydrogen struct {
 
 // PaperHydrogen returns the converter for the paper's 20-cell stack.
 func PaperHydrogen() Hydrogen { return Hydrogen{Cells: 20} }
-
-// Validate reports whether the converter is usable.
-func (h Hydrogen) Validate() error {
-	if h.Cells < 1 {
-		return fmt.Errorf("fuelcell: hydrogen converter needs >= 1 cell, got %d", h.Cells)
-	}
-	return nil
-}
 
 // Moles returns the hydrogen consumed, in moles, for fuel amp-seconds of
 // stack charge.

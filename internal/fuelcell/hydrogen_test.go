@@ -82,15 +82,6 @@ func TestEndToEndEfficiency(t *testing.T) {
 	}
 }
 
-func TestHydrogenValidate(t *testing.T) {
-	if err := (Hydrogen{Cells: 0}).Validate(); err == nil {
-		t.Error("zero cells accepted")
-	}
-	if err := PaperHydrogen().Validate(); err != nil {
-		t.Errorf("paper converter rejected: %v", err)
-	}
-}
-
 // Property: all hydrogen measures are linear in fuel.
 func TestHydrogenLinearity(t *testing.T) {
 	h := PaperHydrogen()

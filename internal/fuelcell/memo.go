@@ -80,8 +80,5 @@ func (m *Memo) StackCurrent(iF float64) float64 {
 // dt seconds, memoized.
 func (m *Memo) Fuel(iF, dt float64) float64 { return m.StackCurrent(iF) * dt }
 
-// System returns the underlying system description.
-func (m *Memo) System() *System { return m.sys }
-
 // Stats reports lookup hits and misses (for tests and perf diagnostics).
 func (m *Memo) Stats() (hits, misses uint64) { return m.hits, m.misses }

@@ -151,27 +151,6 @@ func (c *ChainEfficiency) MaxOutput() float64 {
 	return hi
 }
 
-// LinearFit least-squares-fits ηs ≈ α − β·IF over [lo, hi], reproducing the
-// paper's Eq 2 calibration step from the chain model.
-func (c *ChainEfficiency) LinearFit(lo, hi float64, n int) (alpha, beta float64) {
-	if n < 2 {
-		n = 2
-	}
-	var sx, sy, sxx, sxy float64
-	for k := 0; k < n; k++ {
-		x := lo + (hi-lo)*float64(k)/float64(n-1)
-		y := c.Eta(x)
-		sx += x
-		sy += y
-		sxx += x * x
-		sxy += x * y
-	}
-	fn := float64(n)
-	slope := (fn*sxy - sx*sy) / (fn*sxx - sx*sx)
-	intercept := (sy - slope*sx) / fn
-	return intercept, -slope
-}
-
 // System is the FC system as seen by the rest of fcdpm: a regulated-voltage
 // source with a bounded load-following range, an efficiency map, and the
 // fuel-rate map Ifc(IF) (Eq 3/4) derived from it.
@@ -264,31 +243,12 @@ func (s *System) IsConvexFuel(n int) bool {
 	return true
 }
 
-// EffPoint is one sample of an efficiency curve.
-type EffPoint struct {
-	IF  float64 // FC system output current, A
-	Eta float64 // efficiency, 0..1
-}
-
-// EfficiencyCurve samples ηs(IF) at n points over [lo, hi], the series
-// plotted in the paper's Fig 3.
-func (s *System) EfficiencyCurve(lo, hi float64, n int) []EffPoint {
-	if n < 2 {
-		n = 2
-	}
-	pts := make([]EffPoint, n)
-	for k := 0; k < n; k++ {
-		iF := lo + (hi-lo)*float64(k)/float64(n-1)
-		pts[k] = EffPoint{IF: iF, Eta: s.Eff.Eta(iF)}
-	}
-	return pts
-}
-
 // BatchKey implements the batch runner's lane-grouping capability with a
 // content fingerprint: two Systems with equal keys have identical
-// electrical parameters and efficiency maps, so lanes that differ only
-// in which System *instance* they hold still collapse onto one executing
-// simulation. Efficiency models the switch does not recognize key by the
+// electrical parameters and efficiency maps, so the runner's dynamics
+// fingerprint does not depend on which System *instance* a lane holds
+// (the policies planning against it still key it by pointer).
+// Efficiency models the switch does not recognize key by the
 // System's own identity — conservative (equal-content instances stay in
 // separate groups) but sound.
 func (s *System) BatchKey() string {

@@ -137,7 +137,7 @@ func TestRackTableMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			study = append(study, r.Stacks())
+			study = append(study, append([]Stack(nil), r.stacks...))
 		}
 	}
 	rng := rand.New(rand.NewSource(16))

@@ -87,7 +87,7 @@ func TestWaterFillDominatesEqualSplit(t *testing.T) {
 	}
 	strict := false
 	for iF := 0.2; iF < 4.8; iF += 0.1 {
-		fe, fw := eq.FuelRate(iF), wf.FuelRate(iF)
+		fe, fw := eq.fuelRate(eq.Allocate(iF)), wf.fuelRate(wf.Allocate(iF))
 		if fw > fe+1e-9 {
 			t.Fatalf("water-filling fuel %v above equal-split %v at iF=%v", fw, fe, iF)
 		}
@@ -114,7 +114,7 @@ func TestWaterFillMatchesEqualSplitOnHomogeneousRack(t *testing.T) {
 		t.Fatal(err)
 	}
 	for iF := 0.3; iF < 3.6; iF += 0.3 {
-		fe, fw := eq.FuelRate(iF), wf.FuelRate(iF)
+		fe, fw := eq.fuelRate(eq.Allocate(iF)), wf.fuelRate(wf.Allocate(iF))
 		if math.Abs(fe-fw)/fe > 1e-3 {
 			t.Fatalf("homogeneous rack: equal %v vs waterfill %v at iF=%v", fe, fw, iF)
 		}
@@ -167,7 +167,7 @@ func TestAggregateReproducesRackFuel(t *testing.T) {
 	}
 	sys := r.System()
 	for iF := 0.15; iF < 4.8; iF += 0.37 {
-		exact := r.FuelRate(iF)
+		exact := r.fuelRate(r.Allocate(iF))
 		viaSys := sys.StackCurrent(iF)
 		if math.Abs(exact-viaSys)/exact > 2e-3 {
 			t.Fatalf("aggregate fuel map off at iF=%v: exact %v vs table %v", iF, exact, viaSys)

@@ -173,12 +173,6 @@ func (r *Rack) System() *fuelcell.System { return r.sys }
 // K returns the number of stacks, online or not.
 func (r *Rack) K() int { return len(r.stacks) }
 
-// Stacks returns a copy of the stack descriptions.
-func (r *Rack) Stacks() []Stack { return append([]Stack(nil), r.stacks...) }
-
-// Allocator returns the rack's allocation policy.
-func (r *Rack) Allocator() Allocator { return r.alloc }
-
 // BatchKey is the rack's content fingerprint (also carried by the
 // aggregate System's efficiency model).
 func (r *Rack) BatchKey() string { return r.key }
@@ -190,12 +184,6 @@ func (r *Rack) Allocate(iF float64) []float64 {
 	out := make([]float64, len(r.stacks))
 	r.alloc.Allocate(r.stacks, iF, out)
 	return out
-}
-
-// FuelRate returns the rack's exact (non-interpolated) fuel-rate
-// current at total demand iF.
-func (r *Rack) FuelRate(iF float64) float64 {
-	return r.fuelRate(r.Allocate(iF))
 }
 
 // Uniform builds a rack of k identical stacks cloned from sys, with

@@ -51,14 +51,6 @@ func (h *Histogram) BinRange(i int) (lo, hi float64) {
 	return h.Lo + float64(i)*w, h.Lo + float64(i+1)*w
 }
 
-// Fraction returns bin i's share of the sample.
-func (h *Histogram) Fraction(i int) float64 {
-	if h.N == 0 {
-		return 0
-	}
-	return float64(h.Counts[i]) / float64(h.N)
-}
-
 // Render draws the histogram as ASCII bars, one line per bin, with the bar
 // width scaled so the fullest bin spans width characters.
 func (h *Histogram) Render(width int) string {

@@ -105,35 +105,6 @@ func TestRNGNorm(t *testing.T) {
 	}
 }
 
-func TestRNGExp(t *testing.T) {
-	r := NewRNG(6)
-	var sum float64
-	const n = 200000
-	for i := 0; i < n; i++ {
-		v := r.Exp(4)
-		if v < 0 {
-			t.Fatalf("Exp produced negative value %v", v)
-		}
-		sum += v
-	}
-	if mean := sum / n; math.Abs(mean-4) > 0.1 {
-		t.Fatalf("Exp mean = %v, want ~4", mean)
-	}
-}
-
-func TestRNGSplitIndependence(t *testing.T) {
-	r := NewRNG(99)
-	child := r.Split()
-	// Child stream should be deterministic given the parent state.
-	r2 := NewRNG(99)
-	child2 := r2.Split()
-	for i := 0; i < 100; i++ {
-		if child.Uint64() != child2.Uint64() {
-			t.Fatal("Split is not deterministic")
-		}
-	}
-}
-
 func TestGoldenMinQuadratic(t *testing.T) {
 	x := GoldenMin(func(x float64) float64 { return (x - 3) * (x - 3) }, -10, 10, 1e-10)
 	if math.Abs(x-3) > 1e-8 {
@@ -233,22 +204,11 @@ func TestTableErrors(t *testing.T) {
 	}
 }
 
-func TestTableArgMax(t *testing.T) {
-	tab := MustTable([]float64{0, 1, 2, 3}, []float64{1, 5, 20, 3})
-	x, y := tab.ArgMax()
-	if x != 2 || y != 20 {
-		t.Fatalf("ArgMax = (%v,%v), want (2,20)", x, y)
-	}
-}
-
 func TestTableDomainAndKnots(t *testing.T) {
 	tab := MustTable([]float64{0.1, 1.2}, []float64{1, 2})
 	lo, hi := tab.Domain()
 	if lo != 0.1 || hi != 1.2 {
 		t.Fatalf("Domain = (%v,%v)", lo, hi)
-	}
-	if tab.Len() != 2 {
-		t.Fatalf("Len = %d", tab.Len())
 	}
 	if x, y := tab.Knot(1); x != 1.2 || y != 2 {
 		t.Fatalf("Knot(1) = (%v,%v)", x, y)
@@ -348,9 +308,6 @@ func TestHistogram(t *testing.T) {
 	if lo != 1 || hi != 2 {
 		t.Fatalf("bin 1 range [%v, %v)", lo, hi)
 	}
-	if f := h.Fraction(0); math.Abs(f-1.0/3) > 1e-12 {
-		t.Fatalf("fraction = %v", f)
-	}
 	out := h.Render(12)
 	if !strings.Contains(out, "#") {
 		t.Fatalf("render missing bars:\n%s", out)
@@ -364,9 +321,6 @@ func TestHistogramEmpty(t *testing.T) {
 	h, err := NewHistogram(nil, 2, 0, 1)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if h.Fraction(0) != 0 {
-		t.Fatal("empty fraction")
 	}
 	if out := h.Render(10); strings.Contains(out, "#") {
 		t.Fatal("empty histogram drew bars")

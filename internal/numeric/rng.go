@@ -88,20 +88,3 @@ func (r *RNG) Norm(mean, stddev float64) float64 {
 		}
 	}
 }
-
-// Exp returns an exponentially distributed value with the given mean.
-func (r *RNG) Exp(mean float64) float64 {
-	for {
-		u := r.Float64()
-		if u > 0 {
-			return -mean * math.Log(u)
-		}
-	}
-}
-
-// Split derives an independent generator from the current stream. It is
-// used to give each component of an experiment its own stream so that adding
-// a consumer does not perturb the values seen by the others.
-func (r *RNG) Split() *RNG {
-	return NewRNG(r.Uint64())
-}

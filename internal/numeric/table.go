@@ -63,21 +63,5 @@ func (t *Table) At(x float64) float64 {
 // Domain returns the abscissa range covered by the table.
 func (t *Table) Domain() (lo, hi float64) { return t.xs[0], t.xs[len(t.xs)-1] }
 
-// Len returns the number of knots.
-func (t *Table) Len() int { return len(t.xs) }
-
 // Knot returns the i-th (x, y) pair.
 func (t *Table) Knot(i int) (x, y float64) { return t.xs[i], t.ys[i] }
-
-// ArgMax returns the abscissa and value of the maximum table knot. Because
-// the table is piecewise linear, the maximum over the domain is attained at
-// a knot.
-func (t *Table) ArgMax() (x, y float64) {
-	x, y = t.xs[0], t.ys[0]
-	for i := 1; i < len(t.xs); i++ {
-		if t.ys[i] > y {
-			x, y = t.xs[i], t.ys[i]
-		}
-	}
-	return x, y
-}

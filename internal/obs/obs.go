@@ -65,14 +65,6 @@ type Gauge struct {
 	bits atomic.Uint64
 }
 
-// Set stores v.
-func (g *Gauge) Set(v float64) {
-	if g == nil {
-		return
-	}
-	g.bits.Store(math.Float64bits(v))
-}
-
 // Add shifts the gauge by delta (negative to decrease).
 func (g *Gauge) Add(delta float64) {
 	if g == nil {
@@ -156,31 +148,17 @@ func (h *Histogram) Snapshot() (counts []uint64, count uint64, sum float64) {
 	return counts, count, math.Float64frombits(h.sumBits.Load())
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 {
-	_, n, _ := h.Snapshot()
-	return n
-}
-
-// Quantile estimates the q-quantile (q in [0, 1]) of the observed
-// distribution by linear interpolation inside the owning bucket — the
-// classic bounded-bucket estimator: find the bucket holding the q·count
-// rank, then interpolate between its bounds by the rank's position
-// within the bucket's count. The first bucket interpolates up from 0
-// (every repo histogram observes non-negative quantities); the +Inf
-// overflow bucket has no upper edge to interpolate toward, so ranks
-// landing there clamp to the highest finite bound. An empty histogram
-// reports 0; q outside [0, 1] clamps.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil {
-		return 0
-	}
-	counts, count, _ := h.Snapshot()
-	return quantileFromCounts(h.bounds, counts, count, q)
-}
-
-// Quantiles estimates several quantiles from one consistent snapshot,
-// so p50/p95/p99 in a report cannot straddle concurrent observations.
+// Quantiles estimates several quantiles (each q in [0, 1]) of the
+// observed distribution from one consistent snapshot, so p50/p95/p99 in
+// a report cannot straddle concurrent observations. Each estimate
+// interpolates linearly inside the owning bucket — the classic
+// bounded-bucket estimator: find the bucket holding the q·count rank,
+// then interpolate between its bounds by the rank's position within the
+// bucket's count. The first bucket interpolates up from 0 (every repo
+// histogram observes non-negative quantities); the +Inf overflow bucket
+// has no upper edge to interpolate toward, so ranks landing there clamp
+// to the highest finite bound. An empty histogram reports 0; q outside
+// [0, 1] clamps.
 func (h *Histogram) Quantiles(qs ...float64) []float64 {
 	out := make([]float64, len(qs))
 	if h == nil {

@@ -33,9 +33,9 @@ func TestCounterConcurrentAdds(t *testing.T) {
 	}
 }
 
-func TestGaugeSetAndAdd(t *testing.T) {
+func TestGaugeAdd(t *testing.T) {
 	var g Gauge
-	g.Set(10)
+	g.Add(10)
 	g.Add(-3)
 	if got := g.Value(); got != 7 {
 		t.Fatalf("gauge = %v, want 7", got)
@@ -48,10 +48,9 @@ func TestNilInstrumentsAreSafe(t *testing.T) {
 	var h *Histogram
 	c.Inc()
 	c.Add(1)
-	g.Set(1)
 	g.Add(1)
 	h.Observe(1)
-	if c.Value() != 0 || g.Value() != 0 || h.Sum() != 0 || h.Count() != 0 {
+	if _, n, _ := h.Snapshot(); c.Value() != 0 || g.Value() != 0 || h.Sum() != 0 || n != 0 {
 		t.Fatal("nil instruments must read as zero")
 	}
 	var m *SimMetrics
@@ -159,7 +158,7 @@ func TestRegistryIdempotentRegistration(t *testing.T) {
 func TestWritePrometheusFormat(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("b_total", "a counter").Add(2)
-	r.Gauge("a_gauge", "a gauge").Set(1.5)
+	r.Gauge("a_gauge", "a gauge").Add(1.5)
 	r.GaugeFunc("a_fn_gauge", "a callback gauge", func() float64 { return 42 })
 	h := r.Histogram("c_seconds", "a histogram", []float64{0.1, 1},
 		Label{Key: "path", Value: "/v1/runs"})

@@ -48,7 +48,7 @@ func TestHistogramQuantileTable(t *testing.T) {
 		{"empty", build(), 0.5, 0},
 	}
 	for _, tc := range cases {
-		got := tc.h.Quantile(tc.q)
+		got := tc.h.Quantiles(tc.q)[0]
 		if math.Abs(got-tc.want) > 1e-12 {
 			t.Errorf("%s: Quantile(%v) = %v, want %v", tc.name, tc.q, got, tc.want)
 		}
@@ -64,10 +64,10 @@ func TestHistogramQuantileLowEdge(t *testing.T) {
 	// q=0 → rank 0 → first bucket has count 0 → estimator reports that
 	// empty bucket's upper bound walk-through: counts {0,0,2,0}, rank 0
 	// ≤ cum 0 in bucket 0 → c == 0 → returns hi = 1.
-	if got := h.Quantile(0); got != 1 {
+	if got := h.Quantiles(0)[0]; got != 1 {
 		t.Fatalf("Quantile(0) = %v, want 1 (lower resolution bound)", got)
 	}
-	if got := h.Quantile(1); got != 4 {
+	if got := h.Quantiles(1)[0]; got != 4 {
 		t.Fatalf("Quantile(1) = %v, want 4", got)
 	}
 }
@@ -95,7 +95,7 @@ func TestHistogramQuantilesConsistent(t *testing.T) {
 // keeps.
 func TestHistogramQuantileNil(t *testing.T) {
 	var h *Histogram
-	if got := h.Quantile(0.5); got != 0 {
+	if got := h.Quantiles(0.5)[0]; got != 0 {
 		t.Fatalf("nil Quantile = %v, want 0", got)
 	}
 	if got := h.Quantiles(0.5, 0.9); got[0] != 0 || got[1] != 0 {

@@ -1,6 +1,7 @@
 package perf
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"testing"
@@ -233,7 +234,7 @@ func Suite(short bool) ([]Benchmark, error) {
 			Fn: func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if _, err := exp.Experiment1(1); err != nil {
+					if _, err := exp.Experiment1(context.Background(), 1); err != nil {
 						b.Fatal(err)
 					}
 				}

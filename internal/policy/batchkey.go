@@ -11,9 +11,9 @@ import (
 // policy here is fully determined by its construction parameters: Reset
 // clears all per-run state before each run, so two instances with equal
 // keys produce identical piece plans under identical inputs. The fuel
-// cell system and device model enter by pointer identity — the same way
-// sim's dynamics fingerprint treats them — and tunable floats by exact
-// bits, so lanes group only on true equality.
+// cell system and device model enter by pointer identity — conservative:
+// sim's dynamics fingerprint keys the system by content — and tunable
+// floats by exact bits, so lanes group only on true equality.
 
 // BatchKey implements sim.BatchKeyer.
 func (c *Conv) BatchKey() string { return fmt.Sprintf("conv|%p", c.sys) }

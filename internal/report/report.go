@@ -136,24 +136,3 @@ func (c *CSV) Row(values ...float64) {
 
 // Err returns the first write error.
 func (c *CSV) Err() error { return c.err }
-
-// Markdown renders the table as a GitHub-flavoured Markdown table, for
-// embedding experiment outputs in documentation.
-func (t *Table) Markdown() string {
-	var b strings.Builder
-	if t.Title != "" {
-		fmt.Fprintf(&b, "**%s**\n\n", t.Title)
-	}
-	b.WriteString("| " + strings.Join(t.Headers, " | ") + " |\n")
-	b.WriteString("|" + strings.Repeat("---|", len(t.Headers)) + "\n")
-	for _, row := range t.rows {
-		cells := make([]string, len(t.Headers))
-		for i := range cells {
-			if i < len(row) {
-				cells[i] = row[i]
-			}
-		}
-		b.WriteString("| " + strings.Join(cells, " | ") + " |\n")
-	}
-	return b.String()
-}

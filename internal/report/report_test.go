@@ -87,19 +87,3 @@ func TestCSVColumnMismatch(t *testing.T) {
 		t.Error("rows written after error")
 	}
 }
-
-func TestMarkdown(t *testing.T) {
-	tab := NewTable("Results", "Policy", "Fuel")
-	tab.AddRow("FC-DPM", 13.45)
-	md := tab.Markdown()
-	for _, want := range []string{"**Results**", "| Policy | Fuel |", "|---|---|", "| FC-DPM | 13.45 |"} {
-		if !strings.Contains(md, want) {
-			t.Errorf("markdown missing %q:\n%s", want, md)
-		}
-	}
-	short := NewTable("", "A", "B")
-	short.AddRow("only")
-	if !strings.Contains(short.Markdown(), "| only |  |") {
-		t.Errorf("short row not padded:\n%s", short.Markdown())
-	}
-}

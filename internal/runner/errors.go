@@ -61,28 +61,10 @@ func (e *RunError) Format(f fmt.State, verb rune) {
 	}
 }
 
-// retryableError marks its cause as worth retrying.
-type retryableError struct{ err error }
-
-func (r *retryableError) Error() string   { return r.err.Error() }
-func (r *retryableError) Unwrap() error   { return r.err }
-func (r *retryableError) Retryable() bool { return true }
-
-// MarkRetryable wraps err so the engine's retry loop will re-attempt the
-// task (up to Options.Retries). Use it for transient failures — flaky
-// I/O, resource contention — not for deterministic model errors, which
-// retrying cannot fix.
-func MarkRetryable(err error) error {
-	if err == nil {
-		return nil
-	}
-	return &retryableError{err: err}
-}
-
 // Retryable reports whether the engine should re-attempt a failed task:
-// anything marked with MarkRetryable or implementing Retryable() bool,
-// plus per-attempt deadline expiries (a hung run may succeed on a retry).
-// Panics and parent-context cancellations are never retryable.
+// anything implementing Retryable() bool, plus per-attempt deadline
+// expiries (a hung run may succeed on a retry). Panics and
+// parent-context cancellations are never retryable.
 func Retryable(err error) bool {
 	var rt interface{ Retryable() bool }
 	if errors.As(err, &rt) {

@@ -41,7 +41,7 @@ func TestOnEventLifecycle(t *testing.T) {
 			return func(context.Context) (int, error) {
 				calls++
 				if calls == 1 {
-					return 0, MarkRetryable(errors.New("transient"))
+					return 0, transient{errors.New("transient")}
 				}
 				return 9, nil
 			}

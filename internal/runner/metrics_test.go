@@ -25,12 +25,12 @@ func TestPoolMetricsCounters(t *testing.T) {
 		{ID: "flaky", Run: func(context.Context) (int, error) {
 			flaky++
 			if flaky == 1 {
-				return 0, MarkRetryable(errors.New("transient"))
+				return 0, transient{errors.New("transient")}
 			}
 			return 2, nil
 		}},
 		{ID: "dead", Run: func(context.Context) (int, error) {
-			return 0, MarkRetryable(errors.New("always"))
+			return 0, transient{errors.New("always")}
 		}},
 	}
 	opts.Workers = 1
@@ -97,7 +97,7 @@ func TestPoolMetricsBreakerTransitions(t *testing.T) {
 	if got := m.BreakersHalfOpen.Value(); got != 0 {
 		t.Errorf("breakers half-open gauge = %v, want 0", got)
 	}
-	if states := p.BreakerStates(); states["sc"] != "open" {
-		t.Errorf("BreakerStates = %v, want sc open", states)
+	if states := breakerStates(p); states["sc"] != "open" {
+		t.Errorf("breaker states = %v, want sc open", states)
 	}
 }

@@ -38,7 +38,7 @@ type Options struct {
 	// must honor its context for the worker to come back.
 	Timeout time.Duration
 	// Retries is how many times a failed attempt is re-run, applied only
-	// to retryable failures (MarkRetryable, Retryable() bool, attempt
+	// to retryable failures (Retryable() bool, attempt
 	// deadlines). 0 means fail fast.
 	Retries int
 	// BackoffBase and BackoffMax shape the exponential retry backoff
@@ -168,10 +168,6 @@ type Report[R any] struct {
 	// Counters by resolution.
 	Done, Resumed, Failed, Shed, BreakerSkipped, Interrupted int
 }
-
-// Resumable reports whether re-invoking the batch would make progress:
-// something was interrupted or skipped by an open breaker.
-func (r *Report[R]) Resumable() bool { return r.Interrupted > 0 }
 
 // FirstError returns the first failed outcome's error, or nil.
 func (r *Report[R]) FirstError() error {
@@ -423,25 +419,6 @@ func (p *Pool[R]) releaseBreaker(scenario string, b *breaker) {
 	if b.holders == 0 && b.pristine() {
 		delete(p.breakers, scenario)
 	}
-}
-
-// BreakerStates snapshots the current state of every breaker the pool
-// keeps (a scenario whose breaker is back in its initial state has
-// none), keyed by scenario and named as the breaker's String ("closed",
-// "open", "half-open"). Operational surfaces (/v1/stats, worker status pages)
-// report it so an operator sees which scenarios are quarantined right
-// now, not just how often transitions fired.
-func (p *Pool[R]) BreakerStates() map[string]string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if len(p.breakers) == 0 {
-		return nil
-	}
-	states := make(map[string]string, len(p.breakers))
-	for scenario, b := range p.breakers {
-		states[scenario] = b.snapshot().String()
-	}
-	return states
 }
 
 // execute runs one task through admission control, the attempt loop, and

@@ -121,7 +121,7 @@ func TestRetryWithBackoff(t *testing.T) {
 	var calls atomic.Int32
 	task := Task[int]{ID: "flaky", Run: func(context.Context) (int, error) {
 		if calls.Add(1) < 3 {
-			return 0, MarkRetryable(errors.New("transient"))
+			return 0, transient{errors.New("transient")}
 		}
 		return 42, nil
 	}}
@@ -158,6 +158,10 @@ func TestNonRetryableFailsFast(t *testing.T) {
 	}
 	if rep.Failed != 1 || calls.Load() != 1 {
 		t.Fatalf("calls = %d failed = %d, want 1/1 (no retry of non-retryable)", calls.Load(), rep.Failed)
+	}
+	var re *RunError
+	if !errors.As(rep.Outcomes[0].Err, &re) || re.Attempts != 1 {
+		t.Fatalf("failure = %v, want a *RunError after 1 attempt", rep.Outcomes[0].Err)
 	}
 	if clk.sleepCount() != 0 {
 		t.Errorf("slept %d times for a non-retryable failure", clk.sleepCount())
@@ -224,6 +228,24 @@ func TestBreakerTripsPerScenario(t *testing.T) {
 	}
 }
 
+// breakerStates snapshots the state of every breaker the pool keeps,
+// keyed by scenario and named as the breaker's String.
+func breakerStates[R any](p *Pool[R]) map[string]string {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	states := make(map[string]string, len(p.breakers))
+	for scenario, b := range p.breakers {
+		states[scenario] = b.snapshot().String()
+	}
+	return states
+}
+
+// transient is a failure the engine retries: it implements the
+// Retryable() bool interface Retryable checks for.
+type transient struct{ error }
+
+func (transient) Retryable() bool { return true }
+
 // TestPoolForgetsPristineBreakers: a long-lived pool keeps a scenario's
 // breaker only while it carries state (failures counted or an open
 // circuit), so a stream of distinct healthy scenarios does not grow it,
@@ -263,8 +285,8 @@ func TestPoolForgetsPristineBreakers(t *testing.T) {
 		t.Fatalf("report = %+v, want 6 failed and 1 skipped", rep)
 	}
 	want := map[string]string{"bad": "open", "counting": "closed"}
-	if got := p.BreakerStates(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("BreakerStates = %v, want %v", got, want)
+	if got := breakerStates(p); !reflect.DeepEqual(got, want) {
+		t.Fatalf("breaker states = %v, want %v", got, want)
 	}
 }
 
@@ -380,9 +402,6 @@ func TestInterruptMarksRemaining(t *testing.T) {
 	}
 	if rep.Done != 1 || rep.Interrupted != 2 {
 		t.Fatalf("report = %+v, want 1 done 2 interrupted", rep)
-	}
-	if !rep.Resumable() {
-		t.Error("interrupted report should be resumable")
 	}
 }
 

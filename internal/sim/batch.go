@@ -529,9 +529,11 @@ func dynamicsKey(cfg *Config) (string, bool) {
 	if cfg.Faults != nil {
 		faults = fmt.Sprintf("%p/%d", cfg.Faults, cfg.FaultSeed)
 	}
-	// The system is fingerprinted by content, not pointer: distinct
-	// instances with identical parameters (e.g. per-lane multistack racks
-	// built from the same stack mix) still group.
+	// The system is fingerprinted by content, not pointer. The policies
+	// key the system they plan against by pointer, though, so lanes over
+	// distinct equal-content systems (e.g. per-lane multistack racks
+	// built from the same stack mix) group only through an explicit
+	// Lane.Key, such as the spec cache key runreport passes.
 	return fmt.Sprintf("sys=%s|dev=%p|pol=%s|sto=%s|dpm=%d|to=%x|slew=%x|pi=%s|pa=%s|pc=%s|faults=%s|sup=%d/%x/%x|fb=%s",
 		cfg.Sys.BatchKey(), cfg.Dev, pol, sto, cfg.DPM, fpBits(cfg.Timeout), fpBits(cfg.SlewRate),
 		pi, pa, pc, faults,

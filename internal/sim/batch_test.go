@@ -3,6 +3,7 @@ package sim_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"fcdpm/internal/fault"
 	"fcdpm/internal/fcopt"
 	"fcdpm/internal/fuelcell"
+	"fcdpm/internal/multistack"
 	"fcdpm/internal/policy"
 	"fcdpm/internal/predict"
 	"fcdpm/internal/sim"
@@ -106,13 +108,15 @@ func labelLane(i int, cfg *sim.Config) string {
 	return "lane " + string(rune('0'+i%10)) + " (" + name + ")"
 }
 
-// randomLane draws one scenario variant: policy family, storage size,
-// predictors, DPM mode, record level, slew rate, faults, and fallback
-// chain all vary. Shared pointers (sys, dev, schedules) are the same
-// objects across lanes, exactly as sweep and server consumers build them.
-func randomLane(t *testing.T, rng *rand.Rand, sys *fuelcell.System, dev *device.Model,
+// randomLane draws one scenario variant: system (one of systems),
+// policy family, storage size, predictors, DPM mode, record level, slew
+// rate, faults, and fallback chain all vary. Shared pointers (systems,
+// dev, schedules) are the same objects across lanes, exactly as sweep
+// and server consumers build them.
+func randomLane(t *testing.T, rng *rand.Rand, systems []*fuelcell.System, dev *device.Model,
 	tr *workload.Trace, scheds []*fault.Schedule) sim.Lane {
 	t.Helper()
+	sys := systems[rng.Intn(len(systems))]
 	cfg := sim.Config{Sys: sys, Dev: dev, Trace: tr}
 
 	switch rng.Intn(4) {
@@ -173,13 +177,16 @@ func randomLane(t *testing.T, rng *rand.Rand, sys *fuelcell.System, dev *device.
 	return sim.Lane{Cfg: cfg}
 }
 
-// TestBatchRunnerOracleProperty is the property test the issue asks for:
-// random variant sets across policies × seeds × record levels × fault
-// schedules, every lane compared byte-for-byte against a sequential run.
+// TestBatchRunnerOracleProperty is the batch ≡ scalar property: random
+// variant sets across policies × seeds × record levels × fault schedules,
+// every lane compared byte-for-byte against a sequential run. It runs on
+// the hand-built periodic trace, on short racksurge, bursty and
+// heavytail traces, and on multistack racks (K ∈ {2, 4}, every
+// allocator, healthy and degraded), including lanes spread over two
+// equal-content racks built separately.
 func TestBatchRunnerOracleProperty(t *testing.T) {
-	sys := fuelcell.PaperSystem()
+	paper := []*fuelcell.System{fuelcell.PaperSystem()}
 	dev := device.Synthetic()
-	tr := faultTrace(80)
 	scheds := []*fault.Schedule{
 		{Events: []fault.Event{
 			{Kind: fault.SensorNoise, Start: 30, Dur: 100, Magnitude: 0.4},
@@ -190,15 +197,84 @@ func TestBatchRunnerOracleProperty(t *testing.T) {
 			{Kind: fault.CapacityFade, Start: 40, Dur: 0, Magnitude: 0.2},
 		}},
 	}
-
-	for round := 0; round < 12; round++ {
-		rng := rand.New(rand.NewSource(int64(1000 + round)))
-		lanes := make([]sim.Lane, 1+rng.Intn(8))
-		for i := range lanes {
-			lanes[i] = randomLane(t, rng, sys, dev, tr, scheds)
+	check := func(t *testing.T, seed int64, rounds int, systems []*fuelcell.System, tr *workload.Trace) {
+		t.Helper()
+		for round := 0; round < rounds; round++ {
+			rng := rand.New(rand.NewSource(seed + int64(round)))
+			lanes := make([]sim.Lane, 1+rng.Intn(8))
+			for i := range lanes {
+				lanes[i] = randomLane(t, rng, systems, dev, tr, scheds)
+			}
+			batchOracleCheck(t, lanes)
 		}
-		batchOracleCheck(t, lanes)
 	}
+
+	t.Run("periodic", func(t *testing.T) { check(t, 1000, 12, paper, faultTrace(80)) })
+
+	mustTrace := func(tr *workload.Trace, err error) *workload.Trace {
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tr
+	}
+	surgeCfg := workload.DefaultRackSurgeConfig()
+	surgeCfg.Duration = 300
+	surge := mustTrace(workload.RackSurge(surgeCfg))
+	burstyCfg := workload.DefaultBurstyConfig()
+	burstyCfg.Duration = 300
+	heavyCfg := workload.DefaultHeavyTailConfig()
+	heavyCfg.Duration = 300
+	for _, tc := range []struct {
+		name string
+		tr   *workload.Trace
+	}{
+		{"racksurge", surge},
+		{"bursty", mustTrace(workload.Bursty(burstyCfg))},
+		{"heavytail", mustTrace(workload.HeavyTail(heavyCfg))},
+	} {
+		t.Run(tc.name, func(t *testing.T) { check(t, 2000, 4, paper, tc.tr) })
+	}
+
+	for _, k := range []int{2, 4} {
+		for _, alloc := range multistack.Allocators() {
+			for _, degrade := range [][]float64{nil, {0, 0.3}} {
+				rack := mustRack(t, k, alloc, degrade)
+				name := fmt.Sprintf("rack-k%d-%s-degrade%v", k, alloc.Name(), degrade)
+				t.Run(name, func(t *testing.T) { check(t, 3000, 2, []*fuelcell.System{rack}, surge) })
+			}
+		}
+	}
+
+	t.Run("equal-content-racks", func(t *testing.T) {
+		a := mustRack(t, 4, multistack.WaterFill{}, []float64{0, 0.3})
+		b := mustRack(t, 4, multistack.WaterFill{}, []float64{0, 0.3})
+		if a == b {
+			t.Fatal("racks built separately share a System")
+		}
+		check(t, 4000, 4, []*fuelcell.System{a, b}, surge)
+		// A content key, as runreport derives from the spec, makes the
+		// same lane over either rack one simulation, and each lane still
+		// matches its own scalar run.
+		lane := func(sys *fuelcell.System) sim.Lane {
+			return sim.Lane{Key: "rack-k4-waterfill-0,0.3", Cfg: sim.Config{Sys: sys, Dev: dev, Trace: surge,
+				Store: storage.MustSuperCap(6, 3), Policy: policy.NewFCDPM(sys, dev)}}
+		}
+		runner := batchOracleCheck(t, []sim.Lane{lane(a), lane(b)})
+		if runner.GroupOf(0) != runner.GroupOf(1) {
+			t.Fatalf("equal content keys split into groups %d and %d", runner.GroupOf(0), runner.GroupOf(1))
+		}
+	})
+}
+
+// mustRack builds a k-stack rack of the paper's system and returns its
+// aggregate System.
+func mustRack(t *testing.T, k int, alloc multistack.Allocator, degrade []float64) *fuelcell.System {
+	t.Helper()
+	r, err := multistack.Uniform(fuelcell.PaperSystem(), k, alloc, degrade)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r.System()
 }
 
 // TestBatchRunnerGroupsDuplicates verifies identical-dynamics lanes

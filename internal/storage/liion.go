@@ -47,12 +47,9 @@ func NewLiIon(cmax, c, k, q0 float64) (*LiIon, error) {
 // Capacity implements Storage.
 func (b *LiIon) Capacity() float64 { return b.cmax }
 
-// Charge implements Storage; it reports total stored charge (available +
-// bound). Use Available to see only the immediately usable part.
+// Charge implements Storage; it reports total stored charge, available
+// plus bound.
 func (b *LiIon) Charge() float64 { return b.y1 + b.y2 }
-
-// Available returns the immediately deliverable charge.
-func (b *LiIon) Available() float64 { return b.y1 }
 
 // SetCharge implements Storage, distributing the charge between the wells
 // in equilibrium proportion (h1 == h2).

@@ -10,10 +10,7 @@
 // does not transfer to fuel cells.
 package storage
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Flow describes what happened to charge over one Apply call. All values
 // are non-negative amp-seconds.
@@ -157,23 +154,4 @@ func (s *SuperCap) RestoreFrom(src Storage) bool {
 		*s = *o
 	}
 	return ok
-}
-
-// TimeToFull returns how long the element takes to fill at the given
-// charging current, or +Inf when the current is non-positive. Policies use
-// it to split segments exactly at the full boundary instead of bleeding.
-func TimeToFull(s Storage, current float64) float64 {
-	if current <= 0 {
-		return math.Inf(1)
-	}
-	return (s.Capacity() - s.Charge()) / current
-}
-
-// TimeToEmpty returns how long the element can sustain the given discharge
-// current, or +Inf when the current is non-negative.
-func TimeToEmpty(s Storage, current float64) float64 {
-	if current >= 0 {
-		return math.Inf(1)
-	}
-	return s.Charge() / -current
 }

@@ -122,22 +122,6 @@ func TestSuperCapClone(t *testing.T) {
 	}
 }
 
-func TestTimeToFullEmpty(t *testing.T) {
-	s := MustSuperCap(10, 4)
-	if got := TimeToFull(s, 2); got != 3 {
-		t.Errorf("TimeToFull = %v, want 3", got)
-	}
-	if got := TimeToFull(s, 0); !math.IsInf(got, 1) {
-		t.Errorf("TimeToFull at zero current = %v, want +Inf", got)
-	}
-	if got := TimeToEmpty(s, -2); got != 2 {
-		t.Errorf("TimeToEmpty = %v, want 2", got)
-	}
-	if got := TimeToEmpty(s, 1); !math.IsInf(got, 1) {
-		t.Errorf("TimeToEmpty while charging = %v, want +Inf", got)
-	}
-}
-
 // Property: charge conservation — stored + bled + deficit accounts exactly
 // for the applied amp-seconds, and charge stays within [0, Cmax].
 func TestSuperCapConservation(t *testing.T) {
@@ -214,12 +198,12 @@ func TestLiIonRecoveryEffect(t *testing.T) {
 	}
 	// Drain the available well hard.
 	b.Apply(-8, 5)
-	availAfterBurst := b.Available()
+	availAfterBurst := b.y1
 	// Rest: bound charge should migrate back into the available well.
 	b.Apply(0, 60)
-	if b.Available() <= availAfterBurst {
+	if b.y1 <= availAfterBurst {
 		t.Fatalf("recovery effect missing: available %v -> %v",
-			availAfterBurst, b.Available())
+			availAfterBurst, b.y1)
 	}
 }
 
@@ -243,8 +227,8 @@ func TestLiIonSetChargeEquilibrium(t *testing.T) {
 		t.Fatal(err)
 	}
 	b.SetCharge(5)
-	if math.Abs(b.Available()-1.5) > 1e-9 {
-		t.Errorf("available = %v, want 1.5 (c fraction)", b.Available())
+	if math.Abs(b.y1-1.5) > 1e-9 {
+		t.Errorf("available = %v, want 1.5 (c fraction)", b.y1)
 	}
 	if math.Abs(b.Charge()-5) > 1e-9 {
 		t.Errorf("total = %v, want 5", b.Charge())
@@ -292,7 +276,7 @@ func TestLiIonBoundsProperty(t *testing.T) {
 			if q < -1e-9 || q > 20+1e-9 {
 				return false
 			}
-			if b.Available() < -1e-9 {
+			if b.y1 < -1e-9 {
 				return false
 			}
 		}

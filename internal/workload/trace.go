@@ -135,18 +135,3 @@ func (t *Trace) Statistics() Stats {
 	}
 	return st
 }
-
-// Clip returns a prefix of the trace not exceeding maxDuration seconds of
-// idle+active time. At least one slot is kept if the trace is non-empty.
-func (t *Trace) Clip(maxDuration float64) *Trace {
-	out := &Trace{Name: t.Name}
-	var d float64
-	for _, s := range t.Slots {
-		d += s.Idle + s.Active
-		out.Slots = append(out.Slots, s)
-		if d >= maxDuration {
-			break
-		}
-	}
-	return out
-}

@@ -197,17 +197,6 @@ func TestTraceSeries(t *testing.T) {
 	}
 }
 
-func TestClip(t *testing.T) {
-	tr := Periodic(10, 10, 10, 1)
-	clipped := tr.Clip(45)
-	if clipped.Len() != 3 {
-		t.Fatalf("clip len = %d, want 3 (crosses 45 s during slot 3)", clipped.Len())
-	}
-	if clipped.Duration() != 60 {
-		t.Fatalf("clip duration = %v", clipped.Duration())
-	}
-}
-
 func TestJSONRoundTrip(t *testing.T) {
 	tr := Periodic(3, 8, 3, 1.2)
 	tr.Name = "round-trip"
