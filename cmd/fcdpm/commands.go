@@ -9,22 +9,19 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strconv"
+	"strings"
 	"time"
 
 	"fcdpm/internal/cache"
 	"fcdpm/internal/config"
-	"fcdpm/internal/device"
 	"fcdpm/internal/exp"
-	"fcdpm/internal/fuelcell"
 	"fcdpm/internal/numeric"
-	"fcdpm/internal/policy"
 	"fcdpm/internal/report"
 	"fcdpm/internal/runner"
 	"fcdpm/internal/runreport"
 	"fcdpm/internal/sim"
-	"fcdpm/internal/storage"
 	"fcdpm/internal/version"
-	"fcdpm/internal/workload"
 )
 
 // parseFlags parses the flags of a subcommand that takes no operands;
@@ -99,33 +96,42 @@ func cmdCurves(args []string) error {
 	return nil
 }
 
-// makeTrace builds a trace from the -kind/-seed/-duration flags.
-func makeTrace(kind string, seed uint64, duration float64) (*workload.Trace, *device.Model, error) {
-	switch kind {
-	case "camcorder":
-		cfg := workload.DefaultCamcorderConfig()
-		cfg.Seed = seed
-		if duration > 0 {
-			cfg.Duration = duration
-		}
-		tr, err := workload.Camcorder(cfg)
-		return tr, device.Camcorder(), err
-	case "synthetic":
-		cfg := workload.DefaultSyntheticConfig()
-		cfg.Seed = seed
-		if duration > 0 {
-			cfg.Duration = duration
-		}
-		tr, err := workload.Synthetic(cfg)
-		return tr, device.Synthetic(), err
-	default:
-		return nil, nil, usagef("unknown trace kind %q (want camcorder or synthetic)", kind)
+// kindUsage documents the -kind flag: every generated trace kind a spec
+// names.
+const kindUsage = "trace kind: camcorder, synthetic, bursty, heavytail, racksurge, or dvs"
+
+// flagScenario is the spec the shared trace flags describe: a -kind
+// trace with -seed and -duration, on the synthetic device for the
+// synthetic trace and on the camcorder for every other kind.
+func flagScenario(kind string, seed uint64, duration float64) *config.Scenario {
+	s := &config.Scenario{Trace: config.TraceSpec{Kind: kind, Seed: seed, Duration: duration}}
+	if strings.EqualFold(strings.TrimSpace(kind), "synthetic") {
+		s.Device.Kind = "synthetic"
 	}
+	return s
+}
+
+// buildFlags builds a spec filled from fs's flags. The spec reads zero
+// as "use the default", so each named flag must be positive; and since
+// every value came from the command line, a spec the config package
+// refuses is a usage error.
+func buildFlags(fs *flag.FlagSet, s *config.Scenario, positive ...string) (sim.Config, error) {
+	for _, name := range positive {
+		if v, err := strconv.ParseFloat(fs.Lookup(name).Value.String(), 64); err != nil || !(v > 0) {
+			return sim.Config{}, usagef("%s: -%s must be positive", fs.Name(), name)
+		}
+	}
+	cfg, err := s.Build()
+	var ve *config.ValidationError
+	if errors.As(err, &ve) {
+		return cfg, usagef("%s: %v", fs.Name(), err)
+	}
+	return cfg, err
 }
 
 func cmdTrace(args []string) error {
 	fs := flag.NewFlagSet("trace", flag.ContinueOnError)
-	kind := fs.String("kind", "camcorder", "trace kind: camcorder or synthetic")
+	kind := fs.String("kind", "camcorder", kindUsage)
 	seed := fs.Uint64("seed", 1, "generator seed")
 	duration := fs.Float64("duration", 0, "trace duration in seconds (0 = paper default)")
 	format := fs.String("format", "csv", "output format: csv or json")
@@ -133,7 +139,7 @@ func cmdTrace(args []string) error {
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
-	tr, _, err := makeTrace(*kind, *seed, *duration)
+	cfg, err := buildFlags(fs, flagScenario(*kind, *seed, *duration), "seed")
 	if err != nil {
 		return err
 	}
@@ -144,9 +150,9 @@ func cmdTrace(args []string) error {
 	defer closeFn()
 	switch *format {
 	case "csv":
-		return tr.WriteCSV(w)
+		return cfg.Trace.WriteCSV(w)
 	case "json":
-		return tr.WriteJSON(w)
+		return cfg.Trace.WriteJSON(w)
 	default:
 		return usagef("unknown format %q (want csv or json)", *format)
 	}
@@ -154,8 +160,8 @@ func cmdTrace(args []string) error {
 
 func cmdRun(args []string) error {
 	fs := flag.NewFlagSet("run", flag.ContinueOnError)
-	polName := fs.String("policy", "fcdpm", "policy: conv, asap, fcdpm, or flat")
-	kind := fs.String("kind", "camcorder", "trace kind: camcorder or synthetic")
+	polName := fs.String("policy", "fcdpm", "policy: conv, asap, fcdpm, flat, or quantized")
+	kind := fs.String("kind", "camcorder", kindUsage)
 	seed := fs.Uint64("seed", 1, "generator seed")
 	duration := fs.Float64("duration", 0, "trace duration in seconds (0 = paper default)")
 	cmax := fs.Float64("cmax", 6, "storage capacity in A-s")
@@ -165,38 +171,18 @@ func cmdRun(args []string) error {
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
-	tr, dev, err := makeTrace(*kind, *seed, *duration)
+	scen := flagScenario(*kind, *seed, *duration)
+	scen.Storage = config.StorageSpec{CapacityAs: *cmax, InitialAs: *reserve}
+	scen.Policy = config.PolicySpec{Kind: *polName, FlatIF: *flatIF}
+	cfg, err := buildFlags(fs, scen, "seed", "cmax", "reserve", "flat")
 	if err != nil {
 		return err
 	}
-	sys := fuelcell.PaperSystem()
-	var pol sim.Policy
-	switch *polName {
-	case "conv":
-		pol = policy.NewConv(sys)
-	case "asap":
-		pol = policy.NewASAP(sys)
-	case "fcdpm":
-		pol = policy.NewFCDPM(sys, dev)
-	case "flat":
-		pol = policy.NewFlat(sys, *flatIF)
-	default:
-		return usagef("unknown policy %q", *polName)
-	}
-	store, err := storage.NewSuperCap(*cmax, *reserve)
+	res, err := sim.Run(cfg)
 	if err != nil {
 		return err
 	}
-	res, err := sim.Run(sim.Config{
-		Sys: sys, Dev: dev,
-		Store:  store,
-		Trace:  tr,
-		Policy: pol,
-	})
-	if err != nil {
-		return err
-	}
-	tab := report.NewTable(fmt.Sprintf("%s over %s (seed %d)", res.Policy, tr.Name, *seed), "Metric", "Value")
+	tab := report.NewTable(fmt.Sprintf("%s over %s (seed %d)", res.Policy, cfg.Trace.Name, *seed), "Metric", "Value")
 	tab.AddRow("slots", res.Slots)
 	tab.AddRow("sleep decisions", res.Sleeps)
 	tab.AddRow("duration (s)", fmt.Sprintf("%.1f", res.Duration))
@@ -354,28 +340,17 @@ func cmdRunFile(ctx context.Context, args []string) error {
 
 func cmdStats(args []string) error {
 	fs := flag.NewFlagSet("stats", flag.ContinueOnError)
-	kind := fs.String("kind", "camcorder", "trace kind: camcorder, synthetic, or heavytail")
+	kind := fs.String("kind", "camcorder", kindUsage)
 	seed := fs.Uint64("seed", 1, "generator seed")
 	duration := fs.Float64("duration", 0, "trace duration in seconds (0 = default)")
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
-	var tr *workload.Trace
-	var err error
-	switch *kind {
-	case "heavytail":
-		cfg := workload.DefaultHeavyTailConfig()
-		cfg.Seed = *seed
-		if *duration > 0 {
-			cfg.Duration = *duration
-		}
-		tr, err = workload.HeavyTail(cfg)
-	default:
-		tr, _, err = makeTrace(*kind, *seed, *duration)
-	}
+	cfg, err := buildFlags(fs, flagScenario(*kind, *seed, *duration), "seed")
 	if err != nil {
 		return err
 	}
+	tr := cfg.Trace
 	st := tr.Statistics()
 	tab := report.NewTable(fmt.Sprintf("trace statistics: %s", tr.Name), "Metric", "Value")
 	tab.AddRow("slots", st.Slots)
@@ -535,17 +510,17 @@ func cmdAblate(ctx context.Context, args []string) error {
 
 func cmdAdvise(args []string) error {
 	fs := flag.NewFlagSet("advise", flag.ContinueOnError)
-	kind := fs.String("kind", "camcorder", "trace kind: camcorder or synthetic")
+	kind := fs.String("kind", "camcorder", kindUsage)
 	seed := fs.Uint64("seed", 1, "generator seed")
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
-	tr, dev, err := makeTrace(*kind, *seed, 0)
+	cfg, err := buildFlags(fs, flagScenario(*kind, *seed, 0), "seed")
 	if err != nil {
 		return err
 	}
-	sys := fuelcell.PaperSystem()
-	a, err := exp.Advise(sys, dev, tr)
+	tr, dev := cfg.Trace, cfg.Dev
+	a, err := exp.Advise(cfg.Sys, dev, tr)
 	if err != nil {
 		return err
 	}
@@ -736,33 +711,18 @@ func cmdCharge(args []string) error {
 	seed := fs.Uint64("seed", 1, "trace seed")
 	window := fs.Float64("window", 120, "window in seconds")
 	width := fs.Int("width", 96, "chart width in characters")
-	polName := fs.String("policy", "fcdpm", "policy: conv, asap, or fcdpm")
+	polName := fs.String("policy", "fcdpm", "policy: conv, asap, fcdpm, flat, or quantized")
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
-	tr, dev, err := makeTrace("camcorder", *seed, 0)
+	scen := flagScenario("camcorder", *seed, 0)
+	scen.Policy.Kind = *polName
+	cfg, err := buildFlags(fs, scen, "seed")
 	if err != nil {
 		return err
 	}
-	sys := fuelcell.PaperSystem()
-	var pol sim.Policy
-	switch *polName {
-	case "conv":
-		pol = policy.NewConv(sys)
-	case "asap":
-		pol = policy.NewASAP(sys)
-	case "fcdpm":
-		pol = policy.NewFCDPM(sys, dev)
-	default:
-		return usagef("unknown policy %q", *polName)
-	}
-	res, err := sim.Run(sim.Config{
-		Sys: sys, Dev: dev,
-		Store:  storage.MustSuperCap(6, 1),
-		Trace:  tr,
-		Policy: pol,
-		Record: sim.RecordFull,
-	})
+	cfg.Record = sim.RecordFull
+	res, err := sim.Run(cfg)
 	if err != nil {
 		return err
 	}

@@ -1,30 +1,20 @@
 // Command fcdpm is the command-line front end of the library: it generates
 // workload traces, dumps the fuel-cell characteristic curves, runs single
-// policy simulations, and reproduces the paper's experiments. `fcdpm
-// figures` writes the whole reproduction record (every table and figure
+// policy simulations and scenario files, reproduces the paper's
+// experiments, and serves and distributes scenario runs. `fcdpm figures`
+// writes the whole reproduction record (every table and figure
 // EXPERIMENTS.md cites) under out/; exp1, exp2, motiv and hydrogen print
 // single artifacts of it through the same renderers.
 //
 // Usage:
 //
-//	fcdpm figures  [-out DIR]
-//	fcdpm curves   [-points N]
-//	fcdpm trace    [-kind camcorder|synthetic] [-seed N] [-duration S] [-format csv|json] [-out file]
-//	fcdpm run      [-policy conv|asap|fcdpm|flat] [-kind camcorder|synthetic] [-seed N] [-cmax A-s] [-reserve A-s] [-flat A]
-//	fcdpm exp1     [-seed N]
-//	fcdpm exp2     [-seed N]
-//	fcdpm motiv
-//	fcdpm hydrogen [-seed N] [-cartridge G]
-//	fcdpm plot     [-what fig7|fig2|fig3] [-seed N] [-window S] [-width N]
-//	fcdpm sweep    [-what capacity|beta|rho] [-seed N] | -remote URL [-name NAME] [-rows FILE] <scenario.json>...
-//	fcdpm faults   [-seed N] [-list] [-workers N] [-timeout S] [-retries N] [-journal FILE]
-//	fcdpm batch    [-workers N] [-timeout S] [-retries N] [-journal FILE] <scenario.json>...
-//	fcdpm serve    [-addr HOST:PORT] [-workers N] [-queue N] [-timeout S] [-retries N] [-cache-mb N] [-cache-dir DIR] [-drain S] [-pprof]
-//	fcdpm devicesim [-count N] [-stop-after S] [-target URL] [-cadence S] [-seed N] [-metrics HOST:PORT] [-config FILE] [-plan] [-json FILE]
-//	fcdpm dispatchd [-addr HOST:PORT] [-state DIR] [-lease S] [-cache-mb N]
-//	fcdpm workd    [-dispatcher URL] [-name NAME] [-workers N] [-timeout S] [-spool DIR] [-addr HOST:PORT]
-//	fcdpm bench    [-out DIR] [-repeat N] [-short] [-compare] [-threshold F]
-//	fcdpm version  [-json]
+//	fcdpm <subcommand> [flags]
+//
+// `fcdpm help` lists every subcommand, and `fcdpm <subcommand> -h` its
+// flags. The flags of run, trace, stats, advise and charge fill a
+// scenario spec (see internal/config), so they accept what the spec
+// accepts, and a numeric flag whose zero the spec reads as "use the
+// default" must be positive.
 //
 // Exit status: 0 on success, 1 on a run failure, 2 on command-line
 // usage errors, 3 when a batch or sweep was interrupted but left a
@@ -166,7 +156,8 @@ subcommands:
            beyond-paper studies as CSV, text and SVG files under -out
            (default out/), with a summary.txt
   curves   dump the FC stack I-V-P curve (Fig 2) and efficiency curves (Fig 3)
-  trace    generate a workload trace (camcorder MPEG or Exp 2 synthetic)
+  trace    generate a workload trace (camcorder MPEG, Exp 2 synthetic, or
+           any other generated -kind)
   run      simulate one policy over a trace and report fuel/lifetime
   exp1     reproduce Table 2 (Experiment 1, camcorder trace)
   exp2     reproduce Table 3 (Experiment 2, synthetic trace)

@@ -67,6 +67,15 @@ func TestRunErrors(t *testing.T) {
 		{"runfile", "a.json", "b.json"},
 		{"batch"},
 		{"faults", "-list", "extra"},
+		// A value the spec reads as "use the default" is no flag value.
+		{"run", "-seed", "0"},
+		{"trace", "-seed", "0"},
+		{"stats", "-seed", "0"},
+		{"advise", "-seed", "0"},
+		{"charge", "-seed", "0"},
+		{"run", "-cmax", "0"},
+		{"run", "-reserve", "0"},
+		{"run", "-flat", "0"},
 	}
 	// Every subcommand but runfile and batch takes no operand.
 	for _, sub := range subcommands {
@@ -96,6 +105,51 @@ func TestRunErrors(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestRunFlagsMeanTheSpec: `run` builds its flags into a spec, so for
+// every policy and trace kind it reports the rows `runfile` reports for
+// the spec with the same fields.
+func TestRunFlagsMeanTheSpec(t *testing.T) {
+	dir := t.TempDir()
+	rows := []string{"fuel (stack A-s)", "avg stack current (A)", "bled charge (A-s)",
+		"deficit charge (A-s)", "final storage (A-s)"}
+	for _, pol := range []string{"conv", "asap", "fcdpm", "flat"} {
+		// Selectors are case-insensitive, so "Synthetic" also picks the
+		// synthetic device.
+		for _, kind := range []string{"camcorder", "synthetic", "Synthetic"} {
+			spec := fmt.Sprintf(`{"trace":{"kind":%q,"seed":3,"duration":300},"device":{"kind":%q},"policy":{"kind":%q}}`,
+				kind, kind, pol)
+			path := filepath.Join(dir, pol+"-"+kind+".json")
+			if err := os.WriteFile(path, []byte(spec), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			flags := runTable(t, "run", "-policy", pol, "-kind", kind, "-seed", "3", "-duration", "300")
+			file := runTable(t, "runfile", path)
+			for _, row := range rows {
+				if flags[row] == "" || flags[row] != file[row] {
+					t.Errorf("%s on %s: run reports %s %q, runfile %q", pol, kind, row, flags[row], file[row])
+				}
+			}
+		}
+	}
+}
+
+// runTable runs a subcommand and returns its table rows by label.
+func runTable(t *testing.T, args ...string) map[string]string {
+	t.Helper()
+	out := captureStdout(t, func() {
+		if err := run(context.Background(), args); err != nil {
+			t.Errorf("%v: %v", args, err)
+		}
+	})
+	rows := make(map[string]string)
+	for _, line := range strings.Split(out, "\n") {
+		if i := strings.LastIndex(line, "  "); i > 0 {
+			rows[strings.TrimSpace(line[:i])] = strings.TrimSpace(line[i:])
+		}
+	}
+	return rows
 }
 
 // subcommands lists every subcommand run dispatches.
@@ -324,6 +378,36 @@ func TestRunFileBadRhoExitsOne(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "predict.rho") {
 		t.Fatalf("error does not name the offending field: %v", err)
+	}
+}
+
+// TestRunFileOversizedSpecExitsOne: a spec asking for more work than
+// the caps admit fails with exit code 1 before anything is built; each
+// of these once ran the process out of memory.
+func TestRunFileOversizedSpecExitsOne(t *testing.T) {
+	dir := t.TempDir()
+	oldOut, oldErr := os.Stdout, os.Stderr
+	devNull, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	os.Stdout, os.Stderr = devNull, devNull
+	defer func() {
+		os.Stdout, os.Stderr = oldOut, oldErr
+		devNull.Close()
+	}()
+	for i, spec := range []string{
+		`{"trace":{"kind":"synthetic","duration":1e11}}`,
+		`{"trace":{"kind":"synthetic","duration":600},"faults":{"random":1000000000}}`,
+		`{"trace":{"kind":"synthetic","duration":600},"policy":{"kind":"quantized","levels":1000000000}}`,
+	} {
+		path := filepath.Join(dir, fmt.Sprintf("oversized-%d.json", i))
+		if err := os.WriteFile(path, []byte(spec), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if got := exitCode(run(context.Background(), []string{"runfile", path})); got != 1 {
+			t.Errorf("runfile %s exits %d, want 1", spec, got)
+		}
 	}
 }
 

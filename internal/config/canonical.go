@@ -8,7 +8,10 @@ import (
 	"strings"
 
 	"fcdpm/internal/fault"
+	"fcdpm/internal/fuelcell"
 	"fcdpm/internal/multistack"
+	"fcdpm/internal/storage"
+	"fcdpm/internal/workload"
 )
 
 // This file gives a validated scenario a canonical form, so the serving
@@ -17,12 +20,23 @@ import (
 // omitted defaults, orchestration-only settings) — normalize to the same
 // bytes and therefore the same cache key.
 
+// The paper's electrical and storage defaults, built once: Normalized
+// runs on every request the server keys.
+var (
+	paperSystem     = fuelcell.PaperSystem()
+	paperEfficiency = fuelcell.PaperEfficiency()
+	paperCapacity   = storage.PaperSuperCap().Capacity()
+)
+
 // Normalized returns a canonical copy of the scenario: it validates,
 // lowercases every kind/mode selector, writes the paper defaults into
-// zero-valued fields exactly as Build would resolve them, zeroes fields
-// the selected kind ignores, and drops the runner block (orchestration
-// tuning cannot change a simulation's result). The receiver is not
-// modified.
+// zero-valued fields, zeroes fields the selected kind ignores, and drops
+// the runner block (orchestration tuning cannot change a simulation's
+// result). The receiver is not modified.
+//
+// It is the one place a spec's defaults are resolved, each read from
+// the package that defines it. Build constructs the run from its
+// result, so the cache key hashes exactly what Build reads.
 //
 // The normalization is value-level, not behavioral: a predictor seeded
 // explicitly with the device's break-even time still hashes differently
@@ -35,17 +49,18 @@ func (s *Scenario) Normalized() (*Scenario, error) {
 	n := *s
 	n.Runner = RunnerSpec{}
 
-	// System: Build ignores alpha/beta under a constant-efficiency model.
-	n.System.VF = defaultF(n.System.VF, 12)
-	n.System.Zeta = defaultF(n.System.Zeta, 37.5)
-	n.System.MinOutput = defaultF(n.System.MinOutput, 0.1)
-	n.System.MaxOutput = defaultF(n.System.MaxOutput, 1.2)
+	// System: the paper's stack and measured efficiency line. Build
+	// ignores alpha/beta under a constant-efficiency model.
+	n.System.VF = defaultF(n.System.VF, paperSystem.VF)
+	n.System.Zeta = defaultF(n.System.Zeta, paperSystem.Zeta)
+	n.System.MinOutput = defaultF(n.System.MinOutput, paperSystem.MinOutput)
+	n.System.MaxOutput = defaultF(n.System.MaxOutput, paperSystem.MaxOutput)
 	if n.System.ConstantEta > 0 {
 		n.System.Alpha, n.System.Beta = 0, 0
 	} else {
 		n.System.ConstantEta = 0
-		n.System.Alpha = defaultF(n.System.Alpha, 0.45)
-		n.System.Beta = defaultF(n.System.Beta, 0.13)
+		n.System.Alpha = defaultF(n.System.Alpha, paperEfficiency.Alpha)
+		n.System.Beta = defaultF(n.System.Beta, paperEfficiency.Beta)
 	}
 	// Rack fields: a single-stack system has no allocator or degradation
 	// mix; a rack resolves its allocator's canonical name and expands the
@@ -83,9 +98,10 @@ func (s *Scenario) Normalized() (*Scenario, error) {
 		n.Device.TbeOverride = 0
 	}
 
-	// Storage: the KiBaM parameters only exist for "liion".
+	// Storage: the paper's supercap with a 1 A-s starting reserve; the
+	// KiBaM parameters only exist for "liion".
 	n.Storage.Kind = defaultKind(n.Storage.Kind, "supercap")
-	n.Storage.CapacityAs = defaultF(n.Storage.CapacityAs, 6)
+	n.Storage.CapacityAs = defaultF(n.Storage.CapacityAs, paperCapacity)
 	n.Storage.InitialAs = defaultF(n.Storage.InitialAs, 1)
 	if n.Storage.Kind == "liion" {
 		n.Storage.WellFraction = defaultF(n.Storage.WellFraction, 0.6)
@@ -94,46 +110,31 @@ func (s *Scenario) Normalized() (*Scenario, error) {
 		n.Storage.WellFraction, n.Storage.RateConstant = 0, 0
 	}
 
-	// Trace: generator kinds resolve their generator's default seed and
+	// Trace: a generated kind resolves its generator's default seed and
 	// duration; a file trace has neither.
 	n.Trace.Kind = defaultKind(n.Trace.Kind, "camcorder")
 	switch n.Trace.Kind {
 	case "camcorder":
-		n.Trace.File = ""
-		if n.Trace.Seed == 0 {
-			n.Trace.Seed = 1
-		}
-		n.Trace.Duration = defaultF(n.Trace.Duration, 28*60)
+		d := workload.DefaultCamcorderConfig()
+		n.Trace = generated(n.Trace, d.Seed, d.Duration)
 	case "synthetic":
-		n.Trace.File = ""
-		if n.Trace.Seed == 0 {
-			n.Trace.Seed = 2
-		}
-		n.Trace.Duration = defaultF(n.Trace.Duration, 28*60)
+		d := workload.DefaultSyntheticConfig()
+		n.Trace = generated(n.Trace, d.Seed, d.Duration)
 	case "bursty":
-		n.Trace.File = ""
-		if n.Trace.Seed == 0 {
-			n.Trace.Seed = 4
-		}
-		n.Trace.Duration = defaultF(n.Trace.Duration, 28*60)
+		d := workload.DefaultBurstyConfig()
+		n.Trace = generated(n.Trace, d.Seed, d.Duration)
 	case "heavytail":
-		n.Trace.File = ""
-		if n.Trace.Seed == 0 {
-			n.Trace.Seed = 3
-		}
-		n.Trace.Duration = defaultF(n.Trace.Duration, 28*60)
+		d := workload.DefaultHeavyTailConfig()
+		n.Trace = generated(n.Trace, d.Seed, d.Duration)
 	case "racksurge":
-		n.Trace.File = ""
-		if n.Trace.Seed == 0 {
-			n.Trace.Seed = 5
-		}
-		n.Trace.Duration = defaultF(n.Trace.Duration, 28*60)
-		n.Trace.Intensity = defaultF(n.Trace.Intensity, 2)
+		d := workload.DefaultRackSurgeConfig()
+		n.Trace = generated(n.Trace, d.Seed, d.Duration)
+		n.Trace.Intensity = defaultF(n.Trace.Intensity, d.Intensity)
 	case "dvs":
-		// The DVS trace is deterministic: only duration and level matter.
-		n.Trace.File = ""
+		// The DVS trace is deterministic, so its seed is inert; it runs
+		// for the paper's trace length.
 		n.Trace.Seed = 0
-		n.Trace.Duration = defaultF(n.Trace.Duration, 28*60)
+		n.Trace = generated(n.Trace, 0, workload.DefaultCamcorderConfig().Duration)
 	case "file":
 		n.Trace.Seed = 0
 		n.Trace.Duration = 0
@@ -147,48 +148,12 @@ func (s *Scenario) Normalized() (*Scenario, error) {
 		n.Trace.Intensity = 0
 	}
 
-	// Policy: parameters beyond the selected kind are inert.
-	n.Policy.Kind = defaultKind(n.Policy.Kind, "fcdpm")
-	if n.Policy.Kind == "flat" {
-		n.Policy.FlatIF = defaultF(n.Policy.FlatIF, 0.5)
-	} else {
-		n.Policy.FlatIF = 0
-	}
-	if n.Policy.Kind == "quantized" {
-		if n.Policy.Levels == 0 {
-			n.Policy.Levels = 8
-		}
-	} else {
-		n.Policy.Levels = 0
-	}
-
+	n.Policy = normalizePolicy(n.Policy)
 	n.DPM.Mode = defaultKind(n.DPM.Mode, "predictive")
 	if n.DPM.Mode != "timeout" {
 		n.DPM.Timeout = 0
 	}
-
-	// Predictor: the selected kind determines which tuning fields are
-	// live; the rest are inert and must not reach the hash.
-	n.Predict.Kind = defaultKind(n.Predict.Kind, "expavg")
-	n.Predict.Sigma = defaultF(n.Predict.Sigma, 0.5)
-	n.Predict.Rho, n.Predict.Window = 0, 0
-	n.Predict.Levels, n.Predict.Depth = 0, 0
-	n.Predict.Lo, n.Predict.Hi = 0, 0
-	switch n.Predict.Kind {
-	case "expavg":
-		n.Predict.Rho = defaultF(s.Predict.Rho, 0.5)
-	case "movingavg", "regression":
-		n.Predict.Window = defaultI(s.Predict.Window, 5)
-	case "tree":
-		n.Predict.Levels = defaultI(s.Predict.Levels, 8)
-		n.Predict.Depth = defaultI(s.Predict.Depth, 2)
-		n.Predict.Lo = s.Predict.Lo
-		n.Predict.Hi = defaultF(s.Predict.Hi, 60)
-	case "markov":
-		n.Predict.Levels = defaultI(s.Predict.Levels, 8)
-		n.Predict.Lo = s.Predict.Lo
-		n.Predict.Hi = defaultF(s.Predict.Hi, 60)
-	}
+	n.Predict = normalizePredictor(n.Predict)
 
 	// Faults: canonical class spelling; an empty schedule is the zero
 	// spec, so its seed and class filter cannot leak into the hash.
@@ -232,13 +197,63 @@ func (s *Scenario) Normalized() (*Scenario, error) {
 	if len(n.Fallbacks) > 0 {
 		fallbacks := make([]string, len(n.Fallbacks))
 		for i, name := range n.Fallbacks {
-			fallbacks[i] = defaultKind(name, "fcdpm")
+			fallbacks[i] = normalizePolicy(PolicySpec{Kind: name}).Kind
 		}
 		n.Fallbacks = fallbacks
 	} else {
 		n.Fallbacks = nil
 	}
 	return &n, nil
+}
+
+// generated resolves a generated trace's seed and duration to its
+// generator's defaults; a generated trace reads no file.
+func generated(t TraceSpec, seed uint64, duration float64) TraceSpec {
+	t.File = ""
+	if t.Seed == 0 {
+		t.Seed = seed
+	}
+	t.Duration = defaultF(t.Duration, duration)
+	return t
+}
+
+// normalizePolicy resolves a policy spec's defaults and zeroes the
+// parameters its kind ignores. The run's policy and each fallback in
+// the chain resolve through it.
+func normalizePolicy(p PolicySpec) PolicySpec {
+	n := PolicySpec{Kind: defaultKind(p.Kind, "fcdpm")}
+	switch n.Kind {
+	case "flat":
+		n.FlatIF = defaultF(p.FlatIF, 0.5)
+	case "quantized":
+		n.Levels = defaultI(p.Levels, 8)
+	}
+	return n
+}
+
+// normalizePredictor resolves a predictor spec's defaults and zeroes the
+// tuning fields its kind ignores. IdleInitial stays as given: its
+// default, the device's break-even time, needs the device model.
+func normalizePredictor(p PredictorSpec) PredictorSpec {
+	n := PredictorSpec{
+		Kind:        defaultKind(p.Kind, "expavg"),
+		Sigma:       defaultF(p.Sigma, 0.5),
+		IdleInitial: p.IdleInitial,
+	}
+	switch n.Kind {
+	case "expavg":
+		n.Rho = defaultF(p.Rho, 0.5)
+	case "movingavg", "regression":
+		n.Window = defaultI(p.Window, 5)
+	case "tree":
+		n.Depth = defaultI(p.Depth, 2)
+		fallthrough
+	case "markov":
+		n.Levels = defaultI(p.Levels, 8)
+		n.Lo = p.Lo
+		n.Hi = defaultF(p.Hi, 60)
+	}
+	return n
 }
 
 // Canonical returns the canonical JSON bytes of the normalized scenario.
@@ -273,12 +288,25 @@ func (s *Scenario) CacheKey(engine string) (string, error) {
 }
 
 // defaultKind resolves a kind selector: it trims and lowercases it and
-// substitutes def for empty. Build and Normalized both read selectors
-// through it, so two spellings that key alike build alike.
+// substitutes def for empty.
 func defaultKind(kind, def string) string {
 	k := strings.ToLower(strings.TrimSpace(kind))
 	if k == "" {
 		return def
 	}
 	return k
+}
+
+func defaultI(v, def int) int {
+	if v == 0 {
+		return def
+	}
+	return v
+}
+
+func defaultF(v, def float64) float64 {
+	if v == 0 {
+		return def
+	}
+	return v
 }

@@ -1,10 +1,14 @@
 // Package config loads simulation scenarios from JSON so experiments can
 // be described declaratively and run with `fcdpm runfile`. Every field has
-// a paper-faithful default; a minimal file like
+// a paper-faithful default, resolved in one place (Scenario.Normalized);
+// a minimal file like
 //
 //	{"trace": {"kind": "camcorder"}, "policy": {"kind": "fcdpm"}}
 //
-// reproduces the Experiment 1 FC-DPM run.
+// runs FC-DPM over the Experiment 1 camcorder trace, with the idle
+// predictor starting at the device's break-even time. Table 2 starts it
+// at 14 s, the middle of the 8-20 s idle band; scenarios/exp1-fcdpm.json
+// adds that setting and reproduces Table 2's FC-DPM row.
 package config
 
 import (
@@ -245,9 +249,21 @@ func LoadFile(path string) (*Scenario, error) {
 	return Load(f)
 }
 
-// maxPredictLevels caps predict.levels, the quantizer size of the
-// "tree" and "markov" predictors (default 8).
-const maxPredictLevels = 256
+// Caps on the counts that scale a spec's work, so that no spec can
+// exhaust memory before its run starts. Each admits every committed
+// scenario and smoke spec by a wide margin.
+const (
+	// maxPredictLevels caps predict.levels: the Markov predictor keeps a
+	// levels x levels transition table.
+	maxPredictLevels = 256
+	// maxPolicyLevels caps policy.levels, the quantized policy's grid.
+	maxPolicyLevels = 256
+	// maxFaultEvents caps faults.random, the randomly drawn events.
+	maxFaultEvents = 4096
+	// maxTraceSeconds caps trace.duration. The generators also stop at
+	// workload.MaxSlots, which bounds the short-slot kinds.
+	maxTraceSeconds = 1e8
+)
 
 // Validate checks every user-tunable numeric field before any model is
 // constructed, so malformed scenarios surface as *ValidationError instead
@@ -271,9 +287,6 @@ func (s *Scenario) Validate() error {
 	if err := checkNonNeg("predict.idleInitial", s.Predict.IdleInitial); err != nil {
 		return err
 	}
-	// The Markov predictor keeps a levels x levels transition table, so
-	// an uncapped count lets one spec exhaust memory in the dry run
-	// below.
 	if s.Predict.Levels > maxPredictLevels {
 		return &ValidationError{Field: "predict.levels",
 			Detail: fmt.Sprintf("%d levels exceed the cap of %d", s.Predict.Levels, maxPredictLevels)}
@@ -283,7 +296,7 @@ func (s *Scenario) Validate() error {
 	// construction surfaces their *predict.ConfigError as the
 	// *ValidationError naming the scenario field, so no predictor
 	// parameter reachable from a scenario file panics.
-	if _, err := buildIdlePredictor(s.Predict, defaultF(s.Predict.IdleInitial, 1)); err != nil {
+	if _, err := buildIdlePredictor(normalizePredictor(s.Predict), s.Predict.IdleInitial); err != nil {
 		return err
 	}
 	if err := checkNonNeg("slewRate", s.SlewRate); err != nil {
@@ -298,6 +311,10 @@ func (s *Scenario) Validate() error {
 	if err := checkNonNeg("policy.flatIF", s.Policy.FlatIF); err != nil {
 		return err
 	}
+	if s.Policy.Levels > maxPolicyLevels {
+		return &ValidationError{Field: "policy.levels",
+			Detail: fmt.Sprintf("%d levels exceed the cap of %d", s.Policy.Levels, maxPolicyLevels)}
+	}
 	if err := checkNonNeg("storage.capacityAs", s.Storage.CapacityAs); err != nil {
 		return err
 	}
@@ -306,6 +323,10 @@ func (s *Scenario) Validate() error {
 	}
 	if s.Faults.Random < 0 {
 		return &ValidationError{Field: "faults.random", Detail: fmt.Sprintf("negative event count %d", s.Faults.Random)}
+	}
+	if s.Faults.Random > maxFaultEvents {
+		return &ValidationError{Field: "faults.random",
+			Detail: fmt.Sprintf("%d events exceed the cap of %d", s.Faults.Random, maxFaultEvents)}
 	}
 	for i, e := range s.Faults.Events {
 		if _, err := fault.ParseKind(e.Kind); err != nil {
@@ -325,6 +346,13 @@ func (s *Scenario) Validate() error {
 	}
 	if s.Runner.Retries < 0 {
 		return &ValidationError{Field: "runner.retries", Detail: fmt.Sprintf("negative retry count %d", s.Runner.Retries)}
+	}
+	if err := checkNonNeg("trace.duration", s.Trace.Duration); err != nil {
+		return err
+	}
+	if s.Trace.Duration > maxTraceSeconds {
+		return &ValidationError{Field: "trace.duration",
+			Detail: fmt.Sprintf("%v s exceeds the cap of %v s", s.Trace.Duration, maxTraceSeconds)}
 	}
 	if s.Trace.Level < 0 {
 		return &ValidationError{Field: "trace.level", Detail: fmt.Sprintf("negative DVS level %d", s.Trace.Level)}
@@ -353,99 +381,100 @@ func (s *Scenario) Validate() error {
 	return nil
 }
 
-// Build assembles a runnable simulation configuration, applying paper
-// defaults for every unset field. A spec defect that only construction
-// can detect (an unknown kind selector, a constructor refusing its
-// parameters) is a *ValidationError naming the field, like Validate's.
+// Build assembles a runnable simulation configuration from the
+// normalized spec, so it constructs exactly what the cache key hashes.
+// A spec defect that only construction can detect (an unknown kind
+// selector, a constructor refusing its parameters) is a
+// *ValidationError naming the field, like Validate's.
 func (s *Scenario) Build() (sim.Config, error) {
 	var cfg sim.Config
-	if err := s.Validate(); err != nil {
-		return cfg, err
-	}
-	sys, err := s.buildSystem()
+	n, err := s.Normalized()
 	if err != nil {
 		return cfg, err
 	}
-	dev, err := s.buildDevice()
+	sys, err := buildSystem(n.System)
 	if err != nil {
 		return cfg, err
 	}
-	store, err := s.buildStorage()
+	dev, err := buildDevice(n.Device)
 	if err != nil {
 		return cfg, err
 	}
-	trace, err := s.buildTrace()
+	store, err := buildStorage(n.Storage)
 	if err != nil {
 		return cfg, err
 	}
-	pol, err := s.buildPolicy(sys, dev)
+	trace, err := buildTrace(n.Trace)
 	if err != nil {
 		return cfg, err
 	}
-	mode, err := s.buildDPM()
+	pol, err := buildPolicy(n.Policy, "policy.kind", sys, dev)
 	if err != nil {
 		return cfg, err
 	}
-	faults, err := s.buildFaults(trace)
+	mode, err := buildDPM(n.DPM)
 	if err != nil {
 		return cfg, err
 	}
-	fallbacks, err := s.buildFallbacks(sys, dev)
+	faults, err := buildFaults(n.Faults, trace)
 	if err != nil {
 		return cfg, err
+	}
+	var fallbacks []sim.Policy
+	for i, name := range n.Fallbacks {
+		p, err := buildPolicy(normalizePolicy(PolicySpec{Kind: name}), fmt.Sprintf("fallbacks[%d]", i), sys, dev)
+		if err != nil {
+			return cfg, err
+		}
+		fallbacks = append(fallbacks, p)
 	}
 	cfg = sim.Config{
 		Sys: sys, Dev: dev, Store: store, Trace: trace, Policy: pol,
-		DPM: mode, Timeout: s.DPM.Timeout,
-		SlewRate:   s.SlewRate,
-		Faults:     faults,
-		FaultSeed:  s.Faults.Seed,
-		Fallbacks:  fallbacks,
-		Supervisor: sim.SupervisorConfig{DeficitLimit: s.DeficitLimit},
+		DPM: mode, Timeout: n.DPM.Timeout,
+		SlewRate:     n.SlewRate,
+		Faults:       faults,
+		FaultSeed:    n.Faults.Seed,
+		Fallbacks:    fallbacks,
+		DeficitLimit: n.DeficitLimit,
 	}
-	sigma := defaultF(s.Predict.Sigma, 0.5)
-	idleInit := defaultF(s.Predict.IdleInitial, dev.BreakEven())
-	cfg.IdlePredictor, err = buildIdlePredictor(s.Predict, idleInit)
+	// The one default Normalized cannot resolve: the idle predictor
+	// starts at the device's break-even time.
+	idleInit := n.Predict.IdleInitial
+	if idleInit == 0 {
+		idleInit = dev.BreakEven()
+	}
+	cfg.IdlePredictor, err = buildIdlePredictor(n.Predict, idleInit)
 	if err != nil {
 		return cfg, err
 	}
 	if len(trace.Slots) > 0 {
 		// Sigma passed Validate's unit check, so these cannot fail.
-		cfg.ActivePredictor = predict.MustExpAverage(sigma, trace.Slots[0].Active)
-		cfg.CurrentPredictor = predict.MustExpAverage(sigma, trace.Slots[0].ActiveCurrent)
+		cfg.ActivePredictor = predict.MustExpAverage(n.Predict.Sigma, trace.Slots[0].Active)
+		cfg.CurrentPredictor = predict.MustExpAverage(n.Predict.Sigma, trace.Slots[0].ActiveCurrent)
 	}
 	return cfg, nil
 }
 
-// buildIdlePredictor constructs the idle-period predictor the spec
-// selects. Constructor *predict.ConfigError values surface as
-// *ValidationError naming the scenario field.
-func buildIdlePredictor(spec PredictorSpec, idleInit float64) (predict.Predictor, error) {
-	window := defaultI(spec.Window, 5)
-	levels := defaultI(spec.Levels, 8)
-	depth := defaultI(spec.Depth, 2)
-	hi := defaultF(spec.Hi, 60)
-	switch defaultKind(spec.Kind, "expavg") {
+// buildIdlePredictor constructs the idle-period predictor a normalized
+// predictor spec selects. Constructor *predict.ConfigError values
+// surface as *ValidationError naming the scenario field.
+func buildIdlePredictor(p PredictorSpec, idleInit float64) (predict.Predictor, error) {
+	switch p.Kind {
 	case "expavg":
-		p, err := predict.NewExpAverage(defaultF(spec.Rho, 0.5), idleInit)
-		return wrapPredictor(p, err)
+		return wrapPredictor(predict.NewExpAverage(p.Rho, idleInit))
 	case "lastvalue":
 		return predict.NewLastValue(idleInit), nil
 	case "movingavg":
-		p, err := predict.NewMovingAverage(window, idleInit)
-		return wrapPredictor(p, err)
+		return wrapPredictor(predict.NewMovingAverage(p.Window, idleInit))
 	case "regression":
-		p, err := predict.NewRegression(window, idleInit)
-		return wrapPredictor(p, err)
+		return wrapPredictor(predict.NewRegression(p.Window, idleInit))
 	case "tree":
-		p, err := predict.NewTree(levels, depth, spec.Lo, hi, idleInit)
-		return wrapPredictor(p, err)
+		return wrapPredictor(predict.NewTree(p.Levels, p.Depth, p.Lo, p.Hi, idleInit))
 	case "markov":
-		p, err := predict.NewMarkov(levels, spec.Lo, hi, idleInit)
-		return wrapPredictor(p, err)
+		return wrapPredictor(predict.NewMarkov(p.Levels, p.Lo, p.Hi, idleInit))
 	default:
 		return nil, &ValidationError{Field: "predict.kind",
-			Detail: fmt.Sprintf("unknown predictor kind %q", spec.Kind)}
+			Detail: fmt.Sprintf("unknown predictor kind %q", p.Kind)}
 	}
 }
 
@@ -462,91 +491,64 @@ func wrapPredictor[P predict.Predictor](p P, err error) (predict.Predictor, erro
 	return p, nil
 }
 
-func defaultI(v, def int) int {
-	if v == 0 {
-		return def
+func buildSystem(spec SystemSpec) (*fuelcell.System, error) {
+	var eff fuelcell.EfficiencyModel = fuelcell.LinearEfficiency{Alpha: spec.Alpha, Beta: spec.Beta}
+	if spec.ConstantEta > 0 {
+		eff = fuelcell.ConstantEfficiency{Value: spec.ConstantEta}
 	}
-	return v
-}
-
-func defaultF(v, def float64) float64 {
-	if v == 0 {
-		return def
-	}
-	return v
-}
-
-func (s *Scenario) buildSystem() (*fuelcell.System, error) {
-	vf := defaultF(s.System.VF, 12)
-	zeta := defaultF(s.System.Zeta, 37.5)
-	lo := defaultF(s.System.MinOutput, 0.1)
-	hi := defaultF(s.System.MaxOutput, 1.2)
-	var eff fuelcell.EfficiencyModel
-	if s.System.ConstantEta > 0 {
-		eff = fuelcell.ConstantEfficiency{Value: s.System.ConstantEta}
-	} else {
-		eff = fuelcell.LinearEfficiency{
-			Alpha: defaultF(s.System.Alpha, 0.45),
-			Beta:  defaultF(s.System.Beta, 0.13),
-		}
-	}
-	sys, err := fuelcell.NewSystem(vf, zeta, lo, hi, eff)
+	sys, err := fuelcell.NewSystem(spec.VF, spec.Zeta, spec.MinOutput, spec.MaxOutput, eff)
 	if err != nil {
 		return nil, &ValidationError{Field: "system", Detail: err.Error()}
 	}
-	if s.System.Stacks < 2 {
+	if spec.Stacks < 2 {
 		return sys, nil
 	}
 	// K-stack rack: the spec's electrical fields describe one stack; the
 	// aggregate System (pre-solved under the allocation policy) plugs into
 	// the simulation in its place.
-	alloc, err := multistack.ParseAllocator(s.System.Alloc)
+	alloc, err := multistack.ParseAllocator(spec.Alloc)
 	if err != nil {
 		return nil, &ValidationError{Field: "system.alloc", Detail: err.Error()}
 	}
-	rack, err := multistack.Uniform(sys, s.System.Stacks, alloc, s.System.Degrade)
+	rack, err := multistack.Uniform(sys, spec.Stacks, alloc, spec.Degrade)
 	if err != nil {
 		return nil, &ValidationError{Field: "system.stacks", Detail: err.Error()}
 	}
 	return rack.System(), nil
 }
 
-func (s *Scenario) buildDevice() (*device.Model, error) {
+func buildDevice(spec DeviceSpec) (*device.Model, error) {
 	var dev *device.Model
-	switch defaultKind(s.Device.Kind, "camcorder") {
+	switch spec.Kind {
 	case "camcorder":
 		dev = device.Camcorder()
 	case "synthetic":
 		dev = device.Synthetic()
 	default:
-		return nil, unknownSelector("device.kind", s.Device.Kind)
+		return nil, unknownSelector("device.kind", spec.Kind)
 	}
-	if s.Device.TbeOverride > 0 {
-		dev.TbeOverride = s.Device.TbeOverride
+	if spec.TbeOverride > 0 {
+		dev.TbeOverride = spec.TbeOverride
 	}
 	return dev, dev.Validate()
 }
 
-func (s *Scenario) buildStorage() (storage.Storage, error) {
-	cmax := defaultF(s.Storage.CapacityAs, 6)
-	q0 := defaultF(s.Storage.InitialAs, 1)
-	var st storage.Storage
+func buildStorage(st StorageSpec) (storage.Storage, error) {
+	var out storage.Storage
 	var err error
-	switch defaultKind(s.Storage.Kind, "supercap") {
+	switch st.Kind {
 	case "supercap":
-		st, err = storage.NewSuperCap(cmax, q0)
+		out, err = storage.NewSuperCap(st.CapacityAs, st.InitialAs)
 	case "liion":
-		st, err = storage.NewLiIon(cmax,
-			defaultF(s.Storage.WellFraction, 0.6),
-			defaultF(s.Storage.RateConstant, 0.05), q0)
+		out, err = storage.NewLiIon(st.CapacityAs, st.WellFraction, st.RateConstant, st.InitialAs)
 	default:
-		return nil, unknownSelector("storage.kind", s.Storage.Kind)
+		return nil, unknownSelector("storage.kind", st.Kind)
 	}
 	if err != nil {
 		// The constructors' errors name the parameter they refused.
 		return nil, &ValidationError{Field: "storage", Detail: err.Error()}
 	}
-	return st, nil
+	return out, nil
 }
 
 // unknownSelector is the validation failure of a selector no builder
@@ -555,97 +557,63 @@ func unknownSelector(field, v string) error {
 	return &ValidationError{Field: field, Detail: fmt.Sprintf("unknown %q", v)}
 }
 
-func (s *Scenario) buildTrace() (*workload.Trace, error) {
-	switch defaultKind(s.Trace.Kind, "camcorder") {
+// buildTrace runs the generator the normalized trace spec selects, with
+// the spec's seed and duration over the generator's other defaults.
+func buildTrace(t TraceSpec) (*workload.Trace, error) {
+	switch t.Kind {
 	case "camcorder":
 		cfg := workload.DefaultCamcorderConfig()
-		if s.Trace.Seed != 0 {
-			cfg.Seed = s.Trace.Seed
-		}
-		if s.Trace.Duration > 0 {
-			cfg.Duration = s.Trace.Duration
-		}
+		cfg.Seed, cfg.Duration = t.Seed, t.Duration
 		return workload.Camcorder(cfg)
 	case "synthetic":
 		cfg := workload.DefaultSyntheticConfig()
-		if s.Trace.Seed != 0 {
-			cfg.Seed = s.Trace.Seed
-		}
-		if s.Trace.Duration > 0 {
-			cfg.Duration = s.Trace.Duration
-		}
+		cfg.Seed, cfg.Duration = t.Seed, t.Duration
 		return workload.Synthetic(cfg)
 	case "bursty":
 		cfg := workload.DefaultBurstyConfig()
-		if s.Trace.Seed != 0 {
-			cfg.Seed = s.Trace.Seed
-		}
-		if s.Trace.Duration > 0 {
-			cfg.Duration = s.Trace.Duration
-		}
+		cfg.Seed, cfg.Duration = t.Seed, t.Duration
 		return workload.Bursty(cfg)
 	case "heavytail":
 		cfg := workload.DefaultHeavyTailConfig()
-		if s.Trace.Seed != 0 {
-			cfg.Seed = s.Trace.Seed
-		}
-		if s.Trace.Duration > 0 {
-			cfg.Duration = s.Trace.Duration
-		}
+		cfg.Seed, cfg.Duration = t.Seed, t.Duration
 		return workload.HeavyTail(cfg)
 	case "racksurge":
 		cfg := workload.DefaultRackSurgeConfig()
-		if s.Trace.Seed != 0 {
-			cfg.Seed = s.Trace.Seed
-		}
-		if s.Trace.Duration > 0 {
-			cfg.Duration = s.Trace.Duration
-		}
-		if s.Trace.Intensity != 0 {
-			cfg.Intensity = s.Trace.Intensity
-		}
+		cfg.Seed, cfg.Duration, cfg.Intensity = t.Seed, t.Duration, t.Intensity
 		return workload.RackSurge(cfg)
 	case "dvs":
 		proc := dvs.XScale600()
-		if s.Trace.Level < 0 || s.Trace.Level >= len(proc.Levels) {
+		if t.Level >= len(proc.Levels) {
 			return nil, &ValidationError{Field: "trace.level",
-				Detail: fmt.Sprintf("DVS level %d outside [0, %d]", s.Trace.Level, len(proc.Levels)-1)}
-		}
-		dur := s.Trace.Duration
-		if dur <= 0 {
-			dur = 28 * 60
+				Detail: fmt.Sprintf("DVS level %d outside [0, %d]", t.Level, len(proc.Levels)-1)}
 		}
 		// One 1e8-cycle job per 1 s period: feasible at every operating
 		// point (worst case 0.67 s at 150 MHz), so the level knob only
 		// moves the duty cycle and rail current, never the deadline.
-		task := dvs.Task{Cycles: 1e8, Period: 1, Jobs: int(math.Ceil(dur))}
-		return proc.Trace(task, s.Trace.Level)
+		task := dvs.Task{Cycles: 1e8, Period: 1, Jobs: int(math.Ceil(t.Duration))}
+		return proc.Trace(task, t.Level)
 	case "file":
-		if s.Trace.File == "" {
+		if t.File == "" {
 			return nil, &ValidationError{Field: "trace.file", Detail: `trace kind "file" needs a file path`}
 		}
-		f, err := os.Open(s.Trace.File)
+		f, err := os.Open(t.File)
 		if err != nil {
 			return nil, fmt.Errorf("config: %w", err)
 		}
 		defer f.Close()
-		if strings.HasSuffix(strings.ToLower(s.Trace.File), ".json") {
+		if strings.HasSuffix(strings.ToLower(t.File), ".json") {
 			return workload.ReadJSON(f)
 		}
 		return workload.ReadCSV(f)
 	default:
-		return nil, unknownSelector("trace.kind", s.Trace.Kind)
+		return nil, unknownSelector("trace.kind", t.Kind)
 	}
 }
 
-func (s *Scenario) buildPolicy(sys *fuelcell.System, dev *device.Model) (sim.Policy, error) {
-	return buildPolicyFrom(s.Policy, "policy.kind", sys, dev)
-}
-
-// buildPolicyFrom constructs the policy spec selects; kindField names
-// the spec field the kind came from.
-func buildPolicyFrom(spec PolicySpec, kindField string, sys *fuelcell.System, dev *device.Model) (sim.Policy, error) {
-	switch defaultKind(spec.Kind, "fcdpm") {
+// buildPolicy constructs the policy a normalized policy spec selects;
+// kindField names the spec field the kind came from.
+func buildPolicy(p PolicySpec, kindField string, sys *fuelcell.System, dev *device.Model) (sim.Policy, error) {
+	switch p.Kind {
 	case "fcdpm":
 		return policy.NewFCDPM(sys, dev), nil
 	case "conv":
@@ -653,53 +621,32 @@ func buildPolicyFrom(spec PolicySpec, kindField string, sys *fuelcell.System, de
 	case "asap":
 		return policy.NewASAP(sys), nil
 	case "flat":
-		return policy.NewFlat(sys, defaultF(spec.FlatIF, 0.5)), nil
+		return policy.NewFlat(sys, p.FlatIF), nil
 	case "quantized":
-		n := spec.Levels
-		if n == 0 {
-			n = 8
-		}
-		if n < 2 {
+		if p.Levels < 2 {
 			return nil, &ValidationError{Field: "policy.levels",
-				Detail: fmt.Sprintf("quantized policy needs >= 2 levels, got %d", n)}
+				Detail: fmt.Sprintf("quantized policy needs >= 2 levels, got %d", p.Levels)}
 		}
-		q, err := policy.NewFCDPMQuantized(sys, dev, fcopt.UniformLevels(sys, n))
+		q, err := policy.NewFCDPMQuantized(sys, dev, fcopt.UniformLevels(sys, p.Levels))
 		if err != nil {
 			return nil, &ValidationError{Field: "policy.levels", Detail: err.Error()}
 		}
 		return q, nil
 	default:
-		return nil, unknownSelector(kindField, spec.Kind)
+		return nil, unknownSelector(kindField, p.Kind)
 	}
 }
 
-// buildFallbacks resolves the named degradation chain. Each name is a
-// policy kind; parameters beyond the kind use their defaults.
-func (s *Scenario) buildFallbacks(sys *fuelcell.System, dev *device.Model) ([]sim.Policy, error) {
-	var out []sim.Policy
-	for i, name := range s.Fallbacks {
-		p, err := buildPolicyFrom(PolicySpec{Kind: name}, fmt.Sprintf("fallbacks[%d]", i), sys, dev)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, p)
-	}
-	return out, nil
-}
-
-// buildFaults assembles the fault schedule: explicit events first, then
-// any requested random draw over the trace duration.
-func (s *Scenario) buildFaults(trace *workload.Trace) (*fault.Schedule, error) {
-	spec := s.Faults
+// buildFaults assembles the normalized spec's fault schedule: explicit
+// events first, then any requested random draw over the trace duration.
+func buildFaults(spec FaultsSpec, trace *workload.Trace) (*fault.Schedule, error) {
 	if len(spec.Events) == 0 && spec.Random == 0 {
 		return nil, nil
 	}
+	// Normalized spelled every class name canonically, so each parses.
 	sched := &fault.Schedule{}
-	for i, e := range spec.Events {
-		k, err := fault.ParseKind(e.Kind)
-		if err != nil {
-			return nil, &ValidationError{Field: fmt.Sprintf("faults.events[%d].kind", i), Detail: err.Error()}
-		}
+	for _, e := range spec.Events {
+		k, _ := fault.ParseKind(e.Kind)
 		sched.Events = append(sched.Events, fault.Event{
 			Kind: k, Start: e.Start, Dur: e.Duration, Magnitude: e.Magnitude,
 		})
@@ -707,10 +654,7 @@ func (s *Scenario) buildFaults(trace *workload.Trace) (*fault.Schedule, error) {
 	if spec.Random > 0 {
 		var kinds []fault.Kind
 		for _, name := range spec.Kinds {
-			k, err := fault.ParseKind(name)
-			if err != nil {
-				return nil, &ValidationError{Field: "faults.kinds", Detail: err.Error()}
-			}
+			k, _ := fault.ParseKind(name)
 			kinds = append(kinds, k)
 		}
 		gen, err := fault.Generate(fault.GenConfig{
@@ -730,8 +674,8 @@ func (s *Scenario) buildFaults(trace *workload.Trace) (*fault.Schedule, error) {
 	return sched, nil
 }
 
-func (s *Scenario) buildDPM() (sim.DPMMode, error) {
-	switch defaultKind(s.DPM.Mode, "predictive") {
+func buildDPM(spec DPMSpec) (sim.DPMMode, error) {
+	switch spec.Mode {
 	case "predictive":
 		return sim.DPMPredictive, nil
 	case "never":
@@ -743,6 +687,6 @@ func (s *Scenario) buildDPM() (sim.DPMMode, error) {
 	case "timeout":
 		return sim.DPMTimeout, nil
 	default:
-		return 0, unknownSelector("dpm.mode", s.DPM.Mode)
+		return 0, unknownSelector("dpm.mode", spec.Mode)
 	}
 }

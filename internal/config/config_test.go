@@ -1,6 +1,7 @@
 package config
 
 import (
+	"context"
 	"errors"
 	"os"
 	"path/filepath"
@@ -8,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"fcdpm/internal/exp"
 	"fcdpm/internal/sim"
 	"fcdpm/internal/workload"
 )
@@ -269,8 +271,8 @@ func TestFaultSpecBuilds(t *testing.T) {
 	if cfg.FaultSeed != 9 || len(cfg.Fallbacks) != 2 {
 		t.Fatalf("seed %d, fallbacks %d", cfg.FaultSeed, len(cfg.Fallbacks))
 	}
-	if cfg.Supervisor.DeficitLimit != 0.8 {
-		t.Fatalf("deficit limit %v", cfg.Supervisor.DeficitLimit)
+	if cfg.DeficitLimit != 0.8 {
+		t.Fatalf("deficit limit %v", cfg.DeficitLimit)
 	}
 	// The whole config must run end to end under supervision.
 	res, err := sim.Run(cfg)
@@ -531,5 +533,64 @@ func TestRecordProfileFieldRejected(t *testing.T) {
 	_, err := Load(strings.NewReader(`{"recordProfile":true}`))
 	if err == nil || !strings.Contains(err.Error(), `unknown field "recordProfile"`) {
 		t.Fatalf("Load error %v, want an unknown-field rejection", err)
+	}
+}
+
+// TestValidateCapsSpecWork: every count that scales a spec's work is
+// bounded before anything is built, so a spec that would exhaust memory
+// is a *ValidationError naming its field; and a trace the seconds cap
+// admits still stops at the generators' slot cap.
+func TestValidateCapsSpecWork(t *testing.T) {
+	for js, field := range map[string]string{
+		`{"trace":{"kind":"synthetic","duration":1e11}}`:                                                  "trace.duration",
+		`{"trace":{"kind":"synthetic","duration":-5}}`:                                                    "trace.duration",
+		`{"trace":{"kind":"synthetic","duration":600},"faults":{"random":1000000000}}`:                    "faults.random",
+		`{"trace":{"kind":"synthetic","duration":600},"policy":{"kind":"quantized","levels":1000000000}}`: "policy.levels",
+	} {
+		s, err := Load(strings.NewReader(js))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ve *ValidationError
+		if err := s.Validate(); !errors.As(err, &ve) || ve.Field != field {
+			t.Errorf("Validate(%s): got %v, want *ValidationError on %s", js, err, field)
+		}
+	}
+	// The dispatch smoke's 3e7 s shard is the longest committed trace.
+	if _, err := LoadValidated(strings.NewReader(`{"trace":{"kind":"synthetic","duration":30000000}}`)); err != nil {
+		t.Errorf("the longest committed trace is refused: %v", err)
+	}
+	s, err := LoadValidated(strings.NewReader(`{"trace":{"kind":"dvs","duration":9e7}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var we *workload.ValidationError
+	if _, err := s.Build(); !errors.As(err, &we) {
+		t.Errorf("a 9e7-slot DVS trace built: %v, want *workload.ValidationError", err)
+	}
+}
+
+// TestExp1SpecReproducesTable2: the committed Experiment 1 spec is Table
+// 2's FC-DPM row, bit for bit. Like exp, it starts the idle predictor in
+// the middle of the camcorder's 8-20 s idle band.
+func TestExp1SpecReproducesTable2(t *testing.T) {
+	s, err := LoadFile(filepath.Join("..", "..", "scenarios", "exp1-fcdpm.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := s.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sim.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	table2, err := exp.Experiment1(context.Background(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := table2.Row("FC-DPM").Fuel; res.Fuel != want {
+		t.Fatalf("spec fuel %v A-s, Table 2 FC-DPM %v A-s", res.Fuel, want)
 	}
 }

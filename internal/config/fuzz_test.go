@@ -50,6 +50,14 @@ func FuzzScenarioSpec(f *testing.F) {
 		f.Add(data, uint16(i), 1.5)
 		f.Add(data, uint16(7*i+3), 0.25)
 	}
+	// Specs whose work the caps bound: each once exhausted memory.
+	for _, spec := range []string{
+		`{"trace":{"kind":"synthetic","duration":1e11}}`,
+		`{"trace":{"kind":"synthetic","duration":600},"faults":{"random":1000000000}}`,
+		`{"trace":{"kind":"synthetic","duration":600},"policy":{"kind":"quantized","levels":1000000000}}`,
+	} {
+		f.Add([]byte(spec), uint16(0), 1.5)
+	}
 	f.Fuzz(func(t *testing.T, data []byte, field uint16, value float64) {
 		s, err := config.LoadValidated(bytes.NewReader(data))
 		if err != nil {

@@ -142,7 +142,9 @@ func (p *Processor) Feasible(t Task, k int) bool {
 // Trace generates the task-slot workload produced by running the task at
 // level k: each period becomes one slot with an active burst of
 // ExecTime(k) at the level's rail current and the remaining slack as idle.
-// It errors if the level misses the deadline.
+// It errors if the level misses the deadline, and with a
+// *workload.ValidationError if the task has more jobs than
+// workload.MaxSlots.
 func (p *Processor) Trace(t Task, k int) (*workload.Trace, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -156,6 +158,9 @@ func (p *Processor) Trace(t Task, k int) (*workload.Trace, error) {
 	if !p.Feasible(t, k) {
 		return nil, fmt.Errorf("dvs: level %d (%.0f MHz) misses the %.2fs deadline (exec %.2fs)",
 			k, p.Levels[k].Freq/1e6, t.Period, p.ExecTime(t, k))
+	}
+	if t.Jobs > workload.MaxSlots {
+		return nil, &workload.ValidationError{Slot: workload.MaxSlots, Field: "duration", Value: float64(t.Jobs) * t.Period}
 	}
 	exec := p.ExecTime(t, k)
 	tr := &workload.Trace{Name: fmt.Sprintf("%s @L%d", p.Name, k)}

@@ -61,27 +61,3 @@ func TestCompareBatchesCloneableAdapter(t *testing.T) {
 			tau, sc.Dev.BreakEven())
 	}
 }
-
-// nonCloneableAdapter is a TimeoutAdapter without the cloner face.
-type nonCloneableAdapter struct{ tau float64 }
-
-func (a *nonCloneableAdapter) NextTimeout() float64 { return a.tau }
-func (a *nonCloneableAdapter) Observe(float64)      {}
-
-// TestCompareSerialFallbackNonCloneable keeps the safety net: an adapter
-// that cannot be cloned still forces the serial path and completes.
-func TestCompareSerialFallbackNonCloneable(t *testing.T) {
-	sc, err := Experiment2Scenario(7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc.DPM = sim.DPMTimeout
-	sc.TimeoutAdapter = &nonCloneableAdapter{tau: sc.Dev.BreakEven()}
-	cmp, err := sc.CompareContext(context.Background(), sc.Policies())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cmp.Rows) != 3 {
-		t.Fatalf("want 3 rows, got %d", len(cmp.Rows))
-	}
-}

@@ -124,56 +124,41 @@ func (sc *Scenario) Compare(policies []sim.Policy) (*Comparison, error) {
 }
 
 // CompareContext is Compare under a context: cancellation interrupts
-// both the serial rows and the fanned-out run engine, so a comparison
-// launched from a server handler or an interrupted CLI stops promptly.
+// the run engine, so a comparison launched from a server handler or an
+// interrupted CLI stops promptly.
+//
+// The rows share one trace, so they batch into a single BatchRunner
+// walk: the per-slot trace decode is shared where the rows' predictors
+// agree and the fuel-map memo is shared across all of them. A timeout
+// adapter is cloned per row, so every row adapts on its own from the
+// same learned state. Lane order is submission order, keeping the table
+// rows (and the Conv-DPM normalization base) deterministic.
 func (sc *Scenario) CompareContext(ctx context.Context, policies []sim.Policy) (*Comparison, error) {
 	if len(policies) == 0 {
 		return nil, fmt.Errorf("exp: no policies to compare")
 	}
+	lanes := make([]sim.Lane, len(policies))
+	for i, p := range policies {
+		cfg := sc.simConfig(p)
+		if sc.TimeoutAdapter != nil {
+			cfg.TimeoutAdapter = sc.TimeoutAdapter.CloneTimeoutAdapter()
+		}
+		lanes[i] = sim.Lane{Cfg: cfg}
+	}
+	b, err := sim.NewBatchRunner(lanes)
+	if err != nil {
+		return nil, fmt.Errorf("exp: %s: %w", sc.Name, err)
+	}
+	out, err := b.RunContext(ctx)
+	if err != nil {
+		return nil, fmt.Errorf("exp: %s: %w", sc.Name, err)
+	}
 	results := make([]*sim.Result, len(policies))
-	cloner, cloneable := sc.TimeoutAdapter.(sim.TimeoutAdapterCloner)
-	if (sc.TimeoutAdapter != nil && !cloneable) || len(policies) == 1 {
-		// A non-cloneable timeout adapter is shared mutable state; the
-		// rows stay serial (and its adaptation leaks from row to row —
-		// implement sim.TimeoutAdapterCloner to batch with independent
-		// per-row adaptation instead).
-		for i, p := range policies {
-			res, err := sc.runOneCtx(ctx, p)
-			if err != nil {
-				return nil, fmt.Errorf("exp: %s / %s: %w", sc.Name, p.Name(), err)
-			}
-			results[i] = res
+	for i, lr := range out {
+		if lr.Err != nil {
+			return nil, fmt.Errorf("exp: %s / %s: %w", sc.Name, policies[i].Name(), lr.Err)
 		}
-	} else {
-		// The rows share one trace, so they batch into a single
-		// BatchRunner walk: the per-slot trace decode is shared where the
-		// rows' predictors agree and the fuel-map memo is shared across
-		// all of them. A cloneable timeout adapter gives every row its
-		// own adaptation, started from the same learned state. Lane order
-		// is submission order, keeping the table rows (and the Conv-DPM
-		// normalization base) deterministic.
-		lanes := make([]sim.Lane, len(policies))
-		for i, p := range policies {
-			cfg := sc.simConfig(p)
-			if cloneable {
-				cfg.TimeoutAdapter = cloner.CloneTimeoutAdapter()
-			}
-			lanes[i] = sim.Lane{Cfg: cfg}
-		}
-		b, err := sim.NewBatchRunner(lanes)
-		if err != nil {
-			return nil, fmt.Errorf("exp: %s: %w", sc.Name, err)
-		}
-		out, err := b.RunContext(ctx)
-		if err != nil {
-			return nil, fmt.Errorf("exp: %s: %w", sc.Name, err)
-		}
-		for i, lr := range out {
-			if lr.Err != nil {
-				return nil, fmt.Errorf("exp: %s / %s: %w", sc.Name, policies[i].Name(), lr.Err)
-			}
-			results[i] = lr.Res
-		}
+		results[i] = lr.Res
 	}
 	return buildComparison(sc.Name, results), nil
 }

@@ -152,7 +152,6 @@ func FaultSweep(ctx context.Context, seed uint64, opts FaultSweepOptions) (*Faul
 						Fallbacks:        r.fallbacks(),
 						Faults:           schedules[class],
 						FaultSeed:        seed,
-						Supervisor:       sim.SupervisorConfig{Mode: sim.SuperviseOn},
 						IdlePredictor:    predict.MustExpAverage(0.5, (cfg.IdleMin+cfg.IdleMax)/2),
 						ActivePredictor:  predict.MustExpAverage(0.5, (cfg.ActiveMin+cfg.ActiveMax)/2),
 						CurrentPredictor: predict.MustExpAverage(1, 1.2),

@@ -36,12 +36,7 @@ func (a *ASAP) PlanIdle(sim.SlotInfo) {}
 func (a *ASAP) PlanActive(sim.SlotInfo) {}
 
 // SegmentPlan implements sim.Policy.
-func (a *ASAP) SegmentPlan(seg sim.Segment, charge float64) []sim.Piece {
-	return a.SegmentPlanInto(seg, charge, nil)
-}
-
-// SegmentPlanInto implements sim.PiecePlanner.
-func (a *ASAP) SegmentPlanInto(seg sim.Segment, charge float64, buf []sim.Piece) []sim.Piece {
+func (a *ASAP) SegmentPlan(seg sim.Segment, charge float64, buf []sim.Piece) []sim.Piece {
 	if charge < a.cmax/2 {
 		a.recharging = true
 	}
@@ -73,7 +68,4 @@ func (a *ASAP) follow(buf []sim.Piece, seg sim.Segment, charge float64) []sim.Pi
 	return append(buf, sim.Piece{IF: a.sys.Clamp(seg.Load), Dur: seg.Dur})
 }
 
-var (
-	_ sim.Policy       = (*ASAP)(nil)
-	_ sim.PiecePlanner = (*ASAP)(nil)
-)
+var _ sim.Policy = (*ASAP)(nil)

@@ -71,17 +71,8 @@ func (b *FCDPMBanded) PlanActive(info sim.SlotInfo) {
 }
 
 // SegmentPlan implements sim.Policy.
-func (b *FCDPMBanded) SegmentPlan(seg sim.Segment, charge float64) []sim.Piece {
-	return b.inner.SegmentPlan(seg, charge)
+func (b *FCDPMBanded) SegmentPlan(seg sim.Segment, charge float64, buf []sim.Piece) []sim.Piece {
+	return b.inner.SegmentPlan(seg, charge, buf)
 }
 
-// SegmentPlanInto implements sim.PiecePlanner by delegating to the
-// wrapped FC-DPM.
-func (b *FCDPMBanded) SegmentPlanInto(seg sim.Segment, charge float64, buf []sim.Piece) []sim.Piece {
-	return b.inner.SegmentPlanInto(seg, charge, buf)
-}
-
-var (
-	_ sim.Policy       = (*FCDPMBanded)(nil)
-	_ sim.PiecePlanner = (*FCDPMBanded)(nil)
-)
+var _ sim.Policy = (*FCDPMBanded)(nil)

@@ -44,29 +44,26 @@ func (b *BatteryAware) PlanIdle(sim.SlotInfo) {}
 func (b *BatteryAware) PlanActive(sim.SlotInfo) {}
 
 // SegmentPlan implements sim.Policy.
-func (b *BatteryAware) SegmentPlan(seg sim.Segment, charge float64) []sim.Piece {
+func (b *BatteryAware) SegmentPlan(seg sim.Segment, charge float64, buf []sim.Piece) []sim.Piece {
 	hi := b.sys.MaxOutput
 	if !seg.Kind.IdlePhase() {
 		// Active: shield the battery — deliver the maximum.
-		return []sim.Piece{{IF: hi, Dur: seg.Dur}}
+		return append(buf, sim.Piece{IF: hi, Dur: seg.Dur})
 	}
 	// Idle: recharge at maximum until full, then rest at the range floor.
 	net := hi - seg.Load
 	if net <= 0 {
-		return []sim.Piece{{IF: hi, Dur: seg.Dur}}
+		return append(buf, sim.Piece{IF: hi, Dur: seg.Dur})
 	}
 	tFull := (b.cmax - charge) / net
 	if tFull >= seg.Dur {
-		return []sim.Piece{{IF: hi, Dur: seg.Dur}}
+		return append(buf, sim.Piece{IF: hi, Dur: seg.Dur})
 	}
 	lo := b.sys.MinOutput
 	if tFull <= 0 {
-		return []sim.Piece{{IF: lo, Dur: seg.Dur}}
+		return append(buf, sim.Piece{IF: lo, Dur: seg.Dur})
 	}
-	return []sim.Piece{
-		{IF: hi, Dur: tFull},
-		{IF: lo, Dur: seg.Dur - tFull},
-	}
+	return append(buf, sim.Piece{IF: hi, Dur: tFull}, sim.Piece{IF: lo, Dur: seg.Dur - tFull})
 }
 
 var _ sim.Policy = (*BatteryAware)(nil)

@@ -126,19 +126,11 @@ func (f *FCDPM) PlanActive(info sim.SlotInfo) {
 // SegmentPlan implements sim.Policy: idle-phase segments run at IF,i (with
 // a split at storage-full), active-phase segments at IF,a (with a split at
 // storage-empty).
-func (f *FCDPM) SegmentPlan(seg sim.Segment, charge float64) []sim.Piece {
-	return f.SegmentPlanInto(seg, charge, nil)
-}
-
-// SegmentPlanInto implements sim.PiecePlanner.
-func (f *FCDPM) SegmentPlanInto(seg sim.Segment, charge float64, buf []sim.Piece) []sim.Piece {
+func (f *FCDPM) SegmentPlan(seg sim.Segment, charge float64, buf []sim.Piece) []sim.Piece {
 	if seg.Kind.IdlePhase() {
 		return splitAtFull(buf, f.sys, seg, charge, f.cmax, f.ifi)
 	}
 	return splitAtEmpty(buf, f.sys, seg, charge, f.ifa)
 }
 
-var (
-	_ sim.Policy       = (*FCDPM)(nil)
-	_ sim.PiecePlanner = (*FCDPM)(nil)
-)
+var _ sim.Policy = (*FCDPM)(nil)

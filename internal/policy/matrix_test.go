@@ -35,7 +35,9 @@ func TestPolicyDeviceStorageMatrix(t *testing.T) {
 		func() sim.Policy { return NewConv(sys) },
 		func() sim.Policy { return NewASAP(sys) },
 		func() sim.Policy { return NewFCDPM(sys, device.Camcorder()) },
-		func() sim.Policy { return must(NewFCDPMQuantized(sys, device.Camcorder(), fcopt.UniformLevels(sys, 6))) },
+		func() sim.Policy {
+			return must(NewFCDPMQuantized(sys, device.Camcorder(), fcopt.UniformLevels(sys, 6)))
+		},
 		func() sim.Policy { return must(NewFCDPMBanded(sys, device.Camcorder(), 0.05)) },
 		func() sim.Policy { return must(NewMPC(sys, device.Camcorder(), 2)) },
 		func() sim.Policy { return NewFlat(sys, 0.5) },

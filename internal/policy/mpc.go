@@ -110,16 +110,8 @@ func (m *MPC) PlanIdle(info sim.SlotInfo) {
 func (m *MPC) PlanActive(info sim.SlotInfo) { m.inner.PlanActive(info) }
 
 // SegmentPlan implements sim.Policy via FC-DPM's boundary-splitting plans.
-func (m *MPC) SegmentPlan(seg sim.Segment, charge float64) []sim.Piece {
-	return m.inner.SegmentPlan(seg, charge)
+func (m *MPC) SegmentPlan(seg sim.Segment, charge float64, buf []sim.Piece) []sim.Piece {
+	return m.inner.SegmentPlan(seg, charge, buf)
 }
 
-// SegmentPlanInto implements sim.PiecePlanner via the wrapped FC-DPM.
-func (m *MPC) SegmentPlanInto(seg sim.Segment, charge float64, buf []sim.Piece) []sim.Piece {
-	return m.inner.SegmentPlanInto(seg, charge, buf)
-}
-
-var (
-	_ sim.Policy       = (*MPC)(nil)
-	_ sim.PiecePlanner = (*MPC)(nil)
-)
+var _ sim.Policy = (*MPC)(nil)

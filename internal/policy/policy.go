@@ -45,12 +45,7 @@ func (c *Conv) PlanIdle(sim.SlotInfo) {}
 func (c *Conv) PlanActive(sim.SlotInfo) {}
 
 // SegmentPlan implements sim.Policy: always the top of the range.
-func (c *Conv) SegmentPlan(seg sim.Segment, charge float64) []sim.Piece {
-	return c.SegmentPlanInto(seg, charge, nil)
-}
-
-// SegmentPlanInto implements sim.PiecePlanner.
-func (c *Conv) SegmentPlanInto(seg sim.Segment, charge float64, buf []sim.Piece) []sim.Piece {
+func (c *Conv) SegmentPlan(seg sim.Segment, charge float64, buf []sim.Piece) []sim.Piece {
 	return append(buf, sim.Piece{IF: c.sys.MaxOutput, Dur: seg.Dur})
 }
 
@@ -80,12 +75,7 @@ func (f *Flat) PlanIdle(sim.SlotInfo) {}
 func (f *Flat) PlanActive(sim.SlotInfo) {}
 
 // SegmentPlan implements sim.Policy.
-func (f *Flat) SegmentPlan(seg sim.Segment, charge float64) []sim.Piece {
-	return f.SegmentPlanInto(seg, charge, nil)
-}
-
-// SegmentPlanInto implements sim.PiecePlanner.
-func (f *Flat) SegmentPlanInto(seg sim.Segment, charge float64, buf []sim.Piece) []sim.Piece {
+func (f *Flat) SegmentPlan(seg sim.Segment, charge float64, buf []sim.Piece) []sim.Piece {
 	return append(buf, sim.Piece{IF: f.IF, Dur: seg.Dur})
 }
 
@@ -137,8 +127,6 @@ func splitAtEmpty(buf []sim.Piece, sys *fuelcell.System, seg sim.Segment, charge
 }
 
 var (
-	_ sim.Policy       = (*Conv)(nil)
-	_ sim.Policy       = (*Flat)(nil)
-	_ sim.PiecePlanner = (*Conv)(nil)
-	_ sim.PiecePlanner = (*Flat)(nil)
+	_ sim.Policy = (*Conv)(nil)
+	_ sim.Policy = (*Flat)(nil)
 )

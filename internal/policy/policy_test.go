@@ -26,7 +26,7 @@ func TestConvAlwaysMax(t *testing.T) {
 		{Kind: sim.SegSleep, Dur: 10, Load: 0.2},
 		{Kind: sim.SegActive, Dur: 3, Load: 1.22},
 	} {
-		ps := c.SegmentPlan(seg, 3)
+		ps := c.SegmentPlan(seg, 3, nil)
 		if len(ps) != 1 || ps[0].IF != 1.2 {
 			t.Fatalf("Conv plan = %+v, want single piece at 1.2", ps)
 		}
@@ -45,7 +45,7 @@ func TestFlatClampsAtConstruction(t *testing.T) {
 	if f.IF != 0.1 {
 		t.Fatalf("Flat IF = %v, want clamped 0.1", f.IF)
 	}
-	ps := f.SegmentPlan(sim.Segment{Dur: 5, Load: 0.3}, 2)
+	ps := f.SegmentPlan(sim.Segment{Dur: 5, Load: 0.3}, 2, nil)
 	if len(ps) != 1 || ps[0].IF != 0.1 || ps[0].Dur != 5 {
 		t.Fatalf("Flat plan = %+v", ps)
 	}
@@ -54,17 +54,17 @@ func TestFlatClampsAtConstruction(t *testing.T) {
 func TestASAPFollowsLoad(t *testing.T) {
 	a := NewASAP(sys())
 	a.Reset(6, 6)
-	ps := a.SegmentPlan(sim.Segment{Kind: sim.SegStandby, Dur: 10, Load: 0.4}, 6)
+	ps := a.SegmentPlan(sim.Segment{Kind: sim.SegStandby, Dur: 10, Load: 0.4}, 6, nil)
 	if len(ps) != 1 || ps[0].IF != 0.4 {
 		t.Fatalf("plan = %+v, want follow at 0.4", ps)
 	}
 	// Load beyond range: clamp to 1.2, storage supplies the rest.
-	ps = a.SegmentPlan(sim.Segment{Kind: sim.SegActive, Dur: 3, Load: 1.4}, 6)
+	ps = a.SegmentPlan(sim.Segment{Kind: sim.SegActive, Dur: 3, Load: 1.4}, 6, nil)
 	if len(ps) != 1 || ps[0].IF != 1.2 {
 		t.Fatalf("plan = %+v, want clamp at 1.2", ps)
 	}
 	// Load below range floor: clamp to 0.1.
-	ps = a.SegmentPlan(sim.Segment{Kind: sim.SegSleep, Dur: 10, Load: 0.05}, 6)
+	ps = a.SegmentPlan(sim.Segment{Kind: sim.SegSleep, Dur: 10, Load: 0.05}, 6, nil)
 	if len(ps) != 1 || ps[0].IF != 0.1 {
 		t.Fatalf("plan = %+v, want floor at 0.1", ps)
 	}
@@ -75,7 +75,7 @@ func TestASAPRechargeRule(t *testing.T) {
 	a.Reset(6, 6)
 	// Charge below half capacity triggers recharge at max output.
 	seg := sim.Segment{Kind: sim.SegStandby, Dur: 20, Load: 0.4}
-	ps := a.SegmentPlan(seg, 2)
+	ps := a.SegmentPlan(seg, 2, nil)
 	if ps[0].IF != 1.2 {
 		t.Fatalf("recharge plan = %+v, want first piece at 1.2", ps)
 	}
@@ -88,7 +88,7 @@ func TestASAPRechargeRule(t *testing.T) {
 	}
 	// Above half capacity: no recharging.
 	a.Reset(6, 6)
-	ps = a.SegmentPlan(seg, 4)
+	ps = a.SegmentPlan(seg, 4, nil)
 	if ps[0].IF != 0.4 {
 		t.Fatalf("plan = %+v, want plain following above half capacity", ps)
 	}
@@ -99,7 +99,7 @@ func TestASAPRechargeAgainstHighLoad(t *testing.T) {
 	a.Reset(6, 6)
 	// Recharging demanded but load exceeds the range top: deliver max and
 	// stay in recharge mode.
-	ps := a.SegmentPlan(sim.Segment{Kind: sim.SegActive, Dur: 3, Load: 1.4}, 1)
+	ps := a.SegmentPlan(sim.Segment{Kind: sim.SegActive, Dur: 3, Load: 1.4}, 1, nil)
 	if len(ps) != 1 || ps[0].IF != 1.2 {
 		t.Fatalf("plan = %+v", ps)
 	}
@@ -122,7 +122,7 @@ func TestFCDPMMotivationalSlot(t *testing.T) {
 	if math.Abs(f.ifi-16.0/30) > 1e-9 {
 		t.Fatalf("planned IFi = %v, want 0.5333", f.ifi)
 	}
-	ps := f.SegmentPlan(sim.Segment{Kind: sim.SegStandby, Dur: 20, Load: 0.2}, 0)
+	ps := f.SegmentPlan(sim.Segment{Kind: sim.SegStandby, Dur: 20, Load: 0.2}, 0, nil)
 	if len(ps) != 1 || math.Abs(ps[0].IF-16.0/30) > 1e-9 {
 		t.Fatalf("idle plan = %+v", ps)
 	}
@@ -163,7 +163,7 @@ func TestFCDPMSplitAtFull(t *testing.T) {
 	f.Reset(6, 6)
 	f.ifi = 0.5
 	// Charging at 0.5-0.2=0.3 A with 1.5 A-s of room: full after 5 s.
-	ps := f.SegmentPlan(sim.Segment{Kind: sim.SegStandby, Dur: 20, Load: 0.2}, 4.5)
+	ps := f.SegmentPlan(sim.Segment{Kind: sim.SegStandby, Dur: 20, Load: 0.2}, 4.5, nil)
 	if len(ps) != 2 {
 		t.Fatalf("plan = %+v, want split", ps)
 	}
@@ -182,7 +182,7 @@ func TestFCDPMSplitAtEmpty(t *testing.T) {
 	f.Reset(6, 6)
 	f.ifa = 0.5
 	// Discharging at 1.2-0.5=0.7 A with 1.4 A-s stored: empty after 2 s.
-	ps := f.SegmentPlan(sim.Segment{Kind: sim.SegActive, Dur: 5, Load: 1.2}, 1.4)
+	ps := f.SegmentPlan(sim.Segment{Kind: sim.SegActive, Dur: 5, Load: 1.2}, 1.4, nil)
 	if len(ps) != 2 {
 		t.Fatalf("plan = %+v, want split", ps)
 	}

@@ -129,13 +129,7 @@ func (f *FCDPMQuantized) PlanActive(info sim.SlotInfo) {
 // after an empty split so the load keeps being covered, down to the
 // nearest feasible level after a full split is unnecessary — the bleeder
 // handles the floor case, matching the continuous policy's behaviour).
-func (f *FCDPMQuantized) SegmentPlan(seg sim.Segment, charge float64) []sim.Piece {
-	return f.SegmentPlanInto(seg, charge, nil)
-}
-
-// SegmentPlanInto implements sim.PiecePlanner, appending the snapped plan
-// to buf.
-func (f *FCDPMQuantized) SegmentPlanInto(seg sim.Segment, charge float64, buf []sim.Piece) []sim.Piece {
+func (f *FCDPMQuantized) SegmentPlan(seg sim.Segment, charge float64, buf []sim.Piece) []sim.Piece {
 	start := len(buf)
 	if seg.Kind.IdlePhase() {
 		buf = splitAtFull(buf, f.sys, seg, charge, f.cmax, f.ifi)

@@ -114,16 +114,16 @@ func TestSchedulePolicyReplaysSettings(t *testing.T) {
 	s := NewSchedule(sys, settings)
 	s.Reset(6, 1)
 	s.PlanIdle(sim.SlotInfo{K: 0})
-	ps := s.SegmentPlan(sim.Segment{Kind: sim.SegStandby, Dur: 5, Load: 0.4}, 1)
+	ps := s.SegmentPlan(sim.Segment{Kind: sim.SegStandby, Dur: 5, Load: 0.4}, 1, nil)
 	if ps[0].IF != 0.3 {
 		t.Fatalf("slot 0 idle IF = %v", ps[0].IF)
 	}
-	ps = s.SegmentPlan(sim.Segment{Kind: sim.SegActive, Dur: 3, Load: 1.2}, 3)
+	ps = s.SegmentPlan(sim.Segment{Kind: sim.SegActive, Dur: 3, Load: 1.2}, 3, nil)
 	if ps[0].IF != 0.9 {
 		t.Fatalf("slot 0 active IF = %v", ps[0].IF)
 	}
 	s.PlanIdle(sim.SlotInfo{K: 1})
-	ps = s.SegmentPlan(sim.Segment{Kind: sim.SegSleep, Dur: 5, Load: 0.2}, 1)
+	ps = s.SegmentPlan(sim.Segment{Kind: sim.SegSleep, Dur: 5, Load: 0.2}, 1, nil)
 	if ps[0].IF != 0.4 {
 		t.Fatalf("slot 1 idle IF = %v", ps[0].IF)
 	}
@@ -134,12 +134,12 @@ func TestSchedulePolicyFallbackPastEnd(t *testing.T) {
 	s := NewSchedule(sys, nil)
 	s.Reset(6, 1)
 	s.PlanIdle(sim.SlotInfo{K: 0, IdleLoad: 0.2, PredActiveCurrent: 1.22})
-	ps := s.SegmentPlan(sim.Segment{Kind: sim.SegStandby, Dur: 5, Load: 0.2}, 1)
+	ps := s.SegmentPlan(sim.Segment{Kind: sim.SegStandby, Dur: 5, Load: 0.2}, 1, nil)
 	if ps[0].IF != 0.2 {
 		t.Fatalf("fallback idle IF = %v, want load-follow 0.2", ps[0].IF)
 	}
 	s.PlanActive(sim.SlotInfo{K: 0, ActualActiveCurrent: 1.4})
-	ps = s.SegmentPlan(sim.Segment{Kind: sim.SegActive, Dur: 3, Load: 1.4}, 3)
+	ps = s.SegmentPlan(sim.Segment{Kind: sim.SegActive, Dur: 3, Load: 1.4}, 3, nil)
 	if ps[0].IF != 1.2 {
 		t.Fatalf("fallback active IF = %v, want clamp 1.2", ps[0].IF)
 	}

@@ -62,19 +62,11 @@ func (s *Schedule) PlanActive(info sim.SlotInfo) {
 
 // SegmentPlan implements sim.Policy with the same boundary splitting as the
 // online policy.
-func (s *Schedule) SegmentPlan(seg sim.Segment, charge float64) []sim.Piece {
-	return s.SegmentPlanInto(seg, charge, nil)
-}
-
-// SegmentPlanInto implements sim.PiecePlanner.
-func (s *Schedule) SegmentPlanInto(seg sim.Segment, charge float64, buf []sim.Piece) []sim.Piece {
+func (s *Schedule) SegmentPlan(seg sim.Segment, charge float64, buf []sim.Piece) []sim.Piece {
 	if seg.Kind.IdlePhase() {
 		return splitAtFull(buf, s.sys, seg, charge, s.cmax, s.ifi)
 	}
 	return splitAtEmpty(buf, s.sys, seg, charge, s.ifa)
 }
 
-var (
-	_ sim.Policy       = (*Schedule)(nil)
-	_ sim.PiecePlanner = (*Schedule)(nil)
-)
+var _ sim.Policy = (*Schedule)(nil)

@@ -48,7 +48,6 @@ type breaker struct {
 	failures  int // consecutive failures while closed
 	openedAt  time.Time
 	threshold int
-	cooldown  time.Duration
 	clock     Clock
 	// onChange, when set, observes every state transition. It is called
 	// outside the breaker lock and must be concurrency-safe.
@@ -58,14 +57,11 @@ type breaker struct {
 	holders int
 }
 
-func newBreaker(threshold int, cooldown time.Duration, clock Clock) *breaker {
+func newBreaker(threshold int, clock Clock) *breaker {
 	if threshold <= 0 {
 		threshold = DefaultBreakerThreshold
 	}
-	if cooldown <= 0 {
-		cooldown = DefaultBreakerCooldown
-	}
-	return &breaker{threshold: threshold, cooldown: cooldown, clock: clock}
+	return &breaker{threshold: threshold, clock: clock}
 }
 
 // admit reports whether a task may run now. When the cooldown of an open
@@ -78,7 +74,7 @@ func (b *breaker) admit() bool {
 	case breakerClosed:
 		admitted = true
 	case breakerOpen:
-		if b.clock.Now().Sub(b.openedAt) >= b.cooldown {
+		if b.clock.Now().Sub(b.openedAt) >= DefaultBreakerCooldown {
 			b.state = breakerHalfOpen
 			admitted = true
 		}

@@ -7,7 +7,7 @@ import (
 
 func TestBreakerStateMachine(t *testing.T) {
 	clk := newFakeClock()
-	b := newBreaker(3, time.Minute, clk)
+	b := newBreaker(3, clk)
 
 	if b.snapshot() != breakerClosed || !b.admit() {
 		t.Fatal("new breaker should be closed and admitting")
@@ -64,10 +64,9 @@ func TestBreakerStateMachine(t *testing.T) {
 }
 
 func TestBreakerDefaults(t *testing.T) {
-	b := newBreaker(0, 0, newFakeClock())
-	if b.threshold != DefaultBreakerThreshold || b.cooldown != DefaultBreakerCooldown {
-		t.Errorf("defaults = (%d, %v), want (%d, %v)",
-			b.threshold, b.cooldown, DefaultBreakerThreshold, DefaultBreakerCooldown)
+	b := newBreaker(0, newFakeClock())
+	if b.threshold != DefaultBreakerThreshold {
+		t.Errorf("default threshold = %d, want %d", b.threshold, DefaultBreakerThreshold)
 	}
 }
 

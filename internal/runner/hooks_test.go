@@ -51,7 +51,7 @@ func TestOnEventLifecycle(t *testing.T) {
 		}},
 	}
 	rep, err := Run(context.Background(), Options{
-		Workers: 2, Retries: 2, BackoffBase: 1, BackoffMax: 1,
+		Workers: 2, Retries: 2, Clock: newFakeClock(),
 		OnEvent: sink.record,
 	}, tasks)
 	if err != nil {

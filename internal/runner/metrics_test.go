@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"testing"
-	"time"
 
 	"fcdpm/internal/obs"
 )
@@ -66,7 +65,7 @@ func TestPoolMetricsBreakerTransitions(t *testing.T) {
 	m := obs.NewPoolMetrics(reg)
 	clk := newFakeClock()
 	p, err := NewPool[int](context.Background(), Options{
-		Workers: 1, BreakerThreshold: 2, BreakerCooldown: time.Minute,
+		Workers: 1, BreakerThreshold: 2,
 		Clock: clk, Metrics: m,
 	})
 	if err != nil {

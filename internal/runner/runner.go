@@ -39,11 +39,9 @@ type Options struct {
 	Timeout time.Duration
 	// Retries is how many times a failed attempt is re-run, applied only
 	// to retryable failures (Retryable() bool, attempt
-	// deadlines). 0 means fail fast.
+	// deadlines), after an exponential backoff from DefaultBackoffBase to
+	// DefaultBackoffMax. 0 means fail fast.
 	Retries int
-	// BackoffBase and BackoffMax shape the exponential retry backoff
-	// (defaults 100 ms and 5 s); jitter is deterministic per task ID.
-	BackoffBase, BackoffMax time.Duration
 	// Queue bounds the admission queue (default: 2×Workers).
 	Queue int
 	// ShedOverflow makes Submit reject (ErrShed) instead of block when
@@ -51,11 +49,9 @@ type Options struct {
 	// rather drop work than build unbounded backlog.
 	ShedOverflow bool
 	// BreakerThreshold opens a scenario's circuit breaker after that many
-	// consecutive task failures (default 3); negative disables breakers.
+	// consecutive task failures (default 3) for DefaultBreakerCooldown;
+	// negative disables breakers.
 	BreakerThreshold int
-	// BreakerCooldown is the open interval before a half-open probe is
-	// admitted (default 30 s).
-	BreakerCooldown time.Duration
 	// Journal, when non-empty, checkpoints every completed run to this
 	// JSONL file and skips already-journaled IDs on submit — crash-safe
 	// resume for interrupted sweeps.
@@ -392,7 +388,7 @@ func (p *Pool[R]) breakerFor(scenario string) *breaker {
 	defer p.mu.Unlock()
 	b, ok := p.breakers[scenario]
 	if !ok {
-		b = newBreaker(p.opts.BreakerThreshold, p.opts.BreakerCooldown, p.opts.Clock)
+		b = newBreaker(p.opts.BreakerThreshold, p.opts.Clock)
 		if m := p.opts.Metrics; m != nil {
 			b.onChange = func(from, to breakerState) {
 				m.BreakerChanged(from.String(), to.String())
@@ -466,7 +462,7 @@ func (p *Pool[R]) execute(it poolItem[R]) {
 			return
 		}
 		if attempt <= p.opts.Retries && Retryable(err) {
-			delay := BackoffDelay(p.opts.BackoffBase, p.opts.BackoffMax, t.ID, attempt)
+			delay := BackoffDelay(DefaultBackoffBase, DefaultBackoffMax, t.ID, attempt)
 			if p.opts.Clock.Sleep(p.ctx, delay) != nil {
 				p.resolve(it.index, t, StatusInterrupted, zero,
 					fmt.Errorf("runner: task %s interrupted during backoff: %w", t.ID, lastErr), attempts)

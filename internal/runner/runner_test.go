@@ -302,7 +302,7 @@ func TestBreakerHalfOpenRecovery(t *testing.T) {
 		return 0, errors.New("down")
 	}
 	ctx := context.Background()
-	p, err := NewPool[int](ctx, Options{Workers: 1, BreakerThreshold: 2, BreakerCooldown: time.Minute, Clock: clk})
+	p, err := NewPool[int](ctx, Options{Workers: 1, BreakerThreshold: 2, Clock: clk})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +318,7 @@ func TestBreakerHalfOpenRecovery(t *testing.T) {
 
 	healthy.Store(true)
 	clk.advance(2 * time.Minute)
-	p2, err := NewPool[int](ctx, Options{Workers: 1, BreakerThreshold: 2, BreakerCooldown: time.Minute, Clock: clk})
+	p2, err := NewPool[int](ctx, Options{Workers: 1, BreakerThreshold: 2, Clock: clk})
 	if err != nil {
 		t.Fatal(err)
 	}

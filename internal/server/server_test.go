@@ -133,6 +133,12 @@ func TestRunInvalidSpec(t *testing.T) {
 		`{"unknown":1}`,
 		`{"predict":{"rho":1.5}}`,
 		`{"system":{"stacks":65,"alloc":"waterfill"}}`,
+		// Work no spec may ask for: each of these once exhausted memory.
+		`{"trace":{"kind":"synthetic","duration":1e11}}`,
+		`{"trace":{"kind":"synthetic","duration":600},"faults":{"random":1000000000}}`,
+		`{"trace":{"kind":"synthetic","duration":600},"policy":{"kind":"quantized","levels":1000000000}}`,
+		// Under the seconds cap, but past the generators' slot cap.
+		`{"trace":{"kind":"dvs","duration":9e7}}`,
 	} {
 		resp, b := postRun(t, ts, body)
 		if resp.StatusCode != 400 {

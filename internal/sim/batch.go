@@ -24,14 +24,6 @@ type BatchKeyer interface {
 	BatchKey() string
 }
 
-// TimeoutAdapterCloner is the optional cloning face of a TimeoutAdapter:
-// CloneTimeoutAdapter returns an independent adapter with identical
-// learned state, so each lane of a batched timeout study can own its
-// adaptation instead of forcing the whole sweep serial.
-type TimeoutAdapterCloner interface {
-	CloneTimeoutAdapter() TimeoutAdapter
-}
-
 // Lane is one scenario variant of a batch.
 type Lane struct {
 	// Cfg is the lane's simulation configuration. All lanes of a batch
@@ -534,11 +526,9 @@ func dynamicsKey(cfg *Config) (string, bool) {
 	// distinct equal-content systems (e.g. per-lane multistack racks
 	// built from the same stack mix) group only through an explicit
 	// Lane.Key, such as the spec cache key runreport passes.
-	return fmt.Sprintf("sys=%s|dev=%p|pol=%s|sto=%s|dpm=%d|to=%x|slew=%x|pi=%s|pa=%s|pc=%s|faults=%s|sup=%d/%x/%x|fb=%s",
+	return fmt.Sprintf("sys=%s|dev=%p|pol=%s|sto=%s|dpm=%d|to=%x|slew=%x|pi=%s|pa=%s|pc=%s|faults=%s|deficit=%x|fb=%s",
 		cfg.Sys.BatchKey(), cfg.Dev, pol, sto, cfg.DPM, fpBits(cfg.Timeout), fpBits(cfg.SlewRate),
-		pi, pa, pc, faults,
-		cfg.Supervisor.Mode, fpBits(cfg.Supervisor.DeficitLimit), fpBits(cfg.Supervisor.Tolerance),
-		fb.String()), true
+		pi, pa, pc, faults, fpBits(cfg.DeficitLimit), fb.String()), true
 }
 
 // decodeKey fingerprints the trace-side decode inputs: the device model,

@@ -187,8 +187,8 @@ func (b brokenStore) Clone() storage.Storage {
 type badPolicy struct{ sim.Policy }
 
 func (badPolicy) Name() string { return "bad" }
-func (badPolicy) SegmentPlan(seg sim.Segment, charge float64) []sim.Piece {
-	return []sim.Piece{{IF: 0.5, Dur: seg.Dur / 2}}
+func (badPolicy) SegmentPlan(seg sim.Segment, charge float64, buf []sim.Piece) []sim.Piece {
+	return append(buf, sim.Piece{IF: 0.5, Dur: seg.Dur / 2})
 }
 
 // TestBadPlanFallsBack verifies a policy returning an invalid plan trips

@@ -119,10 +119,11 @@ type Policy interface {
 	// PlanActive is called when the active period's demands are revealed
 	// (just before the wake-up transition when sleeping).
 	PlanActive(info SlotInfo)
-	// SegmentPlan returns the FC output pieces covering the segment,
-	// given the current storage charge. Piece durations must sum to
-	// seg.Dur.
-	SegmentPlan(seg Segment, charge float64) []Piece
+	// SegmentPlan appends the FC output pieces covering the segment,
+	// given the current storage charge, to buf and returns the extended
+	// slice, so the simulator reuses one scratch buffer across segments.
+	// Piece durations must sum to seg.Dur.
+	SegmentPlan(seg Segment, charge float64, buf []Piece) []Piece
 }
 
 // DPMMode selects how the device-side sleep decision is made.
@@ -173,6 +174,10 @@ type TimeoutAdapter interface {
 	NextTimeout() float64
 	// Observe feeds the realized idle length after the slot completes.
 	Observe(idle float64)
+	// CloneTimeoutAdapter returns an independent adapter with identical
+	// learned state, so each lane of a batched timeout study owns its
+	// adaptation.
+	CloneTimeoutAdapter() TimeoutAdapter
 }
 
 // Config assembles one simulation run.
@@ -222,10 +227,12 @@ type Config struct {
 	// when invariants trip: Policy, then each fallback in order, then an
 	// implicit last-resort load-shed stage. Degradation is one-way.
 	Fallbacks []Policy
-	// Supervisor tunes the run-time watchdog (see SupervisorConfig). With
-	// the zero value, supervision arms automatically when Faults or
-	// Fallbacks are configured.
-	Supervisor SupervisorConfig
+	// DeficitLimit is the unmet-load charge (A-s) the supervisor
+	// tolerates per degradation stage before falling back to the next
+	// policy in the chain; 0 means DefaultDeficitLimit. The supervisor
+	// is armed exactly when Faults (even an empty schedule) or Fallbacks
+	// are configured; plain runs keep the fail-fast error behavior.
+	DeficitLimit float64
 	// Metrics, when non-nil, receives one RecordRun per completed run:
 	// slots simulated, fuel consumed, memo hit/miss deltas, and wall
 	// time. Recording is a handful of atomic adds after the run — the
@@ -260,16 +267,6 @@ func (l RecordLevel) String() string {
 	}
 }
 
-// PiecePlanner is the optional allocation-free face of a Policy:
-// SegmentPlanInto appends the segment's pieces to buf and returns the
-// extended slice, letting the simulator reuse one scratch buffer across
-// segments instead of receiving a freshly allocated plan per call. The
-// semantics must match SegmentPlan exactly; the simulator prefers this
-// interface whenever the active policy implements it.
-type PiecePlanner interface {
-	SegmentPlanInto(seg Segment, charge float64, buf []Piece) []Piece
-}
-
 // validate checks the configuration.
 func (c *Config) validate() error {
 	switch {
@@ -297,12 +294,8 @@ func (c *Config) validate() error {
 			return fmt.Errorf("sim: nil fallback policy at index %d", i)
 		}
 	}
-	sup := c.Supervisor
-	if math.IsNaN(sup.DeficitLimit) || math.IsInf(sup.DeficitLimit, 0) || sup.DeficitLimit < 0 {
-		return fmt.Errorf("sim: bad supervisor deficit limit %v", sup.DeficitLimit)
-	}
-	if math.IsNaN(sup.Tolerance) || math.IsInf(sup.Tolerance, 0) || sup.Tolerance < 0 {
-		return fmt.Errorf("sim: bad supervisor tolerance %v", sup.Tolerance)
+	if d := c.DeficitLimit; math.IsNaN(d) || math.IsInf(d, 0) || d < 0 {
+		return fmt.Errorf("sim: bad supervisor deficit limit %v", d)
 	}
 	return c.Trace.Validate()
 }
@@ -466,10 +459,8 @@ type state struct {
 
 	// pol is the currently active policy; chain is the full degradation
 	// sequence [Config.Policy, fallbacks..., load-shed] and chainIdx the
-	// position of pol within it. planInto is pol's optional allocation-free
-	// planning face, re-resolved whenever pol changes.
+	// position of pol within it.
 	pol      Policy
-	planInto PiecePlanner
 	chain    []Policy
 	chainIdx int
 	// tripDeficit accumulates unmet load since the last degradation; the
@@ -573,11 +564,10 @@ func (st *state) reset() {
 	st.pol.Reset(st.store.Capacity(), st.chargeTarget)
 }
 
-// setPolicy activates chain[i] and re-resolves its planning fast path.
+// setPolicy activates chain[i].
 func (st *state) setPolicy(i int) {
 	st.chainIdx = i
 	st.pol = st.chain[i]
-	st.planInto, _ = st.pol.(PiecePlanner)
 }
 
 // finalize folds the accumulators into the result after the last slot.
@@ -804,15 +794,7 @@ func (s *state) applySegment(seg Segment) error {
 		return nil
 	}
 	for {
-		// Prefer the policy's allocation-free face: the plan is appended
-		// into a scratch buffer reused across segments. Policies without
-		// one fall back to the classic allocating SegmentPlan.
-		var pieces []Piece
-		if s.planInto != nil {
-			pieces = s.planInto.SegmentPlanInto(seg, s.store.Charge(), s.pieceBuf[:0])
-		} else {
-			pieces = s.pol.SegmentPlan(seg, s.store.Charge())
-		}
+		pieces := s.pol.SegmentPlan(seg, s.store.Charge(), s.pieceBuf[:0])
 		inv := s.checkPieces(seg, pieces)
 		if inv == nil {
 			for _, p := range pieces {

@@ -19,8 +19,8 @@ func (p *maxPolicy) Name() string                     { return "max" }
 func (p *maxPolicy) Reset(cmax, chargeTarget float64) {}
 func (p *maxPolicy) PlanIdle(SlotInfo)                {}
 func (p *maxPolicy) PlanActive(SlotInfo)              {}
-func (p *maxPolicy) SegmentPlan(seg Segment, charge float64) []Piece {
-	return []Piece{{IF: p.sys.MaxOutput, Dur: seg.Dur}}
+func (p *maxPolicy) SegmentPlan(seg Segment, charge float64, buf []Piece) []Piece {
+	return append(buf, Piece{IF: p.sys.MaxOutput, Dur: seg.Dur})
 }
 
 // followPolicy tracks the load within range.
@@ -30,8 +30,8 @@ func (p *followPolicy) Name() string                     { return "follow" }
 func (p *followPolicy) Reset(cmax, chargeTarget float64) {}
 func (p *followPolicy) PlanIdle(SlotInfo)                {}
 func (p *followPolicy) PlanActive(SlotInfo)              {}
-func (p *followPolicy) SegmentPlan(seg Segment, charge float64) []Piece {
-	return []Piece{{IF: p.sys.Clamp(seg.Load), Dur: seg.Dur}}
+func (p *followPolicy) SegmentPlan(seg Segment, charge float64, buf []Piece) []Piece {
+	return append(buf, Piece{IF: p.sys.Clamp(seg.Load), Dur: seg.Dur})
 }
 
 // badPolicy returns pieces that do not tile the segment.
@@ -41,8 +41,8 @@ func (p *badPolicy) Name() string                     { return "bad" }
 func (p *badPolicy) Reset(cmax, chargeTarget float64) {}
 func (p *badPolicy) PlanIdle(SlotInfo)                {}
 func (p *badPolicy) PlanActive(SlotInfo)              {}
-func (p *badPolicy) SegmentPlan(seg Segment, charge float64) []Piece {
-	return []Piece{{IF: 0.5, Dur: seg.Dur / 2}}
+func (p *badPolicy) SegmentPlan(seg Segment, charge float64, buf []Piece) []Piece {
+	return append(buf, Piece{IF: 0.5, Dur: seg.Dur / 2})
 }
 
 // recorder captures planning callbacks for structural assertions.

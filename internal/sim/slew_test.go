@@ -95,8 +95,8 @@ func (p *flatPolicy) Name() string                     { return "flat-test" }
 func (p *flatPolicy) Reset(cmax, chargeTarget float64) {}
 func (p *flatPolicy) PlanIdle(SlotInfo)                {}
 func (p *flatPolicy) PlanActive(SlotInfo)              {}
-func (p *flatPolicy) SegmentPlan(seg Segment, charge float64) []Piece {
-	return []Piece{{IF: p.iF, Dur: seg.Dur}}
+func (p *flatPolicy) SegmentPlan(seg Segment, charge float64, buf []Piece) []Piece {
+	return append(buf, Piece{IF: p.iF, Dur: seg.Dur})
 }
 
 // smallStore returns a 1 A-s supercap starting at 0.5.

@@ -7,37 +7,12 @@ import (
 	"fcdpm/internal/fuelcell"
 )
 
-// SupervisionMode selects whether the run-time watchdog is armed.
-type SupervisionMode int
-
-// Supervision modes.
-const (
-	// SuperviseAuto arms the watchdog exactly when the run injects
-	// faults or configures a fallback chain; plain runs keep the classic
-	// fail-fast error behavior.
-	SuperviseAuto SupervisionMode = iota
-	// SuperviseOn always arms the watchdog.
-	SuperviseOn
-	// SuperviseOff never arms it, even under fault injection (for
-	// experiments that want raw failure behavior).
-	SuperviseOff
-)
-
-// SupervisorConfig tunes the graceful-degradation watchdog.
-type SupervisorConfig struct {
-	Mode SupervisionMode
-	// DeficitLimit is the unmet-load charge (A-s) the supervisor
-	// tolerates per degradation stage before falling back to the next
-	// policy in the chain. Default 0.5 A-s.
-	DeficitLimit float64
-	// Tolerance is the relative slack of the charge-balance invariant.
-	// Default 1e-6.
-	Tolerance float64
-}
-
 // DefaultDeficitLimit is the per-stage unmet-charge budget before the
 // supervisor degrades to the next policy.
 const DefaultDeficitLimit = 0.5
+
+// chargeTolerance is the relative slack of the charge-balance invariant.
+const chargeTolerance = 1e-6
 
 // EventKind classifies entries of the run event log.
 type EventKind string
@@ -118,42 +93,28 @@ func (l loadShed) PlanIdle(SlotInfo) {}
 func (l loadShed) PlanActive(SlotInfo) {}
 
 // SegmentPlan implements Policy.
-func (l loadShed) SegmentPlan(seg Segment, charge float64) []Piece {
-	return l.SegmentPlanInto(seg, charge, nil)
-}
-
-// SegmentPlanInto implements PiecePlanner.
-func (l loadShed) SegmentPlanInto(seg Segment, charge float64, buf []Piece) []Piece {
+func (l loadShed) SegmentPlan(seg Segment, charge float64, buf []Piece) []Piece {
 	return append(buf, Piece{IF: l.sys.Clamp(seg.Load), Dur: seg.Dur})
 }
 
-// supervised reports whether the watchdog is armed for this run.
+// supervised reports whether the watchdog is armed for this run: it is
+// exactly when the run injects faults or configures a fallback chain;
+// plain runs keep the classic fail-fast error behavior.
 func (s *state) supervised() bool {
-	switch s.cfg.Supervisor.Mode {
-	case SuperviseOn:
-		return true
-	case SuperviseOff:
-		return false
-	default:
-		return s.cfg.Faults != nil || len(s.cfg.Fallbacks) > 0
-	}
+	return s.cfg.Faults != nil || len(s.cfg.Fallbacks) > 0
 }
 
 // deficitLimit returns the per-stage unmet-charge budget.
 func (s *state) deficitLimit() float64 {
-	if s.cfg.Supervisor.DeficitLimit > 0 {
-		return s.cfg.Supervisor.DeficitLimit
+	if s.cfg.DeficitLimit > 0 {
+		return s.cfg.DeficitLimit
 	}
 	return DefaultDeficitLimit
 }
 
 // chargeTol returns the absolute slack of the charge-balance invariant.
 func (s *state) chargeTol() float64 {
-	rel := s.cfg.Supervisor.Tolerance
-	if rel <= 0 {
-		rel = 1e-6
-	}
-	return rel * math.Max(1, s.store.Capacity())
+	return chargeTolerance * math.Max(1, s.store.Capacity())
 }
 
 // shedding reports whether the run has degraded all the way to load-shed.

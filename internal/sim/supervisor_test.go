@@ -19,10 +19,10 @@ import (
 // or looping.
 func TestFallbackExhaustion(t *testing.T) {
 	sys := fuelcell.PaperSystem()
-	cfg := faultConfig(nil)
+	// An empty schedule arms the supervisor without injecting a fault.
+	cfg := faultConfig(&fault.Schedule{})
 	cfg.Policy = policy.NewConv(sys)
 	cfg.Fallbacks = nil // chain is just [conv, load-shed]
-	cfg.Supervisor = sim.SupervisorConfig{Mode: sim.SuperviseOn}
 	cfg.Store = brokenStore{SuperCap: storage.MustSuperCap(6, 3)}
 
 	res, err := sim.Run(cfg)
@@ -51,13 +51,12 @@ func TestFallbackExhaustion(t *testing.T) {
 // rides the segment out at zero output instead of looping on replans.
 func TestFallbackExhaustionBadPlan(t *testing.T) {
 	sys := fuelcell.PaperSystem()
-	cfg := faultConfig(nil)
+	cfg := faultConfig(&fault.Schedule{})
 	// The primary policy misplans every segment and there are no
 	// fallbacks, so the chain lands on load-shed after one trip; further
 	// segments plan fine, but make the store force another trip too.
 	cfg.Policy = badPolicy{Policy: policy.NewConv(sys)}
 	cfg.Fallbacks = nil
-	cfg.Supervisor = sim.SupervisorConfig{Mode: sim.SuperviseOn}
 
 	res, err := sim.Run(cfg)
 	if err != nil {

@@ -112,10 +112,9 @@ func (a *AdaptiveTimeout) Observe(idle float64) {
 	a.dirty = true
 }
 
-// CloneTimeoutAdapter implements sim.TimeoutAdapterCloner: the clone
-// starts from the same learned distribution but adapts independently, so
-// a batched comparison or sweep can give every lane its own adaptation
-// instead of serializing the rows around one shared adapter.
+// CloneTimeoutAdapter implements sim.TimeoutAdapter: the clone starts
+// from the same learned distribution but adapts independently, so a
+// batched comparison or sweep gives every lane its own adaptation.
 func (a *AdaptiveTimeout) CloneTimeoutAdapter() sim.TimeoutAdapter {
 	c := *a
 	c.hist = append([]float64(nil), a.hist...)

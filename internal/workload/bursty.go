@@ -78,6 +78,9 @@ func Bursty(cfg BurstyConfig) (*Trace, error) {
 	busy := true
 	var elapsed float64
 	for elapsed < cfg.Duration {
+		if len(tr.Slots) == MaxSlots {
+			return nil, errTooLong(cfg.Duration)
+		}
 		if rng.Float64() >= cfg.StayProb {
 			busy = !busy
 		}

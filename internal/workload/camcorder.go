@@ -116,6 +116,9 @@ func Camcorder(cfg CamcorderConfig) (*Trace, error) {
 
 	var elapsed float64
 	for elapsed < cfg.Duration {
+		if len(tr.Slots) == MaxSlots {
+			return nil, errTooLong(cfg.Duration)
+		}
 		// Scene cut: a shot boundary re-draws the complexity outright;
 		// otherwise it random-walks.
 		if rng.Float64() < cfg.SceneCutProb {

@@ -73,6 +73,9 @@ func HeavyTail(cfg HeavyTailConfig) (*Trace, error) {
 	tr := &Trace{Name: fmt.Sprintf("heavy-tail(seed=%d)", cfg.Seed)}
 	var elapsed float64
 	for elapsed < cfg.Duration {
+		if len(tr.Slots) == MaxSlots {
+			return nil, errTooLong(cfg.Duration)
+		}
 		// Inverse-CDF Pareto sample.
 		u := rng.Float64()
 		idle := cfg.IdleXm * math.Pow(1-u, -1/cfg.IdleAlpha)

@@ -90,6 +90,9 @@ func RackSurge(cfg RackSurgeConfig) (*Trace, error) {
 	surge := false
 	var elapsed float64
 	for elapsed < cfg.Duration {
+		if len(tr.Slots) == MaxSlots {
+			return nil, errTooLong(cfg.Duration)
+		}
 		if surge {
 			surge = rng.Float64() < cfg.StayProb
 		} else {

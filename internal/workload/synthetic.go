@@ -66,6 +66,9 @@ func Synthetic(cfg SyntheticConfig) (*Trace, error) {
 	tr := &Trace{Name: fmt.Sprintf("synthetic(seed=%d)", cfg.Seed)}
 	var elapsed float64
 	for elapsed < cfg.Duration {
+		if len(tr.Slots) == MaxSlots {
+			return nil, errTooLong(cfg.Duration)
+		}
 		s := Slot{
 			Idle:          rng.Uniform(cfg.IdleMin, cfg.IdleMax),
 			Active:        rng.Uniform(cfg.ActiveMin, cfg.ActiveMax),
