@@ -38,20 +38,28 @@ func FuzzOptimize(f *testing.F) {
 	})
 }
 
-// FuzzOptimizeQuantized does the same for the discrete-level solver.
+// FuzzOptimizeQuantized throws arbitrary slots and grid sizes at the
+// discrete-level solver: it must return the reference's setting, or
+// its error, bit for bit, and a returned setting lies on the grid with
+// a non-negative fuel.
 func FuzzOptimizeQuantized(f *testing.F) {
-	f.Add(20.0, 0.2, 10.0, 1.2, 0.0, 0.0, 6.0)
-	f.Add(5.0, 1.0, 20.0, 1.4, 3.0, 6.0, 6.0)
+	f.Add(20.0, 0.2, 10.0, 1.2, 0.0, 0.0, 6.0, uint8(5), false)
+	f.Add(5.0, 1.0, 20.0, 1.4, 3.0, 6.0, 6.0, uint8(10), true)
+	f.Add(10.0, 0.3, 10.0, 0.9, 1.0, 1.0, 6.0, uint8(254), false)
+	f.Add(10.0, 2.0, 5.0, 0.5, 0.0, 0.0, 6.0, uint8(0), false)
 	sys := fuelcell.PaperSystem()
-	levels := UniformLevels(sys, 7)
-	f.Fuzz(func(t *testing.T, ti, ildI, ta, ildA, cini, cend, cmax float64) {
-		s := Slot{Ti: ti, IldI: ildI, Ta: ta, IldA: ildA, Cini: cini, Cend: cend}
-		set, err := OptimizeQuantizedSorted(sys, cmax, s, levels)
+	f.Fuzz(func(t *testing.T, ti, ildI, ta, ildA, cini, cend, cmax float64, n uint8, sleep bool) {
+		s := Slot{Ti: ti, IldI: ildI, Ta: ta, IldA: ildA, Cini: cini, Cend: cend, Sleep: sleep}
+		if sleep {
+			s.Overhead = &Overhead{TauWU: 0.5, IWU: 0.4, TauPD: 0.5, IPD: 0.4}
+		}
+		lv := mustLevels(t, sys, UniformLevels(sys, 2+int(n)%255))
+		set, err := matchReference(t, sys, lv, cmax, s)
 		if err != nil {
 			return
 		}
 		onGrid := func(x float64) bool {
-			for _, l := range levels {
+			for _, l := range lv.Values() {
 				if x == l {
 					return true
 				}

@@ -3,11 +3,45 @@ package fcopt
 import (
 	"fmt"
 	"math"
+	"sort"
 
 	"fcdpm/internal/fuelcell"
 )
 
-// OptimizeQuantizedSorted solves the slot problem when the FC system
+// Levels is the discrete set of output levels a multi-level FC system
+// supports, priced against that system: ascending, each inside its
+// load-following range, and each with the stack current it draws. Build
+// one with NewLevels; the zero value holds no levels.
+type Levels struct {
+	iF   []float64
+	rate []float64 // rate[k] = sys.StackCurrent(iF[k])
+}
+
+// NewLevels validates a level grid against sys: the levels are copied
+// and sorted, and each must lie in the load-following range. Each
+// level's stack current is computed here, once, so planning a slot
+// never evaluates the fuel curve.
+func NewLevels(sys *fuelcell.System, levels []float64) (Levels, error) {
+	if len(levels) == 0 {
+		return Levels{}, fmt.Errorf("fcopt: no output levels")
+	}
+	iF := append([]float64(nil), levels...)
+	sort.Float64s(iF)
+	rate := make([]float64, len(iF))
+	for k, l := range iF {
+		if !sys.InRange(l) {
+			return Levels{}, fmt.Errorf("fcopt: level %v outside the load-following range", l)
+		}
+		rate[k] = sys.StackCurrent(l)
+	}
+	return Levels{iF: iF, rate: rate}, nil
+}
+
+// Values returns the levels in ascending order. The slice is the
+// grid's own and must not be modified.
+func (lv Levels) Values() []float64 { return lv.iF }
+
+// OptimizeQuantized solves the slot problem when the FC system
 // supports only a discrete set of output levels — the multi-level
 // configuration of the authors' companion work [11] ("the case when the
 // FC supports multiple output levels"). Real fuel-flow controllers often
@@ -20,23 +54,24 @@ import (
 // the feasible pair with minimal fuel. When no pair can reach Cend, the
 // pair ending highest is returned (mirroring how the online policy
 // degrades: the next slot's Cini ≠ Cend correction absorbs the shortfall).
-//
-// levels must be ascending and inside the load-following range: a policy
-// validates its grid once at construction (policy.NewFCDPMQuantized), then
-// plans every slot on the zero-allocation path. A violated contract
-// degrades the answer, it does not corrupt memory.
-func OptimizeQuantizedSorted(sys *fuelcell.System, cmax float64, s Slot, lv []float64) (Setting, error) {
+// A pair's fuel is rate_i·Ti + rate_a·Ta', the value System.Fuel gives,
+// from the rates lv priced; the search allocates nothing.
+func OptimizeQuantized(lv Levels, cmax float64, s Slot) (Setting, error) {
 	if err := s.Validate(); err != nil {
 		return Setting{}, err
 	}
 	if cmax <= 0 {
 		return Setting{}, fmt.Errorf("fcopt: non-positive storage capacity %v", cmax)
 	}
-	if len(lv) == 0 {
+	if len(lv.iF) == 0 {
 		return Setting{}, fmt.Errorf("fcopt: no output levels")
 	}
 
 	taEff, activeCharge := s.demand()
+	var avgA float64
+	if taEff > 0 {
+		avgA = activeCharge / taEff
+	}
 	best := Setting{TaEff: taEff, Fuel: math.Inf(1)}
 	bestFound := false
 	// Fallback: the pair that ends with the most charge, used when no
@@ -44,7 +79,7 @@ func OptimizeQuantizedSorted(sys *fuelcell.System, cmax float64, s Slot, lv []fl
 	fallback := Setting{TaEff: taEff}
 	fallbackEnd := math.Inf(-1)
 
-	for _, ifi := range lv {
+	for i, ifi := range lv.iF {
 		// Idle-phase trajectory with bleeder clamping at Cmax.
 		peak := s.Cini + (ifi-s.IldI)*s.Ti
 		if peak < -1e-9 {
@@ -53,10 +88,9 @@ func OptimizeQuantizedSorted(sys *fuelcell.System, cmax float64, s Slot, lv []fl
 		if peak > cmax {
 			peak = cmax // excess bled
 		}
-		for _, ifa := range lv {
+		for a, ifa := range lv.iF {
 			end := peak
 			if taEff > 0 {
-				avgA := activeCharge / taEff
 				end = peak + (ifa-avgA)*taEff
 				if end < -1e-9 {
 					continue // dry during active
@@ -65,7 +99,7 @@ func OptimizeQuantizedSorted(sys *fuelcell.System, cmax float64, s Slot, lv []fl
 					end = cmax
 				}
 			}
-			fuel := sys.Fuel(ifi, s.Ti) + sys.Fuel(ifa, taEff)
+			fuel := lv.rate[i]*s.Ti + lv.rate[a]*taEff
 			if end > fallbackEnd || (end == fallbackEnd && fuel < fallback.Fuel) {
 				fallbackEnd = end
 				fallback = Setting{IFi: ifi, IFa: ifa, TaEff: taEff, Fuel: fuel, ClampedRange: true}
@@ -81,7 +115,7 @@ func OptimizeQuantizedSorted(sys *fuelcell.System, cmax float64, s Slot, lv []fl
 	}
 	if !bestFound {
 		if math.IsInf(fallbackEnd, -1) {
-			return Setting{}, fmt.Errorf("fcopt: no feasible level pair for slot (levels %v)", lv)
+			return Setting{}, fmt.Errorf("fcopt: no feasible level pair for slot (levels %v)", lv.iF)
 		}
 		return fallback, nil
 	}

@@ -2,6 +2,7 @@ package fcopt
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"fcdpm/internal/fuelcell"
@@ -17,7 +18,7 @@ func TestQuantizedMatchesContinuousWithDenseLevels(t *testing.T) {
 	}
 	// With a dense level grid, the quantized optimum approaches the
 	// continuous one.
-	set, err := OptimizeQuantizedSorted(sys, 200, s, UniformLevels(sys, 221))
+	set, err := OptimizeQuantized(mustLevels(t, sys, UniformLevels(sys, 221)), 200, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,11 +30,11 @@ func TestQuantizedMatchesContinuousWithDenseLevels(t *testing.T) {
 func TestQuantizedCoarseWorseThanFine(t *testing.T) {
 	sys := fuelcell.PaperSystem()
 	s := motivSlot()
-	coarse, err := OptimizeQuantizedSorted(sys, 200, s, UniformLevels(sys, 2))
+	coarse, err := OptimizeQuantized(mustLevels(t, sys, UniformLevels(sys, 2)), 200, s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fine, err := OptimizeQuantizedSorted(sys, 200, s, UniformLevels(sys, 45))
+	fine, err := OptimizeQuantized(mustLevels(t, sys, UniformLevels(sys, 45)), 200, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +46,7 @@ func TestQuantizedCoarseWorseThanFine(t *testing.T) {
 func TestQuantizedRespectsCendTarget(t *testing.T) {
 	sys := fuelcell.PaperSystem()
 	s := Slot{Ti: 20, IldI: 0.2, Ta: 10, IldA: 1.2, Cini: 1, Cend: 5}
-	set, err := OptimizeQuantizedSorted(sys, 200, s, UniformLevels(sys, 23))
+	set, err := OptimizeQuantized(mustLevels(t, sys, UniformLevels(sys, 23)), 200, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +61,7 @@ func TestQuantizedFallbackWhenTargetUnreachable(t *testing.T) {
 	// Heavy sustained load: no level pair can end at Cend=6; the solver
 	// should return the highest-ending pair rather than fail.
 	s := Slot{Ti: 5, IldI: 1.0, Ta: 20, IldA: 1.4, Cini: 3, Cend: 6}
-	set, err := OptimizeQuantizedSorted(sys, 6, s, UniformLevels(sys, 12))
+	set, err := OptimizeQuantized(mustLevels(t, sys, UniformLevels(sys, 12)), 6, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,13 +76,22 @@ func TestQuantizedFallbackWhenTargetUnreachable(t *testing.T) {
 func TestQuantizedValidation(t *testing.T) {
 	sys := fuelcell.PaperSystem()
 	s := motivSlot()
-	if _, err := OptimizeQuantizedSorted(sys, 200, s, nil); err == nil {
+	if _, err := NewLevels(sys, nil); err == nil {
 		t.Error("empty level set accepted")
 	}
-	if _, err := OptimizeQuantizedSorted(sys, 0, s, UniformLevels(sys, 4)); err == nil {
+	if _, err := NewLevels(sys, []float64{0.5, 1.3}); err == nil {
+		t.Error("out-of-range level accepted")
+	}
+	if _, err := NewLevels(sys, []float64{math.NaN()}); err == nil {
+		t.Error("NaN level accepted")
+	}
+	if _, err := OptimizeQuantized(Levels{}, 200, s); err == nil {
+		t.Error("zero Levels accepted")
+	}
+	if _, err := OptimizeQuantized(mustLevels(t, sys, UniformLevels(sys, 4)), 0, s); err == nil {
 		t.Error("zero capacity accepted")
 	}
-	if _, err := OptimizeQuantizedSorted(sys, 200, Slot{}, UniformLevels(sys, 4)); err == nil {
+	if _, err := OptimizeQuantized(mustLevels(t, sys, UniformLevels(sys, 4)), 200, Slot{}); err == nil {
 		t.Error("empty slot accepted")
 	}
 }
@@ -102,7 +112,7 @@ func TestUniformLevels(t *testing.T) {
 func TestQuantizedNeverBeatsContinuous(t *testing.T) {
 	sys := fuelcell.PaperSystem()
 	rng := numeric.NewRNG(42)
-	levels := UniformLevels(sys, 9)
+	levels := mustLevels(t, sys, UniformLevels(sys, 9))
 	for trial := 0; trial < 200; trial++ {
 		s := Slot{
 			Ti:   rng.Uniform(5, 30),
@@ -116,7 +126,7 @@ func TestQuantizedNeverBeatsContinuous(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		quant, err := OptimizeQuantizedSorted(sys, 1e6, s, levels)
+		quant, err := OptimizeQuantized(levels, 1e6, s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -219,4 +229,166 @@ func TestSolveOfflineValidation(t *testing.T) {
 			t.Errorf("case %d: invalid problem accepted", k)
 		}
 	}
+}
+
+// mustLevels prices levels against sys, failing the test on a bad grid.
+func mustLevels(t testing.TB, sys *fuelcell.System, levels []float64) Levels {
+	t.Helper()
+	lv, err := NewLevels(sys, levels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return lv
+}
+
+// TestNewLevelsSortsAndPrices: the grid is a sorted copy of its input,
+// and each level's rate is the stack current System.Fuel scales.
+func TestNewLevelsSortsAndPrices(t *testing.T) {
+	sys := fuelcell.PaperSystem()
+	in := []float64{1.2, 0.1, 0.7, 0.4, 0.7}
+	lv := mustLevels(t, sys, in)
+	want := []float64{0.1, 0.4, 0.7, 0.7, 1.2}
+	for k, l := range lv.Values() {
+		if l != want[k] {
+			t.Fatalf("levels = %v, want %v", lv.Values(), want)
+		}
+		if math.Float64bits(lv.rate[k]) != math.Float64bits(sys.StackCurrent(l)) {
+			t.Fatalf("rate of level %v = %v, want %v", l, lv.rate[k], sys.StackCurrent(l))
+		}
+	}
+	if in[0] != 1.2 || in[1] != 0.1 {
+		t.Fatalf("NewLevels reordered its input: %v", in)
+	}
+}
+
+// sameSetting reports whether two settings are equal bit for bit.
+func sameSetting(a, b Setting) bool {
+	bits := math.Float64bits
+	return bits(a.IFi) == bits(b.IFi) && bits(a.IFa) == bits(b.IFa) &&
+		bits(a.TaEff) == bits(b.TaEff) && bits(a.Fuel) == bits(b.Fuel) &&
+		a.ClampedRange == b.ClampedRange && a.ClampedCapacity == b.ClampedCapacity
+}
+
+// matchReference plans s with OptimizeQuantized and with the reference
+// over the same grid, and fails unless the settings are equal bit for
+// bit and the errors say the same.
+func matchReference(t testing.TB, sys *fuelcell.System, lv Levels, cmax float64, s Slot) (Setting, error) {
+	t.Helper()
+	got, gotErr := OptimizeQuantized(lv, cmax, s)
+	want, wantErr := refOptimizeQuantizedSorted(sys, cmax, s, lv.Values())
+	if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
+		t.Fatalf("slot %+v, cmax %v, %d levels: error %v, reference %v", s, cmax, len(lv.Values()), gotErr, wantErr)
+	}
+	if !sameSetting(got, want) {
+		t.Fatalf("slot %+v, cmax %v, %d levels:\n got %+v\nwant %+v", s, cmax, len(lv.Values()), got, want)
+	}
+	return got, gotErr
+}
+
+// swappedFeasible reports whether the pair (set.IFa, set.IFi), the
+// chosen pair swapped, keeps the storage from running dry and reaches
+// Cend, by the optimizer's trajectory rule.
+func swappedFeasible(cmax float64, s Slot, set Setting) bool {
+	taEff, activeCharge := s.demand()
+	peak := s.Cini + (set.IFa-s.IldI)*s.Ti
+	if peak < -1e-9 {
+		return false
+	}
+	end := math.Min(peak, cmax)
+	if taEff > 0 {
+		end += (set.IFi - activeCharge/taEff) * taEff
+		if end < -1e-9 {
+			return false
+		}
+		end = math.Min(end, cmax)
+	}
+	return end+1e-9 >= s.Cend
+}
+
+// TestOptimizeQuantizedMatchesReference is the differential oracle for
+// the priced grid: on seeded random slots over 2-256 levels, uniform or
+// drawn at random with repeats, OptimizeQuantized returns the
+// reference's setting bit for bit. The slots are drawn in four kinds,
+// and the test checks it met each: feasible slots, slots where no pair
+// reaches Cend (the fallback), slots where every pair runs the storage
+// dry (an error), and slots of equal idle and active length with
+// Cini = Cend, where a pair and its swap burn exactly the same fuel and
+// the first in scan order must win.
+func TestOptimizeQuantizedMatchesReference(t *testing.T) {
+	alt, err := fuelcell.NewSystem(12, 37.5, 0.05, 0.9, fuelcell.LinearEfficiency{Alpha: 0.5, Beta: 0.2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	systems := []*fuelcell.System{fuelcell.PaperSystem(), alt}
+	rng := rand.New(rand.NewSource(22))
+	u := func(lo, hi float64) float64 { return lo + (hi-lo)*rng.Float64() }
+	trials := 4000
+	if testing.Short() {
+		trials = 800
+	}
+	var feasible, fallback, infeasible, ties int
+	for trial := 0; trial < trials; trial++ {
+		sys := systems[rng.Intn(len(systems))]
+		n := 2 + rng.Intn(255)
+		if rng.Intn(2) == 0 {
+			n = 2 + rng.Intn(11)
+		}
+		levels := UniformLevels(sys, n)
+		if rng.Intn(2) == 0 {
+			for k := range levels {
+				levels[k] = sys.MinOutput + (sys.MaxOutput-sys.MinOutput)*rng.Float64()
+				if k > 0 && rng.Intn(4) == 0 {
+					levels[k] = levels[rng.Intn(k)]
+				}
+			}
+		}
+		lv := mustLevels(t, sys, levels)
+		cmax := u(1, 12)
+		var s Slot
+		kind := trial % 4
+		switch kind {
+		case 0: // ordinary
+			s = Slot{Ti: u(0, 30), IldI: u(0, 0.6), Ta: u(0, 15), IldA: u(0.2, 1.5),
+				Cini: u(0, cmax), Cend: u(0, cmax)}
+			switch rng.Intn(6) {
+			case 0:
+				s.Ti = 0
+			case 1:
+				s.Ta = 0
+			}
+		case 1: // heavy active load, high target
+			s = Slot{Ti: u(0.5, 5), IldI: u(0.2, 1), Ta: u(2, 10), IldA: u(1, 1.6),
+				Cini: u(0.5, 1) * cmax, Cend: u(0.8, 1) * cmax}
+		case 2: // the idle load alone drains the storage
+			s = Slot{Ti: u(1, 20), IldI: u(1.3, 3), Ta: u(0, 10), IldA: u(0, 1.5),
+				Cini: u(0, 0.5), Cend: u(0, cmax)}
+		case 3: // equal periods: a pair and its swap tie on fuel
+			d := u(1, 20)
+			s = Slot{Ti: d, IldI: u(0.1, 0.6), Ta: d, IldA: u(0.3, 1.1)}
+			s.Cini = u(0, cmax)
+			s.Cend = s.Cini
+		}
+		if kind != 3 && rng.Intn(3) == 0 {
+			s.Overhead = &Overhead{TauWU: u(0, 1), IWU: u(0, 0.5), TauPD: u(0, 1), IPD: u(0, 0.5)}
+			s.Sleep = rng.Intn(2) == 0
+		}
+		set, err := matchReference(t, sys, lv, cmax, s)
+		switch {
+		case err != nil:
+			infeasible++
+		case set.ClampedRange:
+			fallback++
+		default:
+			feasible++
+			if kind == 3 && set.IFi != set.IFa && swappedFeasible(cmax, s, set) {
+				ties++
+			}
+		}
+	}
+	least := trials / 40
+	if feasible < least || fallback < least || infeasible < least || ties < least {
+		t.Fatalf("coverage: %d feasible, %d fallback, %d infeasible, %d tied slots; want at least %d of each",
+			feasible, fallback, infeasible, ties, least)
+	}
+	t.Logf("%d feasible, %d fallback, %d infeasible, %d tied slots", feasible, fallback, infeasible, ties)
 }

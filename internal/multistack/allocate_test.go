@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"fcdpm/internal/fuelcell"
+	"fcdpm/internal/numeric"
 )
 
 // altSystem is a second stack design on the paper's bus: a narrower
@@ -20,8 +21,41 @@ func altSystem(t testing.TB) *fuelcell.System {
 	return s
 }
 
-// randomRack draws 1-16 stacks from three systems (the paper stack, a
-// second pointer to an equal paper stack, and altSystem), degradations
+// tableSystem is a third stack design, on the paper's bus, whose
+// efficiency is a fuelcell.TableEfficiency: 91 knots of
+// 0.5 - 0.16*iF - 0.01*iF^2 over [0, 0.9]. Water-filling evaluates a
+// linear stack's marginal cost inline and this one's through the
+// efficiency interface, so racks holding both designs check both paths
+// against the reference. The interpolated efficiency is concave, so the
+// fuel curve is convex, with a kink at each knot where f' rises by at
+// most 8.5e-4 (at 45 % degradation).
+func tableSystem(t testing.TB) *fuelcell.System {
+	t.Helper()
+	const knots = 91
+	xs, ys := make([]float64, knots), make([]float64, knots)
+	for k := range xs {
+		x := 0.9 * float64(k) / (knots - 1)
+		xs[k], ys[k] = x, 0.5-0.16*x-0.01*x*x
+	}
+	tab, err := numeric.NewTable(xs, ys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := fuelcell.NewSystem(12, 37.5, 0.05, 0.9, fuelcell.TableEfficiency{T: tab})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// testSystems returns the stack designs the random racks draw from:
+// the paper stack, a second pointer to an equal paper stack, altSystem
+// and tableSystem.
+func testSystems(t testing.TB) []*fuelcell.System {
+	return []*fuelcell.System{fuelcell.PaperSystem(), fuelcell.PaperSystem(), altSystem(t), tableSystem(t)}
+}
+
+// randomRack draws 1-16 stacks from systems, degradations
 // from a small pool so classes repeat, and an offline stack now and
 // then, keeping at least one online.
 func randomRack(rng *rand.Rand, systems []*fuelcell.System) []Stack {
@@ -84,8 +118,7 @@ func refAllocators() []refAllocator {
 // the outer steps it recorded for the demands before, must match too
 // over the same demands in their unsorted order.
 func TestAllocateMatchesReference(t *testing.T) {
-	paper := fuelcell.PaperSystem()
-	systems := []*fuelcell.System{paper, fuelcell.PaperSystem(), altSystem(t)}
+	systems := testSystems(t)
 	rng := rand.New(rand.NewSource(15))
 	racks, demands := 48, 24
 	if testing.Short() {
@@ -127,7 +160,8 @@ func TestAllocateMatchesReference(t *testing.T) {
 // the reference, and the aggregate efficiency table holds exactly the
 // values the reference allocation yields. Water-filling is checked on
 // the path its pre-solve takes, a grid fill over the demands in order,
-// and the random racks mix both stack designs with offline stacks.
+// and the random racks mix all three stack designs, the table design's
+// interface path among them, with offline stacks.
 func TestRackTableMatchesReference(t *testing.T) {
 	paper := fuelcell.PaperSystem()
 	var study, random [][]Stack
@@ -141,17 +175,18 @@ func TestRackTableMatchesReference(t *testing.T) {
 		}
 	}
 	rng := rand.New(rand.NewSource(16))
-	alt := altSystem(t)
-	systems := []*fuelcell.System{paper, fuelcell.PaperSystem(), alt}
+	systems := testSystems(t)
+	alt, table := systems[2], systems[3]
 	for len(random) < 6 {
 		stacks := randomRack(rng, systems)
-		var offline, paperDesign, altDesign bool
+		var offline, paperDesign, altDesign, tableDesign bool
 		for _, s := range stacks {
 			offline = offline || s.Offline
-			paperDesign = paperDesign || s.Sys != alt
+			paperDesign = paperDesign || (s.Sys != alt && s.Sys != table)
 			altDesign = altDesign || s.Sys == alt
+			tableDesign = tableDesign || s.Sys == table
 		}
-		if offline && paperDesign && altDesign {
+		if offline && paperDesign && altDesign && tableDesign {
 			random = append(random, stacks)
 		}
 	}
@@ -229,20 +264,21 @@ func TestAllocateBeyondCap(t *testing.T) {
 //
 // The tolerances follow from h = 1e-4. marginal divides the difference
 // of two fuel rates below 2.5 A, each rounded to within 4 ulps, by 2h,
-// so it carries up to 4*2^-52*2.5*2/(2h) ~ 2e-11 of rounding. The fuel
-// curves' second derivative lies in [0.4, 3.6] on both designs, so the
-// inner bisection lands within 5e-11 A of the exact level output, and
-// the allocator moves the residual, at most 16*5e-11 = 8e-10 A, onto
-// the first stacks with room. That shifts a marginal by at most
-// 3.6*8e-10 and the fuel by at most 8e-10 times the marginals' spread
-// (< 2.4), both under 3e-9. So a stack within edgeTol = 1e-8 of an edge
+// so it carries up to 4*2^-52*2.5*2/(2h) ~ 2e-11 of rounding. marginal
+// rises with x at a rate in [0.4, 3.6] on the linear designs, and in
+// [0.4, 6.7] on the table design, whose kinks it spreads over 2h (a
+// rise in f' of 8.5e-4 over 2h adds up to 4.3). So the inner bisection
+// lands within 5e-11 A of the exact level output, and the allocator
+// moves the residual, at most 16*5e-11 = 8e-10 A, onto the first
+// stacks with room. That shifts a marginal by at most 6.7*8e-10 and
+// the fuel by at most 8e-10 times the marginals' spread (< 2.4), both
+// under 6e-9. So a stack within edgeTol = 1e-8 of an edge
 // may sit there (its marginal is taken where it sits), and kktTol =
 // fuelTol = 1e-8, while a stack 1e-6 A off its level output moves its
 // marginal by at least 4e-7.
 func TestWaterFillKKT(t *testing.T) {
 	const edgeTol, kktTol, fuelTol = 1e-8, 1e-8, 1e-8
-	paper := fuelcell.PaperSystem()
-	systems := []*fuelcell.System{paper, fuelcell.PaperSystem(), altSystem(t)}
+	systems := testSystems(t)
 	rng := rand.New(rand.NewSource(17))
 	racks, demands := 200, 16
 	if testing.Short() {

@@ -15,6 +15,7 @@ package multistack
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"strings"
 
 	"fcdpm/internal/fuelcell"
@@ -183,14 +184,59 @@ type levelClass struct {
 	// lo and hi are the paths at the outer bracket ends, cur the path
 	// at the level evaluated last.
 	lo, hi, cur levelPath
+	// linear is set when the stack's efficiency is a
+	// fuelcell.LinearEfficiency; vf, zeta, keep (1-Degrade), alpha and
+	// beta are then the constants its fuel curve reads.
+	linear                      bool
+	vf, zeta, keep, alpha, beta float64
 }
 
 func newLevelClass(s Stack) levelClass {
 	c := levelClass{s: s, max: s.maxOut()}
+	if lin, ok := s.Sys.Eff.(fuelcell.LinearEfficiency); ok {
+		c.linear = true
+		c.vf, c.zeta, c.keep = s.Sys.VF, s.Sys.Zeta, 1-s.Degrade
+		c.alpha, c.beta = lin.Alpha, lin.Beta
+	}
 	if c.max > 0 {
-		c.edge0, c.edgeMax = marginal(s, 0), marginal(s, c.max)
+		c.edge0, c.edgeMax = c.marginal(0), c.marginal(c.max)
 	}
 	return c
+}
+
+// marginal returns marginal(c.s, x). For a linear stack it evaluates
+// the expression marginal, Stack.FuelRate, System.StackCurrent and
+// LinearEfficiency.Eta compute, operation for operation, so the value
+// is the same bit for bit without the calls; any other efficiency
+// model goes through them. A class only evaluates an online stack.
+func (c *levelClass) marginal(x float64) float64 {
+	if !c.linear {
+		return marginal(c.s, x)
+	}
+	const h = 1e-4
+	lo, hi := x-h, x+h
+	if lo < 0 {
+		lo = 0
+	}
+	if hi > c.max {
+		hi = c.max
+	}
+	if hi <= lo {
+		return math.Inf(1)
+	}
+	return (c.fuelRate(hi) - c.fuelRate(lo)) / (hi - lo)
+}
+
+// fuelRate is Stack.FuelRate of an online linear stack.
+func (c *levelClass) fuelRate(x float64) float64 {
+	if x <= 0 {
+		return 0
+	}
+	eta := c.alpha - c.beta*x
+	if eta < 1e-3 {
+		eta = 1e-3
+	}
+	return c.vf * x / (c.zeta * eta) / c.keep
 }
 
 // level sets c.cur to the level output at lambda: the largest x in
@@ -202,7 +248,11 @@ func newLevelClass(s Stack) levelClass {
 // where it has followed hi's path and hi's comparison failed,
 // marginal(c) > hi >= lambda. Either way the comparison is known
 // without calling marginal, whether or not marginal is monotone, so the
-// path, and x, are those of a bisection that evaluates every step.
+// path, and x, are those of a bisection that evaluates every step. The
+// steps run in three stretches, each doing only the bookkeeping it
+// needs: the prefix on which both ends' paths agree, where every step
+// is decided; the steps on which the search still follows one end; and
+// the rest, each of which calls marginal.
 func (c *levelClass) level(lambda, lo, hi float64) {
 	switch {
 	case c.max <= 0 || c.edge0 > lambda:
@@ -218,10 +268,30 @@ func (c *levelClass) level(lambda, lo, hi float64) {
 		c.cur = c.hi
 		return
 	}
-	onLo, onHi := c.lo.full, c.hi.full
 	a, b := 0.0, c.max
-	var bits uint64
-	for i := 0; i < 48; i++ {
+	var path uint64
+	i := 0
+	onLo, onHi := c.lo.full, c.hi.full
+	if onLo && onHi {
+		// Where the ends' paths agree, one of them decides every step
+		// and the search stays on both. Paths that agree throughout
+		// arrive at the same x.
+		agree := bits.TrailingZeros64(c.lo.bits ^ c.hi.bits)
+		if agree >= 48 {
+			c.cur = c.lo
+			return
+		}
+		for ; i < agree; i++ {
+			mid := 0.5 * (a + b)
+			if c.lo.bits&(1<<i) != 0 {
+				a = mid
+			} else {
+				b = mid
+			}
+		}
+		path = c.lo.bits & (1<<agree - 1)
+	}
+	for ; i < 48 && (onLo || onHi); i++ {
 		mid := 0.5 * (a + b)
 		bit := uint64(1) << i
 		loLE, hiLE := c.lo.bits&bit != 0, c.hi.bits&bit != 0
@@ -232,18 +302,28 @@ func (c *levelClass) level(lambda, lo, hi float64) {
 		case onHi && !hiLE:
 			le = false
 		default:
-			le = marginal(c.s, mid) <= lambda
+			le = c.marginal(mid) <= lambda
 		}
 		if le {
 			a = mid
-			bits |= bit
+			path |= bit
 		} else {
 			b = mid
 		}
 		onLo = onLo && loLE == le
 		onHi = onHi && hiLE == le
 	}
-	c.cur = levelPath{bits: bits, x: a, full: true}
+	// Off both paths, no end decides a step.
+	for ; i < 48; i++ {
+		mid := 0.5 * (a + b)
+		if c.marginal(mid) <= lambda {
+			a = mid
+			path |= 1 << i
+		} else {
+			b = mid
+		}
+	}
+	c.cur = levelPath{bits: path, x: a, full: true}
 }
 
 // outerSteps is the number of halvings of the water-level bracket.

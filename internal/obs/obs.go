@@ -308,17 +308,15 @@ func renderLabels(labels []Label) string {
 		}
 		b.WriteString(l.Key)
 		b.WriteString(`="`)
-		b.WriteString(escapeLabelValue(l.Value))
+		b.WriteString(labelEscaper.Replace(l.Value))
 		b.WriteByte('"')
 	}
 	return b.String()
 }
 
-// escapeLabelValue applies the exposition-format escapes.
-func escapeLabelValue(v string) string {
-	r := strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
-	return r.Replace(v)
-}
+// labelEscaper applies the exposition-format escapes to a label value.
+// A Replacer is safe for concurrent use, so registries share this one.
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
 
 // register adds (or finds) the series.
 func (r *Registry) register(name, help string, k kind, labels []Label) *metric {

@@ -165,6 +165,8 @@ func TestWritePrometheusFormat(t *testing.T) {
 	h.Observe(0.05)
 	h.Observe(0.5)
 	h.Observe(5)
+	// A label value is escaped per the exposition format.
+	r.Counter("d_total", "an escaped label", Label{Key: "v", Value: "a\\b\"c\nd"}).Add(1)
 
 	var sb strings.Builder
 	if err := r.WritePrometheus(&sb); err != nil {
@@ -180,6 +182,7 @@ func TestWritePrometheusFormat(t *testing.T) {
 		`c_seconds_bucket{path="/v1/runs",le="+Inf"} 3` + "\n",
 		`c_seconds_sum{path="/v1/runs"} 5.55` + "\n",
 		`c_seconds_count{path="/v1/runs"} 3` + "\n",
+		`d_total{v="a\\b\"c\nd"} 1` + "\n",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("exposition missing %q:\n%s", want, out)

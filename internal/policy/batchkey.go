@@ -35,7 +35,7 @@ func (f *FCDPM) BatchKey() string { return fmt.Sprintf("fcdpm|%p|%p", f.sys, f.d
 func (f *FCDPMQuantized) BatchKey() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "fcdpm-q|%p|%p", f.sys, f.dev)
-	for _, l := range f.levels {
+	for _, l := range f.levels.Values() {
 		fmt.Fprintf(&sb, "|%x", math.Float64bits(l))
 	}
 	return sb.String()

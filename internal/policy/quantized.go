@@ -2,7 +2,6 @@ package policy
 
 import (
 	"fmt"
-	"sort"
 
 	"fcdpm/internal/device"
 	"fcdpm/internal/fcopt"
@@ -18,7 +17,7 @@ import (
 type FCDPMQuantized struct {
 	sys    *fuelcell.System
 	dev    *device.Model
-	levels []float64
+	levels fcopt.Levels
 	// overhead is the precomputed sleep-transition overhead block, nil
 	// when the device has none; built once so per-slot planning does not
 	// allocate.
@@ -31,20 +30,13 @@ type FCDPMQuantized struct {
 
 // NewFCDPMQuantized returns the quantized FC-DPM policy. The levels must
 // all lie within the system's load-following range; they are sorted
-// internally. An empty or out-of-range level set — level grids arrive
-// from scenario files and flags — yields a *ConfigError.
+// internally and priced once (fcopt.NewLevels). An empty or out-of-range
+// level set — level grids arrive from scenario files and flags — yields
+// a *ConfigError.
 func NewFCDPMQuantized(sys *fuelcell.System, dev *device.Model, levels []float64) (*FCDPMQuantized, error) {
-	if len(levels) == 0 {
-		return nil, &ConfigError{Policy: "FC-DPM-q", Param: "levels", Detail: "need at least one output level"}
-	}
-	lv := make([]float64, len(levels))
-	copy(lv, levels)
-	sort.Float64s(lv)
-	for _, l := range lv {
-		if !sys.InRange(l) {
-			return nil, &ConfigError{Policy: "FC-DPM-q", Param: "levels",
-				Detail: fmt.Sprintf("level %v outside the load-following range", l)}
-		}
+	lv, err := fcopt.NewLevels(sys, levels)
+	if err != nil {
+		return nil, &ConfigError{Policy: "FC-DPM-q", Param: "levels", Detail: err.Error()}
 	}
 	f := &FCDPMQuantized{sys: sys, dev: dev, levels: lv}
 	if dev.TauPD != 0 || dev.TauWU != 0 {
@@ -58,7 +50,7 @@ func NewFCDPMQuantized(sys *fuelcell.System, dev *device.Model, levels []float64
 
 // Name implements sim.Policy.
 func (f *FCDPMQuantized) Name() string {
-	return fmt.Sprintf("FC-DPM-q%d", len(f.levels))
+	return fmt.Sprintf("FC-DPM-q%d", len(f.levels.Values()))
 }
 
 // Err returns the first planning failure, if any.
@@ -68,19 +60,21 @@ func (f *FCDPMQuantized) Err() error { return f.planErr }
 func (f *FCDPMQuantized) Reset(cmax, chargeTarget float64) {
 	f.cmax = cmax
 	f.chargeTarget = chargeTarget
-	f.ifi = f.levels[0]
-	f.ifa = f.levels[len(f.levels)-1]
+	lv := f.levels.Values()
+	f.ifi = lv[0]
+	f.ifa = lv[len(lv)-1]
 	f.planErr = nil
 }
 
 // snapUp returns the smallest level >= x, or the top level.
 func (f *FCDPMQuantized) snapUp(x float64) float64 {
-	for _, l := range f.levels {
+	lv := f.levels.Values()
+	for _, l := range lv {
 		if l >= x-1e-12 {
 			return l
 		}
 	}
-	return f.levels[len(f.levels)-1]
+	return lv[len(lv)-1]
 }
 
 // PlanIdle implements sim.Policy using the quantized slot optimizer on the
@@ -96,7 +90,7 @@ func (f *FCDPMQuantized) PlanIdle(info sim.SlotInfo) {
 		Sleep:    info.Sleeping,
 		Overhead: f.overhead,
 	}
-	set, err := fcopt.OptimizeQuantizedSorted(f.sys, f.cmax, slot, f.levels)
+	set, err := fcopt.OptimizeQuantized(f.levels, f.cmax, slot)
 	if err != nil {
 		if f.planErr == nil {
 			f.planErr = err
