@@ -130,9 +130,8 @@ func TestSimRunnerResultsStayIdentical(t *testing.T) {
 }
 
 // newThroughputBatch builds a fault-free multi-lane batch over the
-// camcorder trace: three identical-dynamics FC-DPM lanes (one group)
-// plus a Conv lane and an ASAP lane, instrumented with a BatchMetrics
-// bundle.
+// camcorder trace: three FC-DPM lanes under one key (one group) plus a
+// Conv lane and an ASAP lane, instrumented with a BatchMetrics bundle.
 func newThroughputBatch(t testing.TB) *sim.BatchRunner {
 	sys := PaperSystem()
 	dev := Camcorder()
@@ -140,18 +139,18 @@ func newThroughputBatch(t testing.TB) *sim.BatchRunner {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mk := func(p Policy, rec sim.RecordLevel) sim.Lane {
-		return sim.Lane{Cfg: SimConfig{
+	mk := func(key string, p Policy) sim.Lane {
+		return sim.Lane{Key: key, Cfg: SimConfig{
 			Sys: sys, Dev: dev, Store: MustSuperCap(6, 1),
-			Trace: trace, Policy: p, Record: rec,
+			Trace: trace, Policy: p, Record: sim.RecordFuelOnly,
 		}}
 	}
 	b, err := sim.NewBatchRunner([]sim.Lane{
-		mk(NewFCDPM(sys, dev), sim.RecordFuelOnly),
-		mk(NewFCDPM(sys, dev), sim.RecordFuelOnly),
-		mk(NewFCDPM(sys, dev), sim.RecordFuelOnly),
-		mk(NewConv(sys), sim.RecordFuelOnly),
-		mk(NewASAP(sys), sim.RecordFuelOnly),
+		mk("fcdpm", NewFCDPM(sys, dev)),
+		mk("fcdpm", NewFCDPM(sys, dev)),
+		mk("fcdpm", NewFCDPM(sys, dev)),
+		mk("conv", NewConv(sys)),
+		mk("asap", NewASAP(sys)),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -128,8 +128,7 @@ func (sc *Scenario) Compare(policies []sim.Policy) (*Comparison, error) {
 // interrupted CLI stops promptly.
 //
 // The rows share one trace, so they batch into a single BatchRunner
-// walk: the per-slot trace decode is shared where the rows' predictors
-// agree and the fuel-map memo is shared across all of them. A timeout
+// walk, and the fuel-map memo is shared across all of them. A timeout
 // adapter is cloned per row, so every row adapts on its own from the
 // same learned state. Lane order is submission order, keeping the table
 // rows (and the Conv-DPM normalization base) deterministic.

@@ -316,24 +316,6 @@ func TestFadeStoreRestoreFrom(t *testing.T) {
 	}
 }
 
-// TestFadeStoreBatchKey checks lane-grouping keys: equal fade state over
-// equal inner parameters collapses, any divergence separates.
-func TestFadeStoreBatchKey(t *testing.T) {
-	a := NewFadeStore(storage.MustSuperCap(10, 8))
-	b := NewFadeStore(storage.MustSuperCap(10, 8))
-	if a.BatchKey() != b.BatchKey() {
-		t.Fatal("identical fade stores keyed apart")
-	}
-	b.SetScale(0.5)
-	if a.BatchKey() == b.BatchKey() {
-		t.Fatal("diverged fade state keyed together")
-	}
-	c := NewFadeStore(storage.MustSuperCap(12, 8))
-	if a.BatchKey() == c.BatchKey() {
-		t.Fatal("different inner capacity keyed together")
-	}
-}
-
 // TestInjectorReset pins the in-place rewind: after Reset, the drain
 // sequence and the noise stream must replay exactly as a fresh injector.
 func TestInjectorReset(t *testing.T) {

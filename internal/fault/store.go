@@ -1,11 +1,6 @@
 package fault
 
-import (
-	"fmt"
-	"math"
-
-	"fcdpm/internal/storage"
-)
+import "fcdpm/internal/storage"
 
 // FadeStore wraps a storage element with a runtime capacity-fade factor.
 // The visible capacity is the inner capacity times the current scale;
@@ -112,25 +107,6 @@ func (f *FadeStore) Reset(inner storage.Storage) {
 	f.inner = inner
 	f.scale = 1
 	f.Lost = 0
-}
-
-// batchKeyer mirrors the BatchKey capability the sim batch runner probes
-// for; fault cannot import sim, so the interface is restated locally.
-type batchKeyer interface{ BatchKey() string }
-
-// BatchKey implements the batch runner's lane-grouping capability: two
-// FadeStores are interchangeable dynamics when their fade state matches
-// and their inner elements are interchangeable. Without a content key
-// for the inner element the pointer identity keeps distinct stores in
-// distinct groups (an empty or colliding key would merge lanes that
-// diverge).
-func (f *FadeStore) BatchKey() string {
-	inner := fmt.Sprintf("%p", f.inner)
-	if bk, ok := f.inner.(batchKeyer); ok {
-		inner = bk.BatchKey()
-	}
-	return fmt.Sprintf("fade|%x|%x|%s",
-		math.Float64bits(f.scale), math.Float64bits(f.Lost), inner)
 }
 
 var (

@@ -115,11 +115,23 @@ func OptimizeQuantized(lv Levels, cmax float64, s Slot) (Setting, error) {
 	}
 	if !bestFound {
 		if math.IsInf(fallbackEnd, -1) {
-			return Setting{}, fmt.Errorf("fcopt: no feasible level pair for slot (levels %v)", lv.iF)
+			return Setting{}, &noPairError{levels: lv.iF}
 		}
 		return fallback, nil
 	}
 	return best, nil
+}
+
+// noPairError reports a slot on which every level pair runs the storage
+// dry. It formats the grid only when read: a policy keeps just its first
+// plan error, and a slot whose load outstrips every level is seldom
+// alone.
+type noPairError struct {
+	levels []float64 // the grid's own slice, never modified
+}
+
+func (e *noPairError) Error() string {
+	return fmt.Sprintf("fcopt: no feasible level pair for slot (levels %v)", e.levels)
 }
 
 // UniformLevels returns n output levels evenly spaced over the system's

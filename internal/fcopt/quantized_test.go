@@ -261,6 +261,26 @@ func TestNewLevelsSortsAndPrices(t *testing.T) {
 	}
 }
 
+// TestOptimizeQuantizedInfeasibleAllocs: a slot no level pair can plan
+// costs one allocation, the error itself, not a formatted copy of the
+// grid.
+func TestOptimizeQuantizedInfeasibleAllocs(t *testing.T) {
+	sys := fuelcell.PaperSystem()
+	lv := mustLevels(t, sys, UniformLevels(sys, 256))
+	s := Slot{Ti: 10, IldI: 5, Ta: 1, IldA: 1}
+	if _, err := OptimizeQuantized(lv, 6, s); err == nil {
+		t.Fatal("want no feasible pair: the idle load outstrips every level")
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		if _, err := OptimizeQuantized(lv, 6, s); err == nil {
+			t.Fatal("infeasible slot planned")
+		}
+	})
+	if allocs > 1 {
+		t.Fatalf("an infeasible slot allocates %v times, want at most 1", allocs)
+	}
+}
+
 // sameSetting reports whether two settings are equal bit for bit.
 func sameSetting(a, b Setting) bool {
 	bits := math.Float64bits

@@ -242,28 +242,3 @@ func (s *System) IsConvexFuel(n int) bool {
 	}
 	return true
 }
-
-// BatchKey implements the batch runner's lane-grouping capability with a
-// content fingerprint: two Systems with equal keys have identical
-// electrical parameters and efficiency maps, so the runner's dynamics
-// fingerprint does not depend on which System *instance* a lane holds
-// (the policies planning against it still key it by pointer).
-// Efficiency models the switch does not recognize key by the
-// System's own identity — conservative (equal-content instances stay in
-// separate groups) but sound.
-func (s *System) BatchKey() string {
-	var eff string
-	switch e := s.Eff.(type) {
-	case interface{ BatchKey() string }:
-		eff = e.BatchKey()
-	case LinearEfficiency:
-		eff = fmt.Sprintf("lin|%x|%x", math.Float64bits(e.Alpha), math.Float64bits(e.Beta))
-	case ConstantEfficiency:
-		eff = fmt.Sprintf("const|%x", math.Float64bits(e.Value))
-	default:
-		eff = fmt.Sprintf("id=%p", s)
-	}
-	return fmt.Sprintf("sys|%x|%x|%x|%x|%s",
-		math.Float64bits(s.VF), math.Float64bits(s.Zeta),
-		math.Float64bits(s.MinOutput), math.Float64bits(s.MaxOutput), eff)
-}

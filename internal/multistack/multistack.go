@@ -54,15 +54,6 @@ func (s Stack) maxOut() float64 {
 	return s.Sys.MaxOutput
 }
 
-// batchKey fingerprints the stack for lane grouping.
-func (s Stack) batchKey() string {
-	off := 0
-	if s.Offline {
-		off = 1
-	}
-	return fmt.Sprintf("%s/%x/%d", s.Sys.BatchKey(), math.Float64bits(s.Degrade), off)
-}
-
 // Allocator splits a total rack demand across the stacks. Allocations
 // treat each stack as gateable: a stack may sit at zero output while its
 // siblings carry the load (the rack controller modulates stacks
@@ -71,9 +62,6 @@ func (s Stack) batchKey() string {
 type Allocator interface {
 	// Name is the human-readable policy name for reports.
 	Name() string
-	// BatchKey is the allocator's grouping identity (see sim.BatchKeyer);
-	// allocators are stateless, so the key is just the parameterization.
-	BatchKey() string
 	// Allocate writes the per-stack outputs for total demand iF into
 	// out (len(stacks)). The demand is feasible: 0 <= iF <= sum of
 	// online stack ceilings.
@@ -87,9 +75,6 @@ type EqualSplit struct{}
 
 // Name implements Allocator.
 func (EqualSplit) Name() string { return "equal-split" }
-
-// BatchKey implements Allocator.
-func (EqualSplit) BatchKey() string { return "equal" }
 
 // Allocate implements Allocator.
 func (EqualSplit) Allocate(stacks []Stack, iF float64, out []float64) {
@@ -141,9 +126,6 @@ type WaterFill struct{}
 
 // Name implements Allocator.
 func (WaterFill) Name() string { return "water-filling" }
-
-// BatchKey implements Allocator.
-func (WaterFill) BatchKey() string { return "waterfill" }
 
 // marginal returns df_k/dx at x via a central difference, one-sided at
 // the domain edges.
@@ -513,9 +495,6 @@ type HealthRotation struct{}
 
 // Name implements Allocator.
 func (HealthRotation) Name() string { return "health-rotation" }
-
-// BatchKey implements Allocator.
-func (HealthRotation) BatchKey() string { return "rotation" }
 
 // Allocate implements Allocator.
 func (HealthRotation) Allocate(stacks []Stack, iF float64, out []float64) {

@@ -175,30 +175,6 @@ func TestAggregateReproducesRackFuel(t *testing.T) {
 	}
 }
 
-// TestRackBatchKeyContent: equal-content racks collapse, any divergence
-// (allocation policy, degradation, K) separates.
-func TestRackBatchKeyContent(t *testing.T) {
-	a, err := Uniform(fuelcell.PaperSystem(), 4, WaterFill{}, []float64{0, 0.3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Uniform(fuelcell.PaperSystem(), 4, WaterFill{}, []float64{0, 0.3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.System().BatchKey() != b.System().BatchKey() {
-		t.Fatal("identical racks keyed apart")
-	}
-	c, _ := Uniform(fuelcell.PaperSystem(), 4, EqualSplit{}, []float64{0, 0.3})
-	if a.System().BatchKey() == c.System().BatchKey() {
-		t.Fatal("different allocators keyed together")
-	}
-	d, _ := Uniform(fuelcell.PaperSystem(), 2, WaterFill{}, []float64{0, 0.3})
-	if a.System().BatchKey() == d.System().BatchKey() {
-		t.Fatal("different K keyed together")
-	}
-}
-
 func TestNewValidates(t *testing.T) {
 	if _, err := New(nil, EqualSplit{}); err == nil {
 		t.Error("empty rack accepted")

@@ -27,16 +27,11 @@ type Rack struct {
 	stacks []Stack
 	alloc  Allocator
 	sys    *fuelcell.System
-	key    string
 }
 
-// rackEfficiency is the aggregate's pre-solved efficiency map. It
-// carries the rack's content fingerprint so the aggregate System —
-// and therefore every batch lane holding it — groups by rack content,
-// not instance identity.
+// rackEfficiency is the aggregate's pre-solved efficiency map.
 type rackEfficiency struct {
-	t   *numeric.Table
-	key string
+	t *numeric.Table
 }
 
 // Eta implements fuelcell.EfficiencyModel.
@@ -47,9 +42,6 @@ func (e rackEfficiency) Eta(iF float64) float64 {
 	}
 	return eta
 }
-
-// BatchKey implements the batch runner's grouping capability.
-func (e rackEfficiency) BatchKey() string { return e.key }
 
 // New validates the stack set and pre-solves the aggregate. A rack has
 // 1 to MaxStacks stacks; all must share VF and Zeta (they regulate one
@@ -91,22 +83,10 @@ func New(stacks []Stack, alloc Allocator) (*Rack, error) {
 		stacks: append([]Stack(nil), stacks...),
 		alloc:  alloc,
 	}
-	r.key = r.contentKey()
 	if err := r.solve(vf, zeta); err != nil {
 		return nil, err
 	}
 	return r, nil
-}
-
-// contentKey fingerprints the rack: the allocator plus every stack's
-// electrical content and health, order-sensitive (allocation policies
-// may break ties by rack order).
-func (r *Rack) contentKey() string {
-	key := "rack|" + r.alloc.BatchKey()
-	for _, s := range r.stacks {
-		key += "|" + s.batchKey()
-	}
-	return key
 }
 
 // solve pre-computes the aggregate efficiency curve: for each total
@@ -147,7 +127,7 @@ func (r *Rack) solve(vf, zeta float64) error {
 	if err != nil {
 		return err
 	}
-	sys, err := fuelcell.NewSystem(vf, zeta, minOut, maxOut, rackEfficiency{t: tab, key: r.key})
+	sys, err := fuelcell.NewSystem(vf, zeta, minOut, maxOut, rackEfficiency{t: tab})
 	if err != nil {
 		return err
 	}
@@ -172,10 +152,6 @@ func (r *Rack) System() *fuelcell.System { return r.sys }
 
 // K returns the number of stacks, online or not.
 func (r *Rack) K() int { return len(r.stacks) }
-
-// BatchKey is the rack's content fingerprint (also carried by the
-// aggregate System's efficiency model).
-func (r *Rack) BatchKey() string { return r.key }
 
 // Allocate returns the per-stack outputs the rack's policy chooses for
 // total demand iF — the exact split the pre-solved aggregate curve was

@@ -102,13 +102,18 @@ func Suite(short bool) ([]Benchmark, error) {
 		},
 	)
 	for _, k := range []int{1, 8, 64} {
-		policies, err := variantPolicies(sys, dev, k)
+		policies, keys, err := variantPolicies(sys, dev, k)
 		if err != nil {
 			return nil, fmt.Errorf("perf: %w", err)
 		}
-		br, err := warmRunner(sys, dev, trace, policies)
+		br, err := warmRunner(sys, dev, trace, policies, keys)
 		if err != nil {
 			return nil, fmt.Errorf("perf: %w", err)
+		}
+		// Slots counts lane slots; the batch executes one group per
+		// variant, so k64 simulates 8 groups for its 64 lanes.
+		if want := min(k, batchVariants); br.Groups() != want {
+			return nil, fmt.Errorf("perf: batch-slot-throughput-k%d runs %d groups, want %d", k, br.Groups(), want)
 		}
 		suite = append(suite, Benchmark{
 			Name:  fmt.Sprintf("batch-slot-throughput-k%d", k),
@@ -123,13 +128,13 @@ func Suite(short bool) ([]Benchmark, error) {
 	}
 	// The before picture for batch-slot-throughput-k64: the same 64
 	// lanes, each on its own one-lane runner, run one after another.
-	policies, err := variantPolicies(sys, dev, 64)
+	policies, _, err := variantPolicies(sys, dev, 64)
 	if err != nil {
 		return nil, fmt.Errorf("perf: %w", err)
 	}
 	sequential := make([]*sim.BatchRunner, len(policies))
 	for i, p := range policies {
-		if sequential[i], err = warmRunner(sys, dev, trace, []sim.Policy{p}); err != nil {
+		if sequential[i], err = warmRunner(sys, dev, trace, []sim.Policy{p}, nil); err != nil {
 			return nil, fmt.Errorf("perf: %w", err)
 		}
 	}
@@ -164,7 +169,7 @@ func Suite(short bool) ([]Benchmark, error) {
 		{"plan-quantized-n12", q12},
 		{"plan-mpc", mpc},
 	} {
-		br, err := warmRunner(sys, dev, trace, []sim.Policy{pl.p})
+		br, err := warmRunner(sys, dev, trace, []sim.Policy{pl.p}, nil)
 		if err != nil {
 			return nil, fmt.Errorf("perf: %w", err)
 		}
@@ -249,11 +254,15 @@ func quantized(sys *fuelcell.System, dev *device.Model, n int) (sim.Policy, erro
 	return policy.NewFCDPMQuantized(sys, dev, fcopt.UniformLevels(sys, n))
 }
 
+// batchVariants is the number of distinct dynamics in a regression batch.
+const batchVariants = 8
+
 // variantPolicies builds the policies of the k-lane regression batch:
-// eight distinct dynamics (Conv, ASAP, FC-DPM, quantized FC-DPM at five
-// level counts) replicated round-robin, one instance per lane.
-func variantPolicies(sys *fuelcell.System, dev *device.Model, k int) ([]sim.Policy, error) {
-	variants := []func() (sim.Policy, error){
+// the batchVariants distinct dynamics (Conv, ASAP, FC-DPM, quantized
+// FC-DPM at five level counts) replicated round-robin, one instance per
+// lane, and each lane's key, which names its variant.
+func variantPolicies(sys *fuelcell.System, dev *device.Model, k int) ([]sim.Policy, []string, error) {
+	variants := [batchVariants]func() (sim.Policy, error){
 		func() (sim.Policy, error) { return policy.NewConv(sys), nil },
 		func() (sim.Policy, error) { return policy.NewASAP(sys), nil },
 		func() (sim.Policy, error) { return policy.NewFCDPM(sys, dev), nil },
@@ -264,25 +273,31 @@ func variantPolicies(sys *fuelcell.System, dev *device.Model, k int) ([]sim.Poli
 		func() (sim.Policy, error) { return quantized(sys, dev, 12) },
 	}
 	policies := make([]sim.Policy, k)
+	keys := make([]string, k)
 	for i := range policies {
 		p, err := variants[i%len(variants)]()
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		policies[i] = p
+		keys[i] = fmt.Sprintf("variant-%d", i%len(variants))
 	}
-	return policies, nil
+	return policies, keys, nil
 }
 
 // warmRunner builds one fuel-only lane per policy over trace and runs it
-// once, so later runs measure the steady state.
-func warmRunner(sys *fuelcell.System, dev *device.Model, trace *workload.Trace, policies []sim.Policy) (*sim.BatchRunner, error) {
+// once, so later runs measure the steady state. Lane i carries keys[i]
+// when keys is non-nil, so lanes with equal keys run as one group.
+func warmRunner(sys *fuelcell.System, dev *device.Model, trace *workload.Trace, policies []sim.Policy, keys []string) (*sim.BatchRunner, error) {
 	lanes := make([]sim.Lane, len(policies))
 	for i, p := range policies {
 		lanes[i] = sim.Lane{Cfg: sim.Config{
 			Sys: sys, Dev: dev, Store: storage.MustSuperCap(6, 1),
 			Trace: trace, Policy: p, Record: sim.RecordFuelOnly,
 		}}
+		if keys != nil {
+			lanes[i].Key = keys[i]
+		}
 	}
 	br, err := sim.NewBatchRunner(lanes)
 	if err != nil {

@@ -3,26 +3,13 @@ package sim
 import (
 	"context"
 	"fmt"
-	"math"
 	"reflect"
-	"strings"
 	"time"
 
 	"fcdpm/internal/fuelcell"
 	"fcdpm/internal/obs"
 	"fcdpm/internal/workload"
 )
-
-// BatchKeyer is the optional grouping face of a policy, predictor, or
-// storage element. BatchKey returns a stable identity string: two
-// components may return equal keys only if they start every run in
-// identical states and evolve identically under identical inputs, so two
-// batch lanes whose components all agree are guaranteed to produce
-// bit-identical simulations. Components without a BatchKey still run in a
-// batch — each such lane simply executes on its own, ungrouped.
-type BatchKeyer interface {
-	BatchKey() string
-}
 
 // Lane is one scenario variant of a batch.
 type Lane struct {
@@ -31,10 +18,10 @@ type Lane struct {
 	Cfg Config
 	// Key, when non-empty, asserts that two lanes with equal keys
 	// describe the *same simulation* — typically the content address a
-	// scenario spec already carries (config.Scenario.CacheKey). Equal
-	// keys group lanes even when their components expose no BatchKey;
-	// an incorrect assertion yields silently wrong results, so only
-	// derive keys from canonical spec content.
+	// scenario spec already carries (config.Scenario.CacheKey). Lanes
+	// with equal keys form one run group; a lane without a key runs
+	// alone. An incorrect assertion yields silently wrong results, so
+	// only derive keys from canonical spec content.
 	Key string
 }
 
@@ -59,36 +46,22 @@ type batchLane struct {
 
 // batchGroup is one executing simulation: the leader state plus every
 // lane it stands in for. Groups are formed at construction from the
-// lanes' dynamics fingerprints and never split mid-run — a lane that can
-// diverge from its siblings (a timeout adapter, an unkeyed component)
-// gets a group of its own up front.
+// lanes' keys and never split mid-run.
 type batchGroup struct {
 	st      *state
 	members []int // lane indices, in submission order
 	err     error
 }
 
-// batchDecode is one shared trace decode: the groups whose predictors,
-// device model, and DPM mode agree, so each slot is expanded once and
-// handed to all of them before advancing.
-type batchDecode struct {
-	groups []int // group indices, in construction order
-	dec    slotDecode
-}
-
 // BatchRunner executes K scenario variants in lockstep over one trace
-// walk. Lanes whose dynamics fingerprints agree form a run group: the
-// group leader simulates once — at the union of the members' record
-// levels — and every member receives a projected copy of the result, so
-// N identical-dynamics variants (ablation siblings differing only in
-// recording, coalesced server requests, devicesim fleets) cost one
-// simulation instead of N. Groups whose trace-side inputs also agree
-// share the per-slot decode (predictions, sleep decision, segment
-// expansion). Lanes that can diverge — per-lane timeout adapters, fault
-// schedules with distinct identities, components without a BatchKey —
-// are their own group from the start, so batching never changes a single
-// bit of any lane's Result relative to a one-lane run (sim.Run) of the
-// same configuration.
+// walk. Lanes with equal non-empty keys form a run group: the group
+// leader simulates once — at the union of the members' record levels —
+// and every member receives a projected copy of the result, so N lanes
+// of one spec (coalesced server requests, duplicate sweep cells,
+// devicesim fleets) cost one simulation instead of N. Every other lane
+// is a group of its own. As long as equal keys name equal simulations,
+// batching never changes a single bit of any lane's Result relative to
+// a one-lane run (sim.Run) of the same configuration.
 //
 // BatchRunner is the only simulation engine: sim.Run is a one-lane
 // batch. A BatchRunner is reusable and not safe for concurrent use;
@@ -104,7 +77,6 @@ type BatchRunner struct {
 
 	lanes   []batchLane
 	groups  []batchGroup
-	decodes []batchDecode
 	trace   *workload.Trace
 	results []LaneResult
 	memos   []*fuelcell.Memo
@@ -138,24 +110,13 @@ func NewBatchRunner(lanes []Lane) (*BatchRunner, error) {
 		results: make([]LaneResult, len(lanes)),
 	}
 
-	// Group lanes by dynamics fingerprint. An empty fingerprint means
-	// "ungroupable": the lane gets a singleton group and runs scalar.
+	// Group lanes by key. A lane without a key gets a group of its own.
 	groupOf := make(map[string]int, len(lanes))
 	for i := range lanes {
 		cfg := &lanes[i].Cfg
 		key := lanes[i].Key
-		if key != "" {
-			key = "lane-key:" + key
-		} else {
-			key, _ = dynamicsKey(cfg)
-		}
-		gi := -1
-		if key != "" {
-			if prev, ok := groupOf[key]; ok {
-				gi = prev
-			}
-		}
-		if gi < 0 {
+		gi, ok := groupOf[key] // the empty key is never stored
+		if !ok {
 			gi = len(b.groups)
 			b.groups = append(b.groups, batchGroup{st: &state{}})
 			b.groups[gi].st.init(*cfg)
@@ -216,54 +177,31 @@ func NewBatchRunner(lanes []Lane) (*BatchRunner, error) {
 			b.memos = append(b.memos, st.memo)
 		}
 	}
-
-	// Form decode groups among the run-group leaders.
-	decodeOf := make(map[string]int)
-	for gi := range b.groups {
-		key, ok := decodeKey(&b.groups[gi].st.cfg)
-		di := -1
-		if ok {
-			if prev, found := decodeOf[key]; found {
-				di = prev
-			}
-		}
-		if di < 0 {
-			di = len(b.decodes)
-			b.decodes = append(b.decodes, batchDecode{})
-			if ok {
-				decodeOf[key] = di
-			}
-		}
-		b.decodes[di].groups = append(b.decodes[di].groups, gi)
-	}
 	return b, nil
 }
 
 // newSingleLane builds the one-lane batch sim.Run executes, without the
-// grouping machinery a lone lane cannot use: no fingerprint, shared-object
-// check, decode key, or memo map, and the lane reads its group leader's
-// result directly. Every piece of bookkeeping lives in one allocation.
-// cfg must already be valid.
+// grouping machinery a lone lane cannot use: no key map, shared-object
+// check, or memo map, and the lane reads its group leader's result
+// directly. Every piece of bookkeeping lives in one allocation. cfg must
+// already be valid.
 func newSingleLane(cfg Config) *BatchRunner {
 	one := &struct {
 		b       BatchRunner
 		st      state
 		lanes   [1]batchLane
 		groups  [1]batchGroup
-		decodes [1]batchDecode
 		results [1]LaneResult
 		memos   [1]*fuelcell.Memo
-		zero    [1]int // the group's member list and the decode's group list
+		zero    [1]int // the group's member list
 	}{}
 	one.st.init(cfg)
 	one.lanes[0] = batchLane{recFull: one.st.recFull, metrics: cfg.Metrics}
 	one.groups[0] = batchGroup{st: &one.st, members: one.zero[:]}
-	one.decodes[0].groups = one.zero[:]
 	one.memos[0] = one.st.memo
 	one.b = BatchRunner{
 		lanes:   one.lanes[:],
 		groups:  one.groups[:],
-		decodes: one.decodes[:],
 		trace:   cfg.Trace,
 		results: one.results[:],
 		memos:   one.memos[:],
@@ -321,28 +259,17 @@ func (b *BatchRunner) RunContext(ctx context.Context) ([]LaneResult, error) {
 			batchErr = err
 			break
 		}
-		for di := range b.decodes {
-			d := &b.decodes[di]
-			decoded := false
-			for _, gi := range d.groups {
-				g := &b.groups[gi]
-				if g.err != nil {
-					continue
-				}
-				if !decoded {
-					// The first live group expands the slot; all lanes
-					// of a decode group hold identical predictor state,
-					// so the producer is interchangeable.
-					g.st.decodeSlot(k, slot, &d.dec)
-					decoded = true
-				}
-				if err := g.st.runDecoded(k, slot, &d.dec); err != nil {
-					g.err = err
-					live--
-					continue
-				}
-				planGroupHits += uint64(len(g.members) - 1)
+		for gi := range b.groups {
+			g := &b.groups[gi]
+			if g.err != nil {
+				continue
 			}
+			if err := g.st.step(k, slot); err != nil {
+				g.err = err
+				live--
+				continue
+			}
+			planGroupHits += uint64(len(g.members) - 1)
 		}
 	}
 
@@ -458,102 +385,4 @@ func checkShared(seen map[any]int, gi int, v any, what string) error {
 	}
 	seen[v] = gi
 	return nil
-}
-
-// fpBits formats a float for a fingerprint: exact bits, so two lanes
-// group only when the values are identical, not merely close.
-func fpBits(v float64) uint64 { return math.Float64bits(v) }
-
-// keyOf returns a component's grouping identity: "-" for absent, its
-// BatchKey when it has one, and failure otherwise.
-func keyOf(v any) (string, bool) {
-	if v == nil {
-		return "-", true
-	}
-	if k, ok := v.(BatchKeyer); ok {
-		return k.BatchKey(), true
-	}
-	return "", false
-}
-
-// dynamicsKey fingerprints everything that shapes a lane's dynamics —
-// and deliberately nothing that only shapes its recording (Record,
-// Metrics), since recording appends history
-// without feeding back into the simulation. Two lanes with equal keys
-// run bit-identical simulations; a lane whose components cannot be
-// keyed reports false and executes ungrouped. Fault schedules are
-// compared by identity (plus seed): conservative, but sound.
-func dynamicsKey(cfg *Config) (string, bool) {
-	if cfg.TimeoutAdapter != nil {
-		// A timeout adapter learns per lane; such lanes never group.
-		return "", false
-	}
-	pol, ok := keyOf(cfg.Policy)
-	if !ok {
-		return "", false
-	}
-	sto, ok := keyOf(cfg.Store)
-	if !ok {
-		return "", false
-	}
-	pi, ok := keyOf(cfg.IdlePredictor)
-	if !ok {
-		return "", false
-	}
-	pa, ok := keyOf(cfg.ActivePredictor)
-	if !ok {
-		return "", false
-	}
-	pc, ok := keyOf(cfg.CurrentPredictor)
-	if !ok {
-		return "", false
-	}
-	var fb strings.Builder
-	for _, p := range cfg.Fallbacks {
-		k, ok := keyOf(p)
-		if !ok {
-			return "", false
-		}
-		fb.WriteString(k)
-		fb.WriteByte(';')
-	}
-	faults := "-"
-	if cfg.Faults != nil {
-		faults = fmt.Sprintf("%p/%d", cfg.Faults, cfg.FaultSeed)
-	}
-	// The system is fingerprinted by content, not pointer. The policies
-	// key the system they plan against by pointer, though, so lanes over
-	// distinct equal-content systems (e.g. per-lane multistack racks
-	// built from the same stack mix) group only through an explicit
-	// Lane.Key, such as the spec cache key runreport passes.
-	return fmt.Sprintf("sys=%s|dev=%p|pol=%s|sto=%s|dpm=%d|to=%x|slew=%x|pi=%s|pa=%s|pc=%s|faults=%s|deficit=%x|fb=%s",
-		cfg.Sys.BatchKey(), cfg.Dev, pol, sto, cfg.DPM, fpBits(cfg.Timeout), fpBits(cfg.SlewRate),
-		pi, pa, pc, faults, fpBits(cfg.DeficitLimit), fb.String()), true
-}
-
-// decodeKey fingerprints the trace-side decode inputs: the device model,
-// the DPM mode and timeout, and the predictors. The storage and policy
-// are deliberately absent — the decode never reads them — which is what
-// lets a capacity or policy sweep expand each slot once for all its
-// lanes. Fault schedules perturb the observed slot values, and a timeout
-// adapter the per-slot dwell, so either one keeps a lane on its own
-// decode.
-func decodeKey(cfg *Config) (string, bool) {
-	if cfg.TimeoutAdapter != nil || cfg.Faults != nil {
-		return "", false
-	}
-	pi, ok := keyOf(cfg.IdlePredictor)
-	if !ok {
-		return "", false
-	}
-	pa, ok := keyOf(cfg.ActivePredictor)
-	if !ok {
-		return "", false
-	}
-	pc, ok := keyOf(cfg.CurrentPredictor)
-	if !ok {
-		return "", false
-	}
-	return fmt.Sprintf("dev=%p|dpm=%d|to=%x|pi=%s|pa=%s|pc=%s",
-		cfg.Dev, cfg.DPM, fpBits(cfg.Timeout), pi, pa, pc), true
 }

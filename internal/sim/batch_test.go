@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"fcdpm/internal/device"
@@ -112,14 +113,22 @@ func labelLane(i int, cfg *sim.Config) string {
 // policy family, storage size, predictors, DPM mode, record level, slew
 // rate, faults, and fallback chain all vary. Shared pointers (systems,
 // dev, schedules) are the same objects across lanes, exactly as sweep
-// and server consumers build them.
+// and server consumers build them. The lane's key names every draw but
+// the record level, so two lanes with equal keys are the same
+// simulation, whatever each records.
 func randomLane(t *testing.T, rng *rand.Rand, systems []*fuelcell.System, dev *device.Model,
 	tr *workload.Trace, scheds []*fault.Schedule) sim.Lane {
 	t.Helper()
-	sys := systems[rng.Intn(len(systems))]
+	var key strings.Builder
+	draw := func(n int) int {
+		v := rng.Intn(n)
+		fmt.Fprintf(&key, "%d.", v)
+		return v
+	}
+	sys := systems[draw(len(systems))]
 	cfg := sim.Config{Sys: sys, Dev: dev, Trace: tr}
 
-	switch rng.Intn(4) {
+	switch draw(4) {
 	case 0:
 		cfg.Policy = policy.NewConv(sys)
 	case 1:
@@ -127,7 +136,7 @@ func randomLane(t *testing.T, rng *rand.Rand, systems []*fuelcell.System, dev *d
 	case 2:
 		cfg.Policy = policy.NewFCDPM(sys, dev)
 	default:
-		q, err := policy.NewFCDPMQuantized(sys, dev, fcopt.UniformLevels(sys, 4+rng.Intn(3)))
+		q, err := policy.NewFCDPMQuantized(sys, dev, fcopt.UniformLevels(sys, 4+draw(3)))
 		if err != nil {
 			t.Fatalf("quantized policy: %v", err)
 		}
@@ -135,10 +144,10 @@ func randomLane(t *testing.T, rng *rand.Rand, systems []*fuelcell.System, dev *d
 	}
 
 	caps := []float64{6, 8}
-	cmax := caps[rng.Intn(len(caps))]
+	cmax := caps[draw(len(caps))]
 	cfg.Store = storage.MustSuperCap(cmax, cmax/2)
 
-	switch rng.Intn(3) {
+	switch draw(3) {
 	case 0: // defaults
 	case 1:
 		cfg.IdlePredictor = predict.MustExpAverage(0.5, 4)
@@ -148,7 +157,7 @@ func randomLane(t *testing.T, rng *rand.Rand, systems []*fuelcell.System, dev *d
 		cfg.CurrentPredictor = predict.MustExpAverage(0.3, 1)
 	}
 
-	switch rng.Intn(4) {
+	switch draw(4) {
 	case 0:
 		cfg.DPM = sim.DPMPredictive
 	case 1:
@@ -157,7 +166,7 @@ func randomLane(t *testing.T, rng *rand.Rand, systems []*fuelcell.System, dev *d
 		cfg.DPM = sim.DPMNeverSleep
 	default:
 		cfg.DPM = sim.DPMTimeout
-		if rng.Intn(2) == 0 {
+		if draw(2) == 0 {
 			cfg.Timeout = 1.5
 		}
 	}
@@ -166,24 +175,26 @@ func randomLane(t *testing.T, rng *rand.Rand, systems []*fuelcell.System, dev *d
 		cfg.Record = sim.RecordFull
 	}
 
-	if rng.Intn(3) == 0 {
+	if draw(3) == 0 {
 		cfg.SlewRate = 2.0
 	}
-	if rng.Intn(3) == 0 {
-		cfg.Faults = scheds[rng.Intn(len(scheds))]
-		cfg.FaultSeed = uint64(17 + rng.Intn(2)*6)
+	if draw(3) == 0 {
+		cfg.Faults = scheds[draw(len(scheds))]
+		cfg.FaultSeed = uint64(17 + draw(2)*6)
 		cfg.Fallbacks = []sim.Policy{policy.NewASAP(sys), policy.NewConv(sys)}
 	}
-	return sim.Lane{Cfg: cfg}
+	return sim.Lane{Key: key.String(), Cfg: cfg}
 }
 
 // TestBatchRunnerOracleProperty is the batch ≡ scalar property: random
 // variant sets across policies × seeds × record levels × fault schedules,
-// every lane compared byte-for-byte against a sequential run. It runs on
-// the hand-built periodic trace, on short racksurge, bursty and
-// heavytail traces, and on multistack racks (K ∈ {2, 4}, every
-// allocator, healthy and degraded), including lanes spread over two
-// equal-content racks built separately.
+// every lane compared byte-for-byte against a sequential run. Each round
+// adds a twin of one drawn lane, built from fresh instances at the other
+// record level, so every round runs a merged group and checks its
+// projections against scalar runs. It runs on the hand-built periodic
+// trace, on short racksurge, bursty and heavytail traces, and on
+// multistack racks (K ∈ {2, 4}, every allocator, healthy and degraded),
+// including lanes spread over two equal-content racks built separately.
 func TestBatchRunnerOracleProperty(t *testing.T) {
 	paper := []*fuelcell.System{fuelcell.PaperSystem()}
 	dev := device.Synthetic()
@@ -202,10 +213,23 @@ func TestBatchRunnerOracleProperty(t *testing.T) {
 		for round := 0; round < rounds; round++ {
 			rng := rand.New(rand.NewSource(seed + int64(round)))
 			lanes := make([]sim.Lane, 1+rng.Intn(8))
+			seeds := make([]int64, len(lanes))
 			for i := range lanes {
-				lanes[i] = randomLane(t, rng, systems, dev, tr, scheds)
+				seeds[i] = rng.Int63()
+				lanes[i] = randomLane(t, rand.New(rand.NewSource(seeds[i])), systems, dev, tr, scheds)
 			}
-			batchOracleCheck(t, lanes)
+			j := rng.Intn(len(lanes))
+			twin := randomLane(t, rand.New(rand.NewSource(seeds[j])), systems, dev, tr, scheds)
+			twin.Cfg.Record = sim.RecordFull
+			if lanes[j].Cfg.Record == sim.RecordFull {
+				twin.Cfg.Record = sim.RecordFuelOnly
+			}
+			lanes = append(lanes, twin)
+			b := batchOracleCheck(t, lanes)
+			if b.GroupOf(j) != b.GroupOf(len(lanes)-1) {
+				t.Fatalf("round %d: lane %d and its twin run in groups %d and %d",
+					round, j, b.GroupOf(j), b.GroupOf(len(lanes)-1))
+			}
 		}
 	}
 
@@ -277,15 +301,15 @@ func mustRack(t *testing.T, k int, alloc multistack.Allocator, degrade []float64
 	return r.System()
 }
 
-// TestBatchRunnerGroupsDuplicates verifies identical-dynamics lanes
-// collapse to one executing group regardless of record level, and that
-// distinct dynamics stay apart.
+// TestBatchRunnerGroupsDuplicates verifies lanes with one key collapse
+// to one executing group regardless of record level, and that a lane
+// with another key stays apart.
 func TestBatchRunnerGroupsDuplicates(t *testing.T) {
 	sys := fuelcell.PaperSystem()
 	dev := device.Synthetic()
 	tr := faultTrace(60)
 	mk := func(cmax float64, rec sim.RecordLevel) sim.Lane {
-		return sim.Lane{Cfg: sim.Config{
+		return sim.Lane{Key: fmt.Sprintf("cmax-%v", cmax), Cfg: sim.Config{
 			Sys: sys, Dev: dev, Trace: tr,
 			Store:  storage.MustSuperCap(cmax, cmax/2),
 			Policy: policy.NewFCDPM(sys, dev),
@@ -303,7 +327,7 @@ func TestBatchRunnerGroupsDuplicates(t *testing.T) {
 		t.Fatalf("want 2 run groups, got %d", b.Groups())
 	}
 	if b.GroupOf(0) != b.GroupOf(1) || b.GroupOf(0) != b.GroupOf(2) {
-		t.Fatalf("identical-dynamics lanes split: groups %d/%d/%d",
+		t.Fatalf("equal-key lanes split: groups %d/%d/%d",
 			b.GroupOf(0), b.GroupOf(1), b.GroupOf(2))
 	}
 	if b.GroupOf(3) == b.GroupOf(0) {
@@ -311,31 +335,39 @@ func TestBatchRunnerGroupsDuplicates(t *testing.T) {
 	}
 }
 
-// unkeyedPolicy hides the inner policy's BatchKey, modelling a policy
-// the fingerprint cannot identify.
-type unkeyedPolicy struct{ sim.Policy }
-
-// TestBatchRunnerLaneKeyGroups verifies an explicit Lane.Key groups
-// lanes the component fingerprint cannot, and that without it unkeyable
-// lanes fall back to singleton (scalar-path) groups.
+// TestBatchRunnerLaneKeyGroups verifies the key is the only thing that
+// groups lanes: equal keys share a group, and lanes without a key run
+// alone even when every component is equal.
 func TestBatchRunnerLaneKeyGroups(t *testing.T) {
 	sys := fuelcell.PaperSystem()
+	dev := device.Synthetic()
+	tr := faultTrace(40)
 	mk := func(key string) sim.Lane {
 		return sim.Lane{Key: key, Cfg: sim.Config{
-			Sys: sys, Dev: device.Synthetic(), Trace: faultTrace(40),
+			Sys: sys, Dev: dev, Trace: tr,
 			Store:  storage.MustSuperCap(6, 3),
-			Policy: unkeyedPolicy{policy.NewConv(sys)},
+			Policy: policy.NewConv(sys),
 		}}
 	}
-	keyed := []sim.Lane{mk("cell-abc"), mk("cell-abc")}
-	b := batchOracleCheck(t, keyed)
-	if b.Groups() != 1 {
-		t.Fatalf("equal lane keys must group: got %d groups", b.Groups())
-	}
-	unkeyed := []sim.Lane{mk(""), mk("")}
-	b = batchOracleCheck(t, unkeyed)
-	if b.Groups() != 2 {
-		t.Fatalf("unkeyable lanes must stay singleton: got %d groups", b.Groups())
+	for _, tc := range []struct {
+		name   string
+		keys   []string
+		groups int
+	}{
+		{"equal-keys", []string{"cell-abc", "cell-abc"}, 1},
+		{"distinct-keys", []string{"cell-abc", "cell-def"}, 2},
+		{"unkeyed-equal-components", []string{"", ""}, 2},
+		{"keyed-and-unkeyed", []string{"cell-abc", "", "cell-abc", ""}, 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			lanes := make([]sim.Lane, len(tc.keys))
+			for i, k := range tc.keys {
+				lanes[i] = mk(k)
+			}
+			if b := batchOracleCheck(t, lanes); b.Groups() != tc.groups {
+				t.Fatalf("keys %q: got %d groups, want %d", tc.keys, b.Groups(), tc.groups)
+			}
+		})
 	}
 }
 
@@ -364,7 +396,7 @@ func TestBatchRunnerTraceRules(t *testing.T) {
 	sys := fuelcell.PaperSystem()
 	dev := device.Synthetic()
 	mk := func(tr *workload.Trace) sim.Lane {
-		return sim.Lane{Cfg: sim.Config{
+		return sim.Lane{Key: "conv-6", Cfg: sim.Config{
 			Sys: sys, Dev: dev, Trace: tr,
 			Store: storage.MustSuperCap(6, 3), Policy: policy.NewConv(sys),
 		}}
@@ -453,22 +485,27 @@ func TestBatchRunnerCancel(t *testing.T) {
 }
 
 // TestBatchRunnerReuse verifies a BatchRunner is reusable: the second
-// run reuses every buffer yet reproduces the first bit for bit.
+// run reuses every buffer — the full-recording leader's and the fuel-only
+// member's projection — yet reproduces the first bit for bit.
 func TestBatchRunnerReuse(t *testing.T) {
 	sys := fuelcell.PaperSystem()
 	dev := device.Synthetic()
 	tr := faultTrace(60)
 	lanes := []sim.Lane{
-		{Cfg: sim.Config{Sys: sys, Dev: dev, Trace: tr,
+		{Key: "fcdpm-6", Cfg: sim.Config{Sys: sys, Dev: dev, Trace: tr,
 			Store: storage.MustSuperCap(6, 3), Policy: policy.NewFCDPM(sys, dev),
 			Record: sim.RecordFull}},
-		{Cfg: sim.Config{Sys: sys, Dev: dev, Trace: tr,
+		{Key: "fcdpm-6", Cfg: sim.Config{Sys: sys, Dev: dev, Trace: tr,
 			Store: storage.MustSuperCap(6, 3), Policy: policy.NewFCDPM(sys, dev),
 			Record: sim.RecordFuelOnly}},
 	}
 	b, err := sim.NewBatchRunner(lanes)
 	if err != nil {
 		t.Fatalf("NewBatchRunner: %v", err)
+	}
+	if b.Groups() != 1 || b.GroupOf(0) != b.GroupOf(1) {
+		t.Fatalf("two lanes with one key: %d groups (lane groups %d, %d), want 1 shared",
+			b.Groups(), b.GroupOf(0), b.GroupOf(1))
 	}
 	first, err := b.Run()
 	if err != nil {

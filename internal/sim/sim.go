@@ -489,8 +489,10 @@ type state struct {
 
 	// Fixed-size piece scratch: policies return at most a handful of
 	// pieces per segment (2 today; the buffer grows transparently if
-	// exceeded).
-	pieceBuf [8]Piece
+	// exceeded). A slot expands to at most 3 idle and 4 active segments.
+	pieceBuf  [8]Piece
+	idleBuf   [3]Segment
+	activeBuf [4]Segment
 }
 
 // init performs the one-time setup: every allocation a run needs happens
@@ -609,69 +611,56 @@ func (s *state) sleepDecision(predIdle, actualIdle float64) bool {
 	}
 }
 
-// slotDecode is the trace-side expansion of one slot: the predictor
-// outputs, the sleep decision, the planner's idle-load view, and the
-// segment sequences — everything derived from the trace, the device
-// model, the DPM mode, and the predictors, but nothing that depends on
-// the storage level or the source policy. Run groups whose decode
-// inputs match share one decode per slot, handed to every group before
-// the walk advances.
-type slotDecode struct {
-	// info carries K, Sleeping (the planning decision), the predictions,
-	// and IdleLoad. The storage-dependent fields (Charge, Cmax,
-	// ChargeTarget) are filled per lane by runDecoded.
-	info       SlotInfo
-	didSleep   bool
-	idleSegs   []Segment
-	activeSegs []Segment
-
-	// Fixed scratch arrays backing the segment slices: a slot expands to
-	// at most 3 idle and 4 active segments, so decoding never allocates.
-	idleArr   [3]Segment
-	activeArr [4]Segment
-}
-
-// decodeSlot expands one slot into d. It reads the predictors and — under
-// DPMTimeout with an adapter — refreshes cfg.Timeout, but leaves the
-// storage, policy, and result untouched.
-func (s *state) decodeSlot(k int, slot workload.Slot, d *slotDecode) {
+// step simulates one task slot: it plans the sleep decision from the
+// predictions, runs the idle and active segments under the active
+// policy, then trains the predictors on the realized slot.
+func (s *state) step(k int, slot workload.Slot) error {
 	dev := s.cfg.Dev
-	d.info = SlotInfo{
+	fuelBefore := s.res.Fuel
+	chargeBefore := s.store.Charge()
+	info := SlotInfo{
 		K:                 k,
 		PredIdle:          s.predIdle.Predict(),
 		PredActive:        s.predActive.Predict(),
 		PredActiveCurrent: s.predCurrent.Predict(),
+		Cmax:              s.store.Capacity(),
+		ChargeTarget:      s.chargeTarget,
 	}
 	if s.cfg.DPM == DPMTimeout && s.cfg.TimeoutAdapter != nil {
 		s.cfg.Timeout = s.cfg.TimeoutAdapter.NextTimeout()
 	}
-	planSleep := s.sleepDecision(d.info.PredIdle, slot.Idle)
-	d.didSleep = planSleep
+	planSleep := s.sleepDecision(info.PredIdle, slot.Idle)
+	didSleep := planSleep
 	if s.cfg.DPM == DPMTimeout {
 		// Reactive execution: sleep happens only if the idle period
 		// actually outlasts the timeout dwell.
-		d.didSleep = slot.Idle > s.cfg.Timeout
+		didSleep = slot.Idle > s.cfg.Timeout
 	}
-	d.info.Sleeping = planSleep
-	d.info.IdleLoad = dev.IdleCurrent(planSleep)
-	if s.cfg.DPM == DPMTimeout && planSleep && d.info.PredIdle > 0 {
+	info.Sleeping = planSleep
+	info.IdleLoad = dev.IdleCurrent(planSleep)
+	if s.cfg.DPM == DPMTimeout && planSleep && info.PredIdle > 0 {
 		// Timeout idles are a STANDBY dwell followed by SLEEP; give the
 		// planner the charge-equivalent average current.
-		dwell := math.Min(s.cfg.Timeout, d.info.PredIdle)
-		d.info.IdleLoad = (dev.Isdb*dwell + dev.Islp*(d.info.PredIdle-dwell)) / d.info.PredIdle
+		dwell := math.Min(s.cfg.Timeout, info.PredIdle)
+		info.IdleLoad = (dev.Isdb*dwell + dev.Islp*(info.PredIdle-dwell)) / info.PredIdle
 	}
+	info.Charge = s.store.Charge()
+	if didSleep {
+		s.res.Sleeps++
+	}
+	s.pol.PlanIdle(info)
 
 	// Idle phase. The segment slices are backed by fixed scratch arrays
 	// sized for the worst-case slot shape, so building them never
 	// allocates.
-	idleSegs := d.idleArr[:0]
+	idleSegs := s.idleBuf[:0]
 	switch {
 	case s.cfg.DPM == DPMTimeout:
 		dwell := math.Min(s.cfg.Timeout, slot.Idle)
 		if dwell > 0 {
 			idleSegs = append(idleSegs, Segment{SegStandby, dwell, dev.Isdb})
 		}
-		if d.didSleep {
+		if didSleep {
 			pd := math.Min(dev.TauPD, slot.Idle-dwell)
 			if pd > 0 {
 				idleSegs = append(idleSegs, Segment{SegPowerDown, pd, dev.IPD})
@@ -680,7 +669,7 @@ func (s *state) decodeSlot(k int, slot workload.Slot, d *slotDecode) {
 				idleSegs = append(idleSegs, Segment{SegSleep, rest, dev.Islp})
 			}
 		}
-	case d.didSleep:
+	case didSleep:
 		pd := math.Min(dev.TauPD, slot.Idle)
 		if pd > 0 {
 			idleSegs = append(idleSegs, Segment{SegPowerDown, pd, dev.IPD})
@@ -691,12 +680,25 @@ func (s *state) decodeSlot(k int, slot workload.Slot, d *slotDecode) {
 	case slot.Idle > 0:
 		idleSegs = append(idleSegs, Segment{SegStandby, slot.Idle, dev.Isdb})
 	}
-	d.idleSegs = idleSegs
+	for _, seg := range idleSegs {
+		if err := s.applySegment(seg); err != nil {
+			return fmt.Errorf("slot %d idle: %w", k, err)
+		}
+	}
 
-	// Active phase: wake-up (after a real sleep), startup, the task
-	// itself, shutdown.
-	activeSegs := d.activeArr[:0]
-	if d.didSleep && dev.TauWU > 0 {
+	// Active phase: the arriving task reveals its actual demands. The
+	// Sleeping flag now reflects what actually happened, since the
+	// wake-up transition occurs only after a real sleep.
+	info.Sleeping = didSleep
+	info.ActualIdle = slot.Idle
+	info.ActualActive = slot.Active
+	info.ActualActiveCurrent = slot.ActiveCurrent
+	info.Charge = s.store.Charge()
+	s.pol.PlanActive(info)
+
+	// Wake-up (after a real sleep), startup, the task itself, shutdown.
+	activeSegs := s.activeBuf[:0]
+	if didSleep && dev.TauWU > 0 {
 		activeSegs = append(activeSegs, Segment{SegWakeUp, dev.TauWU, dev.IWU})
 	}
 	if dev.TauSR > 0 {
@@ -708,43 +710,7 @@ func (s *state) decodeSlot(k int, slot workload.Slot, d *slotDecode) {
 	if dev.TauRS > 0 {
 		activeSegs = append(activeSegs, Segment{SegShutdown, dev.TauRS, slot.ActiveCurrent})
 	}
-	d.activeSegs = activeSegs
-}
-
-// runDecoded simulates one task slot from its decode. The decode may come
-// from this group's own decodeSlot call or from a sibling group with
-// identical decode inputs; either way the group trains its own predictors
-// on the realized slot, so every lane of a shared-decode group holds
-// identical predictor state and any of them can produce the next slot's
-// decode — which is what makes the sharing byte-exact even when the
-// producing lane drops out mid-run.
-func (s *state) runDecoded(k int, slot workload.Slot, d *slotDecode) error {
-	fuelBefore := s.res.Fuel
-	chargeBefore := s.store.Charge()
-	info := d.info
-	info.Cmax = s.store.Capacity()
-	info.ChargeTarget = s.chargeTarget
-	info.Charge = s.store.Charge()
-	if d.didSleep {
-		s.res.Sleeps++
-	}
-	s.pol.PlanIdle(info)
-	for _, seg := range d.idleSegs {
-		if err := s.applySegment(seg); err != nil {
-			return fmt.Errorf("slot %d idle: %w", k, err)
-		}
-	}
-
-	// Active phase: the arriving task reveals its actual demands. The
-	// Sleeping flag now reflects what actually happened, since the
-	// wake-up transition occurs only after a real sleep.
-	info.Sleeping = d.didSleep
-	info.ActualIdle = slot.Idle
-	info.ActualActive = slot.Active
-	info.ActualActiveCurrent = slot.ActiveCurrent
-	info.Charge = s.store.Charge()
-	s.pol.PlanActive(info)
-	for _, seg := range d.activeSegs {
+	for _, seg := range activeSegs {
 		if err := s.applySegment(seg); err != nil {
 			return fmt.Errorf("slot %d active: %w", k, err)
 		}
@@ -773,8 +739,8 @@ func (s *state) runDecoded(k int, slot workload.Slot, d *slotDecode) error {
 			Idle:          slot.Idle,
 			Active:        slot.Active,
 			ActiveCurrent: slot.ActiveCurrent,
-			Slept:         d.didSleep,
-			PredIdle:      d.info.PredIdle,
+			Slept:         didSleep,
+			PredIdle:      info.PredIdle,
 			ChargeStart:   chargeBefore,
 			ChargeEnd:     s.store.Charge(),
 			Fuel:          s.res.Fuel - fuelBefore,
