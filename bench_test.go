@@ -74,7 +74,7 @@ func BenchmarkTable3Exp2(b *testing.B) {
 func BenchmarkFig7Profiles(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := exp.Fig7(1, 300); err != nil {
+		if _, err := exp.Fig7(context.Background(), 1, 300); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -85,9 +85,8 @@ func BenchmarkFig7Profiles(b *testing.B) {
 // BenchmarkAblationCapacity sweeps the storage capacity.
 func BenchmarkAblationCapacity(b *testing.B) {
 	b.ReportAllocs()
-	caps := []float64{1, 3, 6, 12, 24, 60}
 	for i := 0; i < b.N; i++ {
-		if _, err := exp.CapacitySweep(context.Background(), 1, caps); err != nil {
+		if _, err := exp.CapacitySweep(context.Background(), 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -96,9 +95,8 @@ func BenchmarkAblationCapacity(b *testing.B) {
 // BenchmarkAblationBeta sweeps the efficiency slope β.
 func BenchmarkAblationBeta(b *testing.B) {
 	b.ReportAllocs()
-	betas := []float64{0, 0.05, 0.13, 0.20, 0.30}
 	for i := 0; i < b.N; i++ {
-		if _, err := exp.BetaSweep(context.Background(), 1, betas); err != nil {
+		if _, err := exp.BetaSweep(context.Background(), 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -119,7 +117,7 @@ func BenchmarkAblationPredictors(b *testing.B) {
 func BenchmarkAblationConstantEta(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := exp.ConstantEtaAblation(1); err != nil {
+		if _, _, err := exp.ConstantEtaAblation(context.Background(), 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -130,7 +128,7 @@ func BenchmarkAblationConstantEta(b *testing.B) {
 func BenchmarkAblationStorageModel(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := exp.StorageModelAblation(1); err != nil {
+		if _, _, err := exp.StorageModelAblation(context.Background(), 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -151,7 +149,7 @@ func BenchmarkAblationDPMMode(b *testing.B) {
 func BenchmarkAblationFlatOracle(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := exp.FlatOracle(1); err != nil {
+		if _, _, err := exp.FlatOracle(context.Background(), 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -181,9 +179,8 @@ func BenchmarkSuite(b *testing.B) {
 // (the multi-level configuration of [11]).
 func BenchmarkAblationQuantizedLevels(b *testing.B) {
 	b.ReportAllocs()
-	counts := []int{2, 3, 4, 8, 16}
 	for i := 0; i < b.N; i++ {
-		if _, err := exp.QuantizedSweep(context.Background(), 1, counts); err != nil {
+		if _, err := exp.QuantizedSweep(context.Background(), 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -194,7 +191,7 @@ func BenchmarkAblationQuantizedLevels(b *testing.B) {
 func BenchmarkAblationOfflineDP(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := exp.OfflineOracleDP(1, 48); err != nil {
+		if _, _, err := exp.OfflineOracleDP(context.Background(), 1, 48); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -205,7 +202,7 @@ func BenchmarkAblationOfflineDP(b *testing.B) {
 func BenchmarkAblationTimeoutDPM(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := exp.TimeoutAblation(1); err != nil {
+		if _, _, err := exp.TimeoutAblation(context.Background(), 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -230,7 +227,7 @@ func BenchmarkHydrogenReport(b *testing.B) {
 func BenchmarkMultiSeed(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := exp.MultiSeed(context.Background(), 1, 5); err != nil {
+		if _, err := exp.MultiSeed(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -240,9 +237,8 @@ func BenchmarkMultiSeed(b *testing.B) {
 // slew-rate limits.
 func BenchmarkAblationSlewRate(b *testing.B) {
 	b.ReportAllocs()
-	rates := []float64{0, 0.5, 0.1, 0.02}
 	for i := 0; i < b.N; i++ {
-		if _, err := exp.SlewAblation(context.Background(), 1, rates); err != nil {
+		if _, err := exp.SlewAblation(context.Background(), 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -255,7 +251,7 @@ func BenchmarkDVSStudy(b *testing.B) {
 	proc.LeakPower = 1.1
 	task := dvs.Task{Cycles: 3e8, Period: 4, Jobs: 50}
 	for i := 0; i < b.N; i++ {
-		if _, err := exp.RunDVSStudy(proc, task); err != nil {
+		if _, err := exp.RunDVSStudy(context.Background(), proc, task); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -266,7 +262,7 @@ func BenchmarkDVSStudy(b *testing.B) {
 func BenchmarkAblationBatteryAware(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := exp.BatteryAwareAblation(1); err != nil {
+		if _, _, err := exp.BatteryAwareAblation(context.Background(), 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -276,9 +272,8 @@ func BenchmarkAblationBatteryAware(b *testing.B) {
 // procrastination, [6, 7]) under FC-DPM.
 func BenchmarkAblationAggregation(b *testing.B) {
 	b.ReportAllocs()
-	ks := []int{1, 2, 4, 8}
 	for i := 0; i < b.N; i++ {
-		if _, err := exp.AggregationAblation(context.Background(), 1, ks); err != nil {
+		if _, err := exp.AggregationAblation(context.Background(), 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -300,9 +295,8 @@ func BenchmarkExperiment3HeavyTail(b *testing.B) {
 // commands vs fuel.
 func BenchmarkAblationActuation(b *testing.B) {
 	b.ReportAllocs()
-	eps := []float64{0, 0.02, 0.05, 0.1, 0.2}
 	for i := 0; i < b.N; i++ {
-		if _, err := exp.ActuationAblation(context.Background(), 1, eps); err != nil {
+		if _, err := exp.ActuationAblation(context.Background(), 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -313,7 +307,7 @@ func BenchmarkAblationActuation(b *testing.B) {
 func BenchmarkAblationCalibration(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := exp.CalibrationUncertainty(context.Background(), 1, 0.1); err != nil {
+		if _, err := exp.CalibrationUncertainty(context.Background(), 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -323,7 +317,7 @@ func BenchmarkAblationCalibration(b *testing.B) {
 func BenchmarkExperiment4HDD(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := exp.Experiment4(4); err != nil {
+		if _, err := exp.Experiment4(context.Background(), 4); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -334,7 +328,7 @@ func BenchmarkExperiment4HDD(b *testing.B) {
 func BenchmarkAblationThermalStress(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := exp.ThermalStressAblation(1); err != nil {
+		if _, err := exp.ThermalStressAblation(context.Background(), 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -345,9 +339,8 @@ func BenchmarkAblationThermalStress(b *testing.B) {
 // storage scale.
 func BenchmarkAblationMPC(b *testing.B) {
 	b.ReportAllocs()
-	horizons := []int{1, 3, 5}
 	for i := 0; i < b.N; i++ {
-		if _, err := exp.MPCAblation(context.Background(), 1, horizons); err != nil {
+		if _, err := exp.MPCAblation(context.Background(), 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -357,7 +350,7 @@ func BenchmarkAblationMPC(b *testing.B) {
 func BenchmarkConformance(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		checks, err := exp.Conformance(1)
+		checks, err := exp.Conformance(context.Background(), 1)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -222,13 +222,13 @@ func cmdSweep(ctx context.Context, args []string) error {
 	var xName string
 	switch *what {
 	case "capacity":
-		pts, err = exp.CapacitySweep(ctx, *seed, []float64{1, 2, 3, 6, 12, 24, 60})
+		pts, err = exp.CapacitySweep(ctx, *seed)
 		xName = "Cmax (A-s)"
 	case "beta":
-		pts, err = exp.BetaSweep(ctx, *seed, []float64{0, 0.05, 0.10, 0.13, 0.20, 0.30})
+		pts, err = exp.BetaSweep(ctx, *seed)
 		xName = "beta"
 	case "rho":
-		pts, err = exp.RhoSweep(ctx, *seed, []float64{0, 0.25, 0.5, 0.75, 1})
+		pts, err = exp.RhoSweep(ctx, *seed)
 		xName = "rho"
 	default:
 		return usagef("unknown sweep %q (want capacity, beta or rho)", *what)
@@ -244,14 +244,14 @@ func cmdSweep(ctx context.Context, args []string) error {
 	return nil
 }
 
-func cmdOracle(args []string) error {
+func cmdOracle(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("oracle", flag.ContinueOnError)
 	seed := fs.Uint64("seed", 1, "trace seed")
 	grid := fs.Int("grid", 48, "DP storage-grid intervals")
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
-	offline, online, err := exp.OfflineOracleDP(*seed, *grid)
+	offline, online, err := exp.OfflineOracleDP(ctx, *seed, *grid)
 	if err != nil {
 		return err
 	}
@@ -271,7 +271,7 @@ func cmdLevels(ctx context.Context, args []string) error {
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
-	rows, err := exp.QuantizedSweep(ctx, *seed, []int{2, 3, 4, 8, 16})
+	rows, err := exp.QuantizedSweep(ctx, *seed)
 	if err != nil {
 		return err
 	}
@@ -372,13 +372,13 @@ func cmdStats(args []string) error {
 	return nil
 }
 
-func cmdVerify(args []string) error {
+func cmdVerify(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("verify", flag.ContinueOnError)
 	seed := fs.Uint64("seed", 1, "trace seed")
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
-	checks, err := exp.Conformance(*seed)
+	checks, err := exp.Conformance(ctx, *seed)
 	if err != nil {
 		return err
 	}
@@ -408,7 +408,7 @@ func cmdAblate(ctx context.Context, args []string) error {
 	}
 	switch *what {
 	case "thermal":
-		rows, err := exp.ThermalStressAblation(*seed)
+		rows, err := exp.ThermalStressAblation(ctx, *seed)
 		if err != nil {
 			return err
 		}
@@ -418,7 +418,7 @@ func cmdAblate(ctx context.Context, args []string) error {
 		}
 		fmt.Print(tab)
 	case "actuation":
-		rows, err := exp.ActuationAblation(ctx, *seed, []float64{0, 0.02, 0.05, 0.1, 0.2})
+		rows, err := exp.ActuationAblation(ctx, *seed)
 		if err != nil {
 			return err
 		}
@@ -428,14 +428,14 @@ func cmdAblate(ctx context.Context, args []string) error {
 		}
 		fmt.Print(tab)
 	case "battery":
-		ba, fc, err := exp.BatteryAwareAblation(*seed)
+		ba, fc, err := exp.BatteryAwareAblation(ctx, *seed)
 		if err != nil {
 			return err
 		}
 		fmt.Printf("battery-aware shaping: %.4f A avg Ifc vs FC-DPM %.4f A (%s more fuel)\n",
 			ba.AvgFuelRate(), fc.AvgFuelRate(), report.Percent(ba.AvgFuelRate()/fc.AvgFuelRate()-1))
 	case "aggregation":
-		rows, err := exp.AggregationAblation(ctx, *seed, []int{1, 2, 4, 8})
+		rows, err := exp.AggregationAblation(ctx, *seed)
 		if err != nil {
 			return err
 		}
@@ -445,7 +445,7 @@ func cmdAblate(ctx context.Context, args []string) error {
 		}
 		fmt.Print(tab)
 	case "calibration":
-		rows, err := exp.CalibrationUncertainty(ctx, *seed, 0.1)
+		rows, err := exp.CalibrationUncertainty(ctx, *seed)
 		if err != nil {
 			return err
 		}
@@ -456,7 +456,7 @@ func cmdAblate(ctx context.Context, args []string) error {
 		}
 		fmt.Print(tab)
 	case "slew":
-		rows, err := exp.SlewAblation(ctx, *seed, []float64{0, 0.5, 0.1, 0.05, 0.02})
+		rows, err := exp.SlewAblation(ctx, *seed)
 		if err != nil {
 			return err
 		}
@@ -467,7 +467,7 @@ func cmdAblate(ctx context.Context, args []string) error {
 		}
 		fmt.Print(tab)
 	case "mpc":
-		rows, err := exp.MPCAblation(ctx, *seed, []int{1, 2, 3, 5})
+		rows, err := exp.MPCAblation(ctx, *seed)
 		if err != nil {
 			return err
 		}
@@ -477,7 +477,7 @@ func cmdAblate(ctx context.Context, args []string) error {
 		}
 		fmt.Print(tab)
 	case "timeout":
-		pred, timeout, err := exp.TimeoutAblation(*seed)
+		pred, timeout, err := exp.TimeoutAblation(ctx, *seed)
 		if err != nil {
 			return err
 		}
@@ -485,7 +485,7 @@ func cmdAblate(ctx context.Context, args []string) error {
 			pred.AvgFuelRate(), timeout.AvgFuelRate(),
 			report.Percent(timeout.AvgFuelRate()/pred.AvgFuelRate()-1))
 	case "storage":
-		super, liion, err := exp.StorageModelAblation(*seed)
+		super, liion, err := exp.StorageModelAblation(ctx, *seed)
 		if err != nil {
 			return err
 		}
@@ -586,18 +586,18 @@ func cmdBatch(ctx context.Context, args []string) error {
 		if err != nil {
 			return fmt.Errorf("scenario %s: %w", name, err)
 		}
-		// The row name follows the dispatcher's convention (scenario name,
-		// else cell index) so `fcdpm batch -rows` of a spec set is
-		// byte-identical to the same set swept through `fcdpm sweep -remote`.
+		// The row name labels the journal entry the way the dispatcher
+		// labels shards (scenario name, else cell index); the rendered
+		// body names itself from the spec.
 		rowName := scen.Name
 		if rowName == "" {
 			rowName = fmt.Sprintf("cell-%04d", i)
 		}
-		cells := []runreport.Cell{{Spec: scen, Name: rowName, Key: key}}
+		cells := []runreport.Cell{{Spec: scen, Key: key}}
 		tasks = append(tasks, runner.Task[batchRow]{
-			// Keyed by what the row renders from, so a journal entry
-			// resumes only the row it recorded, whatever the operand
-			// order or file path.
+			// Keyed by the content address the row renders from, so a
+			// journal entry resumes only the row it recorded, whatever
+			// the file path.
 			ID:       runner.RunID("batch", "key="+key, "row="+rowName),
 			Scenario: paths[i],
 			Run: func(ctx context.Context) (batchRow, error) {
@@ -774,10 +774,9 @@ func cmdFaults(ctx context.Context, args []string) error {
 	if *list {
 		return nil
 	}
-	sweepOpts := pf.sweepOptions()
-	sweepOpts.Metrics = mf.pool
-	sweepOpts.SimMetrics = mf.sim
-	res, err := exp.FaultSweep(ctx, *seed, sweepOpts)
+	popts := pf.options()
+	popts.Metrics = mf.pool
+	res, err := exp.FaultSweep(ctx, *seed, popts, mf.sim)
 	if err != nil && (res == nil || !errors.Is(err, runner.ErrInterrupted)) {
 		return err
 	}

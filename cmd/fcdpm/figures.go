@@ -61,18 +61,18 @@ func artifacts(ctx context.Context) []artifact {
 		{"fig4_motivational.txt", text(renderMotiv)},
 		{"table2_exp1.txt", text(func(w io.Writer) error { return renderPaperTable(ctx, w, 1, 1) })},
 		{"table3_exp2.txt", text(func(w io.Writer) error { return renderPaperTable(ctx, w, 2, 2) })},
-		{"fig7_load.csv", fig7CSV(0, "Fig 7a: load current", "load_a")},
-		{"fig7_asap.csv", fig7CSV(1, "Fig 7b: ASAP-DPM FC output", "if_a")},
-		{"fig7_fcdpm.csv", fig7CSV(2, "Fig 7c: FC-DPM FC output", "if_a")},
+		{"fig7_load.csv", fig7CSV(ctx, 0, "Fig 7a: load current", "load_a")},
+		{"fig7_asap.csv", fig7CSV(ctx, 1, "Fig 7b: ASAP-DPM FC output", "if_a")},
+		{"fig7_fcdpm.csv", fig7CSV(ctx, 2, "Fig 7c: FC-DPM FC output", "if_a")},
 		{"ablation_capacity.csv", func(w io.Writer) (string, error) {
-			pts, err := exp.CapacitySweep(ctx, 1, []float64{1, 2, 3, 6, 12, 24, 60})
+			pts, err := exp.CapacitySweep(ctx, 1)
 			if err != nil {
 				return "", err
 			}
 			return "Ablation: storage capacity", writeSweep(w, "cmax_as", pts)
 		}},
 		{"ablation_beta.csv", func(w io.Writer) (string, error) {
-			pts, err := exp.BetaSweep(ctx, 1, []float64{0, 0.05, 0.10, 0.13, 0.20, 0.30})
+			pts, err := exp.BetaSweep(ctx, 1)
 			if err != nil {
 				return "", err
 			}
@@ -91,7 +91,7 @@ func artifacts(ctx context.Context) []artifact {
 			return tab.Render(w)
 		})},
 		{"ablation_constant_eta.txt", text(func(w io.Writer) error {
-			linear, constant, err := exp.ConstantEtaAblation(1)
+			linear, constant, err := exp.ConstantEtaAblation(ctx, 1)
 			if err != nil {
 				return err
 			}
@@ -118,7 +118,7 @@ func artifacts(ctx context.Context) []artifact {
 			return tab.Render(w)
 		})},
 		{"ablation_levels.csv", func(w io.Writer) (string, error) {
-			rows, err := exp.QuantizedSweep(ctx, 1, []int{2, 3, 4, 8, 16})
+			rows, err := exp.QuantizedSweep(ctx, 1)
 			if err != nil {
 				return "", err
 			}
@@ -129,7 +129,7 @@ func artifacts(ctx context.Context) []artifact {
 			return "Ablation: discrete FC output levels", c.Err()
 		}},
 		{"ablation_slew.csv", func(w io.Writer) (string, error) {
-			rows, err := exp.SlewAblation(ctx, 1, []float64{0, 0.5, 0.1, 0.05, 0.02})
+			rows, err := exp.SlewAblation(ctx, 1)
 			if err != nil {
 				return "", err
 			}
@@ -140,7 +140,7 @@ func artifacts(ctx context.Context) []artifact {
 			return "Ablation: FC output slew-rate limit", c.Err()
 		}},
 		{"ablation_aggregation.csv", func(w io.Writer) (string, error) {
-			rows, err := exp.AggregationAblation(ctx, 1, []int{1, 2, 4, 8})
+			rows, err := exp.AggregationAblation(ctx, 1)
 			if err != nil {
 				return "", err
 			}
@@ -151,11 +151,11 @@ func artifacts(ctx context.Context) []artifact {
 			return "Ablation: idle aggregation", c.Err()
 		}},
 		{"ablation_bounds.txt", text(func(w io.Writer) error {
-			offline, online, err := exp.OfflineOracleDP(1, 48)
+			offline, online, err := exp.OfflineOracleDP(ctx, 1, 48)
 			if err != nil {
 				return err
 			}
-			ba, fc, err := exp.BatteryAwareAblation(1)
+			ba, fc, err := exp.BatteryAwareAblation(ctx, 1)
 			if err != nil {
 				return err
 			}
@@ -167,7 +167,7 @@ func artifacts(ctx context.Context) []artifact {
 		})},
 		{"hydrogen.txt", text(func(w io.Writer) error { return renderHydrogen(ctx, w, 1, 10) })},
 		{"ablation_flat_bound.txt", text(func(w io.Writer) error {
-			flat, fc, err := exp.FlatOracle(1)
+			flat, fc, err := exp.FlatOracle(ctx, 1)
 			if err != nil {
 				return err
 			}
@@ -176,7 +176,7 @@ func artifacts(ctx context.Context) []artifact {
 			return err
 		})},
 		{"multiseed.txt", text(func(w io.Writer) error {
-			sum, err := exp.MultiSeed(ctx, 1, 5)
+			sum, err := exp.MultiSeed(ctx)
 			if err != nil {
 				return err
 			}
@@ -185,9 +185,9 @@ func artifacts(ctx context.Context) []artifact {
 				100*sum.SavingVsASAP.Mean, 100*sum.SavingVsASAP.Stddev)
 			return err
 		})},
-		{"dvs_companion.txt", text(renderDVS)},
+		{"dvs_companion.txt", text(func(w io.Writer) error { return renderDVS(ctx, w) })},
 		{"experiment4.txt", text(func(w io.Writer) error {
-			cmp, err := exp.Experiment4(4)
+			cmp, err := exp.Experiment4(ctx, 4)
 			if err != nil {
 				return err
 			}
@@ -215,7 +215,7 @@ func artifacts(ctx context.Context) []artifact {
 			return "Fig 3 as SVG", c.svg(w)
 		}},
 		{"fig7.svg", func(w io.Writer) (string, error) {
-			c, err := fig7Chart(1, fig7Window)
+			c, err := fig7Chart(ctx, 1, fig7Window)
 			if err != nil {
 				return "", err
 			}
@@ -337,11 +337,11 @@ func renderHydrogen(ctx context.Context, w io.Writer, seed uint64, grams float64
 // renderDVS prints the companion study of the authors' prior work [10]:
 // fuel against processor speed for a periodic task under both source
 // policies, and the speed each objective picks.
-func renderDVS(w io.Writer) error {
+func renderDVS(ctx context.Context, w io.Writer) error {
 	proc := dvs.XScale600()
 	proc.LeakPower = 1.1 // enough leakage that racing to idle can pay
 	task := dvs.Task{Cycles: 3e8, Period: 4, Jobs: 50}
-	study, err := exp.RunDVSStudy(proc, task)
+	study, err := exp.RunDVSStudy(ctx, proc, task)
 	if err != nil {
 		return err
 	}
@@ -418,8 +418,8 @@ const fig7Window = 300
 
 // fig7Chart holds the first window seconds of Experiment 1's load and
 // FC output profiles.
-func fig7Chart(seed uint64, window float64) (chart, error) {
-	fig, err := exp.Fig7(seed, window)
+func fig7Chart(ctx context.Context, seed uint64, window float64) (chart, error) {
+	fig, err := exp.Fig7(ctx, seed, window)
 	if err != nil {
 		return chart{}, err
 	}
@@ -447,9 +447,9 @@ func fig7Chart(seed uint64, window float64) (chart, error) {
 }
 
 // fig7CSV renders one curve of the Fig 7 chart as its own CSV.
-func fig7CSV(i int, what, column string) func(io.Writer) (string, error) {
+func fig7CSV(ctx context.Context, i int, what, column string) func(io.Writer) (string, error) {
 	return func(w io.Writer) (string, error) {
-		c, err := fig7Chart(1, fig7Window)
+		c, err := fig7Chart(ctx, 1, fig7Window)
 		if err != nil {
 			return "", err
 		}
@@ -529,7 +529,7 @@ func cmdHydrogen(ctx context.Context, args []string) error {
 	return renderHydrogen(ctx, os.Stdout, *seed, *grams)
 }
 
-func cmdPlot(args []string) error {
+func cmdPlot(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("plot", flag.ContinueOnError)
 	what := fs.String("what", "fig7", "chart: fig7, fig2, or fig3")
 	seed := fs.Uint64("seed", 1, "trace seed (fig7)")
@@ -542,7 +542,7 @@ func cmdPlot(args []string) error {
 	var err error
 	switch *what {
 	case "fig7":
-		c, err = fig7Chart(*seed, *window)
+		c, err = fig7Chart(ctx, *seed, *window)
 	case "fig2":
 		c = fig2Chart()
 	case "fig3":

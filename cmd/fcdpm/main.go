@@ -98,13 +98,13 @@ func run(ctx context.Context, args []string) error {
 	case "sweep":
 		return cmdSweep(ctx, rest)
 	case "oracle":
-		return cmdOracle(rest)
+		return cmdOracle(ctx, rest)
 	case "hydrogen":
 		return cmdHydrogen(ctx, rest)
 	case "levels":
 		return cmdLevels(ctx, rest)
 	case "plot":
-		return cmdPlot(rest)
+		return cmdPlot(ctx, rest)
 	case "runfile":
 		return cmdRunFile(ctx, rest)
 	case "faults":
@@ -112,7 +112,7 @@ func run(ctx context.Context, args []string) error {
 	case "stats":
 		return cmdStats(rest)
 	case "verify":
-		return cmdVerify(rest)
+		return cmdVerify(ctx, rest)
 	case "ablate":
 		return cmdAblate(ctx, rest)
 	case "advise":

@@ -4,10 +4,15 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"fcdpm/internal/server"
 )
 
 func TestRunDispatch(t *testing.T) {
@@ -345,6 +350,46 @@ func TestBatchJournalResumeFollowsOperands(t *testing.T) {
 	write("a.json", "conv")
 	if got, want := batchRows("-journal", journal, b, a), batchRows(b, a); !bytes.Equal(got, want) {
 		t.Fatalf("resumed rows after an in-place edit differ from a fresh run:\n%s\nwant\n%s", got, want)
+	}
+}
+
+// TestBatchRowOfUnnamedSpecMatchesServedBody: `batch -rows` of an
+// unnamed spec writes the body `serve` answers for it, so a row follows
+// from the spec alone and not from its operand position.
+func TestBatchRowOfUnnamedSpecMatchesServedBody(t *testing.T) {
+	const spec = `{"trace":{"kind":"synthetic","seed":6,"duration":120}}`
+	dir := t.TempDir()
+	path, rows := filepath.Join(dir, "unnamed.json"), filepath.Join(dir, "rows.ndjson")
+	if err := os.WriteFile(path, []byte(spec), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	captureStdout(t, func() {
+		if err := run(context.Background(), []string{"batch", "-rows", rows, path}); err != nil {
+			t.Fatalf("batch: %v", err)
+		}
+	})
+	got, err := os.ReadFile(rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	srv, err := server.New(server.Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer func() { ts.Close(); srv.Close() }()
+	resp, err := http.Post(ts.URL+"/v1/runs", "application/json", strings.NewReader(spec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	want, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != 200 {
+		t.Fatalf("POST: %d %v %s", resp.StatusCode, err, want)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("batch row differs from the served body:\n%s\n%s", got, want)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"flag"
 
 	"fcdpm/internal/config"
-	"fcdpm/internal/exp"
 	"fcdpm/internal/runner"
 )
 
@@ -61,19 +60,6 @@ func (pf *poolFlags) options() runner.Options {
 		Workers: *pf.workers,
 		Timeout: secondsFlag(*pf.timeout),
 		Retries: *pf.retries,
-	}
-	if pf.journal != nil {
-		o.Journal = *pf.journal
-	}
-	return o
-}
-
-// sweepOptions maps the flags onto the fault-sweep facade options.
-func (pf *poolFlags) sweepOptions() exp.FaultSweepOptions {
-	o := exp.FaultSweepOptions{
-		Workers:    *pf.workers,
-		TimeoutSec: *pf.timeout,
-		Retries:    *pf.retries,
 	}
 	if pf.journal != nil {
 		o.Journal = *pf.journal

@@ -83,7 +83,7 @@ func oracleRow(spec json.RawMessage) ([]byte, error) {
 		return nil, err
 	}
 	row := runreport.Execute(context.Background(), version.Engine(),
-		[]runreport.Cell{{Spec: scen, Name: scen.Name, Key: key}}, nil, nil)[0]
+		[]runreport.Cell{{Spec: scen, Key: key}}, nil, nil)[0]
 	return row.Body, row.Err
 }
 

@@ -125,7 +125,7 @@ func cacheKey(t *testing.T, s *config.Scenario) string {
 // render runs s through the serving path's seam and returns its body,
 // rendered under a fixed key so bodies compare by simulation alone.
 func render(s *config.Scenario) ([]byte, error) {
-	row := runreport.Execute(context.Background(), "fuzz", []runreport.Cell{{Spec: s, Name: s.Name, Key: "fuzz"}}, nil, nil)[0]
+	row := runreport.Execute(context.Background(), "fuzz", []runreport.Cell{{Spec: s, Key: "fuzz"}}, nil, nil)[0]
 	return row.Body, row.Err
 }
 

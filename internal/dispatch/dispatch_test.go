@@ -18,7 +18,6 @@ import (
 	"fcdpm/internal/client"
 	"fcdpm/internal/config"
 	"fcdpm/internal/runreport"
-	"fcdpm/internal/sim"
 	"fcdpm/internal/version"
 )
 
@@ -29,7 +28,7 @@ func scenarioJSON(name string, seed int) json.RawMessage {
 		name, seed))
 }
 
-// renderLocally computes the row the fabric must produce for spec —
+// renderLocally computes the row `fcdpm batch -rows` writes for spec —
 // the byte-identity oracle every test compares against.
 func renderLocally(t *testing.T, spec json.RawMessage) []byte {
 	t.Helper()
@@ -41,19 +40,11 @@ func renderLocally(t *testing.T, spec json.RawMessage) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg, err := scen.Build()
-	if err != nil {
-		t.Fatal(err)
+	row := runreport.Execute(context.Background(), version.Engine(), []runreport.Cell{{Spec: scen, Key: key}}, nil, nil)[0]
+	if row.Err != nil {
+		t.Fatal(row.Err)
 	}
-	res, err := sim.RunContext(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, err := runreport.Render(scen.Name, key, version.Engine(), res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return body
+	return row.Body
 }
 
 func newTestDispatcher(t *testing.T, opts Options) (*Dispatcher, *httptest.Server) {
@@ -151,6 +142,32 @@ func TestSweepEndToEnd(t *testing.T) {
 	}
 	if n := w.metrics.executed.Value(); n != 3 {
 		t.Fatalf("resubmission re-simulated: executed %v, want 3", n)
+	}
+}
+
+// TestUnnamedShardRowMatchesLocal: the row of an unnamed spec's shard
+// is the row a local run of the spec writes, wherever the spec sits in
+// its sweep.
+func TestUnnamedShardRowMatchesLocal(t *testing.T) {
+	_, ts := newTestDispatcher(t, Options{LeaseTTL: time.Second})
+	startTestWorker(t, "w1", ts.URL, 1)
+	unnamed := json.RawMessage(`{"trace":{"kind":"synthetic","seed":13,"duration":60}}`)
+	rows := filepath.Join(t.TempDir(), "rows.ndjson")
+	err := SubmitSweep(context.Background(), ClientOptions{Base: ts.URL, Rows: rows, Logf: t.Logf},
+		SweepRequest{Name: "unnamed", Scenarios: []json.RawMessage{scenarioJSON("first", 1), unnamed}})
+	if err != nil {
+		t.Fatalf("SubmitSweep: %v", err)
+	}
+	got, err := os.ReadFile(rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.Split(bytes.TrimSuffix(got, []byte("\n")), []byte("\n"))
+	if len(lines) != 2 {
+		t.Fatalf("got %d rows, want 2:\n%s", len(lines), got)
+	}
+	if want := renderLocally(t, unnamed); !bytes.Equal(lines[1], want) {
+		t.Fatalf("remote row of the unnamed shard differs from the local row:\n%s\n%s", lines[1], want)
 	}
 }
 

@@ -1,6 +1,7 @@
 package dispatch
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
 	"strings"
@@ -72,10 +73,20 @@ func (a *countdownAF) Append(b []byte) error {
 func (a *countdownAF) Truncate(size int64) error { return a.inner.Truncate(size) }
 func (a *countdownAF) Close() error              { return a.inner.Close() }
 
-// fakeClock is a mutable time source for Options.Now.
+// fakeClock is a mutable time source: Options.Now for a dispatcher,
+// and a runner.Clock for a worker, whose sleeps end only when Advance
+// moves the clock past them.
 type fakeClock struct {
-	mu  sync.Mutex
-	now time.Time
+	mu     sync.Mutex
+	now    time.Time
+	sleeps []*fakeSleep
+}
+
+// fakeSleep is one pending Sleep: its wake instant and the channel
+// Advance closes when the clock reaches it.
+type fakeSleep struct {
+	until time.Time
+	done  chan struct{}
 }
 
 func (c *fakeClock) Now() time.Time {
@@ -84,10 +95,50 @@ func (c *fakeClock) Now() time.Time {
 	return c.now
 }
 
+func (c *fakeClock) Sleep(ctx context.Context, d time.Duration) error {
+	if d <= 0 || ctx.Err() != nil {
+		return ctx.Err()
+	}
+	c.mu.Lock()
+	s := &fakeSleep{until: c.now.Add(d), done: make(chan struct{})}
+	c.sleeps = append(c.sleeps, s)
+	c.mu.Unlock()
+	select {
+	case <-s.done:
+		return nil
+	case <-ctx.Done():
+		c.mu.Lock()
+		for i, p := range c.sleeps {
+			if p == s {
+				c.sleeps = append(c.sleeps[:i], c.sleeps[i+1:]...)
+				break
+			}
+		}
+		c.mu.Unlock()
+		return ctx.Err()
+	}
+}
+
+// sleeping counts the goroutines blocked in Sleep.
+func (c *fakeClock) sleeping() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.sleeps)
+}
+
 func (c *fakeClock) Advance(d time.Duration) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.now = c.now.Add(d)
+	pending := c.sleeps[:0]
+	for _, s := range c.sleeps {
+		if c.now.Before(s.until) {
+			pending = append(pending, s)
+		} else {
+			close(s.done)
+		}
+	}
+	c.sleeps = pending
 }
 
 // TestDispatcherFakeClock pins the clock-injection contract: every

@@ -131,6 +131,11 @@ type Worker struct {
 	// shedUntil pauses leasing after a disk-full spool write: until this
 	// instant the lease loop sleeps instead of polling.
 	shedUntil time.Time
+	// hbDue marks a lease granted since the last heartbeat, and wakeHB
+	// cuts the heartbeat loop's current sleep short, so pickup is
+	// confirmed at once and the cadence follows the granted TTL.
+	hbDue  bool
+	wakeHB context.CancelFunc
 
 	// slotFree pulses when a lease releases, waking the lease loop.
 	slotFree chan struct{}
@@ -165,7 +170,10 @@ func NewWorker(opts WorkerOptions) (*Worker, error) {
 		// The dispatcher owns retry and quarantine policy; a worker that
 		// silently skipped shards via a local breaker would wedge leases.
 		BreakerThreshold: -1,
-		Metrics:          w.metrics.pool,
+		// The daemon never reads per-shard outcomes (results travel by
+		// push), and retaining one per shard would grow for its lifetime.
+		StreamOutcomes: true,
+		Metrics:        w.metrics.pool,
 	})
 	if err != nil {
 		cancel()
@@ -309,6 +317,10 @@ func (w *Worker) start(sh Shard) {
 	if ttl := time.Duration(sh.TTLMs) * time.Millisecond; ttl > 0 {
 		w.ttl = ttl
 	}
+	w.hbDue = true
+	if w.wakeHB != nil {
+		w.wakeHB()
+	}
 	w.mu.Unlock()
 	err := w.pool.Submit(runner.Task[struct{}]{
 		ID:       sh.Lease,
@@ -344,7 +356,7 @@ func (w *Worker) execute(ctx context.Context, sh Shard) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("shard %s: %w", sh.RunID, err)
 	}
-	row := runreport.Execute(ctx, w.engine, []runreport.Cell{{Spec: spec, Name: sh.Name, Key: sh.Key}}, w.metrics.sim, nil)[0]
+	row := runreport.Execute(ctx, w.engine, []runreport.Cell{{Spec: spec, Key: sh.Key}}, w.metrics.sim, nil)[0]
 	return row.Body, row.Err
 }
 
@@ -423,18 +435,25 @@ func (w *Worker) release(act *activeShard) {
 	}
 }
 
-// heartbeatLoop renews held leases a few times per TTL. Leases the
-// dispatcher reports lost are canceled locally — the shard was
-// reclaimed and re-dispatched, so finishing it here is wasted work.
+// heartbeatLoop renews held leases a few times per TTL, and at once
+// when a lease is granted: the first heartbeat confirms pickup, and a
+// worker that has just learned a shorter TTL must not wait out a period
+// sized for the default. Leases the dispatcher reports lost are
+// canceled locally — the shard was reclaimed and re-dispatched, so
+// finishing it here is wasted work.
 func (w *Worker) heartbeatLoop(ctx context.Context) {
 	for {
 		w.mu.Lock()
-		tick := w.ttl / 3
-		w.mu.Unlock()
-		if tick < 100*time.Millisecond {
-			tick = 100 * time.Millisecond
+		tick := max(w.ttl/3, 100*time.Millisecond)
+		sleepCtx, wake := context.WithCancel(ctx)
+		if w.hbDue {
+			wake()
 		}
-		if !w.sleep(ctx, tick) {
+		w.hbDue, w.wakeHB = false, wake
+		w.mu.Unlock()
+		w.opts.Clock.Sleep(sleepCtx, tick)
+		wake()
+		if ctx.Err() != nil {
 			return
 		}
 		w.mu.Lock()

@@ -26,7 +26,7 @@ func TestCompareBatchesCloneableAdapter(t *testing.T) {
 	sc.TimeoutAdapter = adapter
 
 	policies := sc.Policies()
-	cmp, err := sc.CompareContext(context.Background(), policies)
+	cmp, err := sc.Compare(context.Background(), policies)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestCompareBatchesCloneableAdapter(t *testing.T) {
 			t.Fatal(err)
 		}
 		solo.TimeoutAdapter = soloAdapter
-		want, err := solo.runOne(solo.Policies()[i])
+		want, err := solo.run(context.Background(), solo.Policies()[i])
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -18,7 +18,7 @@ func TestSweepHonorsCanceledContext(t *testing.T) {
 	cancel()
 
 	start := time.Now()
-	rows, err := BetaSweep(ctx, 1, []float64{0, 0.05, 0.13, 0.25})
+	rows, err := BetaSweep(ctx, 1)
 	elapsed := time.Since(start)
 
 	if err == nil {
@@ -28,22 +28,22 @@ func TestSweepHonorsCanceledContext(t *testing.T) {
 		t.Fatalf("BetaSweep(canceled) error = %v; want context.Canceled or ErrInterrupted", err)
 	}
 	// "Promptly" here just means it did not simulate the whole sweep: a full
-	// four-point sweep takes seconds, aborting takes milliseconds.
+	// six-point sweep takes seconds, aborting takes milliseconds.
 	if elapsed > 5*time.Second {
 		t.Fatalf("canceled sweep still took %s", elapsed)
 	}
 }
 
-// CompareContext must propagate cancellation on the serial path too (the
-// timeout-adapter path bypasses the run engine).
-func TestCompareContextCanceledSerial(t *testing.T) {
+// Compare must propagate cancellation when it runs outside the run
+// engine, as a single batch walk.
+func TestCompareCanceled(t *testing.T) {
 	sc, err := Experiment1Scenario(1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := sc.CompareContext(ctx, sc.Policies()[:1]); err == nil {
-		t.Fatal("CompareContext(canceled) on the serial path returned nil error")
+	if _, err := sc.Compare(ctx, sc.Policies()[:1]); err == nil {
+		t.Fatal("Compare(canceled) returned nil error")
 	}
 }

@@ -3,7 +3,6 @@ package exp
 import (
 	"context"
 	"math"
-	"sync"
 
 	"fcdpm/internal/device"
 )
@@ -25,31 +24,23 @@ type Check struct {
 // bands for the trace-driven tables — see EXPERIMENTS.md for the
 // rationale behind each band). The checks are independent and run
 // concurrently.
-func Conformance(seed uint64) ([]Check, error) {
-	jobs := []func() ([]Check, error){
-		func() ([]Check, error) { return motivationalChecks() },
-		func() ([]Check, error) { return table2Checks(seed) },
-		func() ([]Check, error) { return table3Checks(seed + 1) },
-		func() ([]Check, error) { return figureChecks() },
-		func() ([]Check, error) { return deviceChecks() },
+func Conformance(ctx context.Context, seed uint64) ([]Check, error) {
+	jobs := []func(context.Context) ([]Check, error){
+		func(context.Context) ([]Check, error) { return motivationalChecks() },
+		func(ctx context.Context) ([]Check, error) { return table2Checks(ctx, seed) },
+		func(ctx context.Context) ([]Check, error) { return table3Checks(ctx, seed+1) },
+		func(context.Context) ([]Check, error) { return figureChecks() },
+		func(context.Context) ([]Check, error) { return deviceChecks() },
 	}
-	results := make([][]Check, len(jobs))
-	errs := make([]error, len(jobs))
-	var wg sync.WaitGroup
-	for i, fn := range jobs {
-		wg.Add(1)
-		go func(i int, fn func() ([]Check, error)) {
-			defer wg.Done()
-			results[i], errs[i] = fn()
-		}(i, fn)
+	parts, err := fanOut(ctx, "conformance", jobs, func(ctx context.Context, job func(context.Context) ([]Check, error)) ([]Check, error) {
+		return job(ctx)
+	})
+	if err != nil {
+		return nil, err
 	}
-	wg.Wait()
 	var out []Check
-	for i := range jobs {
-		if errs[i] != nil {
-			return nil, errs[i]
-		}
-		out = append(out, results[i]...)
+	for _, p := range parts {
+		out = append(out, p...)
 	}
 	for i := range out {
 		out[i].Pass = out[i].Measured >= out[i].Lo-1e-12 && out[i].Measured <= out[i].Hi+1e-12
@@ -82,8 +73,8 @@ func motivationalChecks() ([]Check, error) {
 	}, nil
 }
 
-func table2Checks(seed uint64) ([]Check, error) {
-	cmp, err := Experiment1(context.TODO(), seed)
+func table2Checks(ctx context.Context, seed uint64) ([]Check, error) {
+	cmp, err := Experiment1(ctx, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -96,12 +87,12 @@ func table2Checks(seed uint64) ([]Check, error) {
 	}, nil
 }
 
-func table3Checks(seed uint64) ([]Check, error) {
-	cmp2, err := Experiment2(context.TODO(), seed)
+func table3Checks(ctx context.Context, seed uint64) ([]Check, error) {
+	cmp2, err := Experiment2(ctx, seed)
 	if err != nil {
 		return nil, err
 	}
-	cmp1, err := Experiment1(context.TODO(), seed)
+	cmp1, err := Experiment1(ctx, seed)
 	if err != nil {
 		return nil, err
 	}

@@ -1,9 +1,12 @@
 package exp
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 func TestConformanceSuitePasses(t *testing.T) {
-	checks, err := Conformance(1)
+	checks, err := Conformance(context.Background(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +44,7 @@ func TestConformanceAcrossSeeds(t *testing.T) {
 	// The bands must hold for other trace seeds too — the reproduction is
 	// not tuned to one trace.
 	for _, seed := range []uint64{2, 3} {
-		checks, err := Conformance(seed)
+		checks, err := Conformance(context.Background(), seed)
 		if err != nil {
 			t.Fatal(err)
 		}

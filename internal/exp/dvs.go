@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 
 	"fcdpm/internal/device"
@@ -50,7 +51,7 @@ func dvsDevice() *device.Model {
 }
 
 // RunDVSStudy executes the study for the given processor and task.
-func RunDVSStudy(proc *dvs.Processor, task dvs.Task) (*DVSStudy, error) {
+func RunDVSStudy(ctx context.Context, proc *dvs.Processor, task dvs.Task) (*DVSStudy, error) {
 	if err := proc.Validate(); err != nil {
 		return nil, err
 	}
@@ -72,7 +73,7 @@ func RunDVSStudy(proc *dvs.Processor, task dvs.Task) (*DVSStudy, error) {
 			return nil, err
 		}
 		run := func(p sim.Policy) (*sim.Result, error) {
-			return sim.Run(sim.Config{
+			return sim.RunContext(ctx, sim.Config{
 				Sys: sys, Dev: dev,
 				Store:  storage.MustSuperCap(6, 1),
 				Trace:  trace,

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"testing"
 
 	"fcdpm/internal/dvs"
@@ -11,7 +12,7 @@ func dvsTask() dvs.Task { return dvs.Task{Cycles: 3e8, Period: 4, Jobs: 50} }
 func TestRunDVSStudy(t *testing.T) {
 	proc := dvs.XScale600()
 	proc.LeakPower = 1.1 // interior energy optimum
-	study, err := RunDVSStudy(proc, dvsTask())
+	study, err := RunDVSStudy(context.Background(), proc, dvsTask())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,13 +44,13 @@ func TestRunDVSStudy(t *testing.T) {
 
 func TestRunDVSStudyInfeasible(t *testing.T) {
 	proc := dvs.XScale600()
-	if _, err := RunDVSStudy(proc, dvs.Task{Cycles: 1e12, Period: 0.01, Jobs: 1}); err == nil {
+	if _, err := RunDVSStudy(context.Background(), proc, dvs.Task{Cycles: 1e12, Period: 0.01, Jobs: 1}); err == nil {
 		t.Fatal("infeasible task accepted")
 	}
-	if _, err := RunDVSStudy(proc, dvs.Task{}); err == nil {
+	if _, err := RunDVSStudy(context.Background(), proc, dvs.Task{}); err == nil {
 		t.Fatal("invalid task accepted")
 	}
-	if _, err := RunDVSStudy(&dvs.Processor{}, dvsTask()); err == nil {
+	if _, err := RunDVSStudy(context.Background(), &dvs.Processor{}, dvsTask()); err == nil {
 		t.Fatal("invalid processor accepted")
 	}
 }

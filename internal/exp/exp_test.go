@@ -222,7 +222,7 @@ func TestFig3Series(t *testing.T) {
 }
 
 func TestFig7Profiles(t *testing.T) {
-	fig, err := Fig7(1, 300)
+	fig, err := Fig7(context.Background(), 1, 300)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,43 +273,40 @@ func TestFig7Profiles(t *testing.T) {
 }
 
 func TestCapacitySweep(t *testing.T) {
-	pts, err := CapacitySweep(context.Background(), 1, []float64{0.5, 6, 60})
+	pts, err := CapacitySweep(context.Background(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pts) != 3 {
+	if len(pts) != 7 {
 		t.Fatalf("len = %d", len(pts))
 	}
 	// A starved buffer cannot flatten: saving grows with capacity.
-	if !(pts[0].SavingVsASAP < pts[2].SavingVsASAP) {
-		t.Errorf("saving should grow with capacity: %v vs %v",
-			pts[0].SavingVsASAP, pts[2].SavingVsASAP)
-	}
-	if _, err := CapacitySweep(context.Background(), 1, []float64{0}); err == nil {
-		t.Error("zero capacity accepted")
+	if first, last := pts[0], pts[len(pts)-1]; !(first.SavingVsASAP < last.SavingVsASAP) {
+		t.Errorf("saving should grow with capacity: %v at %v A-s vs %v at %v A-s",
+			first.SavingVsASAP, first.X, last.SavingVsASAP, last.X)
 	}
 }
 
 func TestBetaSweep(t *testing.T) {
-	pts, err := BetaSweep(context.Background(), 1, []float64{0, 0.13})
+	pts, err := BetaSweep(context.Background(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// With a flat efficiency (β=0) the fuel map is linear and flattening
 	// buys nothing; savings should be (near) zero and grow with β.
-	if math.Abs(pts[0].SavingVsASAP) > 0.03 {
-		t.Errorf("β=0 saving = %v, want ≈0", pts[0].SavingVsASAP)
+	if pts[0].X != 0 || math.Abs(pts[0].SavingVsASAP) > 0.03 {
+		t.Errorf("β=%v saving = %v, want β=0 and ≈0", pts[0].X, pts[0].SavingVsASAP)
 	}
-	if pts[1].SavingVsASAP <= pts[0].SavingVsASAP {
-		t.Errorf("saving should grow with β: %v vs %v", pts[0].SavingVsASAP, pts[1].SavingVsASAP)
-	}
-	if _, err := BetaSweep(context.Background(), 1, []float64{-0.1}); err == nil {
-		t.Error("negative beta accepted")
+	for i := 1; i < len(pts); i++ {
+		if pts[i].SavingVsASAP <= pts[i-1].SavingVsASAP {
+			t.Errorf("saving should grow with β: %v at β=%v vs %v at β=%v",
+				pts[i-1].SavingVsASAP, pts[i-1].X, pts[i].SavingVsASAP, pts[i].X)
+		}
 	}
 }
 
 func TestRhoSweep(t *testing.T) {
-	pts, err := RhoSweep(context.Background(), 1, []float64{0, 0.5, 1})
+	pts, err := RhoSweep(context.Background(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,9 +314,6 @@ func TestRhoSweep(t *testing.T) {
 		if p.SavingVsASAP <= 0 {
 			t.Errorf("ρ=%v: FC-DPM should still beat ASAP (saving %v)", p.X, p.SavingVsASAP)
 		}
-	}
-	if _, err := RhoSweep(context.Background(), 1, []float64{2}); err == nil {
-		t.Error("rho out of range accepted")
 	}
 }
 
@@ -354,7 +348,7 @@ func TestPredictorAblation(t *testing.T) {
 }
 
 func TestConstantEtaAblation(t *testing.T) {
-	linear, constant, err := ConstantEtaAblation(1)
+	linear, constant, err := ConstantEtaAblation(context.Background(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +364,7 @@ func TestConstantEtaAblation(t *testing.T) {
 }
 
 func TestStorageModelAblation(t *testing.T) {
-	super, liion, err := StorageModelAblation(1)
+	super, liion, err := StorageModelAblation(context.Background(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -409,7 +403,7 @@ func TestDPMModeAblation(t *testing.T) {
 }
 
 func TestFlatOracleBound(t *testing.T) {
-	flat, fcdpm, err := FlatOracle(1)
+	flat, fcdpm, err := FlatOracle(context.Background(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -439,7 +433,7 @@ func TestCompareRequiresPolicies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sc.Compare(nil); err == nil {
+	if _, err := sc.Compare(context.Background(), nil); err == nil {
 		t.Fatal("empty policy list accepted")
 	}
 }

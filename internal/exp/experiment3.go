@@ -44,7 +44,7 @@ func Experiment3(ctx context.Context, seed uint64) (*Comparison, error) {
 	if err != nil {
 		return nil, err
 	}
-	return sc.CompareContext(ctx, sc.Policies())
+	return sc.Compare(ctx, sc.Policies())
 }
 
 // DPMRow is one device-side sleep policy's outcome under FC-DPM.
@@ -68,7 +68,7 @@ func Experiment3DPM(ctx context.Context, seed uint64) ([]DPMRow, error) {
 			return DPMRow{}, err
 		}
 		sc.DPM = mode
-		res, err := sc.runOneCtx(ctx, policy.NewFCDPM(sc.Sys, sc.Dev))
+		res, err := sc.run(ctx, policy.NewFCDPM(sc.Sys, sc.Dev))
 		if err != nil {
 			return DPMRow{}, fmt.Errorf("exp: experiment 3 %s: %w", mode, err)
 		}
@@ -94,7 +94,7 @@ func Experiment3DPM(ctx context.Context, seed uint64) ([]DPMRow, error) {
 		return nil, err
 	}
 	sc.TimeoutAdapter = adapter
-	res, err := sc.runOneCtx(ctx, policy.NewFCDPM(sc.Sys, sc.Dev))
+	res, err := sc.run(ctx, policy.NewFCDPM(sc.Sys, sc.Dev))
 	if err != nil {
 		return nil, fmt.Errorf("exp: experiment 3 adaptive timeout: %w", err)
 	}

@@ -1,6 +1,8 @@
 package exp
 
 import (
+	"context"
+
 	"fcdpm/internal/device"
 	"fcdpm/internal/fuelcell"
 	"fcdpm/internal/storage"
@@ -49,10 +51,10 @@ func Experiment4Scenario(seed uint64) (*Scenario, error) {
 }
 
 // Experiment4 compares the three source policies on the disk platform.
-func Experiment4(seed uint64) (*Comparison, error) {
+func Experiment4(ctx context.Context, seed uint64) (*Comparison, error) {
 	sc, err := Experiment4Scenario(seed)
 	if err != nil {
 		return nil, err
 	}
-	return sc.Compare(sc.Policies())
+	return sc.Compare(ctx, sc.Policies())
 }

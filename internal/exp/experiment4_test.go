@@ -1,10 +1,13 @@
 package exp
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 func TestExperiment4Ordering(t *testing.T) {
 	for _, seed := range []uint64{4, 5, 6} {
-		cmp, err := Experiment4(seed)
+		cmp, err := Experiment4(context.Background(), seed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -33,7 +36,7 @@ func TestExperiment4Ordering(t *testing.T) {
 }
 
 func TestExperiment4SleepsThroughTails(t *testing.T) {
-	cmp, err := Experiment4(4)
+	cmp, err := Experiment4(context.Background(), 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -80,14 +80,9 @@ func (sc *Scenario) Policies() []sim.Policy {
 	}
 }
 
-// runOne executes a single policy over the scenario.
-func (sc *Scenario) runOne(p sim.Policy) (*sim.Result, error) {
-	return sc.runOneCtx(context.Background(), p)
-}
-
-// runOneCtx is runOne under a context: cancellation stops the simulation
-// between slots.
-func (sc *Scenario) runOneCtx(ctx context.Context, p sim.Policy) (*sim.Result, error) {
+// run executes a single policy over the scenario; cancellation stops
+// the simulation between slots.
+func (sc *Scenario) run(ctx context.Context, p sim.Policy) (*sim.Result, error) {
 	return sim.RunContext(ctx, sc.simConfig(p))
 }
 
@@ -118,21 +113,14 @@ func (sc *Scenario) simConfig(p sim.Policy) sim.Config {
 
 // Compare runs the given policies over the scenario and builds the
 // comparison table, normalizing against the first policy (Conv-DPM by
-// convention).
-func (sc *Scenario) Compare(policies []sim.Policy) (*Comparison, error) {
-	return sc.CompareContext(context.Background(), policies)
-}
-
-// CompareContext is Compare under a context: cancellation interrupts
-// the run engine, so a comparison launched from a server handler or an
-// interrupted CLI stops promptly.
+// convention). Cancellation stops the walk between slots.
 //
-// The rows share one trace, so they batch into a single BatchRunner
-// walk, and the fuel-map memo is shared across all of them. A timeout
-// adapter is cloned per row, so every row adapts on its own from the
-// same learned state. Lane order is submission order, keeping the table
-// rows (and the Conv-DPM normalization base) deterministic.
-func (sc *Scenario) CompareContext(ctx context.Context, policies []sim.Policy) (*Comparison, error) {
+// The rows share one trace, so they run as one batch and share the
+// fuel-map memo. A timeout adapter is cloned per row, so every row
+// adapts on its own from the same learned state. Lane order is
+// submission order, keeping the table rows (and the Conv-DPM
+// normalization base) deterministic.
+func (sc *Scenario) Compare(ctx context.Context, policies []sim.Policy) (*Comparison, error) {
 	if len(policies) == 0 {
 		return nil, fmt.Errorf("exp: no policies to compare")
 	}
@@ -144,22 +132,34 @@ func (sc *Scenario) CompareContext(ctx context.Context, policies []sim.Policy) (
 		}
 		lanes[i] = sim.Lane{Cfg: cfg}
 	}
-	b, err := sim.NewBatchRunner(lanes)
+	results, err := runBatch(ctx, lanes, func(i int) string { return policies[i].Name() })
 	if err != nil {
 		return nil, fmt.Errorf("exp: %s: %w", sc.Name, err)
+	}
+	return buildComparison(sc.Name, results), nil
+}
+
+// runBatch walks lanes that share one trace as a single
+// sim.BatchRunner batch and returns their results in lane order, or
+// the first error: the batch's own, or the first failed lane's,
+// prefixed with its label.
+func runBatch(ctx context.Context, lanes []sim.Lane, label func(i int) string) ([]*sim.Result, error) {
+	b, err := sim.NewBatchRunner(lanes)
+	if err != nil {
+		return nil, err
 	}
 	out, err := b.RunContext(ctx)
 	if err != nil {
-		return nil, fmt.Errorf("exp: %s: %w", sc.Name, err)
+		return nil, err
 	}
-	results := make([]*sim.Result, len(policies))
+	results := make([]*sim.Result, len(out))
 	for i, lr := range out {
 		if lr.Err != nil {
-			return nil, fmt.Errorf("exp: %s / %s: %w", sc.Name, policies[i].Name(), lr.Err)
+			return nil, fmt.Errorf("%s: %w", label(i), lr.Err)
 		}
 		results[i] = lr.Res
 	}
-	return buildComparison(sc.Name, results), nil
+	return results, nil
 }
 
 // buildComparison assembles the comparison table from per-policy results,
@@ -217,8 +217,8 @@ func frozen(v float64) func() predict.Predictor {
 }
 
 // expAvg returns an exponential-average predictor factory. Callers pass
-// fixed in-range literals or pre-validated sweep parameters (see
-// rhoScenario), so construction cannot fail.
+// fixed in-range literals (RhoSweep's grid among them), so construction
+// cannot fail.
 func expAvg(rho, initial float64) func() predict.Predictor {
 	return func() predict.Predictor { return predict.MustExpAverage(rho, initial) }
 }
@@ -252,7 +252,7 @@ func Experiment1(ctx context.Context, seed uint64) (*Comparison, error) {
 	if err != nil {
 		return nil, err
 	}
-	return sc.CompareContext(ctx, sc.Policies())
+	return sc.Compare(ctx, sc.Policies())
 }
 
 // Experiment2Scenario builds the paper's Experiment 2: the synthetic
@@ -283,5 +283,5 @@ func Experiment2(ctx context.Context, seed uint64) (*Comparison, error) {
 	if err != nil {
 		return nil, err
 	}
-	return sc.CompareContext(ctx, sc.Policies())
+	return sc.Compare(ctx, sc.Policies())
 }

@@ -10,7 +10,6 @@ import (
 	"fcdpm/internal/numeric"
 	"fcdpm/internal/policy"
 	"fcdpm/internal/predict"
-	"fcdpm/internal/runner"
 	"fcdpm/internal/sim"
 	"fcdpm/internal/workload"
 )
@@ -26,16 +25,16 @@ type QuantizedRow struct {
 // QuantizedSweep runs Experiment 1's FC-DPM with discrete output-level
 // grids of increasing resolution (the multi-level configuration of [11])
 // against the continuous policy.
-func QuantizedSweep(ctx context.Context, seed uint64, levelCounts []int) ([]QuantizedRow, error) {
+func QuantizedSweep(ctx context.Context, seed uint64) ([]QuantizedRow, error) {
 	sc, err := Experiment1Scenario(seed)
 	if err != nil {
 		return nil, err
 	}
-	conv, err := sc.runOneCtx(ctx, policy.NewConv(sc.Sys))
+	conv, err := sc.run(ctx, policy.NewConv(sc.Sys))
 	if err != nil {
 		return nil, err
 	}
-	cont, err := sc.runOneCtx(ctx, policy.NewFCDPM(sc.Sys, sc.Dev))
+	cont, err := sc.run(ctx, policy.NewFCDPM(sc.Sys, sc.Dev))
 	if err != nil {
 		return nil, err
 	}
@@ -46,15 +45,12 @@ func QuantizedSweep(ctx context.Context, seed uint64, levelCounts []int) ([]Quan
 	}}
 	// The scenario is shared read-only across level runs (each run clones
 	// the storage and builds a fresh policy), so the levels fan out.
-	lvlRows, err := fanOut(ctx, "quantized", levelCounts, func(ctx context.Context, n int) (QuantizedRow, error) {
-		if n < 2 {
-			return QuantizedRow{}, fmt.Errorf("exp: level count %d < 2", n)
-		}
+	lvlRows, err := fanOut(ctx, "quantized", []int{2, 3, 4, 8, 16}, func(ctx context.Context, n int) (QuantizedRow, error) {
 		p, err := policy.NewFCDPMQuantized(sc.Sys, sc.Dev, fcopt.UniformLevels(sc.Sys, n))
 		if err != nil {
 			return QuantizedRow{}, err
 		}
-		res, err := sc.runOneCtx(ctx, p)
+		res, err := sc.run(ctx, p)
 		if err != nil {
 			return QuantizedRow{}, err
 		}
@@ -75,7 +71,7 @@ func QuantizedSweep(ctx context.Context, seed uint64, levelCounts []int) ([]Quan
 // capacity-constrained dynamic program and replays the schedule through
 // the simulator, returning (offline, online FC-DPM) results. It is the
 // true lower bound, tightening the flat-output bound of FlatOracle.
-func OfflineOracleDP(seed uint64, gridN int) (offline, online *sim.Result, err error) {
+func OfflineOracleDP(ctx context.Context, seed uint64, gridN int) (offline, online *sim.Result, err error) {
 	sc, err := Experiment1Scenario(seed)
 	if err != nil {
 		return nil, nil, err
@@ -113,10 +109,10 @@ func OfflineOracleDP(seed uint64, gridN int) (offline, online *sim.Result, err e
 	if err != nil {
 		return nil, nil, err
 	}
-	if offline, err = sc.runOne(policy.NewSchedule(sc.Sys, sched.Settings)); err != nil {
+	if offline, err = sc.run(ctx, policy.NewSchedule(sc.Sys, sched.Settings)); err != nil {
 		return nil, nil, err
 	}
-	if online, err = sc.runOne(policy.NewFCDPM(sc.Sys, sc.Dev)); err != nil {
+	if online, err = sc.run(ctx, policy.NewFCDPM(sc.Sys, sc.Dev)); err != nil {
 		return nil, nil, err
 	}
 	return offline, online, nil
@@ -131,20 +127,16 @@ func minF(a, b float64) float64 {
 
 // TimeoutAblation compares the predictive DPM against classic timeout DPM
 // (dwell = Tbe) under the FC-DPM source policy on Experiment 1.
-func TimeoutAblation(seed uint64) (predictive, timeout *sim.Result, err error) {
+func TimeoutAblation(ctx context.Context, seed uint64) (predictive, timeout *sim.Result, err error) {
 	sc, err := Experiment1Scenario(seed)
 	if err != nil {
 		return nil, nil, err
 	}
-	if predictive, err = sc.runOne(policy.NewFCDPM(sc.Sys, sc.Dev)); err != nil {
+	if predictive, err = sc.run(ctx, policy.NewFCDPM(sc.Sys, sc.Dev)); err != nil {
 		return nil, nil, err
 	}
-	sc2, err := Experiment1Scenario(seed)
-	if err != nil {
-		return nil, nil, err
-	}
-	sc2.DPM = sim.DPMTimeout
-	if timeout, err = sc2.runOne(policy.NewFCDPM(sc2.Sys, sc2.Dev)); err != nil {
+	sc.DPM = sim.DPMTimeout
+	if timeout, err = sc.run(ctx, policy.NewFCDPM(sc.Sys, sc.Dev)); err != nil {
 		return nil, nil, err
 	}
 	return predictive, timeout, nil
@@ -189,47 +181,23 @@ type SeedSummary struct {
 	SavingVsASAP numeric.Summary
 }
 
-// MultiSeed reruns Experiment 1 (which == 1) or Experiment 2 (which == 2)
-// across n seeds and summarizes the normalized-fuel metrics, giving the
-// reproduction error bars the paper's single trace cannot. Seeds run on
-// the run engine (bounded workers, panic isolation) — each run owns its
-// trace, storage clone, and policy state, so tasks share nothing.
-func MultiSeed(ctx context.Context, which int, n int) (*SeedSummary, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("exp: need at least one seed")
-	}
-	if which != 1 && which != 2 {
-		return nil, fmt.Errorf("exp: unknown experiment %d", which)
-	}
-	tasks := make([]runner.Task[*Comparison], n)
-	for i := 0; i < n; i++ {
-		seed := uint64(i + 1)
-		tasks[i] = runner.Task[*Comparison]{
-			ID: runner.RunID("multiseed", fmt.Sprintf("exp=%d", which), fmt.Sprintf("seed=%d", seed)),
-			Run: func(tctx context.Context) (*Comparison, error) {
-				if which == 1 {
-					return Experiment1(tctx, seed)
-				}
-				return Experiment2(tctx, seed)
-			},
-		}
-	}
-	rep, err := runner.Run(ctx, runner.Options{}, tasks)
+// MultiSeed reruns Experiment 1 on seeds 1–5 and summarizes the
+// normalized-fuel metrics, giving the reproduction error bars the
+// paper's single trace cannot. Each run owns its trace, storage clone
+// and policy state, so the seeds share nothing.
+func MultiSeed(ctx context.Context) (*SeedSummary, error) {
+	cmps, err := fanOut(ctx, "multiseed", []uint64{1, 2, 3, 4, 5}, Experiment1)
 	if err != nil {
 		return nil, err
 	}
-	if err := rep.FirstError(); err != nil {
-		return nil, err
-	}
 	var asap, fc, saving []float64
-	for _, o := range rep.Outcomes {
-		cmp := o.Result
+	for _, cmp := range cmps {
 		asap = append(asap, cmp.Row("ASAP-DPM").Normalized)
 		fc = append(fc, cmp.Row("FC-DPM").Normalized)
 		saving = append(saving, cmp.SavingVsASAP)
 	}
 	return &SeedSummary{
-		Seeds:        n,
+		Seeds:        len(cmps),
 		ASAPNorm:     numeric.Summarize(asap),
 		FCNorm:       numeric.Summarize(fc),
 		SavingVsASAP: numeric.Summarize(saving),
@@ -250,36 +218,22 @@ type SlewRow struct {
 // ramp (the storage covers tracking error, eventually browning out), while
 // FC-DPM's flat per-slot profile barely moves — a robustness advantage the
 // paper's ideal-source model does not surface.
-func SlewAblation(ctx context.Context, seed uint64, rates []float64) ([]SlewRow, error) {
-	return fanOut(ctx, "slew", rates, func(ctx context.Context, rate float64) (SlewRow, error) {
-		if rate < 0 {
-			return SlewRow{}, fmt.Errorf("exp: negative slew rate %v", rate)
-		}
-		sc, err := Experiment1Scenario(seed)
-		if err != nil {
-			return SlewRow{}, err
-		}
-		runWith := func(p sim.Policy) (*sim.Result, error) {
-			cfg := sim.Config{
-				Sys: sc.Sys, Dev: sc.Dev, Store: sc.Store, Trace: sc.Trace,
-				Policy: p, SlewRate: rate,
-			}
-			if sc.IdlePred != nil {
-				cfg.IdlePredictor = sc.IdlePred()
-			}
-			if sc.ActivePred != nil {
-				cfg.ActivePredictor = sc.ActivePred()
-			}
-			if sc.CurrentPred != nil {
-				cfg.CurrentPredictor = sc.CurrentPred()
-			}
+func SlewAblation(ctx context.Context, seed uint64) ([]SlewRow, error) {
+	sc, err := Experiment1Scenario(seed)
+	if err != nil {
+		return nil, err
+	}
+	return fanOut(ctx, "slew", []float64{0, 0.5, 0.1, 0.05, 0.02}, func(ctx context.Context, rate float64) (SlewRow, error) {
+		run := func(p sim.Policy) (*sim.Result, error) {
+			cfg := sc.simConfig(p)
+			cfg.SlewRate = rate
 			return sim.RunContext(ctx, cfg)
 		}
-		asap, err := runWith(policy.NewASAP(sc.Sys))
+		asap, err := run(policy.NewASAP(sc.Sys))
 		if err != nil {
 			return SlewRow{}, err
 		}
-		fc, err := runWith(policy.NewFCDPM(sc.Sys, sc.Dev))
+		fc, err := run(policy.NewFCDPM(sc.Sys, sc.Dev))
 		if err != nil {
 			return SlewRow{}, err
 		}
@@ -297,15 +251,15 @@ func SlewAblation(ctx context.Context, seed uint64, rates []float64) ([]SlewRow,
 // DPM strategies do not transfer to fuel cells: the battery-centric
 // shaping policy (max output when loaded, recharge-then-rest when idle)
 // against FC-DPM on the Experiment 1 setup.
-func BatteryAwareAblation(seed uint64) (batteryAware, fcdpm *sim.Result, err error) {
+func BatteryAwareAblation(ctx context.Context, seed uint64) (batteryAware, fcdpm *sim.Result, err error) {
 	sc, err := Experiment1Scenario(seed)
 	if err != nil {
 		return nil, nil, err
 	}
-	if batteryAware, err = sc.runOne(policy.NewBatteryAware(sc.Sys)); err != nil {
+	if batteryAware, err = sc.run(ctx, policy.NewBatteryAware(sc.Sys)); err != nil {
 		return nil, nil, err
 	}
-	if fcdpm, err = sc.runOne(policy.NewFCDPM(sc.Sys, sc.Dev)); err != nil {
+	if fcdpm, err = sc.run(ctx, policy.NewFCDPM(sc.Sys, sc.Dev)); err != nil {
 		return nil, nil, err
 	}
 	return batteryAware, fcdpm, nil
@@ -323,12 +277,12 @@ type AggregationRow struct {
 // the Experiment 1 trace at increasing factors and reruns FC-DPM: fewer,
 // longer idles amortize the sleep-transition overhead at the price of
 // task-completion latency.
-func AggregationAblation(ctx context.Context, seed uint64, ks []int) ([]AggregationRow, error) {
+func AggregationAblation(ctx context.Context, seed uint64) ([]AggregationRow, error) {
 	base, err := Experiment1Scenario(seed)
 	if err != nil {
 		return nil, err
 	}
-	return fanOut(ctx, "aggregation", ks, func(ctx context.Context, k int) (AggregationRow, error) {
+	return fanOut(ctx, "aggregation", []int{1, 2, 4, 8}, func(ctx context.Context, k int) (AggregationRow, error) {
 		agg, err := workload.Aggregate(base.Trace, k)
 		if err != nil {
 			return AggregationRow{}, err
@@ -337,12 +291,9 @@ func AggregationAblation(ctx context.Context, seed uint64, ks []int) ([]Aggregat
 		if err != nil {
 			return AggregationRow{}, err
 		}
-		sc, err := Experiment1Scenario(seed)
-		if err != nil {
-			return AggregationRow{}, err
-		}
+		sc := *base
 		sc.Trace = agg
-		res, err := sc.runOneCtx(ctx, policy.NewFCDPM(sc.Sys, sc.Dev))
+		res, err := sc.run(ctx, policy.NewFCDPM(sc.Sys, sc.Dev))
 		if err != nil {
 			return AggregationRow{}, err
 		}
@@ -364,20 +315,17 @@ type ActuationRow struct {
 
 // ActuationAblation reruns Experiment 1's FC-DPM with actuation dead bands:
 // how much fuel does it cost to command the fuel-flow actuator less often?
-func ActuationAblation(ctx context.Context, seed uint64, epsilons []float64) ([]ActuationRow, error) {
-	return fanOut(ctx, "actuation", epsilons, func(ctx context.Context, eps float64) (ActuationRow, error) {
-		if eps < 0 {
-			return ActuationRow{}, fmt.Errorf("exp: negative dead band %v", eps)
-		}
-		sc, err := Experiment1Scenario(seed)
-		if err != nil {
-			return ActuationRow{}, err
-		}
+func ActuationAblation(ctx context.Context, seed uint64) ([]ActuationRow, error) {
+	sc, err := Experiment1Scenario(seed)
+	if err != nil {
+		return nil, err
+	}
+	return fanOut(ctx, "actuation", []float64{0, 0.02, 0.05, 0.1, 0.2}, func(ctx context.Context, eps float64) (ActuationRow, error) {
 		banded, err := policy.NewFCDPMBanded(sc.Sys, sc.Dev, eps)
 		if err != nil {
 			return ActuationRow{}, err
 		}
-		res, err := sc.runOneCtx(ctx, banded)
+		res, err := sc.run(ctx, banded)
 		if err != nil {
 			return ActuationRow{}, err
 		}
@@ -399,14 +347,11 @@ type CalibrationRow struct {
 
 // CalibrationUncertainty propagates measurement uncertainty in the Eq 2
 // coefficients through Experiment 1: it reruns the comparison at the four
-// corners of a ±relErr box around (α = 0.45, β = 0.13) plus the centre.
+// corners of a ±10 % box around (α = 0.45, β = 0.13) plus the centre.
 // The paper reports single measured values; this bounds how much the
 // conclusions depend on them.
-func CalibrationUncertainty(ctx context.Context, seed uint64, relErr float64) ([]CalibrationRow, error) {
-	if relErr < 0 || relErr >= 1 {
-		return nil, fmt.Errorf("exp: relative error %v outside [0, 1)", relErr)
-	}
-	const alpha0, beta0 = 0.45, 0.13
+func CalibrationUncertainty(ctx context.Context, seed uint64) ([]CalibrationRow, error) {
+	const alpha0, beta0, relErr = 0.45, 0.13, 0.1
 	points := [][2]float64{
 		{alpha0, beta0},
 		{alpha0 * (1 - relErr), beta0 * (1 - relErr)},
@@ -425,7 +370,7 @@ func CalibrationUncertainty(ctx context.Context, seed uint64, relErr float64) ([
 			return CalibrationRow{}, err
 		}
 		sc.Sys = sys
-		cmp, err := sc.CompareContext(ctx, sc.Policies())
+		cmp, err := sc.Compare(ctx, sc.Policies())
 		if err != nil {
 			return CalibrationRow{}, err
 		}
@@ -448,13 +393,13 @@ type ThermalRow struct {
 // and hold; load-following profiles cycle the stack thermally every slot —
 // the dominant PEM ageing mechanism, and a durability advantage of FC-DPM
 // that the paper's isothermal model cannot express.
-func ThermalStressAblation(seed uint64) ([]ThermalRow, error) {
+func ThermalStressAblation(ctx context.Context, seed uint64) ([]ThermalRow, error) {
 	sc, err := Experiment1Scenario(seed)
 	if err != nil {
 		return nil, err
 	}
 	sc.Record = sim.RecordFull
-	cmp, err := sc.Compare(sc.Policies())
+	cmp, err := sc.Compare(ctx, sc.Policies())
 	if err != nil {
 		return nil, err
 	}
@@ -490,20 +435,17 @@ type MPCRow struct {
 // sits ~0.1 % from the clairvoyant optimum, so the expected (and measured)
 // result is "the horizon buys nothing" — an honest negative result
 // bounding what lookahead can contribute at the paper's storage scale.
-func MPCAblation(ctx context.Context, seed uint64, horizons []int) ([]MPCRow, error) {
-	return fanOut(ctx, "mpc", horizons, func(ctx context.Context, h int) (MPCRow, error) {
-		if h < 1 {
-			return MPCRow{}, fmt.Errorf("exp: horizon %d < 1", h)
-		}
-		sc, err := Experiment1Scenario(seed)
-		if err != nil {
-			return MPCRow{}, err
-		}
+func MPCAblation(ctx context.Context, seed uint64) ([]MPCRow, error) {
+	sc, err := Experiment1Scenario(seed)
+	if err != nil {
+		return nil, err
+	}
+	return fanOut(ctx, "mpc", []int{1, 2, 3, 5}, func(ctx context.Context, h int) (MPCRow, error) {
 		mpc, err := policy.NewMPC(sc.Sys, sc.Dev, h)
 		if err != nil {
 			return MPCRow{}, err
 		}
-		res, err := sc.runOneCtx(ctx, mpc)
+		res, err := sc.run(ctx, mpc)
 		if err != nil {
 			return MPCRow{}, err
 		}
@@ -525,12 +467,6 @@ type Robustness struct {
 	Wins int
 }
 
-// robustnessTrial is one perturbed trial's metrics.
-type robustnessTrial struct {
-	Saving float64
-	Norm   float64
-}
-
 // RobustnessStudy runs n perturbed Experiment 1 trials on the run engine.
 func RobustnessStudy(ctx context.Context, seed uint64, n int, pct float64) (*Robustness, error) {
 	if n < 1 {
@@ -539,67 +475,55 @@ func RobustnessStudy(ctx context.Context, seed uint64, n int, pct float64) (*Rob
 	if pct <= 0 || pct >= 0.5 {
 		return nil, fmt.Errorf("exp: perturbation %v outside (0, 0.5)", pct)
 	}
-	tasks := make([]runner.Task[robustnessTrial], n)
-	for i := 0; i < n; i++ {
-		i := i
-		tasks[i] = runner.Task[robustnessTrial]{
-			ID: runner.RunID("robustness", fmt.Sprintf("seed=%d", seed), fmt.Sprintf("trial=%d", i)),
-			Run: func(tctx context.Context) (robustnessTrial, error) {
-				rng := numeric.NewRNG(seed + uint64(i)*7919)
-				perturb := func(v float64) float64 { return v * (1 + pct*(2*rng.Float64()-1)) }
-
-				sc, err := Experiment1Scenario(seed + uint64(i))
-				if err != nil {
-					return robustnessTrial{}, err
-				}
-				// Perturb the device model.
-				dev := *sc.Dev
-				dev.Isdb = perturb(dev.Isdb)
-				dev.Islp = perturb(dev.Islp)
-				if dev.Islp >= dev.Isdb {
-					dev.Islp = dev.Isdb * 0.6
-				}
-				dev.IPD = perturb(dev.IPD)
-				dev.IWU = perturb(dev.IWU)
-				dev.TauPD = perturb(dev.TauPD)
-				dev.TauWU = perturb(dev.TauWU)
-				sc.Dev = &dev
-				// Perturb the efficiency coefficients.
-				sys, err := fuelcell.NewSystem(12, 37.5, 0.1, 1.2, fuelcell.LinearEfficiency{
-					Alpha: perturb(0.45),
-					Beta:  perturb(0.13),
-				})
-				if err != nil {
-					return robustnessTrial{}, err
-				}
-				sc.Sys = sys
-				cmp, err := sc.CompareContext(tctx, sc.Policies())
-				if err != nil {
-					return robustnessTrial{}, err
-				}
-				return robustnessTrial{Saving: cmp.SavingVsASAP, Norm: cmp.Row("FC-DPM").Normalized}, nil
-			},
-		}
+	trials := make([]uint64, n)
+	for i := range trials {
+		trials[i] = uint64(i)
 	}
-	rep, err := runner.Run(ctx, runner.Options{}, tasks)
+	cmps, err := fanOut(ctx, "robustness", trials, func(ctx context.Context, i uint64) (*Comparison, error) {
+		rng := numeric.NewRNG(seed + i*7919)
+		perturb := func(v float64) float64 { return v * (1 + pct*(2*rng.Float64()-1)) }
+
+		sc, err := Experiment1Scenario(seed + i)
+		if err != nil {
+			return nil, err
+		}
+		// Perturb the device model.
+		dev := *sc.Dev
+		dev.Isdb = perturb(dev.Isdb)
+		dev.Islp = perturb(dev.Islp)
+		if dev.Islp >= dev.Isdb {
+			dev.Islp = dev.Isdb * 0.6
+		}
+		dev.IPD = perturb(dev.IPD)
+		dev.IWU = perturb(dev.IWU)
+		dev.TauPD = perturb(dev.TauPD)
+		dev.TauWU = perturb(dev.TauWU)
+		sc.Dev = &dev
+		// Perturb the efficiency coefficients.
+		sys, err := fuelcell.NewSystem(12, 37.5, 0.1, 1.2, fuelcell.LinearEfficiency{
+			Alpha: perturb(0.45),
+			Beta:  perturb(0.13),
+		})
+		if err != nil {
+			return nil, err
+		}
+		sc.Sys = sys
+		return sc.Compare(ctx, sc.Policies())
+	})
 	if err != nil {
 		return nil, err
 	}
-	if err := rep.FirstError(); err != nil {
-		return nil, err
-	}
+	r := &Robustness{Trials: n, Pct: pct}
 	savings := make([]float64, n)
 	norms := make([]float64, n)
-	for i, o := range rep.Outcomes {
-		savings[i] = o.Result.Saving
-		norms[i] = o.Result.Norm
-	}
-	r := &Robustness{Trials: n, Pct: pct, Saving: numeric.Summarize(savings), FCNorm: numeric.Summarize(norms)}
-	for _, s := range savings {
-		if s > 0 {
+	for i, cmp := range cmps {
+		savings[i] = cmp.SavingVsASAP
+		norms[i] = cmp.Row("FC-DPM").Normalized
+		if savings[i] > 0 {
 			r.Wins++
 		}
 	}
+	r.Saving, r.FCNorm = numeric.Summarize(savings), numeric.Summarize(norms)
 	return r, nil
 }
 
@@ -638,11 +562,11 @@ func BurstyPredictorStudy(ctx context.Context, seed uint64) ([]PredictorRow, err
 	return fanOut(ctx, "bursty-predictor", preds, func(ctx context.Context, mk func() predict.Predictor) (PredictorRow, error) {
 		sc := makeScenario()
 		sc.IdlePred = mk
-		conv, err := sc.runOneCtx(ctx, policy.NewConv(sc.Sys))
+		conv, err := sc.run(ctx, policy.NewConv(sc.Sys))
 		if err != nil {
 			return PredictorRow{}, err
 		}
-		fc, err := sc.runOneCtx(ctx, policy.NewFCDPM(sc.Sys, sc.Dev))
+		fc, err := sc.run(ctx, policy.NewFCDPM(sc.Sys, sc.Dev))
 		if err != nil {
 			return PredictorRow{}, err
 		}

@@ -4,17 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"time"
 
-	"fcdpm/internal/device"
 	"fcdpm/internal/fault"
-	"fcdpm/internal/fuelcell"
 	"fcdpm/internal/obs"
 	"fcdpm/internal/policy"
-	"fcdpm/internal/predict"
 	"fcdpm/internal/runner"
 	"fcdpm/internal/sim"
-	"fcdpm/internal/workload"
 )
 
 // FaultRow is one (fault class, policy) cell of a fault sweep.
@@ -64,49 +59,24 @@ func canonicalFaults(duration float64) (map[string]*fault.Schedule, []string) {
 	return sched, order
 }
 
-// FaultSweepOptions tunes how the sweep's cells are orchestrated by the
-// run engine. The zero value runs with the engine defaults: GOMAXPROCS
-// workers, no deadline, no retries, no journal.
-type FaultSweepOptions struct {
-	// Workers bounds concurrent cells.
-	Workers int
-	// TimeoutSec is the per-cell deadline in seconds (0: none).
-	TimeoutSec float64
-	// Retries re-attempts transiently failed cells.
-	Retries int
-	// Journal checkpoints each completed cell to this JSONL file; an
-	// interrupted sweep re-invoked with the same journal skips completed
-	// cells.
-	Journal string
-	// Metrics, when non-nil, instruments the run engine (queue depth,
-	// retries, breaker transitions) for the sweep's tasks.
-	Metrics *obs.PoolMetrics
-	// SimMetrics, when non-nil, instruments every cell's simulation run
-	// (runs, slots, fuel, memo hits/misses, wall time).
-	SimMetrics *obs.SimMetrics
-}
-
 // FaultSweep runs the paper's three policies over the Experiment 2
-// synthetic workload under each canonical fault class on the
-// run-orchestration engine (the zero opts use the engine defaults):
-// each (class, policy) cell is one task, grouped per fault class for
-// circuit breaking, with the standard degradation chain (FC-DPM -> ASAP
-// -> Conv -> load-shed, truncated for policies already further down).
-// Cell order in the result is deterministic regardless of worker count.
-// When the context is canceled mid-sweep the partial result is returned
-// along with runner.ErrInterrupted; with a journal configured, re-running
-// the same sweep completes the missing cells without re-simulating the
-// finished ones.
-func FaultSweep(ctx context.Context, seed uint64, opts FaultSweepOptions) (*FaultSweepResult, error) {
-	cfg := workload.DefaultSyntheticConfig()
-	cfg.Seed = seed
-	trace, err := workload.Synthetic(cfg)
+// setup under each canonical fault class on the run-orchestration
+// engine, configured by opts: each (class, policy) cell is one task,
+// grouped per fault class for circuit breaking, with the standard
+// degradation chain (FC-DPM -> ASAP -> Conv -> load-shed, truncated for
+// policies already further down). metrics, when non-nil, instruments
+// every cell's simulation. Cell order in the result is deterministic
+// regardless of worker count. When the context is canceled mid-sweep
+// the partial result is returned along with runner.ErrInterrupted; with
+// a journal configured, re-running the same sweep completes the missing
+// cells without re-simulating the finished ones.
+func FaultSweep(ctx context.Context, seed uint64, opts runner.Options, metrics *obs.SimMetrics) (*FaultSweepResult, error) {
+	sc, err := Experiment2Scenario(seed)
 	if err != nil {
 		return nil, err
 	}
-	sys := fuelcell.PaperSystem()
-	dev := device.Synthetic()
-	schedules, order := canonicalFaults(trace.Statistics().Duration)
+	sys := sc.Sys
+	schedules, order := canonicalFaults(sc.Trace.Statistics().Duration)
 	out := &FaultSweepResult{
 		Scenario: fmt.Sprintf("fault sweep over Experiment 2 synthetic trace (seed %d)", seed),
 		Schedule: schedules,
@@ -118,7 +88,7 @@ func FaultSweep(ctx context.Context, seed uint64, opts FaultSweepOptions) (*Faul
 		fallbacks func() []sim.Policy
 	}{
 		{
-			mk: func() sim.Policy { return policy.NewFCDPM(sys, dev) },
+			mk: func() sim.Policy { return policy.NewFCDPM(sys, sc.Dev) },
 			fallbacks: func() []sim.Policy {
 				return []sim.Policy{policy.NewASAP(sys), policy.NewConv(sys)}
 			},
@@ -142,23 +112,14 @@ func FaultSweep(ctx context.Context, seed uint64, opts FaultSweepOptions) (*Faul
 					"class="+class, "policy="+name),
 				Scenario: class,
 				Run: func(ctx context.Context) (FaultRow, error) {
-					p := r.mk()
-					res, err := sim.RunContext(ctx, sim.Config{
-						Sys:              sys,
-						Dev:              dev,
-						Store:            scenarioStore(),
-						Trace:            trace,
-						Policy:           p,
-						Fallbacks:        r.fallbacks(),
-						Faults:           schedules[class],
-						FaultSeed:        seed,
-						IdlePredictor:    predict.MustExpAverage(0.5, (cfg.IdleMin+cfg.IdleMax)/2),
-						ActivePredictor:  predict.MustExpAverage(0.5, (cfg.ActiveMin+cfg.ActiveMax)/2),
-						CurrentPredictor: predict.MustExpAverage(1, 1.2),
-						Metrics:          opts.SimMetrics,
-					})
+					cfg := sc.simConfig(r.mk())
+					cfg.Fallbacks = r.fallbacks()
+					cfg.Faults = schedules[class]
+					cfg.FaultSeed = seed
+					cfg.Metrics = metrics
+					res, err := sim.RunContext(ctx, cfg)
 					if err != nil {
-						return FaultRow{}, fmt.Errorf("exp: fault sweep %s / %s: %w", class, p.Name(), err)
+						return FaultRow{}, fmt.Errorf("exp: fault sweep %s / %s: %w", class, cfg.Policy.Name(), err)
 					}
 					loadCharge := res.LoadEnergy / sys.VF
 					return FaultRow{
@@ -177,13 +138,7 @@ func FaultSweep(ctx context.Context, seed uint64, opts FaultSweepOptions) (*Faul
 			})
 		}
 	}
-	rep, runErr := runner.Run(ctx, runner.Options{
-		Workers: opts.Workers,
-		Timeout: secondsToDuration(opts.TimeoutSec),
-		Retries: opts.Retries,
-		Journal: opts.Journal,
-		Metrics: opts.Metrics,
-	}, tasks)
+	rep, runErr := runner.Run(ctx, opts, tasks)
 	if rep == nil {
 		return nil, runErr
 	}
@@ -204,13 +159,4 @@ func FaultSweep(ctx context.Context, seed uint64, opts FaultSweepOptions) (*Faul
 		return nil, runErr
 	}
 	return out, runErr
-}
-
-// secondsToDuration converts a seconds count (the unit scenario specs and
-// CLI flags use) to a time.Duration.
-func secondsToDuration(s float64) time.Duration {
-	if s <= 0 {
-		return 0
-	}
-	return time.Duration(s * float64(time.Second))
 }

@@ -22,7 +22,7 @@ func classRows(r *FaultSweepResult, class string) []FaultRow {
 }
 
 func TestFaultSweep(t *testing.T) {
-	res, err := FaultSweep(context.Background(), 1, FaultSweepOptions{})
+	res, err := FaultSweep(context.Background(), 1, runner.Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestFaultSweep(t *testing.T) {
 		}
 	}
 	// The sweep is seed-reproducible.
-	res2, err := FaultSweep(context.Background(), 1, FaultSweepOptions{})
+	res2, err := FaultSweep(context.Background(), 1, runner.Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestFaultSweep(t *testing.T) {
 func TestFaultSweepCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := FaultSweep(ctx, 1, FaultSweepOptions{}); err == nil {
+	if _, err := FaultSweep(ctx, 1, runner.Options{}, nil); err == nil {
 		t.Fatal("canceled sweep returned no error")
 	}
 }
@@ -71,10 +71,10 @@ func TestFaultSweepCancel(t *testing.T) {
 // cells, the completion loses no rows, and the re-run restores every
 // cell from the journal with the same physics.
 func TestFaultSweepJournalResume(t *testing.T) {
-	opts := FaultSweepOptions{Workers: 2, Journal: filepath.Join(t.TempDir(), "sweep.jsonl")}
+	opts := runner.Options{Workers: 2, Journal: filepath.Join(t.TempDir(), "sweep.jsonl")}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	partial, err := FaultSweep(ctx, 3, opts)
+	partial, err := FaultSweep(ctx, 3, opts, nil)
 	if !errors.Is(err, runner.ErrInterrupted) {
 		t.Fatalf("canceled sweep: err = %v, want runner.ErrInterrupted", err)
 	}
@@ -82,7 +82,7 @@ func TestFaultSweepJournalResume(t *testing.T) {
 		t.Fatalf("partial result = %+v", partial)
 	}
 
-	first, err := FaultSweep(context.Background(), 3, opts)
+	first, err := FaultSweep(context.Background(), 3, opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestFaultSweepJournalResume(t *testing.T) {
 		t.Fatalf("nominal class rows = %d, want 3", n)
 	}
 
-	second, err := FaultSweep(context.Background(), 3, opts)
+	second, err := FaultSweep(context.Background(), 3, opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 
 	"fcdpm/internal/fcopt"
@@ -120,13 +121,13 @@ type Fig7Series struct {
 }
 
 // Fig7 runs Experiment 1 with profile recording and clips the profiles.
-func Fig7(seed uint64, window float64) (*Fig7Series, error) {
+func Fig7(ctx context.Context, seed uint64, window float64) (*Fig7Series, error) {
 	sc, err := Experiment1Scenario(seed)
 	if err != nil {
 		return nil, err
 	}
 	sc.Record = sim.RecordFull
-	cmp, err := sc.Compare(sc.Policies())
+	cmp, err := sc.Compare(ctx, sc.Policies())
 	if err != nil {
 		return nil, err
 	}

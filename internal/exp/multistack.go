@@ -114,24 +114,15 @@ func MultiStackStudy(ctx context.Context, cfg MultiStackConfig) ([]MultiStackRow
 				Policy: policy.NewASAP(sys),
 			}})
 		}
-		b, err := sim.NewBatchRunner(lanes)
+		out, err := runBatch(ctx, lanes, func(i int) string { return fmt.Sprintf("lane %d", i) })
 		if err != nil {
 			return nil, fmt.Errorf("exp: multistack: %w", err)
-		}
-		out, err := b.RunContext(ctx)
-		if err != nil {
-			return nil, fmt.Errorf("exp: multistack: %w", err)
-		}
-		for j, lr := range out {
-			if lr.Err != nil {
-				return nil, fmt.Errorf("exp: multistack lane %d: %w", j, lr.Err)
-			}
 		}
 		for ki, k := range cfg.Ks {
 			base := ki * len(allocs)
-			equalFuel := out[base].Res.Fuel
+			equalFuel := out[base].Fuel
 			for ai, alloc := range allocs {
-				res := out[base+ai].Res
+				res := out[base+ai]
 				rows = append(rows, MultiStackRow{
 					Alloc:       alloc.Name(),
 					K:           k,

@@ -61,12 +61,11 @@ func Render(name, key, engine string, res *sim.Result) ([]byte, error) {
 	return report.StableJSON(rr)
 }
 
-// Cell is one spec to execute: the validated scenario, the name its
-// report renders under, and its cache key — the content address that
-// also collapses identical cells onto one executing lane.
+// Cell is one spec to execute: the validated scenario and its cache key
+// — the content address that also collapses identical cells onto one
+// executing lane.
 type Cell struct {
 	Spec *config.Scenario
-	Name string
 	Key  string
 }
 
@@ -80,10 +79,12 @@ type Row struct {
 
 // Execute builds every cell, runs the cells as lanes of one
 // sim.BatchRunner walk (keyed by their cache keys), and renders each
-// result. The cells must share one trace; a single cell always does. A
-// Build, simulation, or render failure fails only its own row, and every
-// Res stays valid after Execute returns. simMetrics and batchMetrics may
-// be nil.
+// result under its spec's name, or "run" for an unnamed spec — so a body
+// depends only on what its cache key hashes, whichever caller ran it.
+// The cells must share one trace; a single cell always does. A Build,
+// simulation, or render failure fails only its own row, and every Res
+// stays valid after Execute returns. simMetrics and batchMetrics may be
+// nil.
 func Execute(ctx context.Context, engine string, cells []Cell, simMetrics *obs.SimMetrics, batchMetrics *obs.BatchMetrics) []Row {
 	rows := make([]Row, len(cells))
 	lanes := make([]sim.Lane, 0, len(cells))
@@ -104,8 +105,12 @@ func Execute(ctx context.Context, engine string, cells []Cell, simMetrics *obs.S
 			rows[i].Err = lr.Err
 			continue
 		}
+		name := cells[i].Spec.Name
+		if name == "" {
+			name = "run"
+		}
 		rows[i].Res = lr.Res
-		rows[i].Body, rows[i].Err = Render(cells[i].Name, cells[i].Key, engine, lr.Res)
+		rows[i].Body, rows[i].Err = Render(name, cells[i].Key, engine, lr.Res)
 	}
 	return rows
 }

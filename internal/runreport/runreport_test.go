@@ -9,7 +9,7 @@ import (
 	"fcdpm/internal/config"
 )
 
-func cell(t *testing.T, name, spec string) Cell {
+func cell(t *testing.T, spec string) Cell {
 	t.Helper()
 	s, err := config.LoadValidated(strings.NewReader(spec))
 	if err != nil {
@@ -19,7 +19,7 @@ func cell(t *testing.T, name, spec string) Cell {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return Cell{Spec: s, Name: name, Key: key}
+	return Cell{Spec: s, Key: key}
 }
 
 // TestExecuteIsolatesRows: a batch of same-trace cells renders each row
@@ -29,10 +29,10 @@ func cell(t *testing.T, name, spec string) Cell {
 func TestExecuteIsolatesRows(t *testing.T) {
 	const trace = `"trace":{"kind":"synthetic","seed":3,"duration":300}`
 	cells := []Cell{
-		cell(t, "fc", `{`+trace+`,"policy":{"kind":"fcdpm"}}`),
-		cell(t, "bad", `{`+trace+`,"policy":{"kind":"bogus"}}`),
-		cell(t, "asap", `{`+trace+`,"policy":{"kind":"asap"}}`),
-		cell(t, "fc", `{`+trace+`,"policy":{"kind":"fcdpm"}}`),
+		cell(t, `{"name":"fc",`+trace+`,"policy":{"kind":"fcdpm"}}`),
+		cell(t, `{"name":"bad",`+trace+`,"policy":{"kind":"bogus"}}`),
+		cell(t, `{"name":"asap",`+trace+`,"policy":{"kind":"asap"}}`),
+		cell(t, `{"name":"fc",`+trace+`,"policy":{"kind":"fcdpm"}}`),
 	}
 	ctx := context.Background()
 	rows := Execute(ctx, "test", cells, nil, nil)
@@ -49,7 +49,7 @@ func TestExecuteIsolatesRows(t *testing.T) {
 		}
 	}
 
-	mixed := []Cell{cells[0], cell(t, "other", `{"trace":{"kind":"synthetic","seed":4,"duration":300}}`)}
+	mixed := []Cell{cells[0], cell(t, `{"name":"other","trace":{"kind":"synthetic","seed":4,"duration":300}}`)}
 	for i, row := range Execute(ctx, "test", mixed, nil, nil) {
 		if row.Err != nil || len(row.Body) == 0 {
 			t.Fatalf("mixed-trace cell %d: %v", i, row.Err)
@@ -79,7 +79,7 @@ func TestPaddedSelectorsBuildLikeTrimmed(t *testing.T) {
 		{`{"fallbacks":[" asap","Conv"],"trace":{"kind":"synthetic",` + short + `}}`,
 			`{"fallbacks":["asap","conv"],"trace":{"kind":"synthetic",` + short + `}}`},
 	} {
-		padded, trimmed := cell(t, "c", tc.padded), cell(t, "c", tc.trimmed)
+		padded, trimmed := cell(t, tc.padded), cell(t, tc.trimmed)
 		if padded.Key != trimmed.Key {
 			t.Errorf("%s keys apart from %s", tc.padded, tc.trimmed)
 		}
@@ -91,6 +91,22 @@ func TestPaddedSelectorsBuildLikeTrimmed(t *testing.T) {
 		}
 		if !bytes.Equal(a.Body, b.Body) {
 			t.Errorf("%s renders unlike its trimmed spelling:\n%s\n%s", tc.padded, a.Body, b.Body)
+		}
+	}
+}
+
+// TestExecuteNamesBodyFromSpec: a body carries its spec's name, and an
+// unnamed spec renders as "run", so the body follows from what the cache
+// key hashes.
+func TestExecuteNamesBodyFromSpec(t *testing.T) {
+	const trace = `"trace":{"kind":"synthetic","seed":3,"duration":300}`
+	for spec, want := range map[string]string{
+		`{"name":"named",` + trace + `}`: `"name":"named"`,
+		`{` + trace + `}`:                `"name":"run"`,
+	} {
+		row := Execute(context.Background(), "test", []Cell{cell(t, spec)}, nil, nil)[0]
+		if row.Err != nil || !bytes.Contains(row.Body, []byte(want)) {
+			t.Errorf("%s: err %v, body %s; want %s", spec, row.Err, row.Body, want)
 		}
 	}
 }

@@ -265,7 +265,7 @@ func (s *Server) task(ref taskRef, cells []runreport.Cell) func(context.Context)
 			s.cache.Put(cells[i].Key, row.Body)
 			cell := ""
 			if ref.cells != nil {
-				cell = cells[i].Name
+				cell = cellName(j, ref.cells[i])
 			}
 			for _, ev := range row.Res.Events {
 				j.events.append(Event{

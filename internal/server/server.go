@@ -274,7 +274,7 @@ func (s *Server) handleRunPost(w http.ResponseWriter, r *http.Request) {
 	} else {
 		s.metrics.runsSubmitted.Inc()
 		j.events.append(Event{Kind: "accepted", Job: j.id, Detail: "key " + key})
-		s.submit(j, nil, []runreport.Cell{{Spec: spec, Name: name, Key: key}})
+		s.submit(j, nil, []runreport.Cell{{Spec: spec, Key: key}})
 	}
 	if isAsync(r) {
 		// Mirror the sync path's X-Fcdpm-Cache taxonomy so async clients
@@ -472,7 +472,7 @@ func (s *Server) handleSweepPost(w http.ResponseWriter, r *http.Request) {
 	for _, chunk := range batchChunks(specs, misses) {
 		cells := make([]runreport.Cell, len(chunk))
 		for li, i := range chunk {
-			cells[li] = runreport.Cell{Spec: specs[i], Name: j.cells[i].Name, Key: keys[i]}
+			cells[li] = runreport.Cell{Spec: specs[i], Key: keys[i]}
 		}
 		s.submit(j, chunk, cells)
 	}

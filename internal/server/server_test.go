@@ -286,6 +286,41 @@ func TestSweepWithCachedCells(t *testing.T) {
 	}
 }
 
+// TestUnnamedBodyDependsOnlyOnKey: an unnamed spec's body is the same
+// bytes whichever path ran it first — here a sweep that held it as its
+// second cell, then a POST answered from the cache — as a fresh server
+// gives for the POST alone.
+func TestUnnamedBodyDependsOnlyOnKey(t *testing.T) {
+	const unnamed = `{"trace":{"kind":"synthetic","seed":11,"duration":120}}`
+	_, fresh := newTestServer(t, Options{})
+	resp, want := postRun(t, fresh, unnamed)
+	if resp.StatusCode != 200 {
+		t.Fatalf("fresh POST: %d %s", resp.StatusCode, want)
+	}
+
+	_, ts := newTestServer(t, Options{})
+	sweep := fmt.Sprintf(`{"scenarios":[%s,%s]}`, quickSpec, unnamed)
+	resp, err := http.Post(ts.URL+"/v1/sweeps", "application/json", strings.NewReader(sweep))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var acc struct{ ID string }
+	if err := json.NewDecoder(resp.Body).Decode(&acc); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if sr := waitSweep(t, ts, acc.ID); sr.Done != 2 || sr.Cells[1].Name != "cell-0001" {
+		t.Fatalf("sweep report %+v, want 2 done with the unnamed cell labelled cell-0001", sr)
+	}
+	resp, got := postRun(t, ts, unnamed)
+	if tag := resp.Header.Get("X-Fcdpm-Cache"); tag != "hit" {
+		t.Fatalf("POST after the sweep: X-Fcdpm-Cache %q, want hit", tag)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("body depends on the path that ran it:\nafter sweep: %s\nfresh:       %s", got, want)
+	}
+}
+
 // waitSweep polls a sweep until it resolves and returns its report.
 func waitSweep(t *testing.T, ts *httptest.Server, id string) sweepReport {
 	t.Helper()
