@@ -50,6 +50,23 @@ func parseOperands(fs *flag.FlagSet, args []string) error {
 	return nil
 }
 
+// flagLine renders every flag of a daemon's flag set at its effective
+// value, defaults included, in one line: the daemons log it at startup,
+// so a log says what the process ran with. An empty value or one with
+// spaces is quoted.
+func flagLine(fs *flag.FlagSet) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "fcdpm %s flags:", fs.Name())
+	fs.VisitAll(func(f *flag.Flag) {
+		v := f.Value.String()
+		if v == "" || strings.ContainsAny(v, " \t") {
+			v = strconv.Quote(v)
+		}
+		fmt.Fprintf(&b, " -%s=%s", f.Name, v)
+	})
+	return b.String()
+}
+
 // secondsFlag converts a -timeout style seconds value to a Duration;
 // zero or negative means "no deadline".
 func secondsFlag(s float64) time.Duration {
@@ -563,16 +580,14 @@ func cmdBatch(ctx context.Context, args []string) error {
 	defer mf.dump()
 	paths := fs.Args()
 	if len(paths) == 0 {
-		return usagef("usage: fcdpm batch [-workers N] [-timeout S] [-retries N] [-journal FILE] <scenario.json>...")
+		return usagef("usage: fcdpm batch [-workers N] [-timeout S] [-journal FILE] <scenario.json>...")
 	}
 	// Load and validate every scenario up front: malformed files are
-	// caller problems, not run failures, and the first runner block found
-	// supplies pool defaults that explicit flags then override.
-	scens, spec, err := config.LoadFiles(paths)
+	// caller problems, not run failures.
+	scens, err := config.LoadFiles(paths)
 	if err != nil {
 		return err
 	}
-	pf.overlay(fs, spec)
 	engine := version.Engine()
 	names := make([]string, len(scens))
 	tasks := make([]runner.Task[batchRow], 0, len(paths))
@@ -598,8 +613,7 @@ func cmdBatch(ctx context.Context, args []string) error {
 			// Keyed by the content address the row renders from, so a
 			// journal entry resumes only the row it recorded, whatever
 			// the file path.
-			ID:       runner.RunID("batch", "key="+key, "row="+rowName),
-			Scenario: paths[i],
+			ID: runner.RunID("batch", "key="+key, "row="+rowName),
 			Run: func(ctx context.Context) (batchRow, error) {
 				row := runreport.Execute(ctx, engine, cells, mf.sim, mf.batch)[0]
 				if row.Err != nil {
@@ -632,9 +646,9 @@ func cmdBatch(ctx context.Context, args []string) error {
 			tab.AddRow(names[i], r.Policy, fmt.Sprintf("%.1f", r.Fuel),
 				fmt.Sprintf("%.4f", r.AvgRate), fmt.Sprintf("%.3f", r.Deficit), status)
 		case runner.StatusFailed:
-			tab.AddRow(o.Scenario, "ERROR: "+o.Err.Error(), "", "", "", "failed")
+			tab.AddRow(names[i], "ERROR: "+o.Err.Error(), "", "", "", "failed")
 		default:
-			tab.AddRow(o.Scenario, "", "", "", "", string(o.Status))
+			tab.AddRow(names[i], "", "", "", "", string(o.Status))
 		}
 	}
 	// With -rows - the NDJSON owns stdout; the human table moves to
@@ -658,7 +672,7 @@ func cmdBatch(ctx context.Context, args []string) error {
 		return err
 	}
 	if *rows != "" {
-		return writeBatchRows(*rows, rep.Outcomes)
+		return writeBatchRows(*rows, names, rep.Outcomes)
 	}
 	return nil
 }
@@ -666,11 +680,11 @@ func cmdBatch(ctx context.Context, args []string) error {
 // writeBatchRows writes the rendered runreport bodies as NDJSON in
 // operand order — the same order and bytes a dispatcher serves for the
 // equivalent remote sweep.
-func writeBatchRows(path string, outcomes []runner.Outcome[batchRow]) error {
+func writeBatchRows(path string, names []string, outcomes []runner.Outcome[batchRow]) error {
 	var buf bytes.Buffer
-	for _, o := range outcomes {
+	for i, o := range outcomes {
 		if len(o.Result.Row) == 0 {
-			return fmt.Errorf("batch: %s resolved without a rendered row; delete the journal and re-run", o.Scenario)
+			return fmt.Errorf("batch: %s resolved without a rendered row; delete the journal and re-run", names[i])
 		}
 		buf.Write(o.Result.Row)
 		buf.WriteByte('\n')

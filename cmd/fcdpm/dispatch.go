@@ -25,6 +25,7 @@ func cmdDispatchd(ctx context.Context, args []string) error {
 		return err
 	}
 	logger := log.New(os.Stderr, "", log.LstdFlags)
+	logger.Print(flagLine(fs))
 	return dispatch.Serve(ctx, dispatch.Options{
 		Addr:       *addr,
 		StateDir:   *state,
@@ -50,6 +51,7 @@ func cmdWorkd(ctx context.Context, args []string) error {
 		return err
 	}
 	logger := log.New(os.Stderr, "", log.LstdFlags)
+	logger.Print(flagLine(fs))
 	return dispatch.RunWorker(ctx, dispatch.WorkerOptions{
 		Dispatcher: *url,
 		Name:       *name,

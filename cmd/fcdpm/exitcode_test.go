@@ -32,8 +32,8 @@ func TestExitCodeMapping(t *testing.T) {
 		{errors.New("run blew up"), 1},
 		{runner.ErrInterrupted, 3},
 		{fmt.Errorf("server: drain: %w", runner.ErrInterrupted), 3},
-		{&runner.RunError{ID: "x", Attempts: 1, Err: errors.New("boom")}, 1},
-		{&runner.RunError{ID: "x", Attempts: 1, Err: runner.ErrInterrupted}, 3},
+		{&runner.RunError{ID: "x", Err: errors.New("boom")}, 1},
+		{&runner.RunError{ID: "x", Err: runner.ErrInterrupted}, 3},
 	}
 	// exitCode reports on stderr; silence it for the table.
 	old := os.Stderr

@@ -175,9 +175,10 @@ subcommands:
   ablate   run one ablation (thermal, actuation, battery, aggregation,
            calibration, slew, mpc, timeout, storage, dpm)
   advise   hybrid sizing advice for a workload/device pair
-  batch    run several JSON scenarios concurrently and tabulate them;
-           with -journal the batch checkpoints each finished scenario
-           and a re-run resumes where it was interrupted
+  batch    run several JSON scenarios concurrently, each once, and
+           tabulate them; with -journal the batch checkpoints each
+           finished scenario and a re-run resumes where it was
+           interrupted
   robust   Monte-Carlo robustness of the FC-DPM saving under model
            uncertainty
   serve    run the simulation service: an HTTP/JSON API that executes
@@ -220,6 +221,8 @@ subcommands:
 
 exit status: 0 ok, 1 run failure, 2 usage error, 3 interrupted but
 resumable (re-run with the same -journal to continue).
+
+serve, dispatchd and workd log every flag's effective value at startup.
 
 run 'fcdpm <subcommand> -h' for flags.`)
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"flag"
 	"fmt"
 	"io"
 	"net/http"
@@ -81,6 +82,13 @@ func TestRunErrors(t *testing.T) {
 		{"run", "-cmax", "0"},
 		{"run", "-reserve", "0"},
 		{"run", "-flat", "0"},
+		// -retries is no flag: a run is deterministic, so no command
+		// retries one. The other arguments are valid, but for serve's
+		// unusable -addr, which stops a serve that took the flag from
+		// serving.
+		{"batch", "-retries", "1", "../../scenarios/serve-quick.json"},
+		{"faults", "-list", "-retries", "1"},
+		{"serve", "-retries", "1", "-addr", "127.0.0.1:-1"},
 	}
 	// Every subcommand but runfile and batch takes no operand.
 	for _, sub := range subcommands {
@@ -390,6 +398,60 @@ func TestBatchRowOfUnnamedSpecMatchesServedBody(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatalf("batch row differs from the served body:\n%s\n%s", got, want)
+	}
+}
+
+// TestBatchLoadErrorNamesFile: batch loads every operand before it runs
+// any, and an operand that does not parse fails the batch with an error
+// that names it.
+func TestBatchLoadErrorNamesFile(t *testing.T) {
+	dir := t.TempDir()
+	good := filepath.Join(dir, "good.json")
+	bad := filepath.Join(dir, "bad.json")
+	if err := os.WriteFile(good, []byte(`{"trace":{"kind":"synthetic","duration":120}}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(bad, []byte(`{"trace":`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err := run(context.Background(), []string{"batch", good, bad})
+	if got := exitCodeSilently(err); got != 1 || !strings.HasPrefix(err.Error(), bad+": config: ") {
+		t.Fatalf("batch exits %d with %v, want 1 and an error naming %s", got, err, bad)
+	}
+}
+
+// TestRunnerBlockSpecExitsOne: a spec carries no orchestration
+// settings, so batch and runfile refuse a spec that still carries the
+// removed runner block, naming the field, with exit code 1.
+func TestRunnerBlockSpecExitsOne(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "runner.json")
+	spec := `{"trace":{"kind":"synthetic","duration":600},"runner":{"retries":2}}`
+	if err := os.WriteFile(path, []byte(spec), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{{"batch", path}, {"runfile", path}} {
+		var err error
+		captureStdout(t, func() { err = run(context.Background(), args) })
+		if got := exitCodeSilently(err); got != 1 || !strings.Contains(err.Error(), `unknown field "runner"`) {
+			t.Errorf("%v exits %d with %v, want 1 and an unknown-field error", args, got, err)
+		}
+	}
+}
+
+// TestFlagLine: a daemon's startup line lists every flag at its
+// effective value, set or default, in name order.
+func TestFlagLine(t *testing.T) {
+	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
+	fs.Int("workers", 0, "")
+	fs.String("cache-dir", "", "")
+	fs.Float64("drain", 30, "")
+	fs.String("addr", "127.0.0.1:8080", "")
+	if err := fs.Parse([]string{"-workers", "2", "-addr", "127.0.0.1:9090"}); err != nil {
+		t.Fatal(err)
+	}
+	want := `fcdpm serve flags: -addr=127.0.0.1:9090 -cache-dir="" -drain=30 -workers=2`
+	if got := flagLine(fs); got != want {
+		t.Fatalf("flagLine = %q, want %q", got, want)
 	}
 }
 

@@ -30,12 +30,12 @@ func cmdServe(ctx context.Context, args []string) error {
 	}
 	ro := pf.options()
 	logger := log.New(os.Stderr, "", log.LstdFlags)
+	logger.Print(flagLine(fs))
 	return server.Serve(ctx, server.Options{
 		Addr:         *addr,
 		Workers:      ro.Workers,
 		Queue:        *queue,
 		RunTimeout:   ro.Timeout,
-		Retries:      ro.Retries,
 		DrainTimeout: secondsFlag(*drain),
 		CacheBytes:   *cacheMB << 20,
 		CacheDir:     *cacheDir,

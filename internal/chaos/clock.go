@@ -8,9 +8,9 @@ import (
 // Clock is a runner.Clock that runs at Rate relative to the wall
 // clock: 1.0 is true time, 0.7 is a clock 30% slow. A slow worker
 // clock stretches its heartbeat cadence in real terms, which is
-// exactly the lease-TTL skew the dispatcher's SkewGrace must tolerate:
-// at the TTL/3 heartbeat cadence and the default grace of TTL/3, any
-// rate above 0.25 must never lose a lease to skew alone.
+// exactly the lease-TTL skew the dispatcher's skew grace must tolerate:
+// at the TTL/3 heartbeat cadence and a grace of TTL/3, any rate above
+// 0.25 must never lose a lease to skew alone.
 type Clock struct {
 	base time.Time
 	rate float64

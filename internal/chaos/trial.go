@@ -26,7 +26,8 @@ const (
 	trialLeaseTTL = 900 * time.Millisecond
 	trialTimeout  = 45 * time.Second
 	// skewRate is worker 2's clock rate: 30% slow, inside the bound
-	// SkewGrace must absorb at the TTL/3 heartbeat cadence.
+	// the dispatcher's skew grace must absorb at the TTL/3 heartbeat
+	// cadence.
 	skewRate = 0.7
 )
 
@@ -208,8 +209,8 @@ func RunTrial(ctx context.Context, opts TrialOptions) TrialResult {
 	base := "http://" + disp.addr
 
 	// Two workers: chaos transports on both, a 30%-slow clock on the
-	// second (the skew SkewGrace exists for), the chaos FS under both
-	// spools.
+	// second (the skew the dispatcher's skew grace exists for), the
+	// chaos FS under both spools.
 	workers := make([]*dispatch.Worker, 2)
 	wstop := make([]context.CancelFunc, 2)
 	wdone := make([]chan error, 2)

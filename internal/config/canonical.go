@@ -30,9 +30,8 @@ var (
 
 // Normalized returns a canonical copy of the scenario: it validates,
 // lowercases every kind/mode selector, writes the paper defaults into
-// zero-valued fields, zeroes fields the selected kind ignores, and drops
-// the runner block (orchestration tuning cannot change a simulation's
-// result). The receiver is not modified.
+// zero-valued fields, and zeroes fields the selected kind ignores. The
+// receiver is not modified.
 //
 // It is the one place a spec's defaults are resolved, each read from
 // the package that defines it. Build constructs the run from its
@@ -47,7 +46,6 @@ func (s *Scenario) Normalized() (*Scenario, error) {
 		return nil, err
 	}
 	n := *s
-	n.Runner = RunnerSpec{}
 
 	// System: the paper's stack and measured efficiency line. Build
 	// ignores alpha/beta under a constant-efficiency model.

@@ -34,14 +34,6 @@ func TestCacheKeyEquivalentSpecs(t *testing.T) {
 	}
 }
 
-func TestCacheKeyIgnoresRunnerBlock(t *testing.T) {
-	a := mustKey(t, `{"trace":{"kind":"synthetic"}}`)
-	b := mustKey(t, `{"trace":{"kind":"synthetic"},"runner":{"workers":7,"retries":2,"journal":"x.jsonl"}}`)
-	if a != b {
-		t.Fatal("orchestration tuning leaked into the cache key")
-	}
-}
-
 func TestCacheKeyIgnoresInertFields(t *testing.T) {
 	// flatIF only parameterizes the "flat" policy; under fcdpm it is inert.
 	a := mustKey(t, `{"policy":{"kind":"fcdpm"}}`)

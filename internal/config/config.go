@@ -65,25 +65,6 @@ type Scenario struct {
 	// DeficitLimit overrides the supervisor's per-stage unmet-charge
 	// budget, A-s (0 = default).
 	DeficitLimit float64 `json:"deficitLimit"`
-	// Runner tunes the batch-orchestration engine when this scenario runs
-	// as part of a batch (`fcdpm batch`); single runs ignore it.
-	Runner RunnerSpec `json:"runner"`
-}
-
-// RunnerSpec tunes the run-orchestration engine for batch execution. Zero
-// values mean engine defaults (GOMAXPROCS workers, no deadline, no
-// retries, no journal). CLI flags override a scenario's runner block.
-type RunnerSpec struct {
-	// Workers bounds concurrently executing scenarios.
-	Workers int `json:"workers"`
-	// TimeoutSec is the per-run attempt deadline in seconds.
-	TimeoutSec float64 `json:"timeoutSec"`
-	// Retries re-attempts transiently failed runs with exponential
-	// backoff.
-	Retries int `json:"retries"`
-	// Journal is a JSONL checkpoint path; completed runs recorded there
-	// are skipped when the batch is re-invoked (crash-safe resume).
-	Journal string `json:"journal"`
 }
 
 // FaultsSpec describes the injected faults: explicit events, randomly
@@ -337,15 +318,6 @@ func (s *Scenario) Validate() error {
 		if _, err := fault.ParseKind(name); err != nil {
 			return &ValidationError{Field: "faults.kinds", Detail: err.Error()}
 		}
-	}
-	if s.Runner.Workers < 0 {
-		return &ValidationError{Field: "runner.workers", Detail: fmt.Sprintf("negative worker count %d", s.Runner.Workers)}
-	}
-	if err := checkNonNeg("runner.timeoutSec", s.Runner.TimeoutSec); err != nil {
-		return err
-	}
-	if s.Runner.Retries < 0 {
-		return &ValidationError{Field: "runner.retries", Detail: fmt.Sprintf("negative retry count %d", s.Runner.Retries)}
 	}
 	if err := checkNonNeg("trace.duration", s.Trace.Duration); err != nil {
 		return err

@@ -154,6 +154,12 @@ func TestLoadRejectsUnknownFields(t *testing.T) {
 	if _, err := Load(strings.NewReader(`not json`)); err == nil {
 		t.Fatal("garbage accepted")
 	}
+	// A spec holds no orchestration settings: the removed runner block
+	// is refused like any unknown field.
+	_, err := Load(strings.NewReader(`{"trace":{"kind":"synthetic","duration":600},"runner":{"retries":2}}`))
+	if err == nil || !strings.Contains(err.Error(), `unknown field "runner"`) {
+		t.Fatalf("Load error %v, want an unknown-field rejection of runner", err)
+	}
 }
 
 func TestBuildErrors(t *testing.T) {
@@ -210,9 +216,6 @@ func TestValidateRejectsBadFields(t *testing.T) {
 		`{"faults": {"events": [{"kind": "meteor-strike"}]}}`,
 		`{"faults": {"random": 2, "kinds": ["nope"]}}`,
 		`{"fallbacks": ["asap", "nope"]}`,
-		`{"runner": {"workers": -1}}`,
-		`{"runner": {"timeoutSec": -5}}`,
-		`{"runner": {"retries": -2}}`,
 	}
 	for _, js := range cases {
 		s, err := Load(strings.NewReader(js))
@@ -227,21 +230,6 @@ func TestValidateRejectsBadFields(t *testing.T) {
 	s, _ := Load(strings.NewReader(`{"predict": {"rho": 1.5}}`))
 	if _, err := s.Build(); !errors.As(err, &ve) || ve.Field != "predict.rho" {
 		t.Fatalf("want *ValidationError on predict.rho, got %v", err)
-	}
-}
-
-func TestRunnerSpecParses(t *testing.T) {
-	js := `{"runner": {"workers": 4, "timeoutSec": 60, "retries": 2, "journal": "/tmp/j.jsonl"}}`
-	s, err := Load(strings.NewReader(js))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := RunnerSpec{Workers: 4, TimeoutSec: 60, Retries: 2, Journal: "/tmp/j.jsonl"}
-	if s.Runner != want {
-		t.Fatalf("runner spec = %+v, want %+v", s.Runner, want)
-	}
-	if err := s.Validate(); err != nil {
-		t.Fatalf("valid runner spec rejected: %v", err)
 	}
 }
 

@@ -20,24 +20,19 @@ func LoadValidated(r io.Reader) (*Scenario, error) {
 }
 
 // LoadFiles loads and validates every scenario file up front — a
-// malformed or invalid file is a caller problem, not a run failure —
-// and returns, alongside the scenarios, the first non-zero Runner block
-// found, which supplies pool defaults that explicit flags override.
-func LoadFiles(paths []string) ([]*Scenario, RunnerSpec, error) {
+// malformed or invalid file is a caller problem, not a run failure. An
+// error names the file it came from.
+func LoadFiles(paths []string) ([]*Scenario, error) {
 	scens := make([]*Scenario, len(paths))
-	var spec RunnerSpec
 	for i, path := range paths {
 		s, err := LoadFile(path)
-		if err != nil {
-			return nil, RunnerSpec{}, err
+		if err == nil {
+			err = s.Validate()
 		}
-		if err := s.Validate(); err != nil {
-			return nil, RunnerSpec{}, fmt.Errorf("%s: %w", path, err)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", path, err)
 		}
 		scens[i] = s
-		if spec == (RunnerSpec{}) {
-			spec = s.Runner
-		}
 	}
-	return scens, spec, nil
+	return scens, nil
 }

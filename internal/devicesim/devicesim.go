@@ -38,8 +38,6 @@ type Options struct {
 	Out io.Writer
 	// Logf, when set, receives progress lines.
 	Logf func(format string, args ...any)
-	// HTTPClient overrides the pooled default (tests).
-	HTTPClient *http.Client
 }
 
 func (o Options) withDefaults() Options {
@@ -100,11 +98,7 @@ func Run(ctx context.Context, o Options) (Report, error) {
 		defer stop()
 		o.Logf("devicesim: metrics at http://%s/metrics", addr)
 	}
-	hc := o.HTTPClient
-	if hc == nil {
-		hc = fleetTransport()
-	}
-	f := &fleet{opts: o, hc: hc, m: m}
+	f := &fleet{opts: o, hc: fleetTransport(), m: m}
 	o.Logf("devicesim: %d devices, %d submissions over %s (seed %d)",
 		len(devices), len(sched), o.StopAfter, o.Seed)
 

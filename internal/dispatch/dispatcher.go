@@ -32,8 +32,8 @@ const (
 	DefaultLeaseTTL = 15 * time.Second
 	// DefaultCacheBytes bounds the in-memory result cache tier.
 	DefaultCacheBytes = 64 << 20
-	// DefaultMaxBodyBytes bounds request bodies (413 beyond).
-	DefaultMaxBodyBytes = 8 << 20
+	// maxBodyBytes bounds request bodies (413 beyond).
+	maxBodyBytes = 8 << 20
 	// maxSweepShards bounds one sweep submission.
 	maxSweepShards = 4096
 	// drainRetryAfter is the Retry-After hint on draining 503s.
@@ -71,14 +71,6 @@ type Options struct {
 	LeaseTTL time.Duration
 	// CacheBytes bounds the memory cache tier (default DefaultCacheBytes).
 	CacheBytes int64
-	// MaxBodyBytes bounds request bodies (default DefaultMaxBodyBytes).
-	MaxBodyBytes int64
-	// SkewGrace pads lease expiry before reclaim: a lease is reclaimed
-	// only once it has been expired for this long, so a worker whose
-	// clock runs slow by a bounded factor still heartbeats in time.
-	// Default LeaseTTL/3 (tolerates ~25% slow worker clocks at the
-	// TTL/3 heartbeat cadence).
-	SkewGrace time.Duration
 	// Logf receives operational log lines; nil silences them.
 	Logf func(format string, args ...any)
 	// Now overrides the clock (tests, chaos trials); nil means time.Now.
@@ -99,12 +91,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.CacheBytes == 0 {
 		o.CacheBytes = DefaultCacheBytes
-	}
-	if o.MaxBodyBytes <= 0 {
-		o.MaxBodyBytes = DefaultMaxBodyBytes
-	}
-	if o.SkewGrace <= 0 {
-		o.SkewGrace = o.LeaseTTL / 3
 	}
 	if o.Logf == nil {
 		o.Logf = func(string, ...any) {}
@@ -463,7 +449,7 @@ func (d *Dispatcher) compactRecords() []any {
 // shards immediately, queues the rest, and answers 202.
 func (d *Dispatcher) handleSweepPost(w http.ResponseWriter, r *http.Request) {
 	var req SweepRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, d.opts.MaxBodyBytes))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		if httpx.WriteBodyLimit(w, err) {
@@ -866,7 +852,7 @@ func (d *Dispatcher) handleComplete(w http.ResponseWriter, r *http.Request) {
 
 // decodeBody reads one bounded JSON body; 413 oversize, 400 malformed.
 func (d *Dispatcher) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, d.opts.MaxBodyBytes))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err := dec.Decode(v); err != nil {
 		if !httpx.WriteBodyLimit(w, err) {
 			httpx.WriteErr(w, 400, "invalid request: %v", err)
@@ -880,12 +866,14 @@ func (d *Dispatcher) decodeBody(w http.ResponseWriter, r *http.Request, v any) b
 // under a fresh epoch. The old holder's heartbeat will report the lease
 // lost; its success delivery, should one still arrive, is accepted by
 // the stale-epoch rule. A lease is reclaimed only once it has been
-// expired for SkewGrace: a worker whose clock runs slow by a bounded
-// factor still lands its heartbeat inside the padded window instead of
-// losing work to clock skew. Exported for the chaos harness, which
+// expired for a third of its TTL, the skew grace: a worker whose clock
+// runs slow by a bounded factor (up to ~25 % at the TTL/3 heartbeat
+// cadence) still lands its heartbeat inside the padded window instead
+// of losing work to clock skew. Exported for the chaos harness, which
 // drives reclamation from its own clock.
 func (d *Dispatcher) ReclaimExpired() int {
 	now := d.opts.Now()
+	grace := d.opts.LeaseTTL / 3
 	n := 0
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -895,7 +883,7 @@ func (d *Dispatcher) ReclaimExpired() int {
 			if sh.state != shardLeased && sh.state != shardExecuting {
 				continue
 			}
-			if sh.expires.Add(d.opts.SkewGrace).After(now) {
+			if sh.expires.Add(grace).After(now) {
 				continue
 			}
 			d.inState[sh.state]--

@@ -167,9 +167,6 @@ func NewWorker(opts WorkerOptions) (*Worker, error) {
 		Workers: opts.Workers,
 		Queue:   w.capacity(),
 		Timeout: opts.RunTimeout,
-		// The dispatcher owns retry and quarantine policy; a worker that
-		// silently skipped shards via a local breaker would wedge leases.
-		BreakerThreshold: -1,
 		// The daemon never reads per-shard outcomes (results travel by
 		// push), and retaining one per shard would grow for its lifetime.
 		StreamOutcomes: true,
@@ -322,9 +319,11 @@ func (w *Worker) start(sh Shard) {
 		w.wakeHB()
 	}
 	w.mu.Unlock()
+	// The task carries no scenario, so no local breaker can skip it: the
+	// dispatcher owns retry and quarantine policy, and a worker that
+	// silently skipped shards would wedge leases.
 	err := w.pool.Submit(runner.Task[struct{}]{
-		ID:       sh.Lease,
-		Scenario: sh.Name,
+		ID: sh.Lease,
 		Run: func(ctx context.Context) (struct{}, error) {
 			runCtx, cancel := context.WithCancel(ctx)
 			defer cancel()

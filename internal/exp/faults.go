@@ -62,14 +62,17 @@ func canonicalFaults(duration float64) (map[string]*fault.Schedule, []string) {
 // FaultSweep runs the paper's three policies over the Experiment 2
 // setup under each canonical fault class on the run-orchestration
 // engine, configured by opts: each (class, policy) cell is one task,
-// grouped per fault class for circuit breaking, with the standard
-// degradation chain (FC-DPM -> ASAP -> Conv -> load-shed, truncated for
-// policies already further down). metrics, when non-nil, instruments
-// every cell's simulation. Cell order in the result is deterministic
-// regardless of worker count. When the context is canceled mid-sweep
-// the partial result is returned along with runner.ErrInterrupted; with
-// a journal configured, re-running the same sweep completes the missing
-// cells without re-simulating the finished ones.
+// with the standard degradation chain (FC-DPM -> ASAP -> Conv ->
+// load-shed, truncated for policies already further down). The cells
+// carry no breaker scenario: a fault class has three cells and the
+// default breaker opens on the third consecutive failure, so grouping
+// them by class could never skip one. metrics, when non-nil,
+// instruments every cell's simulation. Cell order in the result is
+// deterministic regardless of worker count. When the context is
+// canceled mid-sweep the partial result is returned along with
+// runner.ErrInterrupted; with a journal configured, re-running the same
+// sweep completes the missing cells without re-simulating the finished
+// ones.
 func FaultSweep(ctx context.Context, seed uint64, opts runner.Options, metrics *obs.SimMetrics) (*FaultSweepResult, error) {
 	sc, err := Experiment2Scenario(seed)
 	if err != nil {
@@ -110,7 +113,6 @@ func FaultSweep(ctx context.Context, seed uint64, opts runner.Options, metrics *
 			tasks = append(tasks, runner.Task[FaultRow]{
 				ID: runner.RunID("faults", fmt.Sprintf("seed=%d", seed),
 					"class="+class, "policy="+name),
-				Scenario: class,
 				Run: func(ctx context.Context) (FaultRow, error) {
 					cfg := sc.simConfig(r.mk())
 					cfg.Fallbacks = r.fallbacks()

@@ -56,7 +56,7 @@ func TestNilInstrumentsAreSafe(t *testing.T) {
 	var m *SimMetrics
 	m.RecordRun(10, 1.5, 2, 3, time.Second)
 	var pm *PoolMetrics
-	pm.Resolved("done", 2)
+	pm.Resolved("done")
 	pm.BreakerChanged("closed", "open")
 }
 

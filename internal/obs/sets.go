@@ -83,16 +83,13 @@ func (m *BatchMetrics) RecordBatch(lanes int, planGroupHits uint64) {
 }
 
 // PoolMetrics is the run-orchestration engine's instrument set:
-// admission, resolution, retry, and breaker activity of one
-// runner.Pool.
+// admission, resolution, and breaker activity of one runner.Pool.
 type PoolMetrics struct {
 	// Submitted counts tasks admitted to the queue (journal-resumed
 	// tasks never enqueue and are counted under Resumed only).
 	Submitted *Counter
 	// Resolution counters, one per runner.Status.
 	Done, Resumed, Failed, Shed, BreakerSkipped, Interrupted *Counter
-	// Retries counts re-attempts beyond each task's first.
-	Retries *Counter
 	// BreakerOpens and BreakerCloses count circuit-breaker state
 	// transitions into open (including a failed half-open probe
 	// re-opening) and back to closed.
@@ -114,11 +111,10 @@ func NewPoolMetrics(r *Registry) *PoolMetrics {
 		Submitted:        r.Counter("fcdpm_pool_tasks_submitted_total", "Tasks admitted to the pool queue."),
 		Done:             r.Counter("fcdpm_pool_tasks_done_total", "Tasks that ran to completion."),
 		Resumed:          r.Counter("fcdpm_pool_tasks_resumed_total", "Tasks restored from the checkpoint journal."),
-		Failed:           r.Counter("fcdpm_pool_tasks_failed_total", "Tasks that exhausted their attempts."),
+		Failed:           r.Counter("fcdpm_pool_tasks_failed_total", "Tasks whose run failed."),
 		Shed:             r.Counter("fcdpm_pool_tasks_shed_total", "Tasks rejected at admission (queue full)."),
 		BreakerSkipped:   r.Counter("fcdpm_pool_tasks_breaker_skipped_total", "Tasks rejected by an open scenario breaker."),
 		Interrupted:      r.Counter("fcdpm_pool_tasks_interrupted_total", "Tasks cut short by batch cancellation."),
-		Retries:          r.Counter("fcdpm_pool_retries_total", "Task re-attempts beyond the first."),
 		BreakerOpens:     r.Counter("fcdpm_pool_breaker_opens_total", "Circuit-breaker transitions into open."),
 		BreakerCloses:    r.Counter("fcdpm_pool_breaker_closes_total", "Circuit-breaker transitions back to closed."),
 		BreakersOpen:     r.Gauge("fcdpm_pool_breakers_open", "Scenario breakers currently open."),
@@ -171,7 +167,7 @@ func (m *PoolMetrics) BreakerChanged(from, to string) {
 
 // Resolved folds one task resolution into the set; status is the
 // runner.Status string. Nil-safe.
-func (m *PoolMetrics) Resolved(status string, attempts int) {
+func (m *PoolMetrics) Resolved(status string) {
 	if m == nil {
 		return
 	}
@@ -188,8 +184,5 @@ func (m *PoolMetrics) Resolved(status string, attempts int) {
 		m.BreakerSkipped.Inc()
 	case "interrupted":
 		m.Interrupted.Inc()
-	}
-	if attempts > 1 {
-		m.Retries.Add(float64(attempts - 1))
 	}
 }

@@ -18,8 +18,8 @@ const (
 // deterministic jitter derived from the task ID and retry index. Hashed
 // jitter decorrelates sibling retries without any global randomness, so
 // a re-run of the same batch backs off identically — determinism is a
-// repo-wide invariant. Exported so remote workers polling a dispatcher
-// pace themselves with the same schedule the pool uses for attempts.
+// repo-wide invariant. Remote workers polling a dispatcher and the HTTP
+// client's retries both pace themselves with it.
 // A retry index below 1 (attempt zero, or a caller bug) is treated as 1
 // so the delay is never zero or negative, and growth saturates at max
 // before the doubling can overflow — with a max near the top of the

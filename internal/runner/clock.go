@@ -5,8 +5,8 @@ import (
 	"time"
 )
 
-// Clock abstracts time for the engine so backoff and breaker cooldowns
-// are testable with a deterministic fake. The zero Options gets the real
+// Clock abstracts time so breaker cooldowns and the sweep worker's
+// polling backoff are testable with a deterministic fake. The zero Options gets the real
 // clock.
 type Clock interface {
 	// Now returns the current instant.

@@ -24,13 +24,12 @@ var (
 )
 
 // RunError is the typed failure of one task: the wrapped cause, the task
-// identity, how many attempts were made, and — when the run panicked —
-// the recovered value and its stack. A panicking run never takes down
-// sibling workers; it surfaces as a *RunError with a non-empty Stack.
+// identity, and — when the run panicked — the recovered value and its
+// stack. A panicking run never takes down sibling workers; it surfaces
+// as a *RunError with a non-empty Stack.
 type RunError struct {
 	ID       string
 	Scenario string
-	Attempts int
 	Err      error
 	// PanicValue and Stack are set when the task panicked.
 	PanicValue any
@@ -40,9 +39,9 @@ type RunError struct {
 // Error implements error.
 func (e *RunError) Error() string {
 	if e.Stack != "" {
-		return fmt.Sprintf("runner: task %s panicked after %d attempt(s): %v", e.ID, e.Attempts, e.PanicValue)
+		return fmt.Sprintf("runner: task %s panicked: %v", e.ID, e.PanicValue)
 	}
-	return fmt.Sprintf("runner: task %s failed after %d attempt(s): %v", e.ID, e.Attempts, e.Err)
+	return fmt.Sprintf("runner: task %s failed: %v", e.ID, e.Err)
 }
 
 // Unwrap exposes the cause for errors.Is / errors.As.
@@ -60,31 +59,3 @@ func (e *RunError) Format(f fmt.State, verb rune) {
 		fmt.Fprintf(f, "%%!%c(*runner.RunError=%s)", verb, e.Error())
 	}
 }
-
-// Retryable reports whether the engine should re-attempt a failed task:
-// anything implementing Retryable() bool, plus per-attempt deadline
-// expiries (a hung run may succeed on a retry). Panics and
-// parent-context cancellations are never retryable.
-func Retryable(err error) bool {
-	var rt interface{ Retryable() bool }
-	if errors.As(err, &rt) {
-		return rt.Retryable()
-	}
-	var at *attemptTimeoutError
-	return errors.As(err, &at)
-}
-
-// attemptTimeoutError marks one attempt exceeding Options.Timeout,
-// distinguishing it from a parent-context cancellation (which must stop
-// the batch, not trigger a retry).
-type attemptTimeoutError struct {
-	id      string
-	timeout float64 // seconds
-	err     error
-}
-
-func (e *attemptTimeoutError) Error() string {
-	return fmt.Sprintf("runner: task %s exceeded the %.3gs attempt deadline: %v", e.id, e.timeout, e.err)
-}
-
-func (e *attemptTimeoutError) Unwrap() error { return e.err }

@@ -36,45 +36,30 @@ func TestOnEventLifecycle(t *testing.T) {
 	sink := &eventSink{}
 	tasks := []Task[int]{
 		{ID: "ok", Run: func(context.Context) (int, error) { return 7, nil }},
-		{ID: "flaky", Run: func() func(context.Context) (int, error) {
-			calls := 0
-			return func(context.Context) (int, error) {
-				calls++
-				if calls == 1 {
-					return 0, transient{errors.New("transient")}
-				}
-				return 9, nil
-			}
-		}()},
 		{ID: "broken", Run: func(context.Context) (int, error) {
 			return 0, errors.New("deterministic")
 		}},
 	}
 	rep, err := Run(context.Background(), Options{
-		Workers: 2, Retries: 2, Clock: newFakeClock(),
+		Workers: 2, Clock: newFakeClock(),
 		OnEvent: sink.record,
 	}, tasks)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if rep.Done != 2 || rep.Failed != 1 {
+	if rep.Done != 1 || rep.Failed != 1 {
 		t.Fatalf("report: %+v", rep)
 	}
 
 	okEvents := sink.byID("ok")
 	if len(okEvents) != 2 ||
-		okEvents[0].Phase != PhaseStart || okEvents[0].Attempt != 1 ||
+		okEvents[0].Phase != PhaseStart ||
 		okEvents[1].Phase != PhaseResolve || okEvents[1].Status != StatusDone {
 		t.Fatalf("ok lifecycle: %+v", okEvents)
 	}
-	flaky := sink.byID("flaky")
-	if len(flaky) != 3 || flaky[1].Attempt != 2 ||
-		flaky[2].Status != StatusDone || flaky[2].Attempt != 2 {
-		t.Fatalf("flaky lifecycle: %+v", flaky)
-	}
 	broken := sink.byID("broken")
-	last := broken[len(broken)-1]
-	if last.Phase != PhaseResolve || last.Status != StatusFailed || last.Err == nil {
+	if len(broken) != 2 || broken[0].Phase != PhaseStart ||
+		broken[1].Phase != PhaseResolve || broken[1].Status != StatusFailed || broken[1].Err == nil {
 		t.Fatalf("broken lifecycle: %+v", broken)
 	}
 }

@@ -16,10 +16,8 @@ import (
 // next invocation, so checkpointing them would turn a transient fault
 // into a permanent skip.
 type journalRecord struct {
-	ID       string          `json:"id"`
-	Scenario string          `json:"scenario,omitempty"`
-	Attempts int             `json:"attempts"`
-	Result   json.RawMessage `json:"result"`
+	ID     string          `json:"id"`
+	Result json.RawMessage `json:"result"`
 }
 
 // journal is a crash-safe JSONL checkpoint of completed runs. Every

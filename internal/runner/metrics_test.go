@@ -10,29 +10,20 @@ import (
 )
 
 // TestPoolMetricsCounters checks the obs wiring end to end: admission,
-// resolution by status, retries, and queue depth returning to zero.
+// resolution by status, and queue depth returning to zero.
 func TestPoolMetricsCounters(t *testing.T) {
 	reg := obs.NewRegistry()
 	m := obs.NewPoolMetrics(reg)
 	opts := testOpts()
 	opts.Metrics = m
-	opts.Retries = 1
 
-	flaky := 0
 	tasks := []Task[int]{
 		{ID: "ok", Run: func(context.Context) (int, error) { return 1, nil }},
-		{ID: "flaky", Run: func(context.Context) (int, error) {
-			flaky++
-			if flaky == 1 {
-				return 0, transient{errors.New("transient")}
-			}
-			return 2, nil
-		}},
+		{ID: "ok2", Run: func(context.Context) (int, error) { return 2, nil }},
 		{ID: "dead", Run: func(context.Context) (int, error) {
-			return 0, transient{errors.New("always")}
+			return 0, errors.New("always")
 		}},
 	}
-	opts.Workers = 1
 	rep, err := Run(context.Background(), opts, tasks)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -48,10 +39,6 @@ func TestPoolMetricsCounters(t *testing.T) {
 	}
 	if got := m.Failed.Value(); got != 1 {
 		t.Errorf("failed = %v, want 1", got)
-	}
-	// flaky retried once, dead retried once: 2 re-attempts total.
-	if got := m.Retries.Value(); got != 2 {
-		t.Errorf("retries = %v, want 2", got)
 	}
 	if got := m.QueueDepth.Value(); got != 0 {
 		t.Errorf("queue depth after drain = %v, want 0", got)

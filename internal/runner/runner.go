@@ -1,7 +1,7 @@
 // Package runner is the resilient run-orchestration engine behind every
 // batch entry point (fault sweeps, ablations, scenario batches, figure
-// generation): a bounded worker pool with per-run deadlines, panic
-// isolation, retry with exponential backoff, per-scenario circuit
+// generation): a bounded worker pool that runs each task once under an
+// optional deadline, with panic isolation, per-scenario circuit
 // breakers, bounded admission with explicit load shedding, graceful
 // drain on cancellation, and a crash-safe checkpoint journal keyed by
 // deterministic run IDs so an interrupted sweep resumes instead of
@@ -28,20 +28,17 @@ import (
 )
 
 // Options tunes the engine. The zero value is a sensible default:
-// GOMAXPROCS workers, no per-run deadline, no retries, blocking
-// admission, breakers at 3 consecutive failures, no journal.
+// GOMAXPROCS workers, no per-run deadline, blocking admission, breakers
+// at 3 consecutive failures, no journal. Every task runs once: a run is
+// a deterministic function of its inputs, so running it again would
+// repeat the failure.
 type Options struct {
 	// Workers bounds concurrent runs (default: GOMAXPROCS).
 	Workers int
-	// Timeout is the per-attempt deadline; 0 means none. An attempt that
-	// exceeds it fails with a retryable deadline error — the run function
-	// must honor its context for the worker to come back.
+	// Timeout is the per-task deadline; 0 means none. A task that
+	// exceeds it fails with an error naming the deadline — the run
+	// function must honor its context for the worker to come back.
 	Timeout time.Duration
-	// Retries is how many times a failed attempt is re-run, applied only
-	// to retryable failures (Retryable() bool, attempt
-	// deadlines), after an exponential backoff from DefaultBackoffBase to
-	// DefaultBackoffMax. 0 means fail fast.
-	Retries int
 	// Queue bounds the admission queue (default: 2×Workers).
 	Queue int
 	// ShedOverflow makes Submit reject (ErrShed) instead of block when
@@ -57,9 +54,10 @@ type Options struct {
 	// resume for interrupted sweeps.
 	Journal string
 	// OnEvent, when set, observes the task lifecycle: one PhaseStart
-	// notification per attempt and one PhaseResolve per task. Callbacks
-	// run synchronously on worker (and submitter) goroutines — they must
-	// be fast, concurrency-safe, and must not call back into the pool.
+	// notification when a task begins executing and one PhaseResolve per
+	// task. Callbacks run synchronously on worker (and submitter)
+	// goroutines — they must be fast, concurrency-safe, and must not call
+	// back into the pool.
 	OnEvent func(TaskEvent)
 	// StreamOutcomes drops per-task outcome retention: Drain's report
 	// carries only the counters, and results reach the caller through the
@@ -70,7 +68,7 @@ type Options struct {
 	// Clock substitutes a fake time source in tests.
 	Clock Clock
 	// Metrics, when non-nil, receives the pool's admission, resolution,
-	// retry, queue-depth, and breaker-transition activity. Recording is
+	// queue-depth, and breaker-transition activity. Recording is
 	// a few atomic adds per task; nil disables instrumentation entirely.
 	Metrics *obs.PoolMetrics
 }
@@ -80,7 +78,7 @@ type EventPhase string
 
 // Lifecycle phases.
 const (
-	// PhaseStart: an attempt is about to execute.
+	// PhaseStart: the task is about to execute.
 	PhaseStart EventPhase = "start"
 	// PhaseResolve: the task reached its final status.
 	PhaseResolve EventPhase = "resolve"
@@ -92,10 +90,6 @@ type TaskEvent struct {
 	ID, Scenario string
 	// Phase is PhaseStart or PhaseResolve.
 	Phase EventPhase
-	// Attempt is the 1-based attempt number on start events and the total
-	// attempts made on resolve events (0 when the task never executed:
-	// resumed, shed, breaker-open).
-	Attempt int
 	// Status is the final status; set only on resolve events.
 	Status Status
 	// Err is the failure cause on failed/shed/interrupted resolutions.
@@ -120,6 +114,7 @@ func (o Options) withDefaults() Options {
 // deterministic across invocations (see RunID) — it is the journal key.
 // Scenario groups tasks for circuit breaking: repeated failures within a
 // scenario stop that scenario's remaining tasks, never its siblings'.
+// A task without a scenario is never skipped by a breaker.
 type Task[R any] struct {
 	ID       string
 	Scenario string
@@ -135,7 +130,7 @@ const (
 	StatusDone Status = "done"
 	// StatusResumed: skipped, result restored from the journal.
 	StatusResumed Status = "resumed"
-	// StatusFailed: all attempts failed; Err holds a *RunError.
+	// StatusFailed: the run failed; Err holds a *RunError.
 	StatusFailed Status = "failed"
 	// StatusShed: rejected at admission (queue full, ShedOverflow).
 	StatusShed Status = "shed"
@@ -153,9 +148,6 @@ type Outcome[R any] struct {
 	Status   Status
 	Result   R
 	Err      error
-	// Attempts counts executions this invocation (0 for resumed/shed/
-	// breaker-open/never-started tasks).
-	Attempts int
 }
 
 // Report aggregates a batch.
@@ -256,7 +248,7 @@ func (p *Pool[R]) reserve(t Task[R]) int {
 
 // resolve records a task's final status: counter, outcome slot (unless
 // streaming), and the PhaseResolve notification.
-func (p *Pool[R]) resolve(index int, t Task[R], status Status, result R, err error, attempts int) {
+func (p *Pool[R]) resolve(index int, t Task[R], status Status, result R, err error) {
 	p.mu.Lock()
 	switch status {
 	case StatusDone:
@@ -274,13 +266,13 @@ func (p *Pool[R]) resolve(index int, t Task[R], status Status, result R, err err
 	}
 	if index >= 0 {
 		o := &p.outcomes[index]
-		o.Status, o.Result, o.Err, o.Attempts = status, result, err, attempts
+		o.Status, o.Result, o.Err = status, result, err
 	}
 	p.mu.Unlock()
-	p.opts.Metrics.Resolved(string(status), attempts)
+	p.opts.Metrics.Resolved(string(status))
 	if p.opts.OnEvent != nil {
 		p.opts.OnEvent(TaskEvent{ID: t.ID, Scenario: t.Scenario,
-			Phase: PhaseResolve, Attempt: attempts, Status: status, Err: err})
+			Phase: PhaseResolve, Status: status, Err: err})
 	}
 }
 
@@ -313,7 +305,7 @@ func (p *Pool[R]) Submit(t Task[R]) error {
 		if ok {
 			var res R
 			if err := json.Unmarshal(rec.Result, &res); err == nil {
-				p.resolve(index, t, StatusResumed, res, nil, 0)
+				p.resolve(index, t, StatusResumed, res, nil)
 				return nil
 			}
 			// Undecodable checkpoint (schema drift): fall through and
@@ -327,10 +319,10 @@ func (p *Pool[R]) Submit(t Task[R]) error {
 			p.opts.Metrics.Admitted()
 			return nil
 		case <-p.ctx.Done():
-			p.resolve(index, t, StatusInterrupted, zero, p.ctx.Err(), 0)
+			p.resolve(index, t, StatusInterrupted, zero, p.ctx.Err())
 			return p.ctx.Err()
 		default:
-			p.resolve(index, t, StatusShed, zero, ErrShed, 0)
+			p.resolve(index, t, StatusShed, zero, ErrShed)
 			return ErrShed
 		}
 	}
@@ -339,7 +331,7 @@ func (p *Pool[R]) Submit(t Task[R]) error {
 		p.opts.Metrics.Admitted()
 		return nil
 	case <-p.ctx.Done():
-		p.resolve(index, t, StatusInterrupted, zero, p.ctx.Err(), 0)
+		p.resolve(index, t, StatusInterrupted, zero, p.ctx.Err())
 		return p.ctx.Err()
 	}
 }
@@ -417,75 +409,55 @@ func (p *Pool[R]) releaseBreaker(scenario string, b *breaker) {
 	}
 }
 
-// execute runs one task through admission control, the attempt loop, and
-// checkpointing.
+// execute runs one task through admission control, one run under the
+// per-task deadline, and checkpointing.
 func (p *Pool[R]) execute(it poolItem[R]) {
 	t := it.task
 	var zero R
 	p.opts.Metrics.Dequeued()
 	if err := p.ctx.Err(); err != nil {
-		p.resolve(it.index, t, StatusInterrupted, zero, err, 0)
+		p.resolve(it.index, t, StatusInterrupted, zero, err)
 		return
 	}
 	brk := p.breakerFor(t.Scenario)
 	defer p.releaseBreaker(t.Scenario, brk)
 	if brk != nil && !brk.admit() {
 		p.resolve(it.index, t, StatusBreakerOpen, zero,
-			fmt.Errorf("runner: scenario %s: %w", t.Scenario, ErrBreakerOpen), 0)
+			fmt.Errorf("runner: scenario %s: %w", t.Scenario, ErrBreakerOpen))
 		return
 	}
-
-	var lastErr error
-	attempts := 0
-	for attempt := 1; attempt <= 1+p.opts.Retries; attempt++ {
-		attempts = attempt
-		if p.opts.OnEvent != nil {
-			p.opts.OnEvent(TaskEvent{ID: t.ID, Scenario: t.Scenario,
-				Phase: PhaseStart, Attempt: attempt})
-		}
-		res, err := p.attempt(t)
-		if err == nil {
-			if brk != nil {
-				brk.success()
-			}
-			p.checkpoint(t, res, attempts)
-			p.resolve(it.index, t, StatusDone, res, nil, attempts)
-			return
-		}
-		lastErr = err
-		if p.ctx.Err() != nil {
-			// Parent cancellation, not a task fault: don't trip the
-			// breaker, don't retry — report interrupted so the batch is
-			// resumable.
-			p.resolve(it.index, t, StatusInterrupted, zero,
-				fmt.Errorf("runner: task %s interrupted: %w", t.ID, err), attempts)
-			return
-		}
-		if attempt <= p.opts.Retries && Retryable(err) {
-			delay := BackoffDelay(DefaultBackoffBase, DefaultBackoffMax, t.ID, attempt)
-			if p.opts.Clock.Sleep(p.ctx, delay) != nil {
-				p.resolve(it.index, t, StatusInterrupted, zero,
-					fmt.Errorf("runner: task %s interrupted during backoff: %w", t.ID, lastErr), attempts)
-				return
-			}
-			continue
-		}
-		break
+	if p.opts.OnEvent != nil {
+		p.opts.OnEvent(TaskEvent{ID: t.ID, Scenario: t.Scenario, Phase: PhaseStart})
 	}
-	if brk != nil {
-		brk.failure()
+	res, err := p.run(t)
+	switch {
+	case err == nil:
+		if brk != nil {
+			brk.success()
+		}
+		p.checkpoint(t, res)
+		p.resolve(it.index, t, StatusDone, res, nil)
+	case p.ctx.Err() != nil:
+		// Parent cancellation, not a task fault: don't trip the breaker —
+		// report interrupted so the batch is resumable.
+		p.resolve(it.index, t, StatusInterrupted, zero,
+			fmt.Errorf("runner: task %s interrupted: %w", t.ID, err))
+	default:
+		if brk != nil {
+			brk.failure()
+		}
+		runErr := &RunError{ID: t.ID, Scenario: t.Scenario, Err: err}
+		var pc *panicCapture
+		if errors.As(err, &pc) {
+			runErr.PanicValue, runErr.Stack = pc.value, pc.stack
+		}
+		p.resolve(it.index, t, StatusFailed, zero, runErr)
 	}
-	runErr := &RunError{ID: t.ID, Scenario: t.Scenario, Attempts: attempts, Err: lastErr}
-	var pc *panicCapture
-	if errors.As(lastErr, &pc) {
-		runErr.PanicValue, runErr.Stack = pc.value, pc.stack
-	}
-	p.resolve(it.index, t, StatusFailed, zero, runErr, attempts)
 }
 
-// attempt executes the run function once under the per-attempt deadline,
-// converting panics and deadline expiries into typed errors.
-func (p *Pool[R]) attempt(t Task[R]) (R, error) {
+// run executes the task's function once under the per-task deadline,
+// converting panics and deadline expiries into errors that say so.
+func (p *Pool[R]) run(t Task[R]) (R, error) {
 	ctx := p.ctx
 	var cancel context.CancelFunc
 	if p.opts.Timeout > 0 {
@@ -495,7 +467,7 @@ func (p *Pool[R]) attempt(t Task[R]) (R, error) {
 	res, err := protect(ctx, t.Run)
 	if err != nil && p.opts.Timeout > 0 &&
 		p.ctx.Err() == nil && errors.Is(ctx.Err(), context.DeadlineExceeded) {
-		err = &attemptTimeoutError{id: t.ID, timeout: p.opts.Timeout.Seconds(), err: err}
+		err = fmt.Errorf("runner: task %s exceeded the %.3gs deadline: %w", t.ID, p.opts.Timeout.Seconds(), err)
 	}
 	return res, err
 }
@@ -521,7 +493,7 @@ func protect[R any](ctx context.Context, fn func(context.Context) (R, error)) (r
 
 // checkpoint journals a completed run; I/O errors are remembered and
 // surfaced by Drain (the in-memory result is still good).
-func (p *Pool[R]) checkpoint(t Task[R], res R, attempts int) {
+func (p *Pool[R]) checkpoint(t Task[R], res R) {
 	if p.journal == nil {
 		return
 	}
@@ -529,7 +501,7 @@ func (p *Pool[R]) checkpoint(t Task[R], res R, attempts int) {
 	if err == nil {
 		p.jmu.Lock()
 		defer p.jmu.Unlock()
-		err = p.journal.append(journalRecord{ID: t.ID, Scenario: t.Scenario, Attempts: attempts, Result: raw})
+		err = p.journal.append(journalRecord{ID: t.ID, Result: raw})
 		if err == nil {
 			return
 		}

@@ -116,80 +116,57 @@ func TestPanicIsolation(t *testing.T) {
 	}
 }
 
-func TestRetryWithBackoff(t *testing.T) {
-	clk := newFakeClock()
-	var calls atomic.Int32
-	task := Task[int]{ID: "flaky", Run: func(context.Context) (int, error) {
-		if calls.Add(1) < 3 {
-			return 0, transient{errors.New("transient")}
-		}
-		return 42, nil
-	}}
-	rep, err := Run(context.Background(), Options{Workers: 1, Retries: 3, Clock: clk}, []Task[int]{task})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if rep.Outcomes[0].Status != StatusDone || rep.Outcomes[0].Result != 42 {
-		t.Fatalf("outcome = %+v, want done/42", rep.Outcomes[0])
-	}
-	if got := rep.Outcomes[0].Attempts; got != 3 {
-		t.Errorf("attempts = %d, want 3", got)
-	}
-	if clk.sleepCount() != 2 {
-		t.Fatalf("sleeps = %d, want 2 (one per retry)", clk.sleepCount())
-	}
-	// Exponential: second delay is roughly double the first (both carry
-	// deterministic jitter in [0, 50%)).
-	if clk.sleeps[1] <= clk.sleeps[0] {
-		t.Errorf("backoff not growing: %v then %v", clk.sleeps[0], clk.sleeps[1])
-	}
-}
-
-func TestNonRetryableFailsFast(t *testing.T) {
+func TestFailedTaskRunsOnce(t *testing.T) {
+	// A failed run is never repeated: the engine runs each task once,
+	// never sleeps, and resolves the failure as a typed *RunError.
 	clk := newFakeClock()
 	var calls atomic.Int32
 	task := Task[int]{ID: "fatal", Run: func(context.Context) (int, error) {
 		calls.Add(1)
 		return 0, errors.New("deterministic model error")
 	}}
-	rep, err := Run(context.Background(), Options{Workers: 1, Retries: 5, Clock: clk}, []Task[int]{task})
+	rep, err := Run(context.Background(), Options{Workers: 1, Clock: clk}, []Task[int]{task})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	if rep.Failed != 1 || calls.Load() != 1 {
-		t.Fatalf("calls = %d failed = %d, want 1/1 (no retry of non-retryable)", calls.Load(), rep.Failed)
+		t.Fatalf("calls = %d failed = %d, want 1/1", calls.Load(), rep.Failed)
 	}
 	var re *RunError
-	if !errors.As(rep.Outcomes[0].Err, &re) || re.Attempts != 1 {
-		t.Fatalf("failure = %v, want a *RunError after 1 attempt", rep.Outcomes[0].Err)
+	if !errors.As(rep.Outcomes[0].Err, &re) || re.ID != "fatal" {
+		t.Fatalf("failure = %v, want a *RunError for task fatal", rep.Outcomes[0].Err)
+	}
+	if want := "runner: task fatal failed: deterministic model error"; re.Error() != want {
+		t.Errorf("error text = %q, want %q", re.Error(), want)
 	}
 	if clk.sleepCount() != 0 {
-		t.Errorf("slept %d times for a non-retryable failure", clk.sleepCount())
+		t.Errorf("slept %d times for a failed task", clk.sleepCount())
 	}
 }
 
-func TestAttemptTimeoutRetries(t *testing.T) {
-	// First attempt hangs until its per-attempt deadline; the retry
-	// returns promptly. Deadline expiry must be classified retryable.
+func TestTimeoutFailsTask(t *testing.T) {
+	// A run that overruns its deadline fails (it is not interrupted: the
+	// batch context is still live), and the error names the deadline.
 	var calls atomic.Int32
-	task := Task[int]{ID: "hang-once", Run: func(ctx context.Context) (int, error) {
-		if calls.Add(1) == 1 {
-			<-ctx.Done()
-			return 0, ctx.Err()
-		}
-		return 7, nil
+	task := Task[int]{ID: "hang", Run: func(ctx context.Context) (int, error) {
+		calls.Add(1)
+		<-ctx.Done()
+		return 0, ctx.Err()
 	}}
 	rep, err := Run(context.Background(),
-		Options{Workers: 1, Retries: 1, Timeout: 20 * time.Millisecond, Clock: newFakeClock()},
+		Options{Workers: 1, Timeout: 20 * time.Millisecond, Clock: newFakeClock()},
 		[]Task[int]{task})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if rep.Outcomes[0].Status != StatusDone || rep.Outcomes[0].Result != 7 {
-		t.Fatalf("outcome = %+v, want done/7 after deadline retry", rep.Outcomes[0])
+	o := rep.Outcomes[0]
+	if o.Status != StatusFailed || calls.Load() != 1 {
+		t.Fatalf("outcome = %+v after %d calls, want failed after 1", o, calls.Load())
 	}
-	if rep.Outcomes[0].Attempts != 2 {
-		t.Errorf("attempts = %d, want 2", rep.Outcomes[0].Attempts)
+	var re *RunError
+	if !errors.As(o.Err, &re) || !errors.Is(o.Err, context.DeadlineExceeded) ||
+		!strings.Contains(o.Err.Error(), "exceeded the 0.02s deadline") {
+		t.Fatalf("failure = %v, want a *RunError naming the 0.02s deadline", o.Err)
 	}
 }
 
@@ -239,12 +216,6 @@ func breakerStates[R any](p *Pool[R]) map[string]string {
 	}
 	return states
 }
-
-// transient is a failure the engine retries: it implements the
-// Retryable() bool interface Retryable checks for.
-type transient struct{ error }
-
-func (transient) Retryable() bool { return true }
 
 // TestPoolForgetsPristineBreakers: a long-lived pool keeps a scenario's
 // breaker only while it carries state (failures counted or an open

@@ -10,7 +10,7 @@ import (
 )
 
 // Event is one NDJSON line of a job's progress stream: submission,
-// per-attempt starts, replayed simulator audit events, per-cell sweep
+// run starts, replayed simulator audit events, per-cell sweep
 // progress, and the final resolution. Seq is a dense 0-based index, so a
 // client that reconnects can detect gaps; Ts is wall time.
 type Event struct {
@@ -20,8 +20,6 @@ type Event struct {
 	// Job is the owning job ID; Cell names the sweep cell, when any.
 	Job  string `json:"job"`
 	Cell string `json:"cell,omitempty"`
-	// Attempt is the 1-based engine attempt for "attempt" events.
-	Attempt int `json:"attempt,omitempty"`
 	// Status is the resolution for "cell" and "resolved" events.
 	Status string `json:"status,omitempty"`
 	// Cached marks results served from the content-addressed cache.

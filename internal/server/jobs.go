@@ -131,19 +131,14 @@ type registry struct {
 	jobs     map[string]*job
 	inflight map[string]*job // cache key → unfinished run job
 	// finished is a FIFO of completed job IDs; the oldest are forgotten
-	// once more than retain have completed.
+	// once more than retainJobs have completed.
 	finished []string
-	retain   int
 }
 
-func newRegistry(retain int) *registry {
-	if retain <= 0 {
-		retain = 512
-	}
+func newRegistry() *registry {
 	return &registry{
 		jobs:     make(map[string]*job),
 		inflight: make(map[string]*job),
-		retain:   retain,
 	}
 }
 
@@ -208,7 +203,7 @@ func (r *registry) complete(j *job) {
 		delete(r.inflight, j.key)
 	}
 	r.finished = append(r.finished, j.id)
-	for len(r.finished) > r.retain {
+	for len(r.finished) > retainJobs {
 		delete(r.jobs, r.finished[0])
 		r.finished = r.finished[1:]
 	}
@@ -246,7 +241,7 @@ type laneOutcome struct {
 // BatchRunner walk (identical cells collapse onto one executing lane),
 // then each rendered body populates the cache and each lane's audit log
 // replays into the job's stream. A task covering one run or cell hands
-// its error to the pool, so retries and breakers apply; a wider chunk
+// its error to the pool, so its breaker applies; a wider chunk
 // resolves each cell with its own outcome and fails as a whole only when
 // its context ends.
 func (s *Server) task(ref taskRef, cells []runreport.Cell) func(context.Context) (struct{}, error) {
@@ -314,10 +309,7 @@ func (s *Server) onTaskEvent(e runner.TaskEvent) {
 		if len(ref.cells) == 1 {
 			cell = cellName(j, ref.cells[0])
 		}
-		j.events.append(Event{
-			Kind: "attempt", Job: j.id, Cell: cell,
-			Attempt: e.Attempt,
-		})
+		j.events.append(Event{Kind: "attempt", Job: j.id, Cell: cell})
 	case runner.PhaseResolve:
 		s.taskJobs.Delete(e.ID)
 		s.metrics.inflight.Add(-1)

@@ -38,9 +38,11 @@ const (
 	// DefaultDrainTimeout bounds how long shutdown waits for in-flight
 	// runs before force-canceling them.
 	DefaultDrainTimeout = 30 * time.Second
-	// DefaultMaxBodyBytes bounds a request body (scenario specs are
-	// small); an oversized body is refused with 413 before it is read.
-	DefaultMaxBodyBytes = 8 << 20
+	// maxBodyBytes bounds a request body (scenario specs are small); an
+	// oversized body is refused with 413 before it is read.
+	maxBodyBytes = 8 << 20
+	// retainJobs bounds how many completed jobs stay queryable.
+	retainJobs = 512
 	// maxSweepCells bounds one sweep request.
 	maxSweepCells = 4096
 	// drainRetryAfter is the Retry-After hint on 503s emitted while the
@@ -59,10 +61,8 @@ type Options struct {
 	Addr string
 	// Workers and Queue size the shared runner pool (runner.Options).
 	Workers, Queue int
-	// RunTimeout is the per-attempt simulation deadline; 0 means none.
+	// RunTimeout is the per-run simulation deadline; 0 means none.
 	RunTimeout time.Duration
-	// Retries re-runs retryable failures (default 0: fail fast).
-	Retries int
 	// DrainTimeout bounds graceful shutdown (default DefaultDrainTimeout).
 	DrainTimeout time.Duration
 	// CacheBytes bounds the memory result cache (default
@@ -71,12 +71,6 @@ type Options struct {
 	// CacheDir, when set, persists every cached report to disk with the
 	// journal's fsync+atomic-rename discipline, surviving restarts.
 	CacheDir string
-	// MaxBodyBytes bounds each request body (default
-	// DefaultMaxBodyBytes); oversized bodies get 413.
-	MaxBodyBytes int64
-	// RetainJobs bounds how many completed jobs stay queryable (default
-	// 512).
-	RetainJobs int
 	// EnablePprof mounts net/http/pprof under /debug/pprof/. Off by
 	// default: the profiler exposes goroutine stacks and heap contents,
 	// so it is opt-in (`fcdpm serve -pprof`) and belongs behind the same
@@ -99,9 +93,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.CacheBytes == 0 {
 		o.CacheBytes = DefaultCacheBytes
-	}
-	if o.MaxBodyBytes <= 0 {
-		o.MaxBodyBytes = DefaultMaxBodyBytes
 	}
 	if o.DrainTimeout <= 0 {
 		o.DrainTimeout = DefaultDrainTimeout
@@ -153,7 +144,7 @@ func New(opts Options) (*Server, error) {
 		engine:  version.Engine(),
 		started: time.Now(),
 		cache:   store,
-		reg:     newRegistry(opts.RetainJobs),
+		reg:     newRegistry(),
 		metrics: metrics,
 	}
 	metrics.registry.GaugeFunc("fcdpm_server_jobs_active", "Jobs queued or running.", func() float64 {
@@ -167,8 +158,7 @@ func New(opts Options) (*Server, error) {
 	poolCtx, cancel := context.WithCancel(context.Background())
 	s.poolStop = cancel
 	pool, err := runner.NewPool[struct{}](poolCtx, runner.Options{
-		Workers: opts.Workers, Queue: opts.Queue,
-		Timeout: opts.RunTimeout, Retries: opts.Retries,
+		Workers: opts.Workers, Queue: opts.Queue, Timeout: opts.RunTimeout,
 		ShedOverflow: true, StreamOutcomes: true,
 		OnEvent: s.onTaskEvent,
 		Metrics: metrics.pool,
@@ -229,7 +219,7 @@ func writeJobErr(w http.ResponseWriter, code int, retryAfter time.Duration, form
 // decodeSpec reads and validates one scenario spec from the bounded
 // body; an oversized body is a 413, a malformed one a 400.
 func (s *Server) decodeSpec(w http.ResponseWriter, r *http.Request) (*config.Scenario, bool) {
-	spec, err := config.LoadValidated(http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes))
+	spec, err := config.LoadValidated(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
 		if httpx.WriteBodyLimit(w, err) {
 			return nil, false
@@ -403,7 +393,7 @@ type sweepRequest struct {
 // streamed.
 func (s *Server) handleSweepPost(w http.ResponseWriter, r *http.Request) {
 	var req sweepRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		if httpx.WriteBodyLimit(w, err) {

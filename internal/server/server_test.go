@@ -139,6 +139,8 @@ func TestRunInvalidSpec(t *testing.T) {
 		`{"trace":{"kind":"synthetic","duration":600},"policy":{"kind":"quantized","levels":1000000000}}`,
 		// Under the seconds cap, but past the generators' slot cap.
 		`{"trace":{"kind":"dvs","duration":9e7}}`,
+		// The removed runner block is an unknown field.
+		`{"trace":{"kind":"synthetic","duration":600},"runner":{"retries":2}}`,
 	} {
 		resp, b := postRun(t, ts, body)
 		if resp.StatusCode != 400 {
@@ -355,14 +357,19 @@ func waitSweep(t *testing.T, ts *httptest.Server, id string) sweepReport {
 
 func TestSweepRejectsBadCell(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
-	body := `{"scenarios":[{"trace":{"kind":"synthetic"}},{"predict":{"rho":9}}]}`
-	resp, err := http.Post(ts.URL+"/v1/sweeps", "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != 400 {
-		t.Fatalf("bad sweep: %d, want 400", resp.StatusCode)
+	for _, cell := range []string{
+		`{"predict":{"rho":9}}`,
+		`{"trace":{"kind":"synthetic","duration":600},"runner":{"retries":2}}`,
+	} {
+		body := `{"scenarios":[{"trace":{"kind":"synthetic"}},` + cell + `]}`
+		resp, err := http.Post(ts.URL+"/v1/sweeps", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != 400 {
+			t.Errorf("sweep with cell %s: %d, want 400", cell, resp.StatusCode)
+		}
 	}
 }
 
