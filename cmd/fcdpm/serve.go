@@ -25,6 +25,8 @@ func cmdServe(ctx context.Context, args []string) error {
 	drain := fs.Float64("drain", 30, "graceful-shutdown drain budget in seconds")
 	pprofOn := fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ (exposes runtime internals; keep off in untrusted networks)")
 	pf := addPoolFlags(fs, "run")
+	// The pool's deadline covers one task, and a sweep chunk is one task.
+	fs.Lookup("timeout").Usage = "wall-clock deadline in seconds of one run, or of one sweep chunk (up to 64 distinct cells, run one after another) (0: none)"
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}

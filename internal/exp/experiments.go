@@ -115,11 +115,10 @@ func (sc *Scenario) simConfig(p sim.Policy) sim.Config {
 // comparison table, normalizing against the first policy (Conv-DPM by
 // convention). Cancellation stops the walk between slots.
 //
-// The rows share one trace, so they run as one batch and share the
-// fuel-map memo. A timeout adapter is cloned per row, so every row
-// adapts on its own from the same learned state. Lane order is
-// submission order, keeping the table rows (and the Conv-DPM
-// normalization base) deterministic.
+// The rows run as one batch and share the fuel-map memo. A timeout
+// adapter is cloned per row, so every row adapts on its own from the
+// same learned state. Lane order is submission order, keeping the table
+// rows (and the Conv-DPM normalization base) deterministic.
 func (sc *Scenario) Compare(ctx context.Context, policies []sim.Policy) (*Comparison, error) {
 	if len(policies) == 0 {
 		return nil, fmt.Errorf("exp: no policies to compare")
@@ -139,10 +138,9 @@ func (sc *Scenario) Compare(ctx context.Context, policies []sim.Policy) (*Compar
 	return buildComparison(sc.Name, results), nil
 }
 
-// runBatch walks lanes that share one trace as a single
-// sim.BatchRunner batch and returns their results in lane order, or
-// the first error: the batch's own, or the first failed lane's,
-// prefixed with its label.
+// runBatch runs lanes as a single sim.BatchRunner batch and returns
+// their results in lane order, or the first error: the batch's own, or
+// the first failed lane's, prefixed with its label.
 func runBatch(ctx context.Context, lanes []sim.Lane, label func(i int) string) ([]*sim.Result, error) {
 	b, err := sim.NewBatchRunner(lanes)
 	if err != nil {

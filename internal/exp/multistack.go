@@ -82,7 +82,7 @@ func MultiStackStudy(ctx context.Context, cfg MultiStackConfig) ([]MultiStackRow
 		}
 	}
 	var rows []MultiStackRow
-	// One batch per intensity: a batch walks one trace.
+	// One batch per intensity.
 	for _, intensity := range cfg.Intensities {
 		wcfg := workload.DefaultRackSurgeConfig()
 		if cfg.Seed != 0 {

@@ -28,9 +28,8 @@ var (
 // stack. A panicking run never takes down sibling workers; it surfaces
 // as a *RunError with a non-empty Stack.
 type RunError struct {
-	ID       string
-	Scenario string
-	Err      error
+	ID  string
+	Err error
 	// PanicValue and Stack are set when the task panicked.
 	PanicValue any
 	Stack      string

@@ -86,8 +86,8 @@ const (
 
 // TaskEvent is one lifecycle notification delivered to Options.OnEvent.
 type TaskEvent struct {
-	// ID and Scenario identify the task.
-	ID, Scenario string
+	// ID identifies the task.
+	ID string
 	// Phase is PhaseStart or PhaseResolve.
 	Phase EventPhase
 	// Status is the final status; set only on resolve events.
@@ -143,11 +143,10 @@ const (
 
 // Outcome is one task's resolution, in submission order in the report.
 type Outcome[R any] struct {
-	ID       string
-	Scenario string
-	Status   Status
-	Result   R
-	Err      error
+	ID     string
+	Status Status
+	Result R
+	Err    error
 }
 
 // Report aggregates a batch.
@@ -242,7 +241,7 @@ func (p *Pool[R]) reserve(t Task[R]) int {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.outcomes = append(p.outcomes, Outcome[R]{ID: t.ID, Scenario: t.Scenario})
+	p.outcomes = append(p.outcomes, Outcome[R]{ID: t.ID})
 	return len(p.outcomes) - 1
 }
 
@@ -271,8 +270,7 @@ func (p *Pool[R]) resolve(index int, t Task[R], status Status, result R, err err
 	p.mu.Unlock()
 	p.opts.Metrics.Resolved(string(status))
 	if p.opts.OnEvent != nil {
-		p.opts.OnEvent(TaskEvent{ID: t.ID, Scenario: t.Scenario,
-			Phase: PhaseResolve, Status: status, Err: err})
+		p.opts.OnEvent(TaskEvent{ID: t.ID, Phase: PhaseResolve, Status: status, Err: err})
 	}
 }
 
@@ -427,7 +425,7 @@ func (p *Pool[R]) execute(it poolItem[R]) {
 		return
 	}
 	if p.opts.OnEvent != nil {
-		p.opts.OnEvent(TaskEvent{ID: t.ID, Scenario: t.Scenario, Phase: PhaseStart})
+		p.opts.OnEvent(TaskEvent{ID: t.ID, Phase: PhaseStart})
 	}
 	res, err := p.run(t)
 	switch {
@@ -446,7 +444,7 @@ func (p *Pool[R]) execute(it poolItem[R]) {
 		if brk != nil {
 			brk.failure()
 		}
-		runErr := &RunError{ID: t.ID, Scenario: t.Scenario, Err: err}
+		runErr := &RunError{ID: t.ID, Err: err}
 		var pc *panicCapture
 		if errors.As(err, &pc) {
 			runErr.PanicValue, runErr.Stack = pc.value, pc.stack

@@ -78,13 +78,12 @@ type Row struct {
 }
 
 // Execute builds every cell, runs the cells as lanes of one
-// sim.BatchRunner walk (keyed by their cache keys), and renders each
+// sim.BatchRunner batch (keyed by their cache keys), and renders each
 // result under its spec's name, or "run" for an unnamed spec — so a body
-// depends only on what its cache key hashes, whichever caller ran it.
-// The cells must share one trace; a single cell always does. A Build,
-// simulation, or render failure fails only its own row, and every Res
-// stays valid after Execute returns. simMetrics and batchMetrics may be
-// nil.
+// depends only on what its cache key hashes, whichever caller ran it. A
+// Build, simulation, or render failure fails only its own row, and every
+// Res stays valid after Execute returns. simMetrics and batchMetrics may
+// be nil.
 func Execute(ctx context.Context, engine string, cells []Cell, simMetrics *obs.SimMetrics, batchMetrics *obs.BatchMetrics) []Row {
 	rows := make([]Row, len(cells))
 	lanes := make([]sim.Lane, 0, len(cells))
@@ -115,7 +114,7 @@ func Execute(ctx context.Context, engine string, cells []Cell, simMetrics *obs.S
 	return rows
 }
 
-// runLanes walks the lanes as one batch. When the engine refuses the
+// runLanes runs the lanes as one batch. When the engine refuses the
 // batch — a lane whose configuration fails validation — each lane runs
 // alone instead, so the refusal fails only the lanes it concerns.
 func runLanes(ctx context.Context, lanes []sim.Lane, m *obs.BatchMetrics) []sim.LaneResult {

@@ -236,14 +236,14 @@ type laneOutcome struct {
 	errMsg string
 }
 
-// task builds the pool task body for one single run or one sweep chunk
-// of same-trace cells: runreport.Execute runs them as lanes of one
-// BatchRunner walk (identical cells collapse onto one executing lane),
-// then each rendered body populates the cache and each lane's audit log
-// replays into the job's stream. A task covering one run or cell hands
-// its error to the pool, so its breaker applies; a wider chunk
-// resolves each cell with its own outcome and fails as a whole only when
-// its context ends.
+// task builds the pool task body for one single run or one sweep chunk:
+// runreport.Execute runs the cells as lanes of one BatchRunner batch
+// (identical cells collapse onto one executing lane), then each rendered
+// body populates the cache and each lane's audit log replays into the
+// job's stream. A task covering one run or cell hands its error to the
+// pool, so its breaker applies; a wider chunk resolves each cell with
+// its own outcome, and the task itself fails only when its context ends,
+// where chunkResolved still keeps the cells that finished.
 func (s *Server) task(ref taskRef, cells []runreport.Cell) func(context.Context) (struct{}, error) {
 	j := ref.job
 	return func(ctx context.Context) (struct{}, error) {
@@ -366,13 +366,14 @@ func clientFault(err error) bool {
 }
 
 // chunkResolved fans one sweep chunk's resolution out to its cells: a
-// completed task resolves each cell with its own lane outcome, while a
-// shed / interrupted / failed task resolves every covered cell with the
-// task's status.
+// completed task resolves each cell with its own lane outcome, and a
+// cell whose lane finished (its body is cached) stays done whatever
+// became of the task. Every other cell of a shed, interrupted or failed
+// task — one that ran out its deadline mid-walk, say — takes the task's
+// status.
 func (s *Server) chunkResolved(ref taskRef, status runner.Status, errMsg string) {
 	for li, ci := range ref.cells {
-		if status == runner.StatusDone {
-			o := ref.outcomes[li]
+		if o := ref.outcomes[li]; status == runner.StatusDone || o.status == runner.StatusDone {
 			s.cellDone(ref.job, ci, o.status, false, o.errMsg)
 			continue
 		}

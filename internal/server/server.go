@@ -61,7 +61,8 @@ type Options struct {
 	Addr string
 	// Workers and Queue size the shared runner pool (runner.Options).
 	Workers, Queue int
-	// RunTimeout is the per-run simulation deadline; 0 means none.
+	// RunTimeout is the simulation deadline of one pool task — a single
+	// run, or one sweep chunk whose cells share it; 0 means none.
 	RunTimeout time.Duration
 	// DrainTimeout bounds graceful shutdown (default DefaultDrainTimeout).
 	DrainTimeout time.Duration
@@ -325,37 +326,34 @@ func (s *Server) submit(j *job, sweepCells []int, cells []runreport.Cell) {
 	s.reg.complete(j)
 }
 
-// maxBatchLanes caps how many sweep cells one pool task holds: wider
-// same-trace groups split so a single task never monopolizes a worker,
-// and lane widths stay inside the obs.LaneBuckets range.
-const maxBatchLanes = 64
+// maxChunkRuns caps how many distinct simulations one sweep pool task
+// executes, so a single task never monopolizes a worker.
+const maxChunkRuns = 64
 
-// batchChunks partitions cache-miss sweep cells into pool tasks: cells
-// whose normalized trace specs agree share one BatchRunner walk
-// (value-identical traces batch regardless of spelling), chunked to
-// maxBatchLanes. A cell whose spec fails to normalize gets a chunk of
-// its own. First-seen order is preserved both across and within groups,
-// so cell resolution order stays deterministic.
-func batchChunks(specs []*config.Scenario, misses []int) [][]int {
-	byTrace := make(map[string][]int)
-	var order []string
+// batchChunks splits cache-miss sweep cells into pool tasks. Cells with
+// one cache key stay in one task, where they collapse onto one executing
+// lane. The distinct keys, in first-seen order, are dealt into at least
+// min(workers, keys) contiguous chunks of at most maxChunkRuns keys each,
+// so an idle pool runs a sweep's simulations in parallel while a sweep of
+// any size stays a few tasks. The split depends on the request alone, so
+// cell resolution order is deterministic.
+func batchChunks(keys []string, misses []int, workers int) [][]int {
+	var units [][]int // the misses grouped by cache key
+	unitOf := make(map[string]int, len(misses))
 	for _, i := range misses {
-		k := fmt.Sprintf("cell-%d", i) // fallback: private group
-		if n, err := specs[i].Normalized(); err == nil {
-			if tj, err := json.Marshal(n.Trace); err == nil {
-				k = "trace:" + string(tj)
-			}
+		u, ok := unitOf[keys[i]]
+		if !ok {
+			u = len(units)
+			unitOf[keys[i]] = u
+			units = append(units, nil)
 		}
-		if _, ok := byTrace[k]; !ok {
-			order = append(order, k)
-		}
-		byTrace[k] = append(byTrace[k], i)
+		units[u] = append(units[u], i)
 	}
-	var chunks [][]int
-	for _, k := range order {
-		idxs := byTrace[k]
-		for st := 0; st < len(idxs); st += maxBatchLanes {
-			chunks = append(chunks, idxs[st:min(st+maxBatchLanes, len(idxs))])
+	n := max(min(workers, len(units)), (len(units)+maxChunkRuns-1)/maxChunkRuns)
+	chunks := make([][]int, n)
+	for c := range chunks {
+		for _, u := range units[c*len(units)/n : (c+1)*len(units)/n] {
+			chunks[c] = append(chunks[c], u...)
 		}
 	}
 	return chunks
@@ -456,10 +454,9 @@ func (s *Server) handleSweepPost(w http.ResponseWriter, r *http.Request) {
 		s.metrics.runsSubmitted.Inc()
 		misses = append(misses, i)
 	}
-	// Cache-miss cells that share a workload trace batch into one pool
-	// task each (identical siblings collapse via their lane keys); a cell
-	// with a trace of its own is a one-lane task.
-	for _, chunk := range batchChunks(specs, misses) {
+	// Cache-miss cells run as lanes of one pool task per chunk, each on
+	// its own trace; identical siblings collapse via their lane keys.
+	for _, chunk := range batchChunks(keys, misses, s.opts.Workers) {
 		cells := make([]runreport.Cell, len(chunk))
 		for li, i := range chunk {
 			cells[li] = runreport.Cell{Spec: specs[i], Key: keys[i]}

@@ -16,7 +16,10 @@ import (
 	"testing"
 	"time"
 
+	"fcdpm/internal/config"
 	"fcdpm/internal/httpx"
+	"fcdpm/internal/runner"
+	"fcdpm/internal/runreport"
 )
 
 // quickSpec is a scenario small enough to simulate in milliseconds.
@@ -667,16 +670,17 @@ func TestAsyncCacheTag(t *testing.T) {
 	}
 }
 
-// TestSweepBatchesSameTraceCells pins the batched sweep path: cells
-// sharing one trace execute as lanes of a single BatchRunner pool task,
-// duplicate cells collapse onto one executing lane, every cell's cached
-// body is byte-identical to the scalar single-run path, and /v1/stats
-// surfaces the batch instruments.
-func TestSweepBatchesSameTraceCells(t *testing.T) {
-	_, ts := newTestServer(t, Options{})
-
+// TestSweepBatches pins the batched sweep path on newTestServer's two
+// workers: the cache-miss cells run as at least two pool tasks, a cell
+// sharing a cache key with an earlier one joins its task and collapses
+// onto the same executing lane, every cell's cached body is
+// byte-identical to the scalar single-run path, and /v1/stats surfaces
+// the batch instruments. The 20-seed sweep is the shedding case: one
+// task per distinct trace left 13 of its cells shed on the two-worker,
+// queue-4 pool.
+func TestSweepBatches(t *testing.T) {
 	trace := `{"kind":"synthetic","seed":7,"duration":120}`
-	cellSpecs := []string{
+	sameTrace := []string{
 		fmt.Sprintf(`{"name":"fc","trace":%s,"policy":{"kind":"fcdpm"}}`, trace),
 		fmt.Sprintf(`{"name":"cv","trace":%s,"policy":{"kind":"conv"}}`, trace),
 		fmt.Sprintf(`{"name":"as","trace":%s,"policy":{"kind":"asap"}}`, trace),
@@ -684,53 +688,141 @@ func TestSweepBatchesSameTraceCells(t *testing.T) {
 		// collapses onto the leader and only projects the result.
 		fmt.Sprintf(`{"name":"fc","trace":%s,"policy":{"kind":"fcdpm"}}`, trace),
 	}
-	sweep := fmt.Sprintf(`{"name":"batched","scenarios":[%s]}`,
-		strings.Join(cellSpecs, ","))
-	resp, err := http.Post(ts.URL+"/v1/sweeps", "application/json", strings.NewReader(sweep))
+	seeds := make([]string, 20)
+	for i := range seeds {
+		seeds[i] = fmt.Sprintf(`{"name":"seed-%d","trace":{"kind":"synthetic","seed":%d,"duration":120}}`, i+1, i+1)
+	}
+	for _, tc := range []struct {
+		name        string
+		cells       []string
+		wantBatches int64
+		wantHits    bool // a duplicate cell inherits its leader's slots
+	}{
+		{"same-trace-with-duplicate", sameTrace, 2, true},
+		{"distinct-seeds", seeds, 2, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, ts := newTestServer(t, Options{})
+			sweep := fmt.Sprintf(`{"name":"batched","scenarios":[%s]}`, strings.Join(tc.cells, ","))
+			resp, err := http.Post(ts.URL+"/v1/sweeps", "application/json", strings.NewReader(sweep))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var acc struct {
+				ID string `json:"id"`
+			}
+			err = json.NewDecoder(resp.Body).Decode(&acc)
+			resp.Body.Close()
+			if err != nil || resp.StatusCode != 202 {
+				t.Fatalf("sweep accept: %d %v", resp.StatusCode, err)
+			}
+			sr := waitSweep(t, ts, acc.ID)
+			shed := 0
+			for _, c := range sr.Cells {
+				if c.Status == string(runner.StatusShed) {
+					shed++
+				}
+			}
+			if len(sr.Cells) != len(tc.cells) || sr.Done != len(tc.cells) || shed != 0 {
+				t.Fatalf("sweep of %d cells: %d done, %d shed, %d failed", len(tc.cells), sr.Done, shed, sr.Failed)
+			}
+
+			var st statsPayload
+			getJSON(t, ts, "/v1/stats", &st)
+			if st.Batch.Batches != tc.wantBatches || st.Batch.LanesTotal != int64(len(tc.cells)) {
+				t.Fatalf("batch stats %+v, want %d batches over %d lanes", st.Batch, tc.wantBatches, len(tc.cells))
+			}
+			if got := st.Batch.PlanGroupHits > 0; got != tc.wantHits {
+				t.Fatalf("plan-group hits %d, want them %v", st.Batch.PlanGroupHits, tc.wantHits)
+			}
+
+			// Byte-identity oracle: a fresh server runs each cell through
+			// the scalar single-run path; the batched server must serve the
+			// very same bytes from its cache.
+			_, scalar := newTestServer(t, Options{})
+			for i, spec := range tc.cells {
+				rb, batched := postRun(t, ts, spec)
+				if rb.StatusCode != 200 || rb.Header.Get("X-Fcdpm-Cache") != "hit" {
+					t.Fatalf("cell %d not cached by the sweep: %d %s", i, rb.StatusCode, rb.Header.Get("X-Fcdpm-Cache"))
+				}
+				rs, want := postRun(t, scalar, spec)
+				if rs.StatusCode != 200 {
+					t.Fatalf("cell %d scalar run: %d %s", i, rs.StatusCode, want)
+				}
+				if !bytes.Equal(batched, want) {
+					t.Fatalf("cell %d batched body diverged from scalar path:\n%s\n!=\n%s", i, batched, want)
+				}
+			}
+		})
+	}
+}
+
+// countdownCtx is a context whose Err turns context.Canceled after n
+// calls: a deadline that lands at an exact slot of a walk, whatever the
+// host's speed.
+type countdownCtx struct {
+	context.Context
+	n int
+}
+
+func (c *countdownCtx) Err() error {
+	if c.n <= 0 {
+		return context.Canceled
+	}
+	c.n--
+	return nil
+}
+
+// TestChunkDeadlineKeepsFinishedCells: the cells of one sweep chunk share
+// its task's deadline, and when it expires mid-walk only the cells whose
+// lanes had not finished fail; a finished cell is cached and resolves
+// done.
+func TestChunkDeadlineKeepsFinishedCells(t *testing.T) {
+	s, _ := newTestServer(t, Options{})
+	docs := []string{
+		`{"name":"first","trace":{"kind":"synthetic","seed":1,"duration":120}}`,
+		`{"name":"second","trace":{"kind":"synthetic","seed":2,"duration":120}}`,
+	}
+	j := s.reg.newJob(jobSweep, "", "deadline")
+	j.cells = make([]cellState, len(docs))
+	j.remaining = len(docs)
+	cells := make([]runreport.Cell, len(docs))
+	for i, doc := range docs {
+		spec, err := config.LoadValidated(strings.NewReader(doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		key, err := spec.CacheKey(s.engine)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cells[i] = runreport.Cell{Spec: spec, Key: key}
+		j.cells[i] = cellState{Name: spec.Name, Key: key, Status: "queued"}
+	}
+	first, err := cells[0].Spec.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	var acc struct {
-		ID string `json:"id"`
+	// The walk checks the context once per slot: the first cell's slots
+	// all pass, the second cell's first slot sees the deadline.
+	ctx := &countdownCtx{Context: context.Background(), n: len(first.Trace.Slots)}
+	ref := taskRef{job: j, cells: []int{0, 1}, outcomes: make([]laneOutcome, len(cells))}
+	if _, err := s.task(ref, cells)(ctx); err == nil {
+		t.Fatal("chunk past its deadline reported no error")
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&acc); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != 202 {
-		t.Fatalf("sweep accept: %d", resp.StatusCode)
-	}
-
-	if sr := waitSweep(t, ts, acc.ID); len(sr.Cells) != 4 || sr.Done != 4 || sr.Failed != 0 {
-		t.Fatalf("sweep report %+v, want 4 done", sr)
-	}
-
-	// Byte-identity oracle: a fresh server runs each cell through the
-	// scalar single-run path; the batched server must serve the very
-	// same bytes from its cache.
-	_, scalar := newTestServer(t, Options{})
-	for i, spec := range cellSpecs {
-		rb, batched := postRun(t, ts, spec)
-		if rb.StatusCode != 200 || rb.Header.Get("X-Fcdpm-Cache") != "hit" {
-			t.Fatalf("cell %d not cached by batched sweep: %d %s", i, rb.StatusCode, rb.Header.Get("X-Fcdpm-Cache"))
-		}
-		rs, want := postRun(t, scalar, spec)
-		if rs.StatusCode != 200 {
-			t.Fatalf("cell %d scalar run: %d %s", i, rs.StatusCode, want)
-		}
-		if !bytes.Equal(batched, want) {
-			t.Fatalf("cell %d batched body diverged from scalar path:\n%s\n!=\n%s", i, batched, want)
+	s.chunkResolved(ref, runner.StatusFailed, "deadline exceeded")
+	for i, want := range []runner.Status{runner.StatusDone, runner.StatusFailed} {
+		if got := j.cells[i].Status; got != string(want) {
+			t.Errorf("cell %s: %s, want %s", j.cells[i].Name, got, want)
 		}
 	}
-
-	// The batch instruments surfaced in /v1/stats.
-	var st statsPayload
-	getJSON(t, ts, "/v1/stats", &st)
-	if st.Batch.Batches < 1 || st.Batch.LanesTotal < 4 {
-		t.Fatalf("batch stats %+v, want >=1 batch of 4 lanes", st.Batch)
+	if _, ok := s.cache.Get(cells[0].Key); !ok {
+		t.Error("the finished cell's body is not cached")
 	}
-	if st.Batch.PlanGroupHits == 0 {
-		t.Fatalf("duplicate cell produced no plan-group hits: %+v", st.Batch)
+	select {
+	case <-j.done:
+	default:
+		t.Fatal("sweep did not resolve once both cells had")
 	}
 }
 

@@ -8,13 +8,12 @@ import (
 
 	"fcdpm/internal/fuelcell"
 	"fcdpm/internal/obs"
-	"fcdpm/internal/workload"
 )
 
 // Lane is one scenario variant of a batch.
 type Lane struct {
-	// Cfg is the lane's simulation configuration. All lanes of a batch
-	// must share one trace (pointer-equal or slot-for-slot equal).
+	// Cfg is the lane's simulation configuration, trace included: the
+	// lanes of a batch need not share a trace.
 	Cfg Config
 	// Key, when non-empty, asserts that two lanes with equal keys
 	// describe the *same simulation* — typically the content address a
@@ -46,22 +45,27 @@ type batchLane struct {
 
 // batchGroup is one executing simulation: the leader state plus every
 // lane it stands in for. Groups are formed at construction from the
-// lanes' keys and never split mid-run.
+// lanes' keys and never split mid-run. wall and the memo counts are
+// measured around the group's last walk.
 type batchGroup struct {
 	st      *state
 	members []int // lane indices, in submission order
 	err     error
+
+	wall                 time.Duration
+	memoHits, memoMisses uint64
 }
 
-// BatchRunner executes K scenario variants in lockstep over one trace
-// walk. Lanes with equal non-empty keys form a run group: the group
-// leader simulates once — at the union of the members' record levels —
-// and every member receives a projected copy of the result, so N lanes
-// of one spec (coalesced server requests, duplicate sweep cells,
-// devicesim fleets) cost one simulation instead of N. Every other lane
-// is a group of its own. As long as equal keys name equal simulations,
-// batching never changes a single bit of any lane's Result relative to
-// a one-lane run (sim.Run) of the same configuration.
+// BatchRunner executes K scenario variants as independent run groups,
+// each walked to the end of its own trace, one after another. Lanes
+// with equal non-empty keys form a run group: the group leader
+// simulates once — at the union of the members' record levels — and
+// every member receives a projected copy of the result, so N lanes of
+// one spec (coalesced server requests, duplicate sweep cells, devicesim
+// fleets) cost one simulation instead of N. Every other lane is a group
+// of its own. As long as equal keys name equal simulations, batching
+// never changes a single bit of any lane's Result relative to a
+// one-lane run (sim.Run) of the same configuration.
 //
 // BatchRunner is the only simulation engine: sim.Run is a one-lane
 // batch. A BatchRunner is reusable and not safe for concurrent use;
@@ -70,21 +74,20 @@ type BatchRunner struct {
 	// Metrics, when non-nil, receives one RecordBatch per completed run:
 	// the lane width and how many slot executions follower lanes
 	// inherited from their group leaders. Per-lane Config.Metrics sinks
-	// still receive their RecordRun as if the lanes had run sequentially
-	// (memo deltas are batch-wide and folded into the first instrumented
-	// lane; wall time is the batch total split evenly across lanes).
+	// receive one RecordRun per completed lane: slots and fuel are the
+	// lane's own, while the wall time and memo lookups measured around a
+	// group's walk go to its first instrumented lane, so the members that
+	// executed nothing record zero.
 	Metrics *obs.BatchMetrics
 
 	lanes   []batchLane
 	groups  []batchGroup
-	trace   *workload.Trace
 	results []LaneResult
-	memos   []*fuelcell.Memo
 }
 
 // NewBatchRunner validates the lanes, groups them, and builds the
-// reusable run states. The configurations (including the shared trace)
-// must not be mutated while the BatchRunner is in use.
+// reusable run states. The configurations (traces included) must not be
+// mutated while the BatchRunner is in use.
 func NewBatchRunner(lanes []Lane) (*BatchRunner, error) {
 	if len(lanes) == 0 {
 		return nil, fmt.Errorf("sim: batch with no lanes")
@@ -97,16 +100,9 @@ func NewBatchRunner(lanes []Lane) (*BatchRunner, error) {
 	if len(lanes) == 1 {
 		return newSingleLane(lanes[0].Cfg), nil
 	}
-	trace := lanes[0].Cfg.Trace
-	for i := 1; i < len(lanes); i++ {
-		if !sameTrace(trace, lanes[i].Cfg.Trace) {
-			return nil, fmt.Errorf("sim: batch lane %d trace differs from lane 0; a batch walks one trace", i)
-		}
-	}
 
 	b := &BatchRunner{
 		lanes:   make([]batchLane, len(lanes)),
-		trace:   trace,
 		results: make([]LaneResult, len(lanes)),
 	}
 
@@ -139,10 +135,10 @@ func NewBatchRunner(lanes []Lane) (*BatchRunner, error) {
 		}
 	}
 
-	// Lanes of different groups run interleaved in lockstep, so a
-	// mutable collaborator shared across two executing configurations
-	// would corrupt both. Within one group only the leader's objects
-	// ever execute, so sharing with (or among) followers is harmless.
+	// Every group is reset before the first walk, so a mutable
+	// collaborator shared by two executing groups would start the later
+	// one from the earlier one's end state. Within one group only the
+	// leader's objects ever execute, so sharing with followers is harmless.
 	seen := make(map[any]int)
 	for gi := range b.groups {
 		cfg := &b.groups[gi].st.cfg
@@ -174,7 +170,6 @@ func NewBatchRunner(lanes []Lane) (*BatchRunner, error) {
 			st.memo = m
 		} else {
 			memoBySys[st.cfg.Sys] = st.memo
-			b.memos = append(b.memos, st.memo)
 		}
 	}
 	return b, nil
@@ -192,19 +187,15 @@ func newSingleLane(cfg Config) *BatchRunner {
 		lanes   [1]batchLane
 		groups  [1]batchGroup
 		results [1]LaneResult
-		memos   [1]*fuelcell.Memo
 		zero    [1]int // the group's member list
 	}{}
 	one.st.init(cfg)
 	one.lanes[0] = batchLane{recFull: one.st.recFull, metrics: cfg.Metrics}
 	one.groups[0] = batchGroup{st: &one.st, members: one.zero[:]}
-	one.memos[0] = one.st.memo
 	one.b = BatchRunner{
 		lanes:   one.lanes[:],
 		groups:  one.groups[:],
-		trace:   cfg.Trace,
 		results: one.results[:],
-		memos:   one.memos[:],
 	}
 	return &one.b
 }
@@ -220,22 +211,20 @@ func (b *BatchRunner) Groups() int { return len(b.groups) }
 // consumers that want to inspect the grouping.
 func (b *BatchRunner) GroupOf(i int) int { return b.lanes[i].group }
 
-// Run executes every lane over the shared trace.
+// Run executes every lane, each group over its own trace.
 func (b *BatchRunner) Run() ([]LaneResult, error) {
 	return b.RunContext(context.Background())
 }
 
-// RunContext is Run under a context. Cancellation stops the walk between
-// slots: every unfinished lane gets a *CanceledError and the context
-// error is returned as the batch error. Per-lane simulation failures do
-// not abort the batch — the failing group drops out of lockstep and its
-// lanes carry the error while the rest complete.
+// RunContext is Run under a context. Cancellation stops the walk
+// between slots: the running group and every group not yet walked get a
+// *CanceledError, finished groups keep their results, and the context
+// error is returned as the batch error. A simulation failure stops only
+// its own group, whose lanes carry the error while the rest complete.
 //
 // The returned slice and the *Results inside it alias the BatchRunner's
 // internal buffers: they are valid until the next Run call.
 func (b *BatchRunner) RunContext(ctx context.Context) ([]LaneResult, error) {
-	start := time.Now()
-	memoHits0, memoMisses0 := b.memoStats()
 	for gi := range b.groups {
 		g := &b.groups[gi]
 		g.err = nil
@@ -243,42 +232,23 @@ func (b *BatchRunner) RunContext(ctx context.Context) ([]LaneResult, error) {
 	}
 
 	var planGroupHits uint64
-	live := len(b.groups)
 	var batchErr error
-	for k, slot := range b.trace.Slots {
-		if live == 0 {
-			break
-		}
-		if err := ctx.Err(); err != nil {
-			for gi := range b.groups {
-				g := &b.groups[gi]
-				if g.err == nil {
-					g.err = &CanceledError{T: g.st.t, Slot: k, Err: err}
-				}
-			}
-			batchErr = err
-			break
-		}
-		for gi := range b.groups {
-			g := &b.groups[gi]
-			if g.err != nil {
-				continue
-			}
-			if err := g.st.step(k, slot); err != nil {
-				g.err = err
-				live--
-				continue
-			}
-			planGroupHits += uint64(len(g.members) - 1)
-		}
-	}
-
 	for gi := range b.groups {
 		g := &b.groups[gi]
-		if g.err == nil {
-			g.st.finalize()
+		if batchErr != nil {
+			g.err = &CanceledError{Err: batchErr}
+			continue
 		}
+		hits, misses := g.st.memo.Stats()
+		start := time.Now()
+		slots, err := g.walk(ctx)
+		g.wall = time.Since(start)
+		h, m := g.st.memo.Stats()
+		g.memoHits, g.memoMisses = h-hits, m-misses
+		planGroupHits += uint64(slots) * uint64(len(g.members)-1)
+		batchErr = err
 	}
+
 	for i := range b.lanes {
 		ln := &b.lanes[i]
 		g := &b.groups[ln.group]
@@ -286,42 +256,39 @@ func (b *BatchRunner) RunContext(ctx context.Context) ([]LaneResult, error) {
 			b.results[i] = LaneResult{Err: g.err}
 			continue
 		}
-		if ln.res == nil {
-			b.results[i] = LaneResult{Res: g.st.res}
-			continue
+		res := g.st.res
+		if ln.res != nil {
+			projectResult(ln.res, res, ln.recFull)
+			res = ln.res
 		}
-		projectResult(ln.res, g.st.res, ln.recFull)
-		b.results[i] = LaneResult{Res: ln.res}
-	}
-
-	// Per-lane metrics, as if the lanes had run sequentially: slots and
-	// fuel are exact per lane; the shared memos make hit/miss deltas a
-	// batch-wide quantity, folded into the first instrumented lane; wall
-	// time is the batch total split evenly.
-	memoHits1, memoMisses1 := b.memoStats()
-	dh, dm := memoHits1-memoHits0, memoMisses1-memoMisses0
-	wall := time.Since(start) / time.Duration(len(b.lanes))
-	for i := range b.lanes {
-		ln := &b.lanes[i]
-		if ln.metrics == nil || b.results[i].Err != nil {
-			continue
+		b.results[i] = LaneResult{Res: res}
+		// The group's first instrumented lane records what the walk
+		// measured; every later member executed nothing.
+		ln.metrics.RecordRun(res.Slots, res.Fuel, g.memoHits, g.memoMisses, g.wall)
+		if ln.metrics != nil {
+			g.memoHits, g.memoMisses, g.wall = 0, 0, 0
 		}
-		res := b.results[i].Res
-		ln.metrics.RecordRun(res.Slots, res.Fuel, dh, dm, wall)
-		dh, dm = 0, 0
 	}
 	b.Metrics.RecordBatch(len(b.lanes), planGroupHits)
 	return b.results, batchErr
 }
 
-// memoStats sums hit/miss counters across the batch's distinct memos.
-func (b *BatchRunner) memoStats() (hits, misses uint64) {
-	for _, m := range b.memos {
-		h, ms := m.Stats()
-		hits += h
-		misses += ms
+// walk runs the group slot by slot to the end of its own trace and
+// returns how many slots it executed. A simulation error stops the group
+// in g.err; cancellation does too, and is returned as the context error.
+func (g *batchGroup) walk(ctx context.Context) (int, error) {
+	slots := g.st.cfg.Trace.Slots
+	for k, slot := range slots {
+		if err := ctx.Err(); err != nil {
+			g.err = &CanceledError{T: g.st.t, Slot: k, Err: err}
+			return k, err
+		}
+		if g.err = g.st.step(k, slot); g.err != nil {
+			return k, nil
+		}
 	}
-	return hits, misses
+	g.st.finalize()
+	return len(slots), nil
 }
 
 // projectResult copies a group leader's result into a lane's buffer,
@@ -349,24 +316,6 @@ func projectResult(dst, src *Result, wantFull bool) {
 	} else {
 		dst.Profile, dst.Charges, dst.SlotLog = profile, charges, slotLog
 	}
-}
-
-// sameTrace reports whether two traces drive identical walks. Pointer
-// equality is the fast path; otherwise the slots are compared value for
-// value (the name is cosmetic).
-func sameTrace(a, b *workload.Trace) bool {
-	if a == b {
-		return true
-	}
-	if a == nil || b == nil || len(a.Slots) != len(b.Slots) {
-		return false
-	}
-	for i := range a.Slots {
-		if a.Slots[i] != b.Slots[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // checkShared rejects a mutable collaborator appearing in two executing

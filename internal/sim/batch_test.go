@@ -14,6 +14,7 @@ import (
 	"fcdpm/internal/fcopt"
 	"fcdpm/internal/fuelcell"
 	"fcdpm/internal/multistack"
+	"fcdpm/internal/obs"
 	"fcdpm/internal/policy"
 	"fcdpm/internal/predict"
 	"fcdpm/internal/sim"
@@ -109,21 +110,25 @@ func labelLane(i int, cfg *sim.Config) string {
 	return "lane " + string(rune('0'+i%10)) + " (" + name + ")"
 }
 
-// randomLane draws one scenario variant: system (one of systems),
-// policy family, storage size, predictors, DPM mode, record level, slew
-// rate, faults, and fallback chain all vary. Shared pointers (systems,
-// dev, schedules) are the same objects across lanes, exactly as sweep
-// and server consumers build them. The lane's key names every draw but
-// the record level, so two lanes with equal keys are the same
-// simulation, whatever each records.
+// randomLane draws one scenario variant: trace (one of traces), system
+// (one of systems), policy family, storage size, predictors, DPM mode,
+// record level, slew rate, faults, and fallback chain all vary. Shared
+// pointers (traces, systems, dev, schedules) are the same objects across
+// lanes, exactly as sweep and server consumers build them. The lane's
+// key names every draw but the record level, so two lanes with equal
+// keys are the same simulation, whatever each records.
 func randomLane(t *testing.T, rng *rand.Rand, systems []*fuelcell.System, dev *device.Model,
-	tr *workload.Trace, scheds []*fault.Schedule) sim.Lane {
+	traces []*workload.Trace, scheds []*fault.Schedule) sim.Lane {
 	t.Helper()
 	var key strings.Builder
 	draw := func(n int) int {
 		v := rng.Intn(n)
 		fmt.Fprintf(&key, "%d.", v)
 		return v
+	}
+	tr := traces[0]
+	if len(traces) > 1 {
+		tr = traces[draw(len(traces))]
 	}
 	sys := systems[draw(len(systems))]
 	cfg := sim.Config{Sys: sys, Dev: dev, Trace: tr}
@@ -192,9 +197,10 @@ func randomLane(t *testing.T, rng *rand.Rand, systems []*fuelcell.System, dev *d
 // adds a twin of one drawn lane, built from fresh instances at the other
 // record level, so every round runs a merged group and checks its
 // projections against scalar runs. It runs on the hand-built periodic
-// trace, on short racksurge, bursty and heavytail traces, and on
-// multistack racks (K ∈ {2, 4}, every allocator, healthy and degraded),
-// including lanes spread over two equal-content racks built separately.
+// trace, on short racksurge, bursty and heavytail traces, on all of them
+// at once with every lane drawing its own trace, and on multistack racks
+// (K ∈ {2, 4}, every allocator, healthy and degraded), including lanes
+// spread over two equal-content racks built separately.
 func TestBatchRunnerOracleProperty(t *testing.T) {
 	paper := []*fuelcell.System{fuelcell.PaperSystem()}
 	dev := device.Synthetic()
@@ -208,7 +214,7 @@ func TestBatchRunnerOracleProperty(t *testing.T) {
 			{Kind: fault.CapacityFade, Start: 40, Dur: 0, Magnitude: 0.2},
 		}},
 	}
-	check := func(t *testing.T, seed int64, rounds int, systems []*fuelcell.System, tr *workload.Trace) {
+	check := func(t *testing.T, seed int64, rounds int, systems []*fuelcell.System, traces ...*workload.Trace) {
 		t.Helper()
 		for round := 0; round < rounds; round++ {
 			rng := rand.New(rand.NewSource(seed + int64(round)))
@@ -216,10 +222,10 @@ func TestBatchRunnerOracleProperty(t *testing.T) {
 			seeds := make([]int64, len(lanes))
 			for i := range lanes {
 				seeds[i] = rng.Int63()
-				lanes[i] = randomLane(t, rand.New(rand.NewSource(seeds[i])), systems, dev, tr, scheds)
+				lanes[i] = randomLane(t, rand.New(rand.NewSource(seeds[i])), systems, dev, traces, scheds)
 			}
 			j := rng.Intn(len(lanes))
-			twin := randomLane(t, rand.New(rand.NewSource(seeds[j])), systems, dev, tr, scheds)
+			twin := randomLane(t, rand.New(rand.NewSource(seeds[j])), systems, dev, traces, scheds)
 			twin.Cfg.Record = sim.RecordFull
 			if lanes[j].Cfg.Record == sim.RecordFull {
 				twin.Cfg.Record = sim.RecordFuelOnly
@@ -248,16 +254,21 @@ func TestBatchRunnerOracleProperty(t *testing.T) {
 	burstyCfg.Duration = 300
 	heavyCfg := workload.DefaultHeavyTailConfig()
 	heavyCfg.Duration = 300
+	bursty := mustTrace(workload.Bursty(burstyCfg))
+	heavy := mustTrace(workload.HeavyTail(heavyCfg))
 	for _, tc := range []struct {
 		name string
 		tr   *workload.Trace
 	}{
 		{"racksurge", surge},
-		{"bursty", mustTrace(workload.Bursty(burstyCfg))},
-		{"heavytail", mustTrace(workload.HeavyTail(heavyCfg))},
+		{"bursty", bursty},
+		{"heavytail", heavy},
 	} {
 		t.Run(tc.name, func(t *testing.T) { check(t, 2000, 4, paper, tc.tr) })
 	}
+	t.Run("mixed-traces", func(t *testing.T) {
+		check(t, 5000, 12, paper, faultTrace(80), faultTrace(23), surge, bursty, heavy)
+	})
 
 	for _, k := range []int{2, 4} {
 		for _, alloc := range multistack.Allocators() {
@@ -390,27 +401,86 @@ func TestBatchRunnerSharedCollaboratorRejected(t *testing.T) {
 	}
 }
 
-// TestBatchRunnerTraceRules: all lanes must walk one trace — pointer
-// identity is not required, slot-for-slot equality is.
-func TestBatchRunnerTraceRules(t *testing.T) {
+// TestBatchRunnerMixedTraces: the lanes of a batch need not share a
+// trace. Lanes over traces of different content and length each match
+// their one-lane run, and equal keys still collapse across value-equal
+// traces built separately.
+func TestBatchRunnerMixedTraces(t *testing.T) {
 	sys := fuelcell.PaperSystem()
 	dev := device.Synthetic()
-	mk := func(tr *workload.Trace) sim.Lane {
-		return sim.Lane{Key: "conv-6", Cfg: sim.Config{
+	mk := func(key string, tr *workload.Trace) sim.Lane {
+		return sim.Lane{Key: key, Cfg: sim.Config{
 			Sys: sys, Dev: dev, Trace: tr,
-			Store: storage.MustSuperCap(6, 3), Policy: policy.NewConv(sys),
+			Store: storage.MustSuperCap(6, 3), Policy: policy.NewFCDPM(sys, dev),
 		}}
 	}
-	if _, err := sim.NewBatchRunner([]sim.Lane{mk(faultTrace(40)), mk(faultTrace(41))}); err == nil {
-		t.Fatal("want trace-mismatch error, got nil")
+	long := &workload.Trace{}
+	for i := 0; i < 90; i++ {
+		long.Slots = append(long.Slots, workload.Slot{Idle: 12 - float64(i%5), Active: 1 + float64(i%4), ActiveCurrent: 0.8})
 	}
-	// A value-equal copy is the same walk.
-	b, err := sim.NewBatchRunner([]sim.Lane{mk(faultTrace(40)), mk(faultTrace(40))})
+	lanes := []sim.Lane{
+		mk("fault-40", faultTrace(40)),
+		mk("long", long),
+		mk("fault-7", faultTrace(7)),
+		mk("fault-40", faultTrace(40)), // a value-equal copy: the same simulation
+		mk("", faultTrace(40)),
+	}
+	b := batchOracleCheck(t, lanes)
+	if b.Groups() != 4 {
+		t.Fatalf("want 4 groups, got %d", b.Groups())
+	}
+	if b.GroupOf(0) != b.GroupOf(3) {
+		t.Fatalf("equal keys over value-equal traces split into groups %d and %d", b.GroupOf(0), b.GroupOf(3))
+	}
+}
+
+// TestBatchRunnerLaneMetrics: per-lane sim metrics are measured, not
+// split. A keyed pair and a singleton each carry their own SimMetrics.
+// The follower executed nothing and records its slots and fuel with zero
+// wall time and zero memo lookups; each leader records its own walk, and
+// its memo lookups are those its group makes when run alone.
+func TestBatchRunnerLaneMetrics(t *testing.T) {
+	sys := fuelcell.PaperSystem()
+	dev := device.Synthetic()
+	tr := faultTrace(60)
+	mk := func(key string, cmax float64, m *obs.SimMetrics) sim.Lane {
+		return sim.Lane{Key: key, Cfg: sim.Config{Sys: sys, Dev: dev, Trace: tr,
+			Store: storage.MustSuperCap(cmax, cmax/2), Policy: policy.NewFCDPM(sys, dev), Metrics: m}}
+	}
+	newMetrics := func() *obs.SimMetrics { return obs.NewSimMetrics(obs.NewRegistry()) }
+	lookups := func(m *obs.SimMetrics) float64 { return m.MemoHits.Value() + m.MemoMisses.Value() }
+	ms := []*obs.SimMetrics{newMetrics(), newMetrics(), newMetrics()}
+	lanes := []sim.Lane{mk("pair", 6, ms[0]), mk("pair", 6, ms[1]), mk("", 8, ms[2])}
+	b, err := sim.NewBatchRunner(lanes)
 	if err != nil {
-		t.Fatalf("value-equal traces rejected: %v", err)
+		t.Fatalf("NewBatchRunner: %v", err)
 	}
-	if b.Groups() != 1 {
-		t.Fatalf("want 1 group across value-equal traces, got %d", b.Groups())
+	if _, err := b.Run(); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	for i, m := range ms {
+		if m.Runs.Value() != 1 || m.Slots.Value() != float64(tr.Len()) || m.Fuel.Value() <= 0 {
+			t.Fatalf("lane %d: runs %v slots %v fuel %v, want 1 run of %d slots", i,
+				m.Runs.Value(), m.Slots.Value(), m.Fuel.Value(), tr.Len())
+		}
+	}
+	if s := ms[1].RunSeconds.Sum(); s != 0 || lookups(ms[1]) != 0 {
+		t.Fatalf("follower records %v s and %v memo lookups, want 0 and 0", s, lookups(ms[1]))
+	}
+	for _, tc := range []struct {
+		lane int
+		cmax float64
+	}{{0, 6}, {2, 8}} {
+		if s := ms[tc.lane].RunSeconds.Sum(); s <= 0 {
+			t.Fatalf("leader lane %d records %v s, want > 0", tc.lane, s)
+		}
+		alone := newMetrics()
+		if _, err := sim.Run(mk("", tc.cmax, alone).Cfg); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := lookups(ms[tc.lane]), lookups(alone); got != want || want == 0 {
+			t.Fatalf("leader lane %d records %v memo lookups, its group alone makes %v", tc.lane, got, want)
+		}
 	}
 }
 
@@ -482,6 +552,61 @@ func TestBatchRunnerCancel(t *testing.T) {
 			t.Fatalf("lane %d: want *sim.CanceledError wrapping Canceled, got %v", i, got[i].Err)
 		}
 	}
+
+	// Cancel mid-walk: the context turns canceled after n slot checks, one
+	// per slot, and the groups walk 40, 40 and 25 slots in turn. Groups
+	// that finished keep their results, the running group and every later
+	// one carry a *sim.CanceledError, and the runner stays reusable.
+	lanes = append(lanes, sim.Lane{Cfg: sim.Config{Sys: sys, Dev: device.Synthetic(), Trace: faultTrace(25),
+		Store: storage.MustSuperCap(6, 3), Policy: policy.NewFCDPM(sys, device.Synthetic())}})
+	if b, err = sim.NewBatchRunner(lanes); err != nil {
+		t.Fatalf("NewBatchRunner: %v", err)
+	}
+	for _, tc := range []struct{ n, done int }{{1, 0}, {39, 0}, {40, 1}, {57, 1}, {80, 2}, {105, 3}} {
+		n := tc.n
+		got, batchErr := b.RunContext(&countdownCtx{Context: context.Background(), n: n})
+		done := 0
+		for i := range got {
+			var ce *sim.CanceledError
+			if errors.As(got[i].Err, &ce) {
+				if !errors.Is(ce, context.Canceled) {
+					t.Fatalf("n=%d lane %d: %v does not wrap Canceled", n, i, ce)
+				}
+				continue
+			}
+			if got[i].Err != nil || i != done {
+				t.Fatalf("n=%d lane %d: got %v after %d finished lanes", n, i, got[i].Err, done)
+			}
+			want, err := sim.Run(lanes[i].Cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertResultEqual(t, fmt.Sprintf("n=%d %s", n, labelLane(i, &lanes[i].Cfg)), got[i].Res, want)
+			done++
+		}
+		if (done < len(lanes)) != errors.Is(batchErr, context.Canceled) {
+			t.Fatalf("n=%d: %d of %d lanes finished, batch error %v", n, done, len(lanes), batchErr)
+		}
+		if done != tc.done {
+			t.Fatalf("n=%d: %d lanes finished, want %d", n, done, tc.done)
+		}
+	}
+	batchOracleCheck(t, lanes)
+}
+
+// countdownCtx is a context whose Err turns context.Canceled after n
+// calls, so a test can cancel a walk at an exact slot.
+type countdownCtx struct {
+	context.Context
+	n int
+}
+
+func (c *countdownCtx) Err() error {
+	if c.n <= 0 {
+		return context.Canceled
+	}
+	c.n--
+	return nil
 }
 
 // TestBatchRunnerReuse verifies a BatchRunner is reusable: the second
