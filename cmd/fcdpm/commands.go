@@ -277,7 +277,7 @@ func cmdOracle(ctx context.Context, args []string) error {
 	tab.AddRow(offline.Policy, fmt.Sprintf("%.1f", offline.Fuel), fmt.Sprintf("%.4f", offline.AvgFuelRate()))
 	tab.AddRow(online.Policy, fmt.Sprintf("%.1f", online.Fuel), fmt.Sprintf("%.4f", online.AvgFuelRate()))
 	fmt.Print(tab)
-	fmt.Printf("online prediction cost: %s above the offline bound\n",
+	fmt.Printf("online prediction cost: %s above the offline DP schedule\n",
 		report.Percent(online.AvgFuelRate()/offline.AvgFuelRate()-1))
 	return nil
 }
@@ -790,7 +790,7 @@ func cmdFaults(ctx context.Context, args []string) error {
 	}
 	popts := pf.options()
 	popts.Metrics = mf.pool
-	res, err := exp.FaultSweep(ctx, *seed, popts, mf.sim)
+	res, err := exp.FaultSweep(ctx, version.Engine(), *seed, popts, mf.sim)
 	if err != nil && (res == nil || !errors.Is(err, runner.ErrInterrupted)) {
 		return err
 	}

@@ -121,8 +121,6 @@ func run(ctx context.Context, args []string) error {
 		return cmdBatch(ctx, rest)
 	case "serve":
 		return cmdServe(ctx, rest)
-	case "devicesim":
-		return cmdDeviceSim(ctx, rest)
 	case "dispatchd":
 		return cmdDispatchd(ctx, rest)
 	case "workd":
@@ -165,7 +163,8 @@ subcommands:
   sweep    run an ablation sweep (capacity, beta, or rho); with -remote,
            submit scenario files to a dispatcher as a distributed sweep,
            tail its progress, and fetch the result rows
-  oracle   offline dynamic-programming lower bound vs online FC-DPM
+  oracle   offline dynamic-programming schedule (feasible on a storage
+           grid, so an upper bound on the optimum) vs online FC-DPM
   hydrogen Table 2 in physical hydrogen terms (grams, litres, cartridge life)
   levels   discrete FC output-level sweep (multi-level config of [11])
   plot     ASCII chart of fig2, fig3, or fig7 in the terminal
@@ -185,13 +184,6 @@ subcommands:
            scenario specs on a shared bounded pool, streams progress as
            NDJSON, and answers repeated scenarios byte-identically from
            a content-addressed result cache (see README "Serving")
-  devicesim drive a fleet of virtual devices against a serve target:
-           -count concurrent device agents with deterministic identities
-           submit scenario runs on a jittered cadence, honor 429/503 +
-           Retry-After, tail async runs to resolution, export their own
-           /metrics, and print a client-side latency/shed/coalesce/
-           cache-hit report; -plan prints the seed-reproducible
-           population and schedule without contacting the server
   dispatchd run the sweep dispatcher: a durable shard queue that leases
            work to workd daemons, reclaims expired leases, journals
            every transition, and survives restarts mid-sweep

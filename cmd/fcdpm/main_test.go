@@ -60,6 +60,8 @@ func TestRunErrors(t *testing.T) {
 	bad := [][]string{
 		{},
 		{"nope"},
+		// The fleet load harness is gone; its name is no subcommand.
+		{"devicesim"},
 		{"trace", "-kind", "bogus"},
 		{"run", "-policy", "bogus"},
 		{"charge", "-policy", "bogus"},
@@ -169,8 +171,8 @@ func runTable(t *testing.T, args ...string) map[string]string {
 var subcommands = []string{
 	"figures", "curves", "trace", "run", "exp1", "exp2", "motiv", "sweep",
 	"oracle", "hydrogen", "levels", "plot", "runfile", "faults", "stats",
-	"verify", "ablate", "advise", "batch", "serve", "devicesim", "dispatchd",
-	"workd", "bench", "chaos", "version", "robust", "charge", "multistack",
+	"verify", "ablate", "advise", "batch", "serve", "dispatchd", "workd",
+	"bench", "chaos", "version", "robust", "charge", "multistack",
 }
 
 // TestSubcommandHelp pins that -h on every subcommand prints its flags
@@ -417,6 +419,35 @@ func TestBatchLoadErrorNamesFile(t *testing.T) {
 	err := run(context.Background(), []string{"batch", good, bad})
 	if got := exitCodeSilently(err); got != 1 || !strings.HasPrefix(err.Error(), bad+": config: ") {
 		t.Fatalf("batch exits %d with %v, want 1 and an error naming %s", got, err, bad)
+	}
+}
+
+// TestEveryScenarioIsASpec: every file under scenarios/ is a scenario
+// spec, so one batch over all of them loads, runs and exits 0. Each spec
+// is seeded, so runfile prints it byte-identically twice.
+func TestEveryScenarioIsASpec(t *testing.T) {
+	paths, err := filepath.Glob("../../scenarios/*.json")
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("glob scenarios/*.json: %v, %v", paths, err)
+	}
+	captureStdout(t, func() { err = run(context.Background(), append([]string{"batch"}, paths...)) })
+	if code := exitCodeSilently(err); code != 0 {
+		t.Fatalf("batch %v exits %d: %v", paths, code, err)
+	}
+	for _, path := range paths {
+		t.Run(filepath.Base(path), func(t *testing.T) {
+			var outs [2]string
+			for i := range outs {
+				var err error
+				outs[i] = captureStdout(t, func() { err = run(context.Background(), []string{"runfile", path}) })
+				if err != nil {
+					t.Fatalf("runfile %s: %v", path, err)
+				}
+			}
+			if outs[0] == "" || outs[0] != outs[1] {
+				t.Fatalf("runfile %s is not reproducible:\n%s\n---\n%s", path, outs[0], outs[1])
+			}
+		})
 	}
 }
 

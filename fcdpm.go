@@ -97,7 +97,8 @@ type (
 	// OptSetting is the optimizer's per-slot FC output decision.
 	OptSetting = fcopt.Setting
 	// OfflineProblem is a whole-trace fuel-minimization instance solved
-	// by dynamic programming (the true offline lower bound).
+	// by dynamic programming on a storage grid (a feasible schedule, so an
+	// upper bound on the offline optimum).
 	OfflineProblem = fcopt.OfflineProblem
 	// OfflineSchedule is the DP result: per-slot settings plus fuel.
 	OfflineSchedule = fcopt.OfflineSchedule

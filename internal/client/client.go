@@ -4,8 +4,7 @@
 // that honors protocol-driven backoff, NDJSON tailing, and a
 // tail-until-resolved loop that survives server restarts. The sweep
 // dispatcher's worker and `fcdpm sweep -remote` both spoke a private
-// copy of this dialect; it now lives here once, and the device
-// simulator speaks it too.
+// copy of this dialect; it now lives here once.
 package client
 
 import (
@@ -74,20 +73,13 @@ const getBodyLimit = 64 << 20
 // be nil to discard). Non-2xx responses return *Error; transport
 // failures return the underlying error.
 func PostJSON(ctx context.Context, hc *http.Client, url string, v, out any) error {
-	_, _, err := PostJSONMeta(ctx, hc, url, v, out)
-	return err
-}
-
-// PostJSONMeta is PostJSON exposing the response status and header on
-// 2xx — for callers that read protocol metadata like X-Fcdpm-Cache.
-func PostJSONMeta(ctx context.Context, hc *http.Client, url string, v, out any) (int, http.Header, error) {
 	b, err := json.Marshal(v)
 	if err != nil {
-		return 0, nil, err
+		return err
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(b))
 	if err != nil {
-		return 0, nil, err
+		return err
 	}
 	req.Header.Set("Content-Type", "application/json")
 	return do(hc, req, postBodyLimit, out)
@@ -99,32 +91,27 @@ func GetJSON(ctx context.Context, hc *http.Client, url string, out any) error {
 	if err != nil {
 		return err
 	}
-	_, _, err = do(hc, req, getBodyLimit, out)
-	return err
+	return do(hc, req, getBodyLimit, out)
 }
 
-// do executes the request and decodes or classifies the response. On
-// 2xx it returns the status and header alongside the decoded body.
-func do(hc *http.Client, req *http.Request, limit int64, out any) (int, http.Header, error) {
+// do executes the request and decodes or classifies the response.
+func do(hc *http.Client, req *http.Request, limit int64, out any) error {
 	resp, err := hc.Do(req)
 	if err != nil {
-		return 0, nil, err
+		return err
 	}
 	defer resp.Body.Close()
 	body, err := io.ReadAll(io.LimitReader(resp.Body, limit))
 	if err != nil {
-		return 0, nil, err
+		return err
 	}
 	if resp.StatusCode/100 != 2 {
-		return 0, nil, asError(resp, body)
+		return asError(resp, body)
 	}
 	if out == nil {
-		return resp.StatusCode, resp.Header, nil
+		return nil
 	}
-	if err := json.Unmarshal(body, out); err != nil {
-		return 0, nil, err
-	}
-	return resp.StatusCode, resp.Header, nil
+	return json.Unmarshal(body, out)
 }
 
 // Retry tunes PostJSONRetry. The zero value means 5 attempts with the
@@ -174,14 +161,14 @@ func PostJSONRetry(ctx context.Context, hc *http.Client, url string, v, out any,
 		if he != nil && he.RetryAfter > delay {
 			delay = he.RetryAfter
 		}
-		if !Sleep(ctx, delay) {
+		if !sleep(ctx, delay) {
 			return fmt.Errorf("%w (submitting %s)", runner.ErrInterrupted, url)
 		}
 	}
 }
 
-// Sleep blocks for d or until ctx is done; reports false on cancel.
-func Sleep(ctx context.Context, d time.Duration) bool {
+// sleep blocks for d or until ctx is done; reports false on cancel.
+func sleep(ctx context.Context, d time.Duration) bool {
 	if d <= 0 {
 		return ctx.Err() == nil
 	}
@@ -276,7 +263,7 @@ func (f Follow) Run(ctx context.Context) error {
 				f.OnRetry(firstErr(tailErr, err))
 			}
 		}
-		if !Sleep(ctx, runner.BackoffDelay(f.Base, f.Max, f.ID+"/tail", fails)) {
+		if !sleep(ctx, runner.BackoffDelay(f.Base, f.Max, f.ID+"/tail", fails)) {
 			return fmt.Errorf("still running: %w", runner.ErrInterrupted)
 		}
 	}

@@ -69,8 +69,10 @@ func QuantizedSweep(ctx context.Context, seed uint64) ([]QuantizedRow, error) {
 
 // OfflineOracleDP solves the Experiment 1 trace offline with the
 // capacity-constrained dynamic program and replays the schedule through
-// the simulator, returning (offline, online FC-DPM) results. It is the
-// true lower bound, tightening the flat-output bound of FlatOracle.
+// the simulator, returning (offline, online FC-DPM) results. The DP's
+// schedule is feasible on its storage grid, so its fuel is an upper
+// bound on the capacity-constrained optimum; FlatOracle's capacity-free
+// flat output is the lower bound.
 func OfflineOracleDP(ctx context.Context, seed uint64, gridN int) (offline, online *sim.Result, err error) {
 	sc, err := Experiment1Scenario(seed)
 	if err != nil {

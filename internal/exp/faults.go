@@ -72,8 +72,9 @@ func canonicalFaults(duration float64) (map[string]*fault.Schedule, []string) {
 // canceled mid-sweep the partial result is returned along with
 // runner.ErrInterrupted; with a journal configured, re-running the same
 // sweep completes the missing cells without re-simulating the finished
-// ones.
-func FaultSweep(ctx context.Context, seed uint64, opts runner.Options, metrics *obs.SimMetrics) (*FaultSweepResult, error) {
+// ones. Each cell's task ID carries engine (version.Engine), so a
+// journal resumes only the cells the same engine wrote.
+func FaultSweep(ctx context.Context, engine string, seed uint64, opts runner.Options, metrics *obs.SimMetrics) (*FaultSweepResult, error) {
 	sc, err := Experiment2Scenario(seed)
 	if err != nil {
 		return nil, err
@@ -111,7 +112,7 @@ func FaultSweep(ctx context.Context, seed uint64, opts runner.Options, metrics *
 			class, r := class, r
 			name := r.mk().Name()
 			tasks = append(tasks, runner.Task[FaultRow]{
-				ID: runner.RunID("faults", fmt.Sprintf("seed=%d", seed),
+				ID: runner.RunID("faults", "engine="+engine, fmt.Sprintf("seed=%d", seed),
 					"class="+class, "policy="+name),
 				Run: func(ctx context.Context) (FaultRow, error) {
 					cfg := sc.simConfig(r.mk())

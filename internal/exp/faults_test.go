@@ -22,7 +22,7 @@ func classRows(r *FaultSweepResult, class string) []FaultRow {
 }
 
 func TestFaultSweep(t *testing.T) {
-	res, err := FaultSweep(context.Background(), 1, runner.Options{}, nil)
+	res, err := FaultSweep(context.Background(), "test", 1, runner.Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestFaultSweep(t *testing.T) {
 		}
 	}
 	// The sweep is seed-reproducible.
-	res2, err := FaultSweep(context.Background(), 1, runner.Options{}, nil)
+	res2, err := FaultSweep(context.Background(), "test", 1, runner.Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestFaultSweep(t *testing.T) {
 func TestFaultSweepCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := FaultSweep(ctx, 1, runner.Options{}, nil); err == nil {
+	if _, err := FaultSweep(ctx, "test", 1, runner.Options{}, nil); err == nil {
 		t.Fatal("canceled sweep returned no error")
 	}
 }
@@ -74,7 +74,7 @@ func TestFaultSweepJournalResume(t *testing.T) {
 	opts := runner.Options{Workers: 2, Journal: filepath.Join(t.TempDir(), "sweep.jsonl")}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	partial, err := FaultSweep(ctx, 3, opts, nil)
+	partial, err := FaultSweep(ctx, "engine-a", 3, opts, nil)
 	if !errors.Is(err, runner.ErrInterrupted) {
 		t.Fatalf("canceled sweep: err = %v, want runner.ErrInterrupted", err)
 	}
@@ -82,7 +82,7 @@ func TestFaultSweepJournalResume(t *testing.T) {
 		t.Fatalf("partial result = %+v", partial)
 	}
 
-	first, err := FaultSweep(context.Background(), 3, opts, nil)
+	first, err := FaultSweep(context.Background(), "engine-a", 3, opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestFaultSweepJournalResume(t *testing.T) {
 		t.Fatalf("nominal class rows = %d, want 3", n)
 	}
 
-	second, err := FaultSweep(context.Background(), 3, opts, nil)
+	second, err := FaultSweep(context.Background(), "engine-a", 3, opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,5 +103,41 @@ func TestFaultSweepJournalResume(t *testing.T) {
 	}
 	if !reflect.DeepEqual(first.Rows, second.Rows) {
 		t.Fatalf("rows drifted across resume:\n%+v\n%+v", first.Rows, second.Rows)
+	}
+}
+
+// TestFaultSweepJournalEngineTag: a journal resumes only the cells its
+// own engine wrote. A sweep journaled under one engine tag and re-run on
+// the same journal under another resumes nothing and simulates every
+// cell; the first tag still resumes every cell afterwards, with the same
+// physics throughout.
+func TestFaultSweepJournalEngineTag(t *testing.T) {
+	opts := runner.Options{Workers: 2, Journal: filepath.Join(t.TempDir(), "sweep.jsonl")}
+	first, err := FaultSweep(context.Background(), "engine-a", 1, opts, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.Resumed != 0 || len(first.Rows) == 0 {
+		t.Fatalf("fresh journal: %d rows, %d resumed", len(first.Rows), first.Resumed)
+	}
+	for _, step := range []struct {
+		engine  string
+		resumed bool
+	}{{"engine-b", false}, {"engine-a", true}} {
+		again, err := FaultSweep(context.Background(), step.engine, 1, opts, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := 0
+		if step.resumed {
+			want = len(again.Rows)
+		}
+		if again.Resumed != want {
+			t.Fatalf("re-run under %s resumed %d of %d cells, want %d",
+				step.engine, again.Resumed, len(again.Rows), want)
+		}
+		if !reflect.DeepEqual(first.Rows, again.Rows) {
+			t.Fatalf("rows drifted across re-runs under %s:\n%+v\n%+v", step.engine, first.Rows, again.Rows)
+		}
 	}
 }

@@ -8,10 +8,12 @@ import (
 )
 
 // OfflineProblem is a whole-trace, capacity-constrained fuel-minimization
-// instance: the true offline lower bound the online FC-DPM policy is
-// compared against. Slots carry the *actual* (not predicted) parameters;
-// the per-slot Cini/Cend fields are ignored — the dynamic program owns the
-// storage trajectory.
+// instance: the clairvoyant schedule the online FC-DPM policy is compared
+// against. Slots carry the *actual* (not predicted) parameters; the
+// per-slot Cini/Cend fields are ignored — the dynamic program owns the
+// storage trajectory. The DP returns a feasible schedule on a storage
+// grid, so its fuel is an upper bound on the continuous optimum, not a
+// lower bound.
 type OfflineProblem struct {
 	Sys   *fuelcell.System
 	Cmax  float64
@@ -40,7 +42,7 @@ type OfflineSchedule struct {
 // levels (q0 → q1) across one slot is the single-slot closed form
 // (Optimize with Cini = q0, Cend = q1); because range clamps can make a
 // target unreachable, each transition is re-simulated and credited to the
-// storage level actually achieved.
+// grid level at or below the storage level actually achieved.
 //
 // Complexity is O(slots · GridN²) closed-form solves — about half a
 // million for the paper's 28-minute trace at the default grid, well under
@@ -67,8 +69,12 @@ func SolveOffline(p OfflineProblem) (*OfflineSchedule, error) {
 	n := len(p.Slots)
 	levels := gridN + 1
 	q := func(i int) float64 { return p.Cmax * float64(i) / float64(gridN) }
+	// idxOf credits an achieved charge to the grid level at or below it.
+	// The tolerance keeps a transition that ends a rounding error below
+	// its level on that level; flooring it one level down would make the
+	// DP pay fuel to climb back.
 	idxOf := func(charge float64) int {
-		i := int(math.Floor(charge / p.Cmax * float64(gridN)))
+		i := int(math.Floor(charge/p.Cmax*float64(gridN) + 1e-9))
 		if i < 0 {
 			return 0
 		}

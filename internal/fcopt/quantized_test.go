@@ -1,6 +1,7 @@
 package fcopt
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -212,6 +213,151 @@ func TestSolveOfflineChargeTrajectoryBounds(t *testing.T) {
 	// Terminal condition: end at or above Q0.
 	if sched.Charges[len(sched.Charges)-1]+1e-9 < 1 {
 		t.Fatalf("final charge %v below Q0", sched.Charges[len(sched.Charges)-1])
+	}
+}
+
+// offlineProblems draws n seeded random offline problems: 2–7 slots
+// with Ti in [1, 20] s, IldI in [0.05, 0.4] A, Ta in [0.5, 6] s and IldA
+// in [0.3, 1.5] A, a capacity in [2, 12] A·s, and a start charge Q0 on
+// the default 60-interval storage grid.
+func offlineProblems(n int) []OfflineProblem {
+	rng := rand.New(rand.NewSource(7))
+	u := func(lo, hi float64) float64 { return lo + (hi-lo)*rng.Float64() }
+	out := make([]OfflineProblem, n)
+	for k := range out {
+		p := OfflineProblem{Sys: fuelcell.PaperSystem(), Cmax: u(2, 12)}
+		p.Q0 = p.Cmax * float64(rng.Intn(61)) / 60
+		for i := 2 + rng.Intn(6); i > 0; i-- {
+			p.Slots = append(p.Slots, Slot{Ti: u(1, 20), IldI: u(0.05, 0.4), Ta: u(0.5, 6), IldA: u(0.3, 1.5)})
+		}
+		out[k] = p
+	}
+	return out
+}
+
+// greedyFuel is the fuel of the per-slot greedy schedule, Optimize with
+// Cini = Cend = Q0 on every slot. ok reports that every slot solves and
+// ends back at Q0, which makes the schedule a path through the DP's own
+// states.
+func greedyFuel(p OfflineProblem) (fuel float64, ok bool) {
+	for _, s := range p.Slots {
+		s.Cini, s.Cend = p.Q0, p.Q0
+		set, err := Optimize(p.Sys, p.Cmax, s)
+		if err != nil || math.Abs(achievedEnd(p.Cmax, s, set)-p.Q0) > 1e-9 {
+			return 0, false
+		}
+		fuel += set.Fuel
+	}
+	return fuel, true
+}
+
+// replayEnd replays settings from Q0 on the storage's continuous charge,
+// bleeding overflow at Cmax as achievedEnd does, and returns the final
+// charge. It fails where a period would end below empty, the case
+// achievedEnd's empty floor hides.
+func replayEnd(p OfflineProblem, settings []Setting) (float64, error) {
+	q := p.Q0
+	for i, set := range settings {
+		s := p.Slots[i]
+		taEff, activeCharge := s.demand()
+		q = math.Min(q+(set.IFi-s.IldI)*s.Ti, p.Cmax)
+		if q < -1e-9 {
+			return q, fmt.Errorf("slot %d: idle period ends at %v A·s, below empty", i, q)
+		}
+		if taEff > 0 {
+			q += set.IFa*taEff - activeCharge
+			if q < -1e-9 {
+				return q, fmt.Errorf("slot %d: active period ends at %v A·s, below empty", i, q)
+			}
+			q = math.Min(q, p.Cmax)
+		}
+	}
+	return q, nil
+}
+
+// TestSolveOfflineProperties checks the DP on seeded random problems.
+//   - It never burns more fuel than the per-slot greedy schedule where
+//     that schedule is a path through its states. Flooring an achieved
+//     end that lands a rounding error below its level once credited it
+//     one level down, and the DP then paid fuel to climb back.
+//   - Replaying its settings from Q0 never needs achievedEnd's empty
+//     floor, and ends at or above FinalMin (Q0 here).
+func TestSolveOfflineProperties(t *testing.T) {
+	const n = 500
+	problems := offlineProblems(n)
+	scheds := make([]*OfflineSchedule, n)
+	errs := make([]error, n)
+	for k, p := range problems {
+		scheds[k], errs[k] = SolveOffline(p)
+	}
+	// Each property must be exercised on most of the draw, not skipped.
+	t.Run("at_most_greedy", func(t *testing.T) {
+		compared := 0
+		for k, p := range problems {
+			greedy, ok := greedyFuel(p)
+			if !ok {
+				continue
+			}
+			compared++
+			switch {
+			case errs[k] != nil:
+				t.Errorf("problem %d: greedy is feasible but the DP is not: %v", k, errs[k])
+			case scheds[k].Fuel > greedy+1e-9:
+				t.Errorf("problem %d: DP fuel %.6f above greedy %.6f (+%.3g A·s)", k, scheds[k].Fuel, greedy, scheds[k].Fuel-greedy)
+			}
+		}
+		if compared < n/2 {
+			t.Fatalf("greedy comparable on %d of %d problems", compared, n)
+		}
+	})
+	t.Run("replay_reaches_final_min", func(t *testing.T) {
+		solved := 0
+		for k, p := range problems {
+			if errs[k] != nil {
+				continue
+			}
+			solved++
+			end, err := replayEnd(p, scheds[k].Settings)
+			if err != nil {
+				t.Errorf("problem %d: replay: %v", k, err)
+			} else if end+1e-9 < p.Q0 {
+				t.Errorf("problem %d: replay ends at %v A·s, below FinalMin %v", k, end, p.Q0)
+			}
+		}
+		if solved < n/2 {
+			t.Fatalf("DP solved %d of %d problems", solved, n)
+		}
+	})
+}
+
+// TestSolveOfflineOneSlotIsTheClosedForm: on one slot that ends where it
+// starts, the DP's fuel is the closed form's with Cini = Cend = Q0, at
+// every level of a small store's grid where that closed form is a path
+// through the DP's states. The closed form's end lands within a rounding
+// error of Q0, often just below it; flooring it one level down once
+// made the DP pay to climb back.
+func TestSolveOfflineOneSlotIsTheClosedForm(t *testing.T) {
+	sys := fuelcell.PaperSystem()
+	const cmax, gridN = 2.0, 60
+	compared := 0
+	for lvl := 0; lvl <= gridN; lvl++ {
+		p := OfflineProblem{Sys: sys, Cmax: cmax, Slots: []Slot{motivSlot()}, Q0: cmax * float64(lvl) / gridN, GridN: gridN}
+		want, ok := greedyFuel(p)
+		if !ok {
+			continue
+		}
+		compared++
+		sched, err := SolveOffline(p)
+		if err != nil {
+			t.Errorf("level %d: %v", lvl, err)
+			continue
+		}
+		if math.Abs(sched.Fuel-want) > 1e-9 {
+			t.Errorf("level %d: DP fuel %.6f, closed form %.6f", lvl, sched.Fuel, want)
+		}
+	}
+	if compared < gridN/2 {
+		t.Fatalf("closed form ends at Q0 on only %d of %d levels", compared, gridN+1)
 	}
 }
 

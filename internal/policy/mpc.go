@@ -17,8 +17,8 @@ import (
 // is identical to FC-DPM.
 //
 // On the paper's workload the single-slot policy already sits ~0.1 % from
-// the clairvoyant offline optimum (see BenchmarkAblationOfflineDP), so the
-// horizon buys essentially nothing — MPC exists to *demonstrate* that
+// the clairvoyant offline DP schedule (see BenchmarkAblationOfflineDP), so
+// the horizon buys essentially nothing — MPC exists to *demonstrate* that
 // negative result (`exp.MPCAblation`) and to serve workloads with strong
 // slot-to-slot coupling (tiny storage, highly alternating demand) where it
 // does help.

@@ -269,7 +269,7 @@ func (s *Server) handleRunPost(w http.ResponseWriter, r *http.Request) {
 	}
 	if isAsync(r) {
 		// Mirror the sync path's X-Fcdpm-Cache taxonomy so async clients
-		// (devicesim) can count coalesced admissions without waiting.
+		// can count coalesced admissions without waiting.
 		tag := "miss"
 		if coalesced {
 			tag = "coalesced"

@@ -482,22 +482,32 @@ func TestDrainRefusesNewWork(t *testing.T) {
 }
 
 // TestConcurrentMixedLoad hammers the handlers from many goroutines —
-// the -race run of this test is the concurrency-safety acceptance gate.
+// the -race run of this test is the concurrency-safety acceptance gate —
+// and checks the server's books against the clients'. Half the
+// goroutines submit synchronously and half with ?async=1, tailing each
+// admitted run to its resolved event. Every submission lands in exactly
+// one class (its X-Fcdpm-Cache tag, or a shed for a 503), and /v1/stats
+// counts each class as the clients saw it. The traces are long enough
+// that the first round's duplicate specs usually coalesce, but how many
+// do depends on timing, so only the partition and the equalities are
+// asserted.
 func TestConcurrentMixedLoad(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 4})
+	const goroutines, submits = 8, 5
+	tags := make([][]string, goroutines)
 	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
+	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			for i := 0; i < 5; i++ {
+			for i := 0; i < submits; i++ {
 				spec := fmt.Sprintf(
-					`{"trace":{"kind":"synthetic","seed":%d,"duration":60}}`, (g+i)%3+1)
-				resp, err := http.Post(ts.URL+"/v1/runs", "application/json",
-					strings.NewReader(spec))
-				if err == nil {
-					resp.Body.Close()
+					`{"trace":{"kind":"synthetic","seed":%d,"duration":200000}}`, (g+i)%3+1)
+				tag, err := submitForTag(ts, spec, g%2 == 1)
+				if err != nil {
+					t.Errorf("goroutine %d submit %d: %v", g, i, err)
 				}
+				tags[g] = append(tags[g], tag)
 				if r, err := http.Get(ts.URL + "/v1/stats"); err == nil {
 					r.Body.Close()
 				}
@@ -508,12 +518,89 @@ func TestConcurrentMixedLoad(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	count := map[string]int64{}
+	for _, gt := range tags {
+		for _, tag := range gt {
+			count[tag]++
+		}
+	}
+	if sum := count["hit"] + count["miss"] + count["coalesced"] + count["shed"]; sum != goroutines*submits {
+		t.Fatalf("cache classes %v partition %d submissions, want %d", count, sum, goroutines*submits)
+	}
 	var stats statsPayload
 	getJSON(t, ts, "/v1/stats", &stats)
-	total := stats.Runs.Done + stats.Runs.Failed + stats.Runs.Shed
-	if total+stats.Cache.Hits+stats.Runs.Coalesced < 40 {
-		t.Fatalf("accounting lost requests: %+v", stats)
+	for _, c := range []struct {
+		name           string
+		server, client int64
+	}{
+		{"runs.submitted vs misses", stats.Runs.Submitted, count["miss"]},
+		{"runs.coalesced vs coalesced", stats.Runs.Coalesced, count["coalesced"]},
+		{"cache.hits vs hits", stats.Cache.Hits, count["hit"]},
+		{"runs.shed vs sheds", stats.Runs.Shed, count["shed"]},
+	} {
+		if c.server != c.client {
+			t.Errorf("%s: server %d, clients %d (stats %+v %+v)", c.name, c.server, c.client, stats.Runs, stats.Cache)
+		}
 	}
+	if count["hit"] == 0 {
+		t.Fatalf("no cache hits across %d submissions of 3 specs: %v", goroutines*submits, count)
+	}
+}
+
+// submitForTag posts spec, with ?async=1 when async, and returns the
+// class the client saw: "shed" for a 503, else the X-Fcdpm-Cache tag. A
+// 202 admission (miss or coalesced) is tailed on its event stream until
+// the run resolves done; an async submission the cache answers is a
+// 200 tagged hit.
+func submitForTag(ts *httptest.Server, spec string, async bool) (string, error) {
+	url := ts.URL + "/v1/runs"
+	if async {
+		url += "?async=1"
+	}
+	resp, err := http.Post(url, "application/json", strings.NewReader(spec))
+	if err != nil {
+		return "", err
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		return "", err
+	}
+	tag := resp.Header.Get("X-Fcdpm-Cache")
+	switch {
+	case resp.StatusCode == http.StatusServiceUnavailable:
+		return "shed", nil
+	case resp.StatusCode == http.StatusOK && (!async || tag == "hit"):
+		return tag, nil
+	case resp.StatusCode != http.StatusAccepted || !async || tag == "hit":
+		return "", fmt.Errorf("async=%v: %d tagged %q: %s", async, resp.StatusCode, tag, body)
+	}
+	var acc struct {
+		Events string `json:"events"`
+	}
+	if err := json.Unmarshal(body, &acc); err != nil {
+		return "", err
+	}
+	er, err := http.Get(ts.URL + acc.Events)
+	if err != nil {
+		return "", err
+	}
+	defer er.Body.Close()
+	resolved := ""
+	sc := bufio.NewScanner(er.Body)
+	for sc.Scan() {
+		var e Event
+		if err := json.Unmarshal(sc.Bytes(), &e); err == nil && e.Kind == "resolved" {
+			resolved = e.Status
+		}
+	}
+	if resolved != string(jobDone) {
+		return "", fmt.Errorf("%s run resolved %q, want done", tag, resolved)
+	}
+	return tag, sc.Err()
 }
 
 // TestPprofGating: the profiler is absent by default and mounted under

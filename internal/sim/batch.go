@@ -61,11 +61,11 @@ type batchGroup struct {
 // with equal non-empty keys form a run group: the group leader
 // simulates once — at the union of the members' record levels — and
 // every member receives a projected copy of the result, so N lanes of
-// one spec (coalesced server requests, duplicate sweep cells, devicesim
-// fleets) cost one simulation instead of N. Every other lane is a group
-// of its own. As long as equal keys name equal simulations, batching
-// never changes a single bit of any lane's Result relative to a
-// one-lane run (sim.Run) of the same configuration.
+// one spec (coalesced server requests, duplicate sweep cells) cost one
+// simulation instead of N. Every other lane is a group of its own. As
+// long as equal keys name equal simulations, batching never changes a
+// single bit of any lane's Result relative to a one-lane run (sim.Run)
+// of the same configuration.
 //
 // BatchRunner is the only simulation engine: sim.Run is a one-lane
 // batch. A BatchRunner is reusable and not safe for concurrent use;
