@@ -174,13 +174,34 @@ func TestBatchRunnerZeroAllocs(t *testing.T) {
 	}
 }
 
-func TestOptimizeSlotZeroAllocs(t *testing.T) {
-	sys := PaperSystem()
-	slot := OptSlot{
+// TestRegressionBatchGroups pins what BenchmarkSuite's
+// batch-slot-throughput-k{1,8,64} entries measure: k keyed lanes of the
+// eight policy variants run as min(k, 8) groups, so k64 simulates 8
+// groups for its 64 lanes.
+func TestRegressionBatchGroups(t *testing.T) {
+	cfg := throughputConfig(t)
+	for _, k := range []int{1, 8, 64} {
+		policies, keys := variantPolicies(t, cfg.Sys, cfg.Dev, k)
+		br := warmRunner(t, cfg.Sys, cfg.Dev, cfg.Trace, policies, keys)
+		if got, want := br.Groups(), min(k, batchVariants); got != want {
+			t.Errorf("%d variant lanes run as %d groups, want %d", k, got, want)
+		}
+	}
+}
+
+// optSlot is the optimizer's fixture: one task slot with sleep and
+// wake-up/power-down overheads.
+func optSlot() OptSlot {
+	return OptSlot{
 		Ti: 14, IldI: 0.2, Ta: 3.03, IldA: 1.22, Cini: 1, Cend: 1,
 		Sleep:    true,
 		Overhead: &fcopt.Overhead{TauWU: 0.5, IWU: 0.4, TauPD: 0.5, IPD: 0.4},
 	}
+}
+
+func TestOptimizeSlotZeroAllocs(t *testing.T) {
+	sys := PaperSystem()
+	slot := optSlot()
 	allocs := testing.AllocsPerRun(100, func() {
 		if _, err := OptimizeSlot(sys, 6, slot); err != nil {
 			t.Fatal(err)

@@ -21,7 +21,7 @@ func cmdChaos(ctx context.Context, args []string) error {
 	seed := fs.Uint64("seed", 1, "first seed (trials run seed..seed+trials-1)")
 	journal := fs.String("journal", "", "append one JSON line per trial to this file")
 	verbose := fs.Bool("v", false, "forward fabric log lines to stderr")
-	if err := parseFlags(fs, args); err != nil {
+	if err := parseFlags(fs, args, "trials"); err != nil {
 		return err
 	}
 	res, err := chaos.Run(ctx, chaos.Options{

@@ -25,13 +25,20 @@ import (
 )
 
 // parseFlags parses the flags of a subcommand that takes no operands;
-// a stray operand is a usage error.
-func parseFlags(fs *flag.FlagSet, args []string) error {
+// a stray operand is a usage error, and so is a flag named in positive
+// whose value is not above zero: a number the command cannot use, or a
+// zero a spec would read as "use the default".
+func parseFlags(fs *flag.FlagSet, args []string, positive ...string) error {
 	if err := parseOperands(fs, args); err != nil {
 		return err
 	}
 	if fs.NArg() != 0 {
 		return usagef("%s: unexpected arguments %q", fs.Name(), fs.Args())
+	}
+	for _, name := range positive {
+		if v, err := strconv.ParseFloat(fs.Lookup(name).Value.String(), 64); err != nil || !(v > 0) {
+			return usagef("%s: -%s must be positive", fs.Name(), name)
+		}
 	}
 	return nil
 }
@@ -94,6 +101,10 @@ func cmdCurves(args []string) error {
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
+	// A curve runs from its first sample to its last.
+	if *points < 2 {
+		return usagef("curves: -points must be at least 2, got %d", *points)
+	}
 	fig3, err := exp.Fig3Series(*points)
 	if err != nil {
 		return err
@@ -128,16 +139,10 @@ func flagScenario(kind string, seed uint64, duration float64) *config.Scenario {
 	return s
 }
 
-// buildFlags builds a spec filled from fs's flags. The spec reads zero
-// as "use the default", so each named flag must be positive; and since
-// every value came from the command line, a spec the config package
-// refuses is a usage error.
-func buildFlags(fs *flag.FlagSet, s *config.Scenario, positive ...string) (sim.Config, error) {
-	for _, name := range positive {
-		if v, err := strconv.ParseFloat(fs.Lookup(name).Value.String(), 64); err != nil || !(v > 0) {
-			return sim.Config{}, usagef("%s: -%s must be positive", fs.Name(), name)
-		}
-	}
+// buildFlags builds a spec filled from fs's flags. Since every value
+// came from the command line, a spec the config package refuses is a
+// usage error.
+func buildFlags(fs *flag.FlagSet, s *config.Scenario) (sim.Config, error) {
 	cfg, err := s.Build()
 	var ve *config.ValidationError
 	if errors.As(err, &ve) {
@@ -153,10 +158,10 @@ func cmdTrace(args []string) error {
 	duration := fs.Float64("duration", 0, "trace duration in seconds (0 = paper default)")
 	format := fs.String("format", "csv", "output format: csv or json")
 	out := fs.String("out", "", "output file (default stdout)")
-	if err := parseFlags(fs, args); err != nil {
+	if err := parseFlags(fs, args, "seed"); err != nil {
 		return err
 	}
-	cfg, err := buildFlags(fs, flagScenario(*kind, *seed, *duration), "seed")
+	cfg, err := buildFlags(fs, flagScenario(*kind, *seed, *duration))
 	if err != nil {
 		return err
 	}
@@ -185,13 +190,13 @@ func cmdRun(args []string) error {
 	reserve := fs.Float64("reserve", 1, "initial/target storage charge in A-s")
 	flatIF := fs.Float64("flat", 0.5, "fixed output for -policy flat, A")
 	fuel := fs.Float64("fuel", 3600, "fuel budget for lifetime report, stack A-s")
-	if err := parseFlags(fs, args); err != nil {
+	if err := parseFlags(fs, args, "seed", "cmax", "reserve", "flat"); err != nil {
 		return err
 	}
 	scen := flagScenario(*kind, *seed, *duration)
 	scen.Storage = config.StorageSpec{CapacityAs: *cmax, InitialAs: *reserve}
 	scen.Policy = config.PolicySpec{Kind: *polName, FlatIF: *flatIF}
-	cfg, err := buildFlags(fs, scen, "seed", "cmax", "reserve", "flat")
+	cfg, err := buildFlags(fs, scen)
 	if err != nil {
 		return err
 	}
@@ -265,7 +270,7 @@ func cmdOracle(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("oracle", flag.ContinueOnError)
 	seed := fs.Uint64("seed", 1, "trace seed")
 	grid := fs.Int("grid", 48, "DP storage-grid intervals")
-	if err := parseFlags(fs, args); err != nil {
+	if err := parseFlags(fs, args, "grid"); err != nil {
 		return err
 	}
 	offline, online, err := exp.OfflineOracleDP(ctx, *seed, *grid)
@@ -360,10 +365,10 @@ func cmdStats(args []string) error {
 	kind := fs.String("kind", "camcorder", kindUsage)
 	seed := fs.Uint64("seed", 1, "generator seed")
 	duration := fs.Float64("duration", 0, "trace duration in seconds (0 = default)")
-	if err := parseFlags(fs, args); err != nil {
+	if err := parseFlags(fs, args, "seed"); err != nil {
 		return err
 	}
-	cfg, err := buildFlags(fs, flagScenario(*kind, *seed, *duration), "seed")
+	cfg, err := buildFlags(fs, flagScenario(*kind, *seed, *duration))
 	if err != nil {
 		return err
 	}
@@ -529,10 +534,10 @@ func cmdAdvise(args []string) error {
 	fs := flag.NewFlagSet("advise", flag.ContinueOnError)
 	kind := fs.String("kind", "camcorder", kindUsage)
 	seed := fs.Uint64("seed", 1, "generator seed")
-	if err := parseFlags(fs, args); err != nil {
+	if err := parseFlags(fs, args, "seed"); err != nil {
 		return err
 	}
-	cfg, err := buildFlags(fs, flagScenario(*kind, *seed, 0), "seed")
+	cfg, err := buildFlags(fs, flagScenario(*kind, *seed, 0))
 	if err != nil {
 		return err
 	}
@@ -701,7 +706,7 @@ func cmdRobust(ctx context.Context, args []string) error {
 	seed := fs.Uint64("seed", 1, "base seed")
 	trials := fs.Int("trials", 20, "Monte-Carlo trials")
 	pct := fs.Float64("pct", 0.1, "relative perturbation of device/efficiency parameters")
-	if err := parseFlags(fs, args); err != nil {
+	if err := parseFlags(fs, args, "trials"); err != nil {
 		return err
 	}
 	r, err := exp.RobustnessStudy(ctx, *seed, *trials, *pct)
@@ -726,12 +731,12 @@ func cmdCharge(args []string) error {
 	window := fs.Float64("window", 120, "window in seconds")
 	width := fs.Int("width", 96, "chart width in characters")
 	polName := fs.String("policy", "fcdpm", "policy: conv, asap, fcdpm, flat, or quantized")
-	if err := parseFlags(fs, args); err != nil {
+	if err := parseFlags(fs, args, "seed", "window", "width"); err != nil {
 		return err
 	}
 	scen := flagScenario("camcorder", *seed, 0)
 	scen.Policy.Kind = *polName
-	cfg, err := buildFlags(fs, scen, "seed")
+	cfg, err := buildFlags(fs, scen)
 	if err != nil {
 		return err
 	}

@@ -535,7 +535,7 @@ func cmdPlot(ctx context.Context, args []string) error {
 	seed := fs.Uint64("seed", 1, "trace seed (fig7)")
 	window := fs.Float64("window", fig7Window, "profile window in seconds (fig7)")
 	width := fs.Int("width", 96, "chart width in characters")
-	if err := parseFlags(fs, args); err != nil {
+	if err := parseFlags(fs, args, "window", "width"); err != nil {
 		return err
 	}
 	var c chart

@@ -13,8 +13,10 @@
 // `fcdpm help` lists every subcommand, and `fcdpm <subcommand> -h` its
 // flags. The flags of run, trace, stats, advise and charge fill a
 // scenario spec (see internal/config), so they accept what the spec
-// accepts, and a numeric flag whose zero the spec reads as "use the
-// default" must be positive.
+// accepts. A number a command cannot use is a usage error, not a
+// silent substitute: a zero the spec reads as "use the default", an
+// empty chart window or width, a DP grid, curve or trial count too
+// small to run.
 //
 // Exit status: 0 on success, 1 on a run failure, 2 on command-line
 // usage errors, 3 when a batch or sweep was interrupted but left a
@@ -125,8 +127,6 @@ func run(ctx context.Context, args []string) error {
 		return cmdDispatchd(ctx, rest)
 	case "workd":
 		return cmdWorkd(ctx, rest)
-	case "bench":
-		return cmdBench(rest)
 	case "chaos":
 		return cmdChaos(ctx, rest)
 	case "version":
@@ -191,9 +191,6 @@ subcommands:
   workd    run a worker daemon: lease shards from a dispatcher, execute
            them locally, push results at-least-once, spool to disk when
            the dispatcher is unreachable
-  bench    run the benchmark-regression suite, write a BENCH_*.json
-           artifact, and (with -compare) fail on throughput regression
-           against the latest stored artifact
   chaos    run seeded fault-injection trials against an in-process
            dispatcher + two-worker fabric (network cuts, 503 storms,
            torn journal appends, disk-full, bit-rot, clock skew, one

@@ -54,14 +54,17 @@ func TestRunDispatch(t *testing.T) {
 }
 
 // TestRunErrors pins that every command-line mistake exits 2: a missing
-// or unknown subcommand, an unknown selector value, a missing operand,
-// and a stray operand to a subcommand that takes none.
+// or unknown subcommand, an unknown selector value, a number the
+// command cannot use, a missing operand, and a stray operand to a
+// subcommand that takes none.
 func TestRunErrors(t *testing.T) {
 	bad := [][]string{
 		{},
 		{"nope"},
-		// The fleet load harness is gone; its name is no subcommand.
+		// The fleet load harness and the benchmark-regression subcommand
+		// are gone; their names are no subcommands.
 		{"devicesim"},
+		{"bench"},
 		{"trace", "-kind", "bogus"},
 		{"run", "-policy", "bogus"},
 		{"charge", "-policy", "bogus"},
@@ -84,6 +87,20 @@ func TestRunErrors(t *testing.T) {
 		{"run", "-cmax", "0"},
 		{"run", "-reserve", "0"},
 		{"run", "-flat", "0"},
+		// Nor is a number the command cannot use: no silent substitute
+		// and no run failure.
+		{"oracle", "-grid", "0"},
+		{"oracle", "-grid", "-5"},
+		{"chaos", "-trials", "0"},
+		{"robust", "-trials", "0"},
+		{"plot", "-window", "0"},
+		{"plot", "-window", "-10"},
+		{"charge", "-window", "0"},
+		{"charge", "-window", "-5"},
+		{"plot", "-width", "0"},
+		{"charge", "-width", "-1"},
+		{"curves", "-points", "0"},
+		{"curves", "-points", "1"},
 		// -retries is no flag: a run is deterministic, so no command
 		// retries one. The other arguments are valid, but for serve's
 		// unusable -addr, which stops a serve that took the flag from
@@ -172,7 +189,7 @@ var subcommands = []string{
 	"figures", "curves", "trace", "run", "exp1", "exp2", "motiv", "sweep",
 	"oracle", "hydrogen", "levels", "plot", "runfile", "faults", "stats",
 	"verify", "ablate", "advise", "batch", "serve", "dispatchd", "workd",
-	"bench", "chaos", "version", "robust", "charge", "multistack",
+	"chaos", "version", "robust", "charge", "multistack",
 }
 
 // TestSubcommandHelp pins that -h on every subcommand prints its flags

@@ -208,3 +208,13 @@ func TestTrialShort(t *testing.T) {
 		t.Fatal("trial executed nothing")
 	}
 }
+
+// TestRunRefusesNoTrials: a run of fewer than one trial is an error, not
+// one trial run in its place.
+func TestRunRefusesNoTrials(t *testing.T) {
+	for _, n := range []int{0, -1} {
+		if res, err := Run(context.Background(), Options{Trials: n, Seed: 1}); err == nil {
+			t.Errorf("Run with %d trials ran %d trial(s) without error", n, res.Trials)
+		}
+	}
+}

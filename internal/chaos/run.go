@@ -12,7 +12,8 @@ import (
 // Options configures a chaos run: Trials consecutive seeds starting at
 // Seed, each one full RunTrial.
 type Options struct {
-	// Trials is the number of seeded trials (seeds Seed..Seed+Trials-1).
+	// Trials is the number of seeded trials (seeds Seed..Seed+Trials-1),
+	// at least one.
 	Trials int
 	// Seed is the first seed.
 	Seed uint64
@@ -45,8 +46,8 @@ func (r *Result) OK() bool { return len(r.Failing) == 0 }
 // `fcdpm chaos -trials 1 -seed S` plus that dir is a complete bug
 // report.
 func Run(ctx context.Context, opts Options) (Result, error) {
-	if opts.Trials <= 0 {
-		opts.Trials = 1
+	if opts.Trials < 1 {
+		return Result{}, fmt.Errorf("chaos: need at least one trial, got %d", opts.Trials)
 	}
 	if opts.Logf == nil {
 		opts.Logf = func(string, ...any) {}
