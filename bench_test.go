@@ -436,9 +436,9 @@ func BenchmarkSuite(b *testing.B) {
 	benchRunners(b, "batch-sequential-k64", trace.Len()*len(policies), sequential...)
 
 	// Per-policy planning cost: one lane per policy over the same trace,
-	// so ns per slot shows what each policy's planning adds to the walk.
-	// The MPC horizon of 3 slots is the middle of the ones the
-	// receding-horizon ablation compares.
+	// so ns per slot against sim-throughput, the same walk under FC-DPM,
+	// shows what each policy's planning adds. The MPC horizon of 3 slots
+	// is the middle of the ones the receding-horizon ablation compares.
 	mpc, err := policy.NewMPC(sys, dev, 3)
 	if err != nil {
 		b.Fatal(err)
@@ -447,7 +447,6 @@ func BenchmarkSuite(b *testing.B) {
 		name string
 		p    Policy
 	}{
-		{"plan-fcdpm", NewFCDPM(sys, dev)},
 		{"plan-quantized-n3", quantized(b, sys, dev, 3)},
 		{"plan-quantized-n12", quantized(b, sys, dev, 12)},
 		{"plan-mpc", mpc},

@@ -13,7 +13,6 @@ import (
 	"strings"
 	"time"
 
-	"fcdpm/internal/cache"
 	"fcdpm/internal/config"
 	"fcdpm/internal/exp"
 	"fcdpm/internal/numeric"
@@ -22,6 +21,7 @@ import (
 	"fcdpm/internal/runreport"
 	"fcdpm/internal/sim"
 	"fcdpm/internal/version"
+	"fcdpm/internal/vfs"
 )
 
 // parseFlags parses the flags of a subcommand that takes no operands;
@@ -698,7 +698,7 @@ func writeBatchRows(path string, names []string, outcomes []runner.Outcome[batch
 		_, err := os.Stdout.Write(buf.Bytes())
 		return err
 	}
-	return cache.AtomicWriteFile(path, buf.Bytes())
+	return vfs.Default.WriteFileAtomic(path, buf.Bytes())
 }
 
 func cmdRobust(ctx context.Context, args []string) error {
@@ -729,10 +729,13 @@ func cmdCharge(args []string) error {
 	fs := flag.NewFlagSet("charge", flag.ContinueOnError)
 	seed := fs.Uint64("seed", 1, "trace seed")
 	window := fs.Float64("window", 120, "window in seconds")
-	width := fs.Int("width", 96, "chart width in characters")
+	width := fs.Int("width", 96, "chart width in characters (at least 16)")
 	polName := fs.String("policy", "fcdpm", "policy: conv, asap, fcdpm, flat, or quantized")
-	if err := parseFlags(fs, args, "seed", "window", "width"); err != nil {
+	if err := parseFlags(fs, args, "seed", "window"); err != nil {
 		return err
+	}
+	if *width < report.MinChartWidth {
+		return usagef("charge: -width must be at least %d", report.MinChartWidth)
 	}
 	scen := flagScenario("camcorder", *seed, 0)
 	scen.Policy.Kind = *polName

@@ -534,9 +534,12 @@ func cmdPlot(ctx context.Context, args []string) error {
 	what := fs.String("what", "fig7", "chart: fig7, fig2, or fig3")
 	seed := fs.Uint64("seed", 1, "trace seed (fig7)")
 	window := fs.Float64("window", fig7Window, "profile window in seconds (fig7)")
-	width := fs.Int("width", 96, "chart width in characters")
-	if err := parseFlags(fs, args, "window", "width"); err != nil {
+	width := fs.Int("width", 96, "chart width in characters (at least 16)")
+	if err := parseFlags(fs, args, "window"); err != nil {
 		return err
+	}
+	if *width < report.MinChartWidth {
+		return usagef("plot: -width must be at least %d", report.MinChartWidth)
 	}
 	var c chart
 	var err error

@@ -15,8 +15,8 @@
 // scenario spec (see internal/config), so they accept what the spec
 // accepts. A number a command cannot use is a usage error, not a
 // silent substitute: a zero the spec reads as "use the default", an
-// empty chart window or width, a DP grid, curve or trial count too
-// small to run.
+// empty chart window, a chart narrower than 16 columns, a DP grid,
+// curve or trial count too small to run.
 //
 // Exit status: 0 on success, 1 on a run failure, 2 on command-line
 // usage errors, 3 when a batch or sweep was interrupted but left a

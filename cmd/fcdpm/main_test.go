@@ -99,6 +99,9 @@ func TestRunErrors(t *testing.T) {
 		{"charge", "-window", "-5"},
 		{"plot", "-width", "0"},
 		{"charge", "-width", "-1"},
+		// Nor a width below the chart's 16-column minimum.
+		{"plot", "-width", "5"},
+		{"charge", "-width", "5"},
 		{"curves", "-points", "0"},
 		{"curves", "-points", "1"},
 		// -retries is no flag: a run is deterministic, so no command

@@ -2,9 +2,9 @@
 // simulation server and the sweep dispatcher: rendered report bytes
 // keyed by the scenario's canonical hash (see config.CacheKey). The
 // memory tier is a size-bounded LRU; the optional disk tier persists
-// every stored report with the same fsync+atomic-rename discipline as
-// the runner's checkpoint journal, so a cached report survives a crash
-// at any instant and a restarted process keeps its hits.
+// every stored report through vfs's temp-file, fsync and rename
+// publication, so a cached report survives a crash at any instant and
+// a restarted process keeps its hits.
 //
 // The disk tier is also self-healing: a truncated or otherwise corrupt
 // blob — a torn write from a crash that beat the rename, or operator
@@ -256,13 +256,4 @@ func (c *Store) Stats() Stats {
 		DiskDown:  c.diskDown.Load(),
 		Entries:   entries, Bytes: size, MaxBytes: c.max,
 	}
-}
-
-// AtomicWriteFile writes b to path through a temp file, fsync, and
-// rename, then best-effort syncs the directory — the same crash-safety
-// discipline the runner journal uses. Kept as the package's convenience
-// entry point for one-shot writers; durable subsystems that need fault
-// injection take a vfs.FS instead.
-func AtomicWriteFile(path string, b []byte) error {
-	return vfs.Default.WriteFileAtomic(path, b)
 }

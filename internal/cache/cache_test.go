@@ -180,23 +180,3 @@ func TestCacheCorruptDiskBlobIsCountedMiss(t *testing.T) {
 		t.Fatalf("stats after heal: %+v", st)
 	}
 }
-
-func TestAtomicWriteFileReplaces(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "r.json")
-	if err := AtomicWriteFile(path, []byte("v1")); err != nil {
-		t.Fatal(err)
-	}
-	if err := AtomicWriteFile(path, []byte("v2")); err != nil {
-		t.Fatal(err)
-	}
-	b, err := os.ReadFile(path)
-	if err != nil || string(b) != "v2" {
-		t.Fatalf("replace: %q %v", b, err)
-	}
-	// No temp litter.
-	files, _ := filepath.Glob(filepath.Join(dir, ".cache-*"))
-	if len(files) != 0 {
-		t.Fatalf("temp files left behind: %v", files)
-	}
-}

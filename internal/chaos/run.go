@@ -2,11 +2,11 @@ package chaos
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"time"
+
+	"fcdpm/internal/vfs"
 )
 
 // Options configures a chaos run: Trials consecutive seeds starting at
@@ -17,8 +17,9 @@ type Options struct {
 	Trials int
 	// Seed is the first seed.
 	Seed uint64
-	// Journal, when set, appends one JSON line per trial (the
-	// TrialResult) — the artifact a nightly CI job uploads.
+	// Journal, when set, appends one fsynced JSON line per trial (the
+	// TrialResult) through vfs.Journal — the artifact a nightly CI job
+	// uploads.
 	Journal string
 	// Verbose forwards fabric log lines to Logf; otherwise only the
 	// per-trial verdicts are reported.
@@ -56,13 +57,13 @@ func Run(ctx context.Context, opts Options) (Result, error) {
 	if out == nil {
 		out = io.Discard
 	}
-	var journal *os.File
+	var journal *vfs.Journal
 	if opts.Journal != "" {
-		f, err := os.OpenFile(opts.Journal, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+		j, _, err := vfs.OpenJournal(vfs.Default, opts.Journal)
 		if err != nil {
 			return Result{}, fmt.Errorf("chaos: journal: %w", err)
 		}
-		journal = f
+		journal = j
 		defer journal.Close()
 	}
 
@@ -79,8 +80,9 @@ func Run(ctx context.Context, opts Options) (Result, error) {
 		topts.Seed = opts.Seed + uint64(i)
 		tr := RunTrial(ctx, topts)
 		if journal != nil {
-			line, _ := json.Marshal(tr)
-			journal.Write(append(line, '\n'))
+			if err := journal.Append(tr); err != nil {
+				return res, fmt.Errorf("chaos: journal: %w", err)
+			}
 		}
 		if tr.OK() {
 			res.Survived++

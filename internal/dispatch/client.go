@@ -10,8 +10,8 @@ import (
 	"strings"
 	"time"
 
-	"fcdpm/internal/cache"
 	"fcdpm/internal/client"
+	"fcdpm/internal/vfs"
 )
 
 // ClientOptions tunes a remote sweep submission.
@@ -145,7 +145,7 @@ func fetchRows(ctx context.Context, opts ClientOptions, id string) error {
 		_, err = os.Stdout.Write(b)
 		return err
 	}
-	if err := cache.AtomicWriteFile(opts.Rows, b); err != nil {
+	if err := vfs.Default.WriteFileAtomic(opts.Rows, b); err != nil {
 		return err
 	}
 	opts.Logf("fcdpm sweep: wrote %d bytes of result rows to %s", len(b), opts.Rows)

@@ -155,7 +155,7 @@ type Dispatcher struct {
 	engine  string
 	started time.Time
 	cache   *cache.Store
-	wal     *wal // nil when ephemeral
+	wal     *vfs.Journal // nil when ephemeral
 	metrics *dispatchMetrics
 	mux     *http.ServeMux
 
@@ -239,13 +239,13 @@ func New(opts Options) (*Dispatcher, error) {
 		return float64(live)
 	})
 	if opts.StateDir != "" {
-		w, records, err := openWAL(opts.FS, filepath.Join(opts.StateDir, "dispatch.wal"))
+		w, records, err := vfs.OpenJournal(opts.FS, filepath.Join(opts.StateDir, "dispatch.wal"))
 		if err != nil {
 			return nil, err
 		}
 		d.wal = w
 		if err := d.replay(records); err != nil {
-			w.close()
+			w.Close()
 			return nil, err
 		}
 	}
@@ -407,7 +407,7 @@ func (d *Dispatcher) replay(records []json.RawMessage) error {
 	// a stale pre-crash verdict could collide with a live lease. Append
 	// it through the normal path; if even that fails, the fence is up and
 	// the first successful append flushes it (walAppend checks genDirty).
-	if err := d.wal.compact(d.compactRecords()); err != nil {
+	if err := d.wal.Compact(d.compactRecords()); err != nil {
 		d.opts.Logf("fcdpm dispatchd: startup compaction failed, continuing on uncompacted journal: %v", err)
 		if aerr := d.walAppend(walGen{Op: "gen", Gen: d.gen}); aerr != nil {
 			d.genDirty.Store(true)
@@ -561,7 +561,7 @@ func (d *Dispatcher) walAppend(v any) error {
 	if d.wal == nil {
 		return nil
 	}
-	if err := d.wal.append(v); err != nil {
+	if err := d.wal.Append(v); err != nil {
 		if !d.fenced.Swap(true) {
 			d.metrics.fenceEvents.Inc()
 			d.opts.Logf("fcdpm dispatchd: WAL append failed, fencing admissions: %v", err)
@@ -571,7 +571,7 @@ func (d *Dispatcher) walAppend(v any) error {
 	if d.fenced.Swap(false) {
 		d.opts.Logf("fcdpm dispatchd: WAL writable again, fence lifted")
 	}
-	if d.genDirty.Load() && d.wal.append(walGen{Op: "gen", Gen: d.gen}) == nil {
+	if d.genDirty.Load() && d.wal.Append(walGen{Op: "gen", Gen: d.gen}) == nil {
 		d.genDirty.Store(false)
 	}
 	return nil
@@ -1074,7 +1074,7 @@ func (d *Dispatcher) Close() error {
 	d.closeOnce.Do(func() {
 		d.draining.Store(true)
 		if d.wal != nil {
-			d.closeErr = d.wal.close()
+			d.closeErr = d.wal.Close()
 		}
 	})
 	return d.closeErr

@@ -1,17 +1,10 @@
 package dispatch
 
-import (
-	"bytes"
-	"encoding/json"
-	"errors"
-	"fmt"
-	"os"
+import "encoding/json"
 
-	"fcdpm/internal/vfs"
-)
-
-// The dispatcher's write-ahead log is an append-only JSONL file, one
-// record per line, fsynced per append. Two record kinds exist:
+// The dispatcher's write-ahead log is a vfs.Journal: an append-only
+// JSONL file, one record per line, fsynced per append. Two record kinds
+// exist:
 //
 //   - op=sweep: a whole accepted sweep — name, engine tag, and every
 //     shard's durable identity (name, run ID, content address, canonical
@@ -72,118 +65,3 @@ type walShard struct {
 	Cached bool   `json:"cached,omitempty"`
 	Err    string `json:"error,omitempty"`
 }
-
-// wal is the append handle. Appends are serialized and fsynced; the
-// file never shrinks except through compact's atomic rewrite and the
-// torn-tail repair truncate.
-type wal struct {
-	fs   vfs.FS
-	path string
-	f    vfs.AppendFile
-	// good is the byte length of the durable prefix — every record up to
-	// good is whole and parseable. dirty marks bytes possibly present
-	// beyond good (a torn tail from a crash, or a failed append that may
-	// have written part of its line); the next append truncates back to
-	// good first, so a torn fragment can never fuse with a later record
-	// into one unparseable line that would take acked records down with
-	// it at replay.
-	good  int64
-	dirty bool
-}
-
-// openWAL reads the journal at path (tolerating a torn tail), returning
-// the decoded records and an open append handle. A missing file is an
-// empty journal.
-func openWAL(fs vfs.FS, path string) (*wal, []json.RawMessage, error) {
-	var records []json.RawMessage
-	b, err := fs.ReadFile(path)
-	if err != nil && !errors.Is(err, os.ErrNotExist) {
-		return nil, nil, fmt.Errorf("dispatch: wal read: %w", err)
-	}
-	// Walk whole lines, tracking the durable-prefix length. The first
-	// line that is incomplete (no newline) or unparseable is a torn tail
-	// from a crash mid-append: nothing at or past it was ever acked.
-	off := 0
-	for off < len(b) {
-		nl := bytes.IndexByte(b[off:], '\n')
-		if nl < 0 {
-			break
-		}
-		line := bytes.TrimSpace(b[off : off+nl])
-		if len(line) > 0 && !json.Valid(line) {
-			break
-		}
-		if len(line) > 0 {
-			records = append(records, json.RawMessage(bytes.Clone(line)))
-		}
-		off += nl + 1
-	}
-	f, err := fs.OpenAppend(path)
-	if err != nil {
-		return nil, nil, fmt.Errorf("dispatch: wal open: %w", err)
-	}
-	return &wal{fs: fs, path: path, f: f, good: int64(off), dirty: off != len(b)}, records, nil
-}
-
-// append journals one record durably: repair any torn tail, marshal,
-// write the line, fsync. The caller serializes appends (the dispatcher
-// holds its state lock), which also guarantees WAL order matches
-// state-transition order. A non-nil error (disk full, failed fsync,
-// torn write) means the record must not be treated as durable;
-// vfs.IsDiskFull classifies the cause.
-func (w *wal) append(v any) error {
-	b, err := json.Marshal(v)
-	if err != nil {
-		return fmt.Errorf("dispatch: wal encode: %w", err)
-	}
-	if w.dirty {
-		if err := w.f.Truncate(w.good); err != nil {
-			return fmt.Errorf("dispatch: wal repair: %w", err)
-		}
-		w.dirty = false
-	}
-	line := append(b, '\n')
-	if err := w.f.Append(line); err != nil {
-		w.dirty = true // part of the line may be on disk
-		return fmt.Errorf("dispatch: wal append: %w", err)
-	}
-	w.good += int64(len(line))
-	return nil
-}
-
-// compact atomically replaces the journal with the given records (one
-// generation record plus one folded sweep record per live sweep) and
-// reopens the append handle.
-func (w *wal) compact(records []any) error {
-	var buf bytes.Buffer
-	for _, v := range records {
-		b, err := json.Marshal(v)
-		if err != nil {
-			return fmt.Errorf("dispatch: wal encode: %w", err)
-		}
-		buf.Write(b)
-		buf.WriteByte('\n')
-	}
-	if err := w.f.Close(); err != nil {
-		return fmt.Errorf("dispatch: wal close: %w", err)
-	}
-	werr := w.fs.WriteFileAtomic(w.path, buf.Bytes())
-	f, err := w.fs.OpenAppend(w.path)
-	if err != nil {
-		return fmt.Errorf("dispatch: wal reopen: %w", err)
-	}
-	w.f = f
-	if werr != nil {
-		// The rewrite never replaced the file (atomic publication failed
-		// before the rename), so the original journal — with its known
-		// durable prefix — is intact and the reopened handle keeps
-		// appending to it. Compaction failure degrades to a bigger file,
-		// not a dead dispatcher.
-		return fmt.Errorf("dispatch: wal compact: %w", werr)
-	}
-	w.good, w.dirty = int64(buf.Len()), false
-	return nil
-}
-
-// close releases the append handle.
-func (w *wal) close() error { return w.f.Close() }

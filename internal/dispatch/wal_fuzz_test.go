@@ -45,7 +45,7 @@ func FuzzWALReplay(f *testing.F) {
 		// Layer 1: the reader. Every record it accepts must be valid JSON,
 		// and the handle must keep working: one append, one reopen, and
 		// the appended record is the recovered tail.
-		w, records, err := openWAL(vfs.Default, path)
+		w, records, err := vfs.OpenJournal(vfs.Default, path)
 		if err != nil {
 			t.Skip("unreadable journal is a clean rejection")
 		}
@@ -54,15 +54,15 @@ func FuzzWALReplay(f *testing.F) {
 				t.Fatalf("record %d replayed as invalid JSON: %q", i, rec)
 			}
 		}
-		if err := w.append(walGen{Op: "gen", Gen: 99}); err != nil {
+		if err := w.Append(walGen{Op: "gen", Gen: 99}); err != nil {
 			t.Fatalf("append after replay: %v", err)
 		}
-		w.close()
-		w2, records2, err := openWAL(vfs.Default, path)
+		w.Close()
+		w2, records2, err := vfs.OpenJournal(vfs.Default, path)
 		if err != nil {
 			t.Fatalf("reopen after append: %v", err)
 		}
-		w2.close()
+		w2.Close()
 		if len(records2) != len(records)+1 {
 			t.Fatalf("reopen recovered %d records, want %d (append must land on a clean boundary)",
 				len(records2), len(records)+1)

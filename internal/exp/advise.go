@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"fcdpm/internal/device"
+	"fcdpm/internal/fcopt"
 	"fcdpm/internal/fuelcell"
 	"fcdpm/internal/workload"
 )
@@ -48,27 +49,16 @@ func Advise(sys *fuelcell.System, dev *device.Model, tr *workload.Trace) (*Advic
 		if s.ActiveCurrent > a.PeakLoad {
 			a.PeakLoad = s.ActiveCurrent
 		}
-		sleeping := s.Idle >= tbe
-		var idleCharge float64
-		if sleeping {
-			idleCharge = dev.SleepEnergyCharge(s.Idle)
-		} else {
-			idleCharge = dev.StandbyEnergyCharge(s.Idle)
-		}
-		taEff := dev.TauSR + s.Active + dev.TauRS
-		activeCharge := s.ActiveCurrent * taEff
-		if sleeping {
-			taEff += dev.TauWU
-			activeCharge += dev.IWU * dev.TauWU
-		}
-		slotTime := s.Idle + taEff
-		slotCharge := idleCharge + activeCharge
+		ps := priceSlot(dev, tbe, s)
+		activeCharge := ps.IldA * ps.Ta
+		slotTime := ps.Ti + ps.Ta
+		slotCharge := ps.IldI*ps.Ti + activeCharge
 		totalCharge += slotCharge
 		totalTime += slotTime
 		// Per-slot flat level and the discharge it implies during the
 		// active phase.
 		flat := sys.Clamp(slotCharge / slotTime)
-		swing := activeCharge - flat*taEff
+		swing := activeCharge - flat*ps.Ta
 		if swing < 0 {
 			swing = 0
 		}
@@ -85,4 +75,29 @@ func Advise(sys *fuelcell.System, dev *device.Model, tr *workload.Trace) (*Advic
 	}
 	a.RecommendedReserve = 0.2 * a.RecommendedCmax
 	return a, nil
+}
+
+// priceSlot prices one trace slot the way the simulator runs it under
+// oracle DPM, as charge-equivalent average currents: an idle period of
+// at least tbe powers down and then sleeps, a shorter one stands by,
+// and a sleeping slot's wake-up belongs to its active phase. Advise and
+// OfflineOracleDP share it.
+func priceSlot(dev *device.Model, tbe float64, s workload.Slot) fcopt.Slot {
+	sleeping := s.Idle >= tbe
+	ildI := dev.Isdb
+	if sleeping && s.Idle > 0 {
+		pd := min(dev.TauPD, s.Idle)
+		ildI = (dev.IPD*pd + dev.Islp*(s.Idle-pd)) / s.Idle
+	}
+	ta := dev.TauSR + s.Active + dev.TauRS
+	activeCharge := s.ActiveCurrent * ta
+	if sleeping {
+		ta += dev.TauWU
+		activeCharge += dev.IWU * dev.TauWU
+	}
+	var ildA float64
+	if ta > 0 {
+		ildA = activeCharge / ta
+	}
+	return fcopt.Slot{Ti: s.Idle, IldI: ildI, Ta: ta, IldA: ildA}
 }

@@ -166,6 +166,9 @@ func TestFig2Series(t *testing.T) {
 }
 
 func TestFig3Series(t *testing.T) {
+	if _, err := Fig3Series(1); err == nil {
+		t.Error("Fig3Series(1) accepted: one point spans no range")
+	}
 	pts, err := Fig3Series(26)
 	if err != nil {
 		t.Fatal(err)

@@ -78,28 +78,10 @@ func OfflineOracleDP(ctx context.Context, seed uint64, gridN int) (offline, onli
 	if err != nil {
 		return nil, nil, err
 	}
-	dev := sc.Dev
-	tbe := dev.BreakEven()
+	tbe := sc.Dev.BreakEven()
 	slots := make([]fcopt.Slot, sc.Trace.Len())
 	for k, s := range sc.Trace.Slots {
-		// Mirror the simulator's segment structure with charge-equivalent
-		// average currents. All camcorder idles exceed Tbe, but handle
-		// the general case.
-		sleeping := s.Idle >= tbe
-		var ildI float64
-		if sleeping && s.Idle > 0 {
-			pd := minF(dev.TauPD, s.Idle)
-			ildI = (dev.IPD*pd + dev.Islp*(s.Idle-pd)) / s.Idle
-		} else {
-			ildI = dev.Isdb
-		}
-		taEff := dev.TauSR + s.Active + dev.TauRS
-		activeCharge := s.ActiveCurrent * taEff
-		if sleeping {
-			taEff += dev.TauWU
-			activeCharge += dev.IWU * dev.TauWU
-		}
-		slots[k] = fcopt.Slot{Ti: s.Idle, IldI: ildI, Ta: taEff, IldA: activeCharge / taEff}
+		slots[k] = priceSlot(sc.Dev, tbe, s)
 	}
 	sched, err := fcopt.SolveOffline(fcopt.OfflineProblem{
 		Sys:   sc.Sys,
@@ -118,13 +100,6 @@ func OfflineOracleDP(ctx context.Context, seed uint64, gridN int) (offline, onli
 		return nil, nil, err
 	}
 	return offline, online, nil
-}
-
-func minF(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // TimeoutAblation compares the predictive DPM against classic timeout DPM

@@ -6,6 +6,8 @@ import (
 	"math"
 	"testing"
 
+	"fcdpm/internal/policy"
+	"fcdpm/internal/sim"
 	"fcdpm/internal/storage"
 )
 
@@ -481,5 +483,39 @@ func TestBurstyPredictorStudy(t *testing.T) {
 	}
 	if oracle.Accuracy.MAE != 0 {
 		t.Errorf("oracle MAE = %v", oracle.Accuracy.MAE)
+	}
+}
+
+// TestAdviseAverageMatchesOracleSimulation: the advisor's DPM-average
+// load is the load a simulation under oracle DPM (sleep exactly when the
+// real idle period reaches the break-even time) draws, on the camcorder
+// and on the synthetic device.
+func TestAdviseAverageMatchesOracleSimulation(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		build func(uint64) (*Scenario, error)
+		seed  uint64
+	}{
+		{"camcorder", Experiment1Scenario, 1},
+		{"synthetic", Experiment2Scenario, 2},
+	} {
+		sc, err := c.build(c.seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := Advise(sc.Sys, sc.Dev, sc.Trace)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc.DPM = sim.DPMOracle
+		res, err := sc.run(context.Background(), policy.NewConv(sc.Sys))
+		if err != nil {
+			t.Fatal(err)
+		}
+		simAvg := res.LoadEnergy / (sc.Sys.VF * res.Duration)
+		if rel := a.AvgLoad/simAvg - 1; math.Abs(rel) > 1e-9 {
+			t.Errorf("%s: advised average %.6f A vs oracle simulation %.6f A (%+.3g%%)",
+				c.name, a.AvgLoad, simAvg, 100*rel)
+		}
 	}
 }

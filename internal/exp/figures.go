@@ -33,8 +33,12 @@ type Fig3Point struct {
 	SystemOnOff float64
 }
 
-// Fig3Series regenerates the three measured efficiency curves of Fig 3.
+// Fig3Series regenerates the three measured efficiency curves of Fig 3
+// at n ≥ 2 evenly spaced FC output currents.
 func Fig3Series(n int) ([]Fig3Point, error) {
+	if n < 2 {
+		return nil, fmt.Errorf("exp: Fig 3 needs at least 2 points, got %d", n)
+	}
 	stack := fuelcell.BCS20W()
 	prop, err := fuelcell.NewChainEfficiency(stack, fuelcell.NewPWMPFMConverter(12), fuelcell.ProportionalController())
 	if err != nil {
@@ -45,9 +49,6 @@ func Fig3Series(n int) ([]Fig3Point, error) {
 		return nil, fmt.Errorf("exp: on/off chain: %w", err)
 	}
 	linear := fuelcell.PaperEfficiency()
-	if n < 2 {
-		n = 2
-	}
 	const lo, hi = 0.05, 1.3
 	pts := make([]Fig3Point, n)
 	zeta := stack.Params().Zeta

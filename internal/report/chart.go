@@ -7,6 +7,12 @@ import (
 	"strings"
 )
 
+// The smallest plot area Render draws, in characters.
+const (
+	MinChartWidth  = 16
+	minChartHeight = 4
+)
+
 // Chart renders one or more (x, y) step series as an ASCII chart — enough
 // to eyeball the Fig 7 current profiles or the Fig 2/3 curves in a
 // terminal without leaving the CLI.
@@ -15,7 +21,7 @@ type Chart struct {
 	XLabel string
 	YLabel string
 	// Width and Height are the plot-area dimensions in characters
-	// (default 72×16).
+	// (default 72×16, at least MinChartWidth×4).
 	Width, Height int
 	series        []chartSeries
 }
@@ -90,11 +96,9 @@ func (c *Chart) Render(w io.Writer) error {
 		return fmt.Errorf("report: chart has no series")
 	}
 	width, height := c.Width, c.Height
-	if width < 16 {
-		width = 16
-	}
-	if height < 4 {
-		height = 4
+	if width < MinChartWidth || height < minChartHeight {
+		return fmt.Errorf("report: a %d×%d chart is below the %d×%d minimum",
+			width, height, MinChartWidth, minChartHeight)
 	}
 	xmin, xmax := math.Inf(1), math.Inf(-1)
 	ymin, ymax := math.Inf(1), math.Inf(-1)

@@ -76,13 +76,22 @@ func TestChartConstantSeries(t *testing.T) {
 	}
 }
 
-func TestChartTinyDimensionsClamped(t *testing.T) {
-	c := NewChart("", "", "")
-	c.Width, c.Height = 1, 1
-	if err := c.Line("s", '.', []float64{0, 1}, []float64{0, 1}); err != nil {
-		t.Fatal(err)
-	}
-	if out := c.String(); !strings.Contains(out, ".") {
-		t.Fatalf("clamped chart unusable:\n%s", out)
+// TestChartBelowMinimumRefused: a plot area under 16×4 characters is an
+// error, not a chart silently drawn at the minimum.
+func TestChartBelowMinimumRefused(t *testing.T) {
+	for _, dim := range [][2]int{{1, 1}, {MinChartWidth - 1, 16}, {MinChartWidth, 3}, {MinChartWidth, 4}} {
+		c := NewChart("", "", "")
+		c.Width, c.Height = dim[0], dim[1]
+		if err := c.Line("s", '.', []float64{0, 1}, []float64{0, 1}); err != nil {
+			t.Fatal(err)
+		}
+		var b strings.Builder
+		err := c.Render(&b)
+		if ok := dim[0] >= MinChartWidth && dim[1] >= 4; ok != (err == nil) {
+			t.Fatalf("%d×%d chart: err = %v, want error %v", dim[0], dim[1], err, !ok)
+		}
+		if err == nil && !strings.Contains(b.String(), ".") {
+			t.Fatalf("minimum chart unusable:\n%s", b.String())
+		}
 	}
 }

@@ -1,11 +1,8 @@
 package runner
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
 	"fmt"
-	"os"
 	"strings"
 
 	"fcdpm/internal/vfs"
@@ -20,96 +17,58 @@ type journalRecord struct {
 	Result json.RawMessage `json:"result"`
 }
 
-// journal is a crash-safe JSONL checkpoint of completed runs. Every
-// append rewrites the file through a write-fsync-rename cycle, so the
-// journal on disk is always a complete, parseable prefix of the batch —
-// a crash or kill between records loses at most the record in flight,
-// never corrupts what was already checkpointed. Sweeps are tens to
-// hundreds of records, so the O(n²) rewrite cost is noise next to a
-// single simulation run.
+// journal is the checkpoint of completed runs: an ID index over a
+// vfs.Journal, which appends and fsyncs one line per run. A crash or
+// kill loses at most the record in flight; replay keeps the records
+// before the first torn or unparseable line, and those after it re-run.
 type journal struct {
-	path    string
-	records []journalRecord
-	byID    map[string]int // index into records
+	f    *vfs.Journal
+	byID map[string]json.RawMessage // result by run ID
 }
 
-// openJournal loads (or initializes) the journal at path. A missing file
-// is an empty journal; a torn trailing line — possible only if a crash
-// beat the rename — is tolerated and dropped.
+// openJournal loads (or initializes) the journal at path. Records
+// without an ID are skipped, and the first record per ID wins.
 func openJournal(path string) (*journal, error) {
-	j := &journal{path: path, byID: make(map[string]int)}
-	f, err := os.Open(path)
+	f, records, err := vfs.OpenJournal(vfs.Default, path)
 	if err != nil {
-		if os.IsNotExist(err) {
-			return j, nil
-		}
 		return nil, fmt.Errorf("runner: open journal: %w", err)
 	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
+	j := &journal{f: f, byID: make(map[string]json.RawMessage, len(records))}
+	for _, raw := range records {
 		var rec journalRecord
-		if err := json.Unmarshal([]byte(line), &rec); err != nil || rec.ID == "" {
-			// Torn or foreign line: ignore it rather than abandoning the
-			// valid prefix. The affected run simply re-executes.
+		if json.Unmarshal(raw, &rec) != nil || rec.ID == "" {
 			continue
 		}
-		if _, dup := j.byID[rec.ID]; dup {
-			continue
+		if _, dup := j.byID[rec.ID]; !dup {
+			j.byID[rec.ID] = rec.Result
 		}
-		j.byID[rec.ID] = len(j.records)
-		j.records = append(j.records, rec)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("runner: read journal: %w", err)
 	}
 	return j, nil
 }
 
 // lookup returns the checkpointed result for a run ID.
-func (j *journal) lookup(id string) (journalRecord, bool) {
-	if i, ok := j.byID[id]; ok {
-		return j.records[i], true
-	}
-	return journalRecord{}, false
+func (j *journal) lookup(id string) (json.RawMessage, bool) {
+	res, ok := j.byID[id]
+	return res, ok
 }
 
-// len reports the number of checkpointed runs.
-func (j *journal) len() int { return len(j.records) }
-
-// append checkpoints one completed run: marshal, then publish the whole
-// journal through vfs's write-fsync-rename cycle. After append returns
-// nil, the record survives a crash at any instant. A write failure
-// surfaces as a typed *vfs.WriteError (counted on
-// fcdpm_io_write_failures_total) and leaves the record in memory, so
-// the next successful append re-publishes it — a transient disk fault
-// costs durability only until the next checkpoint lands.
+// append checkpoints one completed run. After append returns nil, the
+// record survives a crash at any instant. A write failure surfaces as a
+// typed *vfs.WriteError (counted on fcdpm_io_write_failures_total) and
+// leaves the run unrecorded, so it re-runs on resume.
 func (j *journal) append(rec journalRecord) error {
 	if _, dup := j.byID[rec.ID]; dup {
 		return nil
 	}
-	j.byID[rec.ID] = len(j.records)
-	j.records = append(j.records, rec)
-
-	var buf bytes.Buffer
-	for _, r := range j.records {
-		b, err := json.Marshal(r)
-		if err != nil {
-			return fmt.Errorf("runner: journal marshal %s: %w", r.ID, err)
-		}
-		buf.Write(b)
-		buf.WriteByte('\n')
-	}
-	if err := vfs.Default.WriteFileAtomic(j.path, buf.Bytes()); err != nil {
+	if err := j.f.Append(rec); err != nil {
 		return fmt.Errorf("runner: journal write: %w", err)
 	}
+	j.byID[rec.ID] = rec.Result
 	return nil
 }
+
+// close releases the journal's append handle.
+func (j *journal) close() error { return j.f.Close() }
 
 // RunID builds a deterministic run identifier from key=value-style parts:
 // the same logical run always maps to the same journal key across

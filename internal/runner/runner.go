@@ -3,9 +3,9 @@
 // generation): a bounded worker pool that runs each task once under an
 // optional deadline, with panic isolation, per-scenario circuit
 // breakers, bounded admission with explicit load shedding, graceful
-// drain on cancellation, and a crash-safe checkpoint journal keyed by
-// deterministic run IDs so an interrupted sweep resumes instead of
-// restarting.
+// drain on cancellation, and a crash-safe checkpoint journal (one
+// fsynced vfs.Journal line per finished run) keyed by deterministic run
+// IDs so an interrupted sweep resumes instead of restarting.
 //
 // The simulator (internal/sim) makes a *single* run survive injected
 // faults; this package applies the same rigor one layer up, around the
@@ -298,11 +298,11 @@ func (p *Pool[R]) Submit(t Task[R]) error {
 	var zero R
 	if p.journal != nil {
 		p.jmu.Lock()
-		rec, ok := p.journal.lookup(t.ID)
+		raw, ok := p.journal.lookup(t.ID)
 		p.jmu.Unlock()
 		if ok {
 			var res R
-			if err := json.Unmarshal(rec.Result, &res); err == nil {
+			if err := json.Unmarshal(raw, &res); err == nil {
 				p.resolve(index, t, StatusResumed, res, nil)
 				return nil
 			}
@@ -334,10 +334,10 @@ func (p *Pool[R]) Submit(t Task[R]) error {
 	}
 }
 
-// Drain closes admission, waits for in-flight work, and returns the
-// report. The error is ErrInterrupted when the batch was cut short (the
-// report still describes every submitted task), or a journal I/O error
-// if checkpointing failed.
+// Drain closes admission, waits for in-flight work, closes the journal,
+// and returns the report. The error is ErrInterrupted when the batch was
+// cut short (the report still describes every submitted task), or the
+// first journal I/O error if checkpointing failed.
 func (p *Pool[R]) Drain() (*Report[R], error) {
 	p.sendMu.Lock()
 	p.mu.Lock()
@@ -356,6 +356,12 @@ func (p *Pool[R]) Drain() (*Report[R], error) {
 	rep.Shed, rep.BreakerSkipped, rep.Interrupted = p.counts.shed, p.counts.breakerSkipped, p.counts.interrupted
 	p.mu.Unlock()
 	p.jmu.Lock()
+	if p.journal != nil {
+		if err := p.journal.close(); err != nil && p.jerr == nil {
+			p.jerr = fmt.Errorf("runner: journal close: %w", err)
+		}
+		p.journal = nil
+	}
 	jerr := p.jerr
 	p.jmu.Unlock()
 	if jerr != nil {
@@ -489,29 +495,22 @@ func protect[R any](ctx context.Context, fn func(context.Context) (R, error)) (r
 	return fn(ctx)
 }
 
-// checkpoint journals a completed run; I/O errors are remembered and
-// surfaced by Drain (the in-memory result is still good).
+// checkpoint journals a completed run; the first I/O error is
+// remembered and surfaced by Drain (the in-memory result is still good).
 func (p *Pool[R]) checkpoint(t Task[R], res R) {
 	if p.journal == nil {
 		return
 	}
 	raw, err := json.Marshal(res)
-	if err == nil {
-		p.jmu.Lock()
-		defer p.jmu.Unlock()
-		err = p.journal.append(journalRecord{ID: t.ID, Result: raw})
-		if err == nil {
-			return
-		}
-		if p.jerr == nil {
-			p.jerr = err
-		}
-		return
-	}
 	p.jmu.Lock()
 	defer p.jmu.Unlock()
-	if p.jerr == nil {
-		p.jerr = fmt.Errorf("runner: journal marshal %s: %w", t.ID, err)
+	if err != nil {
+		err = fmt.Errorf("runner: journal marshal %s: %w", t.ID, err)
+	} else {
+		err = p.journal.append(journalRecord{ID: t.ID, Result: raw})
+	}
+	if err != nil && p.jerr == nil {
+		p.jerr = err
 	}
 }
 

@@ -229,8 +229,8 @@ type taskRef struct {
 	outcomes []laneOutcome
 }
 
-// laneOutcome is one sweep cell's resolution, recorded by the task body
-// and read by the resolve hook.
+// laneOutcome is one covered cell's (or the single run's) resolution,
+// recorded by the task body and read by the resolve hook.
 type laneOutcome struct {
 	status runner.Status
 	errMsg string
@@ -240,10 +240,13 @@ type laneOutcome struct {
 // runreport.Execute runs the cells as lanes of one BatchRunner batch
 // (identical cells collapse onto one executing lane), then each rendered
 // body populates the cache and each lane's audit log replays into the
-// job's stream. A task covering one run or cell hands its error to the
-// pool, so its breaker applies; a wider chunk resolves each cell with
-// its own outcome, and the task itself fails only when its context ends,
-// where chunkResolved still keeps the cells that finished.
+// job's stream. A task covering one run or cell hands an engine failure
+// to the pool, so the spec's breaker counts it; a client fault (see
+// clientFault) fails the same way on every attempt, so it resolves
+// through the cell's outcome and never opens the breaker. A wider chunk
+// resolves each cell with its own outcome, and the task itself fails
+// only when its context ends, where chunkResolved still keeps the cells
+// that finished.
 func (s *Server) task(ref taskRef, cells []runreport.Cell) func(context.Context) (struct{}, error) {
 	j := ref.job
 	return func(ctx context.Context) (struct{}, error) {
@@ -276,7 +279,7 @@ func (s *Server) task(ref taskRef, cells []runreport.Cell) func(context.Context)
 			// body directly.
 			j.setReport(rows[0].Body)
 		}
-		if len(cells) == 1 || ctx.Err() != nil {
+		if ctx.Err() != nil || len(cells) == 1 && !clientFault(firstErr) {
 			return struct{}{}, firstErr
 		}
 		return struct{}{}, nil
@@ -323,6 +326,11 @@ func (s *Server) onTaskEvent(e runner.TaskEvent) {
 		}
 		switch e.Status {
 		case runner.StatusDone:
+			if o := ref.outcomes[0]; o.status == runner.StatusFailed {
+				s.metrics.runsFailed.Inc()
+				j.finish(jobFailed, nil, o.errMsg, 400, false)
+				break
+			}
 			j.mu.Lock()
 			body := j.report
 			j.mu.Unlock()
@@ -357,7 +365,8 @@ func (s *Server) onTaskEvent(e runner.TaskEvent) {
 // validation only at build time (a trace file with an invalid record, a
 // predictor parameter out of range). These map to HTTP 400 — retrying
 // the identical request cannot succeed — while genuine engine failures
-// keep 500. errors.As traverses the pool's RunError / retry wrappers.
+// keep 500 and count against the spec's circuit breaker. errors.As
+// traverses the pool's RunError wrapper.
 func clientFault(err error) bool {
 	var cve *config.ValidationError
 	var wve *workload.ValidationError
@@ -393,11 +402,10 @@ func (s *Server) cellDone(j *job, cell int, status runner.Status, cached bool, e
 	c.Status = string(status)
 	c.Cached = cached
 	c.Err = errMsg
-	name := c.Name
-	j.remaining--
-	last := j.remaining == 0
-	j.mu.Unlock()
-
+	// The cell is counted and its event appended before j.mu is
+	// released: the cell that brings remaining to zero finalizes the
+	// sweep and closes its stream, and an event appended after that is
+	// dropped.
 	switch status {
 	case runner.StatusDone:
 		s.metrics.runsDone.Inc()
@@ -407,9 +415,12 @@ func (s *Server) cellDone(j *job, cell int, status runner.Status, cached bool, e
 		s.metrics.runsFailed.Inc()
 	}
 	j.events.append(Event{
-		Kind: "cell", Job: j.id, Cell: name,
+		Kind: "cell", Job: j.id, Cell: c.Name,
 		Status: string(status), Cached: cached, Detail: errMsg,
 	})
+	j.remaining--
+	last := j.remaining == 0
+	j.mu.Unlock()
 	if last {
 		s.finalizeSweep(j)
 	}

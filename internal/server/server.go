@@ -69,8 +69,8 @@ type Options struct {
 	// CacheBytes bounds the memory result cache (default
 	// DefaultCacheBytes); negative disables the memory tier.
 	CacheBytes int64
-	// CacheDir, when set, persists every cached report to disk with the
-	// journal's fsync+atomic-rename discipline, surviving restarts.
+	// CacheDir, when set, persists every cached report to disk through
+	// vfs's fsync+atomic-rename publication, surviving restarts.
 	CacheDir string
 	// EnablePprof mounts net/http/pprof under /debug/pprof/. Off by
 	// default: the profiler exposes goroutine stacks and heap contents,

@@ -990,3 +990,72 @@ func TestRunBadTraceRecordIs400(t *testing.T) {
 		}
 	}
 }
+
+// TestClientFaultNeverOpensBreaker: a spec that fails at build time fails
+// the same way on every attempt, so repeating it is a client error each
+// time — never a 503 "circuit breaker open" whose Retry-After invites
+// more retries of a request that cannot succeed.
+func TestClientFaultNeverOpensBreaker(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	path := filepath.Join(t.TempDir(), "nan.csv")
+	if err := os.WriteFile(path, []byte("idle_s,active_s,active_current_a\n10,NaN,1\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	spec := fmt.Sprintf(`{"trace":{"kind":"file","file":%q}}`, path)
+	for i := 1; i <= 5; i++ {
+		resp, b := postRun(t, ts, spec)
+		if resp.StatusCode != 400 || resp.Header.Get("Retry-After") != "" {
+			t.Fatalf("POST %d: %d (Retry-After %q) %s, want 400 without Retry-After",
+				i, resp.StatusCode, resp.Header.Get("Retry-After"), b)
+		}
+	}
+	// The same spec as a one-cell sweep is a one-cell chunk: its cell
+	// fails with the trace's error every time, never as breaker-open.
+	for i := 1; i <= 5; i++ {
+		resp, err := http.Post(ts.URL+"/v1/sweeps", "application/json",
+			strings.NewReader(`{"scenarios":[`+spec+`]}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var acc struct {
+			ID string `json:"id"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&acc)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != 202 {
+			t.Fatalf("sweep %d accept: %d %v", i, resp.StatusCode, err)
+		}
+		if c := waitSweep(t, ts, acc.ID).Cells[0]; c.Status != "failed" || !strings.Contains(c.Err, "NaN") {
+			t.Fatalf("sweep %d cell %+v, want failed naming the NaN record", i, c)
+		}
+	}
+}
+
+// TestSweepStreamKeepsEveryCell: cells of one sweep resolving at once
+// each reach the event stream before the last of them closes it.
+func TestSweepStreamKeepsEveryCell(t *testing.T) {
+	s, _ := newTestServer(t, Options{})
+	for i := 0; i < 1000; i++ {
+		j := s.reg.newJob(jobSweep, "", "race")
+		j.cells = make([]cellState, 64)
+		j.remaining = len(j.cells)
+		var wg sync.WaitGroup
+		for c := range j.cells {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				s.cellDone(j, c, runner.StatusDone, false, "")
+			}()
+		}
+		wg.Wait()
+		cells := 0
+		for _, line := range j.events.snapshot() {
+			if bytes.Contains(line, []byte(`"kind":"cell"`)) {
+				cells++
+			}
+		}
+		if cells != len(j.cells) {
+			t.Fatalf("sweep %d: the stream holds %d cell events, want %d", i, cells, len(j.cells))
+		}
+	}
+}

@@ -1,8 +1,8 @@
 // Package vfs is the filesystem seam under every durable writer in the
-// repo — the dispatcher WAL, the worker result spool, and the result
-// cache's disk tier. Production code runs on OS (the real filesystem,
-// with the fsync+atomic-rename discipline the runner journal
-// established); the chaos harness substitutes a fault-injecting
+// repo — the one JSONL journal (Journal: the dispatcher WAL, the
+// runner's checkpoints, the chaos trial log), the worker result spool,
+// and the result cache's disk tier. Production code runs on OS, the
+// real filesystem; the chaos harness substitutes a fault-injecting
 // implementation to prove those writers degrade gracefully under
 // ENOSPC, failed fsync, torn appends, and bit-rot.
 //
